@@ -16,6 +16,8 @@ from .classify import classify_clifford, classify_even_part, classify_even_subal
 from .core import MAX_DIMENSION, Signature, all_blades, geometric_product
 from .expr import ParseError, format_multivector, parse_multivector
 from .grading import (
+    DichotomyViolation,
+    EigenspaceViolation,
     NotInvolution,
     NotIsometry,
     Z2Grading,
@@ -63,6 +65,8 @@ def _parse_pair(text: str) -> tuple[int, int]:
 def _load_involution(path: str):
     with open(path) as fh:
         data = json.load(fh)
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+        raise ValueError(f"{path}: expected a JSON list of rows (lists of rationals)")
     return [[Fraction(str(x)) for x in row] for row in data]
 
 
@@ -330,6 +334,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (DichotomyViolation, EigenspaceViolation) as exc:
+        print(f"violation: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     raise AssertionError("unreachable")
 
 

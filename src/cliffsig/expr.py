@@ -33,6 +33,10 @@ _TOKEN = re.compile(
 
 ProductFn = Callable[[Multivector, Multivector], Multivector]
 
+#: Deepest parenthesis nesting accepted; the parser recurses once per
+#: level, so this keeps it well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
     """Syntax or range error in a multivector expression."""
@@ -48,6 +52,7 @@ class _Parser:
         self.sig = sig
         self.star = star
         self.pos = 0
+        self.depth = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._tokenize()
         self.idx = 0
@@ -133,7 +138,11 @@ class _Parser:
         if kind == "blade":
             return self._blade(val, pos)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             k2, v2, p2 = self._next()
             if not (k2 == "op" and v2 == ")"):
                 raise ParseError("expected ')'", p2)

@@ -35,6 +35,16 @@ class NotIsometry(ValueError):
     """Candidate grading map is an involution of V but not a g-isometry."""
 
 
+class DichotomyViolation(ArithmeticError):
+    """An even part's dimension is neither the whole algebra (trivial
+    grading) nor exactly half of it (any other grading)."""
+
+
+class EigenspaceViolation(ArithmeticError):
+    """The +1/-1 eigenspaces of an accepted involution do not split V into
+    two g-orthogonal nondegenerate subspaces, as the theory guarantees."""
+
+
 @dataclass(frozen=True)
 class Z2Grading:
     """Basis-aligned structure-preserving grading: ``odd_mask`` marks the
@@ -150,10 +160,14 @@ def dimension_dichotomy_check(gr: Z2Grading) -> DimensionClass:
     size = len(even_subalgebra_basis(gr))
     n = gr.sig.n
     if gr.is_trivial:
-        assert size == 1 << n
-        return DimensionClass.TRIVIAL
-    assert size == 1 << (n - 1)
-    return DimensionClass.HALF
+        cls, want = DimensionClass.TRIVIAL, 1 << n
+    else:
+        cls, want = DimensionClass.HALF, 1 << (n - 1)
+    if size != want:
+        raise DichotomyViolation(
+            f"{gr}: even part has dimension {size}, expected {want} ({cls.value})"
+        )
+    return cls
 
 
 @dataclass
@@ -232,22 +246,27 @@ def validate_involution(matrix, sig: Signature) -> InvolutionSplit:
     plus = [[m[i][j] + ident[i][j] for j in range(n)] for i in range(n)]
     even_vectors = linalg.nullspace(minus, n)
     odd_vectors = linalg.nullspace(plus, n)
-    assert len(even_vectors) + len(odd_vectors) == n
+    if len(even_vectors) + len(odd_vectors) != n:
+        raise EigenspaceViolation(
+            f"eigenspace dimensions {len(even_vectors)} + {len(odd_vectors)} != {n}"
+        )
 
     def g_pair(u, v) -> Fraction:
         return sum(
             (u[i] * sig.metric(i + 1) * v[i] for i in range(n)), Fraction(0)
         )
 
-    # orthogonality of the two eigenspaces is forced; assert it anyway
+    # orthogonality of the two eigenspaces is forced; check it anyway
     for u in even_vectors:
         for v in odd_vectors:
-            assert g_pair(u, v) == 0
+            if g_pair(u, v) != 0:
+                raise EigenspaceViolation("the +1 and -1 eigenspaces are not g-orthogonal")
 
     def restricted(vectors) -> tuple[int, int]:
         gram = [[g_pair(u, v) for v in vectors] for u in vectors]
         pos, neg, zero = linalg.symmetric_signature(gram)
-        assert zero == 0  # each eigenspace is nondegenerate
+        if zero:
+            raise EigenspaceViolation(f"an eigenspace is degenerate ({zero} null directions)")
         return pos, neg
 
     p0, q0 = restricted(even_vectors) if even_vectors else (0, 0)

@@ -11,6 +11,13 @@ Two ways to get structure constants: ``regular_representation`` extracts
 them from a multivector basis closed under a given product, and
 ``StructureConstants.matrix_units`` realizes M(m, K) explicitly so
 ``expected_invariants`` can fingerprint a reference copy of any class.
+
+Coefficient domain: a structure constant is an ``int`` when it is
+integral and a ``Fraction`` otherwise, never a ``float``.  Unit-blade bases
+under the package's products and the matrix-unit references have ±1
+constants, so the checks below run on Python ints; the same code accepts
+``Fraction`` constants from the general solver, and the only divisions
+(in the center nullspace) are exact.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from functools import lru_cache
 
 from . import linalg
 from .classify import AlgebraClass
-from .core import Multivector
+from .core import Multivector, Rational
 
 #: dim**3 at or below which associativity is checked exhaustively.
 _EXHAUSTIVE_TRIPLES = 4096
@@ -70,11 +77,15 @@ _K_MUL = {
 
 
 class StructureConstants:
-    """Sparse structure constants: b_i b_j = sum_k table[i][j][k] b_k."""
+    """Sparse structure constants: b_i b_j = sum_k table[i][j][k] b_k.
+
+    Each constant is an ``int`` when integral and a ``Fraction`` otherwise,
+    never a ``float``.
+    """
 
     __slots__ = ("table", "dim")
 
-    def __init__(self, table: list[list[dict[int, Fraction]]]):
+    def __init__(self, table: list[list[dict[int, Rational]]]):
         self.table = table
         self.dim = len(table)
 
@@ -118,7 +129,7 @@ class StructureConstants:
                     continue
                 sign, w = mul[(units[ui], units[vi])]
                 table[left][idx(c, d, vi)] = {
-                    idx(a, d, units.index(w)): Fraction(sign)
+                    idx(a, d, units.index(w)): sign
                 }
         return cls(table)
 
@@ -129,7 +140,8 @@ def regular_representation(basis, product) -> StructureConstants:
     The basis must be linearly independent (NotIndependent) and its span
     closed under the product (NotClosed); both are established by exact
     linear solves.  Unit-coefficient single-blade bases — the common case
-    everywhere in this package — skip the solver.
+    everywhere in this package — skip the solver, and their integral
+    constants are stored as ints.
     """
     basis = list(basis)
     if not basis:
@@ -146,14 +158,14 @@ def regular_representation(basis, product) -> StructureConstants:
         for i in range(m):
             row = []
             for j in range(m):
-                cell: dict[int, Fraction] = {}
+                cell: dict[int, Rational] = {}
                 for mask, c in product(basis[i], basis[j]).terms.items():
                     k = index.get(mask)
                     if k is None:
                         raise NotClosed(
                             f"product of basis elements {i} and {j} leaves the span"
                         )
-                    cell[k] = c
+                    cell[k] = c.numerator if c.denominator == 1 else c
                 row.append(cell)
             table.append(row)
         return StructureConstants(table)
@@ -200,28 +212,26 @@ def _check_associativity(sc: StructureConstants, seed: int, trials: int) -> None
             for _ in range(trials)
         )
     for i, j, k in triples:
-        lhs: dict[int, Fraction] = {}
+        # (b_i b_j) b_k - b_i (b_j b_k), accumulated coordinate-wise
+        diff: dict[int, Rational] = {}
         for mid, v in table[i][j].items():
             for out, w in table[mid][k].items():
-                lhs[out] = lhs.get(out, Fraction(0)) + v * w
-        rhs: dict[int, Fraction] = {}
+                diff[out] = diff.get(out, 0) + v * w
         for mid, v in table[j][k].items():
             for out, w in table[i][mid].items():
-                rhs[out] = rhs.get(out, Fraction(0)) + v * w
-        lhs = {k2: v for k2, v in lhs.items() if v}
-        rhs = {k2: v for k2, v in rhs.items() if v}
-        if lhs != rhs:
+                diff[out] = diff.get(out, 0) - v * w
+        if any(diff.values()):
             raise NotAssociative(f"(b{i} b{j}) b{k} != b{i} (b{j} b{k})")
 
 
 def _center_basis(sc: StructureConstants) -> list[linalg.Vector]:
     """Nullspace of x -> ([x, b_j])_j over the basis coordinates."""
     dim = sc.dim
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    rows: dict[tuple[int, int], dict[int, Rational]] = {}
 
     def add(key, col, val):
         row = rows.setdefault(key, {})
-        row[col] = row.get(col, Fraction(0)) + val
+        row[col] = row.get(col, 0) + val
 
     for i in range(dim):
         for j in range(dim):
@@ -236,7 +246,7 @@ def _center_basis(sc: StructureConstants) -> list[linalg.Vector]:
             continue
         lead = min(row)
         scale = row[lead]
-        key = tuple(sorted((c, v / scale) for c, v in row.items()))
+        key = tuple(sorted((c, Fraction(v, scale)) for c, v in row.items()))
         if key not in seen:
             seen.add(key)
             sparse_rows.append(row)
@@ -244,7 +254,7 @@ def _center_basis(sc: StructureConstants) -> list[linalg.Vector]:
 
 
 def _sparse_nullspace(rows, dim: int) -> list[linalg.Vector]:
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, Rational]] = {}
     for row in rows:
         row = dict(row)
         while row:
@@ -252,15 +262,15 @@ def _sparse_nullspace(rows, dim: int) -> list[linalg.Vector]:
             piv = pivots.get(c)
             if piv is None:
                 d = row.pop(c)
-                norm = {cc: vv / d for cc, vv in row.items()}
-                norm[c] = Fraction(1)
+                norm = {cc: Fraction(vv, d) for cc, vv in row.items()}
+                norm[c] = 1
                 pivots[c] = norm
                 break
             f = row.pop(c)
             for cc, vv in piv.items():
                 if cc == c:
                     continue
-                nv = row.get(cc, Fraction(0)) - f * vv
+                nv = row.get(cc, 0) - f * vv
                 if nv:
                     row[cc] = nv
                 elif cc in row:
@@ -279,7 +289,7 @@ def _sparse_nullspace(rows, dim: int) -> list[linalg.Vector]:
             for cc, vv in prow.items():
                 if cc == c:
                     continue
-                nv = target.get(cc, Fraction(0)) - f * vv
+                nv = target.get(cc, 0) - f * vv
                 if nv:
                     target[cc] = nv
                 elif cc in target:
@@ -288,8 +298,8 @@ def _sparse_nullspace(rows, dim: int) -> list[linalg.Vector]:
     for fcol in range(dim):
         if fcol in pivots:
             continue
-        v = [Fraction(0)] * dim
-        v[fcol] = Fraction(1)
+        v = [0] * dim
+        v[fcol] = 1
         for pc, prow in pivots.items():
             val = prow.get(fcol)
             if val:
@@ -299,25 +309,25 @@ def _sparse_nullspace(rows, dim: int) -> list[linalg.Vector]:
 
 
 def _trace_form(sc: StructureConstants) -> linalg.Matrix:
-    """B[i][j] = tr(L_i L_j), via the sparsity of the constants."""
+    """B[i][j] = tr(L_i L_j) = sum over a, m of c_{im}^a c_{ja}^m.
+
+    The sum runs over nonzero constants only: index (m, a) -> [(i, c_{im}^a)]
+    once, then join every c_{ja}^m against it.  This is the definition
+    itself, not tr(L_{b_i b_j}), which would lean on associativity.
+    """
     dim = sc.dim
     table = sc.table
-    b = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        rows_i = table[i]
-        for j in range(i, dim):
-            rows_j = table[j]
-            t = Fraction(0)
-            for a in range(dim):
-                cell = rows_j[a]
-                if cell:
-                    for mid, v in cell.items():
-                        w = rows_i[mid].get(a)
-                        if w:
-                            t += w * v
-            if t:
-                b[i][j] = t
-                b[j][i] = t
+    by_entry: dict[tuple[int, int], list[tuple[int, Rational]]] = {}
+    for i, row in enumerate(table):
+        for m, cell in enumerate(row):
+            for a, c in cell.items():
+                by_entry.setdefault((m, a), []).append((i, c))
+    b = [[0] * dim for _ in range(dim)]
+    for j, row in enumerate(table):
+        for a, cell in enumerate(row):
+            for m, v in cell.items():
+                for i, w in by_entry.get((m, a), ()):
+                    b[i][j] += w * v
     return b
 
 
@@ -347,8 +357,8 @@ def structural_invariants(
     )
 
 
-def _bilinear_form(b: linalg.Matrix, u: linalg.Vector, v: linalg.Vector) -> Fraction:
-    total = Fraction(0)
+def _bilinear_form(b: linalg.Matrix, u: linalg.Vector, v: linalg.Vector) -> Rational:
+    total = 0
     for i, ui in enumerate(u):
         if ui:
             row = b[i]

@@ -234,7 +234,11 @@ def verify_table4(
                         else random_odd_mask(rng, sig, p1, q1)
                     )
                     gr = Z2Grading(sig, mask)
-                    assert gr.counts() == (p0, q0, p1, q1)
+                    if gr.counts() != (p0, q0, p1, q1):
+                        return False, (
+                            f"odd mask {mask:#b} has counts {gr.counts()}, "
+                            f"expected {(p0, q0, p1, q1)}"
+                        )
                     cls = classify_even_subalgebra(sig.p, sig.q, p0, q0)
                     got = structural_invariants(
                         regular_representation(

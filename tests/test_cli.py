@@ -116,6 +116,29 @@ def test_grading_involution_file(tmp_path, capsys):
     assert "NotInvolution" in json.loads(out)["reason"]
 
 
+@pytest.mark.parametrize("payload", [5, [5], ["12"], {"rows": [[1]]}, None])
+def test_grading_involution_file_not_a_matrix_exit_2(tmp_path, capsys, payload):
+    path = tmp_path / "inv.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "grading", "--sig", "2,0", "--involution", str(path))
+    assert code == 2
+    assert out == "" and "expected a JSON list of rows" in err
+
+
+def test_grading_dichotomy_violation_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr("cliffsig.grading.even_subalgebra_basis", lambda gr: [0])
+    code, out, err = run(capsys, "grading", "--sig", "2,0", "--odd", "e1")
+    assert code == 1
+    assert out == "" and err.startswith("violation: DichotomyViolation")
+
+
+def test_eval_deep_nesting_is_parse_error(capsys):
+    expr = "(" * 5000 + "e1" + ")" * 5000
+    code, out, err = run(capsys, "eval", "--sig", "1,0", expr)
+    assert code == 2
+    assert out == "" and err.startswith("parse error") and "nested" in err
+
+
 def test_sigchange_command(capsys):
     code, out, _ = run(
         capsys, "sigchange", "--sig", "1,3", "--odd", "e2,e3,e4", "--expr", "e1*e1",

@@ -14,6 +14,7 @@ from cliffsig import (
     parse_multivector,
     wedge,
 )
+from cliffsig.expr import MAX_NESTING
 
 
 def test_literal_examples():
@@ -64,6 +65,15 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_multivector("1/0", sig)
     assert "denominator" in str(err.value)
+
+
+def test_parenthesis_nesting_limit():
+    sig = Signature(1, 0)
+    deepest = "(" * MAX_NESTING + "e1" + ")" * MAX_NESTING
+    assert parse_multivector(deepest, sig) == Multivector.basis_vector(sig, 1)
+    with pytest.raises(ParseError) as err:
+        parse_multivector("(" + deepest + ")", sig)
+    assert err.value.position == MAX_NESTING
 
 
 def test_out_of_range_index_is_parse_error():

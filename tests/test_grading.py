@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from cliffsig import (
+    DichotomyViolation,
     DimensionClass,
+    EigenspaceViolation,
     Multivector,
     NotInvolution,
     NotIsometry,
@@ -27,7 +29,7 @@ from cliffsig import (
     project_odd,
     validate_involution,
 )
-from cliffsig import linalg
+from cliffsig import grading, linalg
 
 
 def gradings_of(sig):
@@ -158,6 +160,31 @@ def test_dimension_dichotomy_exhaustive():
                 else:
                     assert result is DimensionClass.HALF
                     assert size == 1 << (n - 1)
+
+
+def test_dimension_dichotomy_mismatch_raises(monkeypatch):
+    # a wrong-sized even basis must fail loudly, also under python -O
+    monkeypatch.setattr(grading, "even_subalgebra_basis", lambda gr: [0])
+    sig = Signature(2, 1)
+    for gr in (Z2Grading.trivial(sig), Z2Grading.usual(sig)):
+        with pytest.raises(DichotomyViolation):
+            dimension_dichotomy_check(gr)
+
+
+@pytest.mark.parametrize(
+    "eigenvectors, reason",
+    [
+        ([], "dimensions"),
+        ([[Fraction(1), Fraction(0)]], "orthogonal"),
+        ([[Fraction(1), Fraction(1)]], "degenerate"),
+    ],
+)
+def test_involution_eigenspace_checks_raise(monkeypatch, eigenvectors, reason):
+    # forge the eigenspaces of the identity on Cl(1,1)'s V so each of the
+    # split's guaranteed properties fails in turn
+    monkeypatch.setattr(linalg, "nullspace", lambda a, cols=None: eigenvectors)
+    with pytest.raises(EigenspaceViolation, match=reason):
+        validate_involution(linalg.identity(2), Signature(1, 1))
 
 
 def test_odd_generator_gives_even_odd_bijection():

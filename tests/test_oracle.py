@@ -1,5 +1,6 @@
 """Regular representation and structural fingerprints."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ from cliffsig import (
     regular_representation,
     structural_invariants,
 )
+from cliffsig.oracle import _center_basis, _trace_form
+from cliffsig.verify import canonical_odd_mask, signatures_up_to
 
 
 def blades_of(sig, masks):
@@ -210,3 +213,37 @@ def test_non_clifford_even_subalgebra_detected():
     fp = expected_invariants(cls)
     for r, s in [(2, 0), (1, 1), (0, 2)]:
         assert fp != expected_invariants(classify_clifford(r, s))
+
+
+def reference_constants(cls):
+    """The matrix-unit table ``expected_invariants`` fingerprints."""
+    blocks = [StructureConstants.matrix_units(c.m, c.K) for c in cls.components]
+    return functools.reduce(StructureConstants.direct_sum, blocks)
+
+
+def table4_constants(max_n):
+    for sig in signatures_up_to(max_n):
+        for p0 in range(sig.p + 1):
+            for q0 in range(sig.q + 1):
+                gr = Z2Grading(sig, canonical_odd_mask(sig, sig.p - p0, sig.q - q0))
+                yield regular_representation(
+                    blades_of(sig, even_subalgebra_basis(gr)), geometric_product
+                )
+
+
+def test_int_and_fraction_constants_give_identical_fingerprints():
+    # the package's tables are integral and stored as ints; wrapping every
+    # constant in Fraction must not change the fingerprint, and neither
+    # domain may leak a float into the trace form or the center basis
+    tables = [reference_constants(cls) for cls in all_table_classes(64)]
+    tables.extend(table4_constants(4))
+    for sc in tables:
+        values = [v for row in sc.table for cell in row for v in cell.values()]
+        assert values and all(type(v) is int for v in values)
+        wrapped = StructureConstants(
+            [[{k: Fraction(v) for k, v in cell.items()} for cell in row] for row in sc.table]
+        )
+        assert structural_invariants(sc) == structural_invariants(wrapped)
+        for table in (sc, wrapped):
+            assert not any(type(x) is float for row in _trace_form(table) for x in row)
+            assert not any(type(x) is float for v in _center_basis(table) for x in v)

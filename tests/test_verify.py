@@ -93,3 +93,14 @@ def test_unknown_suite_and_bad_max_n():
         run_suite("nope", 2)
     with pytest.raises(ValueError):
         run_suite("table4", 99)
+
+
+def test_table4_reports_grading_count_mismatch(monkeypatch):
+    # an odd mask with the wrong per-sign counts is a failing cell, not a crash
+    import cliffsig.verify as verify
+
+    monkeypatch.setattr(verify, "canonical_odd_mask", lambda sig, p1, q1: 0)
+    report = verify_table4(max_n=1)
+    failing = {c.key: c.detail for c in report.cells if not c.ok}
+    assert sorted(failing) == ["0,1,0,0", "1,0,0,0"]
+    assert "(1, 0, 0, 0)" in failing["1,0,0,0"] and "(0, 0, 1, 0)" in failing["1,0,0,0"]
