@@ -304,8 +304,13 @@ def _check_same_sig(a: Multivector, b: Multivector) -> None:
         raise SignatureMismatch(f"{a.sig} vs {b.sig}")
 
 
-def _bilinear(a: Multivector, b: Multivector, blade_op) -> Multivector:
-    """Extend a (sign, mask)-valued blade operation bilinearly."""
+def bilinear(a: Multivector, b: Multivector, blade_op) -> Multivector:
+    """Extend a (sign, mask)-valued blade operation bilinearly.
+
+    The one driver behind every product in the package: each product is
+    only a choice of ``blade_op``, which sends a pair of blade masks to a
+    sign in {-1, 0, 1} and a result mask.  The caller checks signatures.
+    """
     out: dict[int, Fraction] = {}
     for ma, ca in a._terms.items():
         for mb, cb in b._terms.items():
@@ -323,13 +328,13 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Clifford product of Cl(p,q); associative, unit = scalar 1."""
     _check_same_sig(a, b)
     neg = a.sig.neg_mask
-    return _bilinear(a, b, lambda ma, mb: kernels.blade_mul(ma, mb, neg))
+    return bilinear(a, b, lambda ma, mb: kernels.blade_mul(ma, mb, neg))
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product (graded-anticommutative, metric-independent)."""
     _check_same_sig(a, b)
-    return _bilinear(a, b, kernels.blade_wedge)
+    return bilinear(a, b, kernels.blade_wedge)
 
 
 def left_contraction(a: Multivector, b: Multivector) -> Multivector:
@@ -337,14 +342,14 @@ def left_contraction(a: Multivector, b: Multivector) -> Multivector:
     g(a ⌟ b, c) = g(b, reversion(a) ^ c) for all c."""
     _check_same_sig(a, b)
     neg = a.sig.neg_mask
-    return _bilinear(a, b, lambda ma, mb: kernels.blade_left_contract(ma, mb, neg))
+    return bilinear(a, b, lambda ma, mb: kernels.blade_left_contract(ma, mb, neg))
 
 
 def right_contraction(a: Multivector, b: Multivector) -> Multivector:
     """a right-contracted by b: g(a ⌞ b, c) = g(a, c ^ reversion(b))."""
     _check_same_sig(a, b)
     neg = a.sig.neg_mask
-    return _bilinear(a, b, lambda ma, mb: kernels.blade_right_contract(ma, mb, neg))
+    return bilinear(a, b, lambda ma, mb: kernels.blade_right_contract(ma, mb, neg))
 
 
 def grade_projection(a: Multivector, k: int) -> Multivector:

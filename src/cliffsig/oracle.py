@@ -200,10 +200,21 @@ def regular_representation(basis, product) -> StructureConstants:
     return StructureConstants(table)
 
 
-def _check_associativity(sc: StructureConstants, seed: int, trials: int) -> None:
+def associativity_is_exhaustive(dim: int) -> bool:
+    """Whether the associativity check visits every triple of a basis of
+    this size (rather than a seeded sample)."""
+    return dim**3 <= _EXHAUSTIVE_TRIPLES
+
+
+def first_nonassociative_triple(
+    sc: StructureConstants, seed: int, trials: int
+) -> tuple[int, int, int] | None:
+    """First basis triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k),
+    or None.  Every triple is visited while dim**3 <= _EXHAUSTIVE_TRIPLES,
+    ``trials`` seeded random ones beyond."""
     dim = sc.dim
     table = sc.table
-    if dim**3 <= _EXHAUSTIVE_TRIPLES:
+    if associativity_is_exhaustive(dim):
         triples = itertools.product(range(dim), repeat=3)
     else:
         rng = random.Random(seed)
@@ -221,7 +232,8 @@ def _check_associativity(sc: StructureConstants, seed: int, trials: int) -> None
             for out, w in table[i][mid].items():
                 diff[out] = diff.get(out, 0) - v * w
         if any(diff.values()):
-            raise NotAssociative(f"(b{i} b{j}) b{k} != b{i} (b{j} b{k})")
+            return i, j, k
+    return None
 
 
 def _center_basis(sc: StructureConstants) -> list[linalg.Vector]:
@@ -337,7 +349,10 @@ def structural_invariants(
     """Fingerprint of an associative unital algebra given by structure
     constants.  Associativity is spot-checked (exhaustively for small
     dimensions) and NotAssociative raised on a violation."""
-    _check_associativity(sc, seed, associativity_trials)
+    bad = first_nonassociative_triple(sc, seed, associativity_trials)
+    if bad is not None:
+        i, j, k = bad
+        raise NotAssociative(f"(b{i} b{j}) b{k} != b{i} (b{j} b{k})")
     center = _center_basis(sc)
     b = _trace_form(sc)
     pos, neg, _zero = linalg.symmetric_signature(b)

@@ -42,7 +42,7 @@ from .core import (
 )
 from .grading import Z2Grading, even_subalgebra_basis
 from .oracle import blade_basis, expected_invariants, regular_representation, structural_invariants
-from .sigchange import verify_clifford_map
+from .sigchange import random_vector, verify_clifford_map
 
 DEFAULT_SEED = 0
 
@@ -144,13 +144,6 @@ def random_multivector(
             rng.randint(-8, 8), rng.randint(1, 6)
         )
     return Multivector(sig, out)
-
-
-def random_vector(rng: random.Random, sig: Signature) -> Multivector:
-    return Multivector(
-        sig,
-        {1 << k: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for k in range(sig.n)},
-    )
 
 
 # ---------------------------------------------------------------------------

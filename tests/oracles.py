@@ -12,9 +12,13 @@ from fractions import Fraction
 Terms = dict[tuple[int, ...], Fraction]  # index tuple -> coefficient
 
 
-def naive_blade_product(ia, ib, p, q):
+def naive_blade_product(ia, ib, p=0, q=0, neg=None):
     """(sign, index tuple): bubble-sort the concatenated index sequence,
-    counting transpositions and collapsing equal neighbours via e_i^2."""
+    counting transpositions and collapsing equal neighbours via e_i^2.
+
+    ``neg`` is the set of indices squaring to -1; it defaults to the
+    last q of the p+q indices."""
+    neg = set(range(p + 1, p + q + 1) if neg is None else neg)
     seq = list(ia) + list(ib)
     sign = 1
     changed = True
@@ -27,7 +31,7 @@ def naive_blade_product(ia, ib, p, q):
                 sign = -sign
                 changed = True
             elif seq[i] == seq[i + 1]:
-                if seq[i] > p:
+                if seq[i] in neg:
                     sign = -sign
                 del seq[i : i + 2]
                 changed = True

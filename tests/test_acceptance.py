@@ -148,7 +148,7 @@ def test_criterion_06_signature_change_sweep():
 
 
 def test_criterion_07_split_form_identity():
-    # v ∨ a = v0 a + parity(a) v1: folding vs split form, exhaustive over
+    # v ∨ a = v0 a + parity(a) v1: vee_alpha vs split form, exhaustive over
     # (basis vector, blade) pairs for every grading with n <= 5
     exhaustive = 0
     for sig in signatures_up_to(5):

@@ -1,8 +1,12 @@
 """CLI behaviour: the documented commands, JSON output, and exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffsig import Signature, parse_multivector
 from cliffsig.cli import main
@@ -198,3 +202,36 @@ def test_verify_seed_flag_is_reproducible(capsys):
     for cell in a["cells"] + b["cells"]:
         del cell["seconds"]
     assert a == b
+
+
+_FUZZ_TOKENS = st.one_of(
+    st.sampled_from(
+        [
+            "--odd", "--product", "--json", "--expr", "--even", "--oracle",
+            "--involution", "vee", "veeprime", "tilt", "geometric", "e0", "e1",
+            "e2", "e4", "e1,e3", "e1^e2", "e1*e2", "1/0", "0/3", "-1", "(e1",
+            "e1)", "1,1", "9,9", "-1,0", "", ",", "e",
+        ]
+    ),
+    st.text(alphabet="e0123456789,^*+-/() ", max_size=12),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["eval", "classify", "grading", "sigchange"]),
+    p=st.integers(0, 3),
+    q=st.integers(0, 3),
+    tokens=st.lists(_FUZZ_TOKENS, max_size=6),
+)
+def test_cli_exit_code_contract_fuzz(command, p, q, tokens):
+    # any input ends in 0, 1 or 2 -- by return or SystemExit, never by an
+    # escaping exception (a traceback would also exit 1)
+    q = min(q, 3 - p)
+    argv = [command, "--sig", f"{p},{q}", *tokens]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv

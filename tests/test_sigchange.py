@@ -12,10 +12,12 @@ from cliffsig import (
     Z2Grading,
     all_blades,
     alpha,
+    blade_indices,
     deformed_metric,
     extended_metric,
     find_wedge_counterexample,
     geometric_product,
+    left_contraction,
     naive_antisymmetrization,
     project_even,
     project_odd,
@@ -34,6 +36,41 @@ from cliffsig.verify import all_gradings, random_multivector, random_vector
 
 def basis(sig, i):
     return Multivector.basis_vector(sig, i)
+
+
+def fold_vee_alpha(a, b, gr):
+    """The definition, independently of the package's driver: v ∨ x =
+    v^x + alpha(v)⌟x on generators, folded right to left over the
+    generators of each blade of ``a``."""
+    out = Multivector.zero(a.sig)
+    for mask, coeff in a.terms.items():
+        x = b * coeff
+        for i in reversed(blade_indices(mask)):
+            v = basis(a.sig, i)
+            x = wedge(v, x) + left_contraction(alpha(v, gr), x)
+        out = out + x
+    return out
+
+
+def projection_vee_prime(a, b, gr):
+    """b0 a0 + b0 a1 + b1 a0 - b1 a1 with the alpha-projections."""
+    a0, a1 = project_even(a, gr), project_odd(a, gr)
+    b0, b1 = project_even(b, gr), project_odd(b, gr)
+    return (
+        geometric_product(b0, a0)
+        + geometric_product(b0, a1)
+        + geometric_product(b1, a0)
+        - geometric_product(b1, a1)
+    )
+
+
+def small_gradings(max_n):
+    from cliffsig.verify import signatures_up_to
+
+    for sig in signatures_up_to(max_n):
+        mvs = [Multivector.blade(sig, m) for m in all_blades(sig)]
+        for gr in all_gradings(sig):
+            yield gr, mvs
 
 
 # -- deformed metric and target signature ---------------------------------------
@@ -103,6 +140,17 @@ def test_single_odd_generator_example():
     gr = Z2Grading.from_odd_indices(sig, [3])
     assert target_signature(gr) == (3, 0)
     assert vee_alpha(basis(sig, 3), basis(sig, 3), gr) == 1
+
+
+def test_vee_alpha_equals_generator_folding_exhaustive():
+    # the driver (blade kernel under neg ^ odd) against the definition:
+    # every blade pair, every grading, n <= 4
+    pairs = 0
+    for gr, mvs in small_gradings(4):
+        for a, b in itertools.product(mvs, repeat=2):
+            assert vee_alpha(a, b, gr) == fold_vee_alpha(a, b, gr), (gr, a, b)
+            pairs += 1
+    assert pairs == sum((n + 1) * 2**n * 4**n for n in range(5))
 
 
 def test_vee_alpha_is_bilinear():
@@ -260,6 +308,14 @@ def test_tilt_on_vectors():
 # -- vee_prime ---------------------------------------------------------------------
 
 
+def test_vee_prime_equals_projection_formula_exhaustive():
+    # the driver ((-1)^(pi(x)pi(y)) y x on blades) against the four
+    # alpha-projection formula: every blade pair, every grading, n <= 4
+    for gr, mvs in small_gradings(4):
+        for a, b in itertools.product(mvs, repeat=2):
+            assert vee_prime(a, b, gr) == projection_vee_prime(a, b, gr), (gr, a, b)
+
+
 def test_vee_prime_odd_odd_vectors():
     sig = Signature(2, 0)
     gr = Z2Grading.usual(sig)
@@ -393,7 +449,42 @@ def test_verify_clifford_map_report_shape():
     rep = verify_clifford_map(Z2Grading.from_odd_indices(Signature(2, 1), [2]))
     assert [c.name for c in rep.checks] == [
         "generator-relations",
+        "definition",
         "associativity",
         "fingerprint",
     ]
     assert rep.violations == 0 and rep.ok
+
+
+def test_verify_clifford_map_coverage():
+    small = verify_clifford_map(Z2Grading.from_odd_indices(Signature(2, 2), [1]))
+    big = verify_clifford_map(Z2Grading.from_odd_indices(Signature(3, 2), [1]), triples=300)
+    details = {c.name: c.detail for c in small.checks}
+    assert details["definition"] == "64 (generator, blade) pairs, 0 violations"
+    assert details["associativity"] == "exhaustive triples, 0 violations"
+    details = {c.name: c.detail for c in big.checks}
+    assert details["associativity"] == "300 sampled triples, 0 violations"
+    assert small.ok and big.ok
+
+
+def test_verify_clifford_map_names_first_witnesses(monkeypatch):
+    # a closed but non-associative product: flip the sign of e1 ∨ e1 only
+    import cliffsig.sigchange as sigchange
+
+    honest = sigchange.vee_alpha
+    sig = Signature(2, 0)
+    e1 = basis(sig, 1)
+
+    def twisted(a, b, gr):
+        out = honest(a, b, gr)
+        return -out if a == e1 and b == e1 else out
+
+    monkeypatch.setattr(sigchange, "vee_alpha", twisted)
+    rep = verify_clifford_map(Z2Grading.trivial(sig))
+    details = {c.name: c.detail for c in rep.checks if not c.ok}
+    assert set(details) == {"generator-relations", "definition", "associativity", "fingerprint"}
+    assert details["generator-relations"].endswith("1 violations; first (e1, e1)")
+    assert details["definition"].endswith("1 violations; first (e1, e1)")
+    # (1,e1,e1), (e1,1,e1), ... agree; (e1 e1) e2 = -e2 but e1 (e1 e2) = e2
+    assert details["associativity"] == "exhaustive triples, first violation (e1, e1, e2)"
+    assert "not associative" in details["fingerprint"]
