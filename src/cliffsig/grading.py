@@ -242,10 +242,16 @@ def validate_involution(matrix, sig: Signature) -> InvolutionSplit:
     if not linalg.mat_eq(linalg.mat_mul(mt, linalg.mat_mul(g, m)), g):
         raise NotIsometry("matrix is an involution of V but does not preserve g")
 
-    minus = [[m[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
-    plus = [[m[i][j] + ident[i][j] for j in range(n)] for i in range(n)]
-    even_vectors = linalg.nullspace(minus, n)
-    odd_vectors = linalg.nullspace(plus, n)
+    def eigenspace(sign: int) -> list[list[Fraction]]:
+        """Basis of {x : m x = sign x}, as Fraction coordinate vectors."""
+        rows = [
+            {j: x - sign * (i == j) for j, x in enumerate(row) if x != sign * (i == j)}
+            for i, row in enumerate(m)
+        ]
+        return [[Fraction(x) for x in v] for v in linalg.nullspace(rows, n)]
+
+    even_vectors = eigenspace(1)
+    odd_vectors = eigenspace(-1)
     if len(even_vectors) + len(odd_vectors) != n:
         raise EigenspaceViolation(
             f"eigenspace dimensions {len(even_vectors)} + {len(odd_vectors)} != {n}"

@@ -1,17 +1,20 @@
-"""Exact linear algebra over Fraction matrices (lists of rows).
+"""Exact linear algebra over rational matrices (lists of rows).
 
-Everything here is plain fraction-exact Gaussian elimination; no pivoting
-heuristics are needed since there is no rounding.  The symmetric-signature
-routine diagonalizes by congruence (Schur complements plus the hyperbolic
-row/column trick for zero diagonals) and never computes eigenvalues.
+There is one elimination, ``nullspace``: fraction-exact Gauss-Jordan on
+sparse rows, which needs no pivoting heuristics since nothing rounds.
+It gives the oracle its center and involution validation its
+eigenspaces.  The symmetric-signature routine diagonalizes by congruence
+(Schur complements plus the hyperbolic row/column trick for zero
+diagonals) and never computes eigenvalues.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+Rational = Fraction | int
 
 
 def to_fractions(rows) -> Matrix:
@@ -31,109 +34,72 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
-def mat_vec(a: Matrix, x: Vector) -> Vector:
-    return [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in a]
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-def rref(a) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form (a copy) and its pivot columns."""
-    m = to_fractions(a)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        d = m[r][c]
-        if d != 1:
-            m[r] = [x / d for x in m[r]]
-        for i in range(rows):
-            f = m[i][c]
-            if i != r and f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+def nullspace(rows: Iterable[Mapping[int, Rational]], dim: int) -> list[list[Rational]]:
+    """Basis of {x : row . x = 0 for every row} over ``dim`` coordinates.
 
-
-def rank(a) -> int:
-    return len(rref(a)[1])
-
-
-def nullspace(a, cols: int | None = None) -> list[Vector]:
-    """Basis of {x : a x = 0}; ``cols`` is needed only when a has no rows."""
-    if not a:
-        return [
-            [Fraction(int(i == j)) for j in range(cols or 0)] for i in range(cols or 0)
-        ]
-    r, pivots = rref(a)
-    ncols = len(r[0])
-    free = [c for c in range(ncols) if c not in pivots]
+    Each row is sparse, {column: nonzero value}.  Gauss-Jordan elimination
+    on dict rows gives the reduced row-echelon form; the basis has one
+    vector per free column f, with 1 at f and minus the pivot rows' f
+    entries at the pivot columns.  That basis is unique, whatever the row
+    order.  Entries are ints where integral (every 0 and every free-column
+    1) and Fractions otherwise.
+    """
+    pivots: dict[int, dict[int, Rational]] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                d = row.pop(c)
+                norm = {cc: Fraction(vv, d) for cc, vv in row.items()}
+                norm[c] = 1
+                pivots[c] = norm
+                break
+            f = row.pop(c)
+            for cc, vv in piv.items():
+                if cc == c:
+                    continue
+                nv = row.get(cc, 0) - f * vv
+                if nv:
+                    row[cc] = nv
+                elif cc in row:
+                    del row[cc]
+    # back-substitute so each pivot column appears in its own row only
+    for c in sorted(pivots, reverse=True):
+        prow = pivots[c]
+        for c2 in pivots:
+            if c2 >= c:
+                continue
+            target = pivots[c2]
+            f = target.get(c)
+            if not f:
+                continue
+            del target[c]
+            for cc, vv in prow.items():
+                if cc == c:
+                    continue
+                nv = target.get(cc, 0) - f * vv
+                if nv:
+                    target[cc] = nv
+                elif cc in target:
+                    del target[cc]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][f]
+    for fcol in range(dim):
+        if fcol in pivots:
+            continue
+        v: list[Rational] = [0] * dim
+        v[fcol] = 1
+        for pc, prow in pivots.items():
+            val = prow.get(fcol)
+            if val:
+                v[pc] = -val
         basis.append(v)
     return basis
-
-
-class LinearSolver:
-    """Eliminates a fixed matrix once, then solves A x = b repeatedly.
-
-    Requires nothing of A up front; ``solve`` returns None when b is not
-    in the column space, and the unique solution when A has full column
-    rank (the only case the callers use).
-    """
-
-    def __init__(self, a):
-        m = to_fractions(a)
-        self.rows = len(m)
-        self.cols = len(m[0]) if self.rows else 0
-        # eliminate [A | I]; pivots restricted to A's columns
-        for i, row in enumerate(m):
-            row.extend(Fraction(int(j == i)) for j in range(self.rows))
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            d = m[r][c]
-            if d != 1:
-                m[r] = [x / d for x in m[r]]
-            for i in range(self.rows):
-                f = m[i][c]
-                if i != r and f:
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        self.pivots = pivots
-        self.rank = len(pivots)
-        self.transform = [row[self.cols:] for row in m]
-
-    def solve(self, b: Vector) -> Vector | None:
-        c = mat_vec(self.transform, b)
-        for i in range(self.rank, self.rows):
-            if c[i]:
-                return None
-        x = [Fraction(0)] * self.cols
-        for i, pc in enumerate(self.pivots):
-            x[pc] = c[i]
-        return x
 
 
 def symmetric_signature(s) -> tuple[int, int, int]:

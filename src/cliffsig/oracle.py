@@ -7,26 +7,26 @@ enumeration that it separates every class produced by ``classify`` up to
 real dimension 256 — which is what lets a fingerprint equality stand in
 for an isomorphism when cross-checking the closed-form tables.
 
-Two ways to get structure constants: ``regular_representation`` extracts
-them from a multivector basis closed under a given product, and
-``StructureConstants.matrix_units`` realizes M(m, K) explicitly so
+Structure constants come from ``regular_representation``, which reads
+them off a unit-blade basis closed under a given product, or from
+``StructureConstants.matrix_units``, which realizes M(m, K) explicitly so
 ``expected_invariants`` can fingerprint a reference copy of any class.
 
 Coefficient domain: a structure constant is an ``int`` when it is
 integral and a ``Fraction`` otherwise, never a ``float``.  Unit-blade bases
 under the package's products and the matrix-unit references have ±1
 constants, so the checks below run on Python ints; the same code accepts
-``Fraction`` constants from the general solver, and the only divisions
-(in the center nullspace) are exact.
+a table of ``Fraction`` constants, and the only divisions (in the center
+nullspace) are exact.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
 from .classify import AlgebraClass
@@ -45,7 +45,13 @@ class NotIndependent(ValueError):
 
 
 class NotAssociative(ValueError):
-    """The structure constants fail an associativity check."""
+    """The structure constants fail an associativity check; ``triple`` is
+    the first failing basis triple (i, j, k)."""
+
+    def __init__(self, triple: tuple[int, int, int]):
+        i, j, k = triple
+        super().__init__(f"(b{i} b{j}) b{k} != b{i} (b{j} b{k})")
+        self.triple = triple
 
 
 @dataclass(frozen=True)
@@ -89,14 +95,6 @@ class StructureConstants:
         self.table = table
         self.dim = len(table)
 
-    def left_matrix(self, i: int) -> linalg.Matrix:
-        """Dense matrix of x -> b_i x in the given basis (rows = output)."""
-        mat = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            for k, v in self.table[i][j].items():
-                mat[k][j] = v
-        return mat
-
     def direct_sum(self, other: "StructureConstants") -> "StructureConstants":
         off = self.dim
         table = [
@@ -135,67 +133,38 @@ class StructureConstants:
 
 
 def regular_representation(basis, product) -> StructureConstants:
-    """Structure constants of a basis closed under ``product``.
+    """Structure constants of a unit-blade basis closed under ``product``.
 
-    The basis must be linearly independent (NotIndependent) and its span
-    closed under the product (NotClosed); both are established by exact
-    linear solves.  Unit-coefficient single-blade bases — the common case
-    everywhere in this package — skip the solver, and their integral
+    Every element must be a single blade with coefficient 1 (ValueError
+    otherwise), no blade may repeat (NotIndependent), and every product
+    of two basis elements must stay in their span (NotClosed).  Integral
     constants are stored as ints.
     """
     basis = list(basis)
     if not basis:
         raise NotIndependent("empty basis")
-    m = len(basis)
-
-    single = [
-        next(iter(b.terms)) if len(b.terms) == 1 and next(iter(b.terms.values())) == 1 else None
-        for b in basis
-    ]
-    if all(s is not None for s in single) and len(set(single)) == m:
-        index = {mask: i for i, mask in enumerate(single)}
-        table = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                cell: dict[int, Rational] = {}
-                for mask, c in product(basis[i], basis[j]).terms.items():
-                    k = index.get(mask)
-                    if k is None:
-                        raise NotClosed(
-                            f"product of basis elements {i} and {j} leaves the span"
-                        )
-                    cell[k] = c.numerator if c.denominator == 1 else c
-                row.append(cell)
-            table.append(row)
-        return StructureConstants(table)
-
-    products = [[product(bi, bj) for bj in basis] for bi in basis]
-    masks = sorted(
-        set().union(*(b.terms.keys() for b in basis))
-        | set().union(*(p.terms.keys() for row in products for p in row))
-    )
-    coord = {mask: r for r, mask in enumerate(masks)}
-    a = [[Fraction(0)] * m for _ in masks]
-    for j, b in enumerate(basis):
-        for mask, c in b.terms.items():
-            a[coord[mask]][j] = c
-    solver = linalg.LinearSolver(a)
-    if solver.rank < m:
-        raise NotIndependent(f"basis has rank {solver.rank} < {m}")
+    for b in basis:
+        if list(b.terms.values()) != [1]:
+            raise ValueError(
+                f"basis element {b} is not a single blade with coefficient 1"
+            )
+    masks = [next(iter(b.terms)) for b in basis]
+    index = {mask: i for i, mask in enumerate(masks)}
+    if len(index) < len(masks):
+        raise NotIndependent("a blade appears twice in the basis")
     table = []
-    for i in range(m):
+    for i, bi in enumerate(basis):
         row = []
-        for j in range(m):
-            rhs = [Fraction(0)] * len(masks)
-            for mask, c in products[i][j].terms.items():
-                rhs[coord[mask]] = c
-            x = solver.solve(rhs)
-            if x is None:
-                raise NotClosed(
-                    f"product of basis elements {i} and {j} leaves the span"
-                )
-            row.append({k: v for k, v in enumerate(x) if v})
+        for j, bj in enumerate(basis):
+            cell: dict[int, Rational] = {}
+            for mask, c in product(bi, bj).terms.items():
+                k = index.get(mask)
+                if k is None:
+                    raise NotClosed(
+                        f"product of basis elements {i} and {j} leaves the span"
+                    )
+                cell[k] = c.numerator if c.denominator == 1 else c
+            row.append(cell)
         table.append(row)
     return StructureConstants(table)
 
@@ -236,7 +205,7 @@ def first_nonassociative_triple(
     return None
 
 
-def _center_basis(sc: StructureConstants) -> list[linalg.Vector]:
+def _center_basis(sc: StructureConstants) -> list[list[Rational]]:
     """Nullspace of x -> ([x, b_j])_j over the basis coordinates."""
     dim = sc.dim
     rows: dict[tuple[int, int], dict[int, Rational]] = {}
@@ -262,62 +231,7 @@ def _center_basis(sc: StructureConstants) -> list[linalg.Vector]:
         if key not in seen:
             seen.add(key)
             sparse_rows.append(row)
-    return _sparse_nullspace(sparse_rows, dim)
-
-
-def _sparse_nullspace(rows, dim: int) -> list[linalg.Vector]:
-    pivots: dict[int, dict[int, Rational]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                d = row.pop(c)
-                norm = {cc: Fraction(vv, d) for cc, vv in row.items()}
-                norm[c] = 1
-                pivots[c] = norm
-                break
-            f = row.pop(c)
-            for cc, vv in piv.items():
-                if cc == c:
-                    continue
-                nv = row.get(cc, 0) - f * vv
-                if nv:
-                    row[cc] = nv
-                elif cc in row:
-                    del row[cc]
-    # back-substitute so each pivot column appears in its own row only
-    for c in sorted(pivots, reverse=True):
-        prow = pivots[c]
-        for c2 in pivots:
-            if c2 >= c:
-                continue
-            target = pivots[c2]
-            f = target.get(c)
-            if not f:
-                continue
-            del target[c]
-            for cc, vv in prow.items():
-                if cc == c:
-                    continue
-                nv = target.get(cc, 0) - f * vv
-                if nv:
-                    target[cc] = nv
-                elif cc in target:
-                    del target[cc]
-    basis = []
-    for fcol in range(dim):
-        if fcol in pivots:
-            continue
-        v = [0] * dim
-        v[fcol] = 1
-        for pc, prow in pivots.items():
-            val = prow.get(fcol)
-            if val:
-                v[pc] = -val
-        basis.append(v)
-    return basis
+    return linalg.nullspace(sparse_rows, dim)
 
 
 def _trace_form(sc: StructureConstants) -> linalg.Matrix:
@@ -351,8 +265,7 @@ def structural_invariants(
     dimensions) and NotAssociative raised on a violation."""
     bad = first_nonassociative_triple(sc, seed, associativity_trials)
     if bad is not None:
-        i, j, k = bad
-        raise NotAssociative(f"(b{i} b{j}) b{k} != b{i} (b{j} b{k})")
+        raise NotAssociative(bad)
     center = _center_basis(sc)
     b = _trace_form(sc)
     pos, neg, _zero = linalg.symmetric_signature(b)
@@ -372,7 +285,7 @@ def structural_invariants(
     )
 
 
-def _bilinear_form(b: linalg.Matrix, u: linalg.Vector, v: linalg.Vector) -> Rational:
+def _bilinear_form(b: linalg.Matrix, u: list[Rational], v: list[Rational]) -> Rational:
     total = 0
     for i, ui in enumerate(u):
         if ui:
@@ -383,22 +296,13 @@ def _bilinear_form(b: linalg.Matrix, u: linalg.Vector, v: linalg.Vector) -> Rati
     return total
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def expected_invariants(cls: AlgebraClass) -> StructuralInvariants:
     """Fingerprint of a reference realization of the class: matrix-unit
     constants for each component, direct-summed.  Any algebra isomorphic
     to ``cls`` has this fingerprint."""
-    sc: StructureConstants | None = None
-    for comp in cls.components:
-        block = StructureConstants.matrix_units(comp.m, comp.K)
-        sc = block if sc is None else sc.direct_sum(block)
-    assert sc is not None
-    return structural_invariants(sc)
-
-
-def fingerprint_of_basis(basis, product, *, seed: int = 0) -> StructuralInvariants:
-    """Convenience: regular representation + invariants in one step."""
-    return structural_invariants(regular_representation(basis, product), seed=seed)
+    blocks = [StructureConstants.matrix_units(c.m, c.K) for c in cls.components]
+    return structural_invariants(functools.reduce(StructureConstants.direct_sum, blocks))
 
 
 def blade_basis(sig, masks) -> list[Multivector]:

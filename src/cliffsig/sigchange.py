@@ -48,11 +48,11 @@ from .core import (
 )
 from .grading import Z2Grading, alpha, project_even, project_odd
 from .oracle import (
+    NotAssociative,
     StructuralInvariants,
     associativity_is_exhaustive,
     blade_basis,
     expected_invariants,
-    first_nonassociative_triple,
     regular_representation,
     structural_invariants,
 )
@@ -286,26 +286,25 @@ def verify_clifford_map(
         detail += f"; first ({bad[0][0]}, {bad[0][1]})"
     checks.append(CheckResult("definition", not bad, detail))
 
+    # one associativity pass serves both (iii) and (iv)
     basis = blade_basis(sig, blades)
     sc = regular_representation(basis, lambda x, y: vee_alpha(x, y, gr))
     how = "exhaustive" if associativity_is_exhaustive(sc.dim) else f"{triples} sampled"
-    witness = first_nonassociative_triple(sc, seed, triples)
-    detail = f"{how} triples, " + (
-        "0 violations"
-        if witness is None
-        else "first violation ({}, {}, {})".format(*(basis[i] for i in witness))
-    )
-    checks.append(CheckResult("associativity", witness is None, detail))
-
     r, s = target_signature(gr)
     cls = classify_clifford(r, s)
-    if witness is None:
-        got = structural_invariants(sc, seed=seed)
+    try:
+        got = structural_invariants(sc, seed=seed, associativity_trials=triples)
+    except NotAssociative as exc:
+        witness = "({}, {}, {})".format(*(basis[i] for i in exc.triple))
+        checks.append(
+            CheckResult("associativity", False, f"{how} triples, first violation {witness}")
+        )
+        ok, verdict = False, "no fingerprint: the product is not associative"
+    else:
+        checks.append(CheckResult("associativity", True, f"{how} triples, 0 violations"))
         expected = expected_invariants(cls)
         ok = got == expected
         verdict = "fingerprints agree" if ok else f"{got} != {expected}"
-    else:
-        ok, verdict = False, "no fingerprint: the product is not associative"
     checks.append(CheckResult("fingerprint", ok, f"target Cl({r},{s}) ~ {cls}; {verdict}"))
     return CliffordMapReport(grading=gr, target=(r, s), checks=checks)
 

@@ -41,7 +41,14 @@ from .core import (
     wedge,
 )
 from .grading import Z2Grading, even_subalgebra_basis
-from .oracle import blade_basis, expected_invariants, regular_representation, structural_invariants
+from .oracle import (
+    associativity_is_exhaustive,
+    blade_basis,
+    expected_invariants,
+    first_nonassociative_triple,
+    regular_representation,
+    structural_invariants,
+)
 from .sigchange import random_vector, verify_clifford_map
 
 DEFAULT_SEED = 0
@@ -294,33 +301,26 @@ def verify_core(
             return bad == 0, f"{sig.n * sig.n} pairs, {bad} violations"
 
         def assoc_cell(sig=sig, blades=blades, rng=rng):
-            bad = checked = 0
-            if sig.n <= 4:
-                for ma in blades:
-                    a = Multivector.blade(sig, ma)
-                    for mb in blades:
-                        b = Multivector.blade(sig, mb)
-                        ab = geometric_product(a, b)
-                        for mc in blades:
-                            c = Multivector.blade(sig, mc)
-                            checked += 1
-                            if geometric_product(ab, c) != geometric_product(
-                                a, geometric_product(b, c)
-                            ):
-                                bad += 1
-                how = "exhaustive blade"
-            else:
-                for _ in range(trials):
-                    a = random_multivector(rng, sig)
-                    b = random_multivector(rng, sig)
-                    c = random_multivector(rng, sig)
-                    checked += 1
-                    if geometric_product(geometric_product(a, b), c) != geometric_product(
-                        a, geometric_product(b, c)
-                    ):
-                        bad += 1
-                how = "random multivector"
-            return bad == 0, f"{checked} {how} triples, {bad} violations"
+            if associativity_is_exhaustive(len(blades)):
+                basis = blade_basis(sig, blades)
+                sc = regular_representation(basis, geometric_product)
+                witness = first_nonassociative_triple(sc, seed, trials)
+                detail = f"{len(blades) ** 3} exhaustive blade triples, "
+                if witness is None:
+                    return True, detail + "0 violations"
+                return False, detail + "first violation ({}, {}, {})".format(
+                    *(basis[i] for i in witness)
+                )
+            bad = 0
+            for _ in range(trials):
+                a = random_multivector(rng, sig)
+                b = random_multivector(rng, sig)
+                c = random_multivector(rng, sig)
+                if geometric_product(geometric_product(a, b), c) != geometric_product(
+                    a, geometric_product(b, c)
+                ):
+                    bad += 1
+            return bad == 0, f"{trials} random multivector triples, {bad} violations"
 
         def adjoint_cell(sig=sig, blades=blades, rng=rng):
             bad = checked = 0

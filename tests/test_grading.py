@@ -272,6 +272,30 @@ def test_lorentz_conjugated_involution():
     assert split.counts() == (1, 0, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "sig, m, even, odd",
+    [
+        # swap e1 <-> e2 in (2,0): reduced-echelon eigenbases e1+e2 and -e1+e2
+        (Signature(2, 0), [[0, 1], [1, 0]], ((1, 1),), ((-1, 1),)),
+        # boost-conjugated reflection in (1,1): (2,1) and (1/2,1) ~ (1,2)
+        (
+            Signature(1, 1),
+            [[F("5/3"), F("-4/3")], [F("4/3"), F("-5/3")]],
+            ((2, 1),),
+            ((F("1/2"), 1),),
+        ),
+    ],
+    ids=["swap", "boost-reflection"],
+)
+def test_eigenvectors_are_exact_fractions(sig, m, even, odd):
+    # the elimination stores integral entries as ints; the split must
+    # still hand out Fraction coordinates, as InvolutionSplit declares
+    split = validate_involution(m, sig)
+    assert split.even_vectors == even and split.odd_vectors == odd
+    for v in split.even_vectors + split.odd_vectors:
+        assert all(type(x) is Fraction for x in v)
+
+
 def _plane_rotation(n, i, j, c, s):
     m = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
     m[i][i] = c
@@ -292,25 +316,25 @@ def _plane_boost(n, i, j, c, s):
 
 def random_rational_isometry(rng, sig):
     """Product of rational rotations (within a sign block) and rational
-    boosts (across blocks): 3-4-5 circles and 5-4-3 hyperbolas."""
+    boosts (across blocks): 3-4-5 circles and 5-4-3 hyperbolas.  Returns
+    the isometry and its inverse, the inverse steps in reverse order:
+    a rotation or boost by (c, s) is undone by the same step with (c, -s)."""
     n = sig.n
     rotations = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13))]
     boosts = [(Fraction(5, 3), Fraction(4, 3)), (Fraction(13, 5), Fraction(12, 5))]
-    m = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
+    m = linalg.identity(n)
+    inv = linalg.identity(n)
     for _ in range(4):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
             continue
         same_block = (i < sig.p) == (j < sig.p)
-        if same_block:
-            c, s = rng.choice(rotations)
-            step = _plane_rotation(n, i, j, c, s)
-        else:
-            c, s = rng.choice(boosts)
-            step = _plane_boost(n, i, j, c, s)
-        m = linalg.mat_mul(step, m)
-    return m
+        plane_step = _plane_rotation if same_block else _plane_boost
+        c, s = rng.choice(rotations if same_block else boosts)
+        m = linalg.mat_mul(plane_step(n, i, j, c, s), m)
+        inv = linalg.mat_mul(inv, plane_step(n, i, j, c, -s))
+    return m, inv
 
 
 @pytest.mark.parametrize("p,q", [(2, 1), (1, 3), (3, 1)])
@@ -329,19 +353,11 @@ def test_conjugated_involutions_recover_basis_aligned_counts(p, q):
             ]
             for i in range(n)
         ]
-        qmat = random_rational_isometry(rng, sig)
-        qinv = _invert(qmat)
+        qmat, qinv = random_rational_isometry(rng, sig)
+        assert linalg.mat_eq(linalg.mat_mul(qmat, qinv), linalg.identity(n))
         conj = linalg.mat_mul(qmat, linalg.mat_mul(diag, qinv))
         split = validate_involution(conj, sig)
         assert split.counts() == gr.counts()
-
-
-def _invert(m):
-    n = len(m)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    red, piv = linalg.rref(aug)
-    assert piv == list(range(n))
-    return [row[n:] for row in red]
 
 
 def test_involution_shape_check():

@@ -45,8 +45,6 @@ def test_two_element_basis_of_cl10():
     assert sc.dim == 2
     assert sc.table[1][1] == {0: Fraction(1)}  # e1*e1 = 1
     assert sc.table[0][1] == {1: Fraction(1)}
-    # left-multiplication matrix of e1 swaps the basis
-    assert sc.left_matrix(1) == [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
 
 
 def test_even_subalgebra_is_closed():
@@ -71,35 +69,35 @@ def test_not_closed():
         regular_representation(basis, geometric_product)
 
 
-def test_not_closed_general_path():
-    sig = Signature(2, 0)
-    e1 = Multivector.basis_vector(sig, 1)
-    basis = [Multivector.scalar(sig, 2), e1, Multivector.basis_vector(sig, 2)]
-    with pytest.raises(NotClosed):
-        regular_representation(basis, geometric_product)
-
-
 def test_not_independent():
     sig = Signature(1, 0)
     e1 = Multivector.basis_vector(sig, 1)
-    with pytest.raises(NotIndependent):
+    with pytest.raises(ValueError, match="coefficient 1") as info:
         regular_representation([e1, 2 * e1], geometric_product)
+    assert not isinstance(info.value, NotIndependent)
+    with pytest.raises(NotIndependent):
+        regular_representation([e1, e1], geometric_product)
     with pytest.raises(NotIndependent):
         regular_representation([], geometric_product)
 
 
-def test_general_path_matches_fast_path():
-    # same subalgebra through unit blades (fast path) and scaled/mixed
-    # elements (general path): fingerprints must agree
+@pytest.mark.parametrize(
+    "element",
+    [
+        lambda sig: Multivector.scalar(sig, 2),
+        lambda sig: Multivector.blade(sig, 0b11, Fraction(1, 3)),
+        lambda sig: Multivector.scalar(sig, 1) + Multivector.basis_vector(sig, 1),
+        lambda sig: Multivector.zero(sig),
+    ],
+    ids=["scaled-scalar", "fractional-blade", "two-blades", "zero"],
+)
+def test_only_unit_blades_accepted(element):
+    # the unit-blade basis is the only input; anything else is refused by
+    # name, never silently read as some other basis
     sig = Signature(2, 0)
-    masks = even_subalgebra_basis(Z2Grading.usual(sig))
-    fast = regular_representation(blades_of(sig, masks), geometric_product)
-    mixed = [
-        Multivector.scalar(sig, 2),
-        Multivector.blade(sig, 0b11, Fraction(1, 3)) + Multivector.scalar(sig, 1),
-    ]
-    general = regular_representation(mixed, geometric_product)
-    assert structural_invariants(fast) == structural_invariants(general)
+    basis = [element(sig), Multivector.basis_vector(sig, 2)]
+    with pytest.raises(ValueError, match="single blade with coefficient 1"):
+        regular_representation(basis, geometric_product)
 
 
 # -- structural invariants -------------------------------------------------------
@@ -142,6 +140,15 @@ def test_non_associative_detected():
     table[0][1] = {1: Fraction(2)}  # breaks unitality/associativity
     with pytest.raises(NotAssociative):
         structural_invariants(StructureConstants(table))
+
+
+def test_not_associative_carries_first_triple():
+    # b0 is a left unit but b1 b0 = 2 b1: the first failing triple in
+    # order is (1, 0, 0), with (b1 b0) b0 = 4 b1 but b1 (b0 b0) = 2 b1
+    table = [[{0: 1}, {1: 1}], [{1: 2}, {0: 1}]]
+    with pytest.raises(NotAssociative, match=r"\(b1 b0\) b0") as info:
+        structural_invariants(StructureConstants(table))
+    assert info.value.triple == (1, 0, 0)
 
 
 # -- reference realizations ------------------------------------------------------

@@ -13,6 +13,7 @@ from cliffsig import (
     all_blades,
     alpha,
     blade_indices,
+    classify_clifford,
     deformed_metric,
     extended_metric,
     find_wedge_counterexample,
@@ -488,3 +489,28 @@ def test_verify_clifford_map_names_first_witnesses(monkeypatch):
     # (1,e1,e1), (e1,1,e1), ... agree; (e1 e1) e2 = -e2 but e1 (e1 e2) = e2
     assert details["associativity"] == "exhaustive triples, first violation (e1, e1, e2)"
     assert "not associative" in details["fingerprint"]
+
+
+def test_one_associativity_pass_per_clifford_map(monkeypatch):
+    # the associativity and fingerprint checks share one pass of the
+    # oracle's loop; the reference fingerprint is warmed first so its own
+    # pass (cached afterwards) is not counted
+    import cliffsig.oracle as oracle
+
+    gradings = [
+        Z2Grading.from_odd_indices(Signature(2, 1), [2]),
+        Z2Grading.from_odd_indices(Signature(3, 2), [1, 4]),
+    ]
+    for gr in gradings:
+        oracle.expected_invariants(classify_clifford(*target_signature(gr)))
+    calls = []
+    honest = oracle.first_nonassociative_triple
+
+    def counting(sc, seed, trials):
+        calls.append(trials)
+        return honest(sc, seed, trials)
+
+    monkeypatch.setattr(oracle, "first_nonassociative_triple", counting)
+    for gr in gradings:
+        assert verify_clifford_map(gr, triples=300).ok
+    assert calls == [300, 300]

@@ -104,3 +104,31 @@ def test_table4_reports_grading_count_mismatch(monkeypatch):
     failing = {c.key: c.detail for c in report.cells if not c.ok}
     assert sorted(failing) == ["0,1,0,0", "1,0,0,0"]
     assert "(1, 0, 0, 0)" in failing["1,0,0,0"] and "(0, 0, 1, 0)" in failing["1,0,0,0"]
+
+
+def test_core_associativity_coverage():
+    # exhaustive over blade triples through the oracle's loop for n <= 4,
+    # random rational multivectors beyond
+    rep = run_suite("core", 5)
+    details = {c.key: c.detail for c in rep.cells if c.key.endswith(":associativity")}
+    assert details["2,2:associativity"] == "4096 exhaustive blade triples, 0 violations"
+    assert details["1,0:associativity"] == "8 exhaustive blade triples, 0 violations"
+    assert details["3,2:associativity"] == "300 random multivector triples, 0 violations"
+
+
+def test_core_associativity_names_first_blade_triple(monkeypatch):
+    # 1 * e1 = -e1 breaks associativity first at (1, 1, e1):
+    # (1 1) e1 = -e1 but 1 (1 e1) = e1
+    import cliffsig.verify as verify
+
+    honest = verify.geometric_product
+
+    def twisted(a, b):
+        out = honest(a, b)
+        return -out if a.terms == {0: 1} and b.terms == {1: 1} else out
+
+    monkeypatch.setattr(verify, "geometric_product", twisted)
+    rep = verify.verify_core(max_n=1)
+    cell = next(c for c in rep.cells if c.key == "1,0:associativity")
+    assert not cell.ok
+    assert cell.detail == "8 exhaustive blade triples, first violation (1, 1, e1)"
