@@ -13,7 +13,13 @@ import sys
 from fractions import Fraction
 
 from .classify import classify_clifford, classify_even_part, classify_even_subalgebra
-from .core import MAX_DIMENSION, Signature, all_blades, geometric_product
+from .core import (
+    MAX_DIMENSION,
+    Signature,
+    all_blades,
+    geometric_blade_op,
+    geometric_product,
+)
 from .expr import ParseError, format_multivector, parse_multivector
 from .grading import (
     DichotomyViolation,
@@ -26,7 +32,7 @@ from .grading import (
     grading_closure_check,
     validate_involution,
 )
-from .oracle import blade_basis, expected_invariants, regular_representation, structural_invariants
+from .oracle import expected_invariants, regular_representation, structural_invariants
 from .sigchange import target_signature, tilt_product, vee_alpha, vee_prime
 from .verify import SUITES, run_suite
 
@@ -187,7 +193,7 @@ def _cmd_classify(args) -> int:
             gr = _G(sig, canonical_odd_mask(sig, sig.p - p0, sig.q - q0))
             got = structural_invariants(
                 regular_representation(
-                    blade_basis(sig, even_subalgebra_basis(gr)), geometric_product
+                    even_subalgebra_basis(gr), geometric_blade_op(sig)
                 )
             )
             agree = got == expected_invariants(cls)
@@ -203,9 +209,7 @@ def _cmd_classify(args) -> int:
             lines.append(f"even part: {even}")
         if args.oracle:
             got = structural_invariants(
-                regular_representation(
-                    blade_basis(sig, all_blades(sig)), geometric_product
-                )
+                regular_representation(all_blades(sig), geometric_blade_op(sig))
             )
             agree = got == expected_invariants(cls)
             out["oracle_agrees"] = agree

@@ -152,6 +152,10 @@ class Multivector:
         if terms:
             for mask, coeff in terms.items():
                 sig.check_mask(mask)
+                if not isinstance(coeff, (int, Fraction)):
+                    raise TypeError(
+                        f"coefficient {coeff!r} is not an int or a Fraction"
+                    )
                 c = Fraction(coeff)
                 if c:
                     clean[mask] = c
@@ -169,7 +173,7 @@ class Multivector:
 
     @classmethod
     def scalar(cls, sig: Signature, value: Rational) -> "Multivector":
-        return cls(sig, {0: Fraction(value)})
+        return cls(sig, {0: value})
 
     @classmethod
     def basis_vector(cls, sig: Signature, i: int) -> "Multivector":
@@ -178,7 +182,7 @@ class Multivector:
 
     @classmethod
     def blade(cls, sig: Signature, mask: int, coeff: Rational = 1) -> "Multivector":
-        return cls(sig, {mask: Fraction(coeff)})
+        return cls(sig, {mask: coeff})
 
     # -- inspection
 
@@ -324,11 +328,17 @@ def bilinear(a: Multivector, b: Multivector, blade_op) -> Multivector:
     return Multivector(a.sig, out)
 
 
+def geometric_blade_op(sig: Signature):
+    """Blade sign function of the Clifford product of ``sig``: the one
+    definition behind ``geometric_product`` and its structure constants."""
+    neg = sig.neg_mask
+    return lambda ma, mb: kernels.blade_mul(ma, mb, neg)
+
+
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Clifford product of Cl(p,q); associative, unit = scalar 1."""
     _check_same_sig(a, b)
-    neg = a.sig.neg_mask
-    return bilinear(a, b, lambda ma, mb: kernels.blade_mul(ma, mb, neg))
+    return bilinear(a, b, geometric_blade_op(a.sig))
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:

@@ -8,12 +8,14 @@ real dimension 256 — which is what lets a fingerprint equality stand in
 for an isomorphism when cross-checking the closed-form tables.
 
 Structure constants come from ``regular_representation``, which reads
-them off a unit-blade basis closed under a given product, or from
-``StructureConstants.matrix_units``, which realizes M(m, K) explicitly so
-``expected_invariants`` can fingerprint a reference copy of any class.
+them over a list of blade masks straight off a product's blade sign
+function (the function ``core.bilinear`` extends to multivectors), or
+from ``StructureConstants.matrix_units``, which realizes M(m, K)
+explicitly so ``expected_invariants`` can fingerprint a reference copy of
+any class.
 
 Coefficient domain: a structure constant is an ``int`` when it is
-integral and a ``Fraction`` otherwise, never a ``float``.  Unit-blade bases
+integral and a ``Fraction`` otherwise, never a ``float``.  Blade bases
 under the package's products and the matrix-unit references have ±1
 constants, so the checks below run on Python ints; the same code accepts
 a table of ``Fraction`` constants, and the only divisions (in the center
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 from . import linalg
 from .classify import AlgebraClass
-from .core import Multivector, Rational
+from .core import Rational
 
 #: dim**3 at or below which associativity is checked exhaustively.
 _EXHAUSTIVE_TRIPLES = 4096
@@ -132,39 +134,36 @@ class StructureConstants:
         return cls(table)
 
 
-def regular_representation(basis, product) -> StructureConstants:
-    """Structure constants of a unit-blade basis closed under ``product``.
+def regular_representation(masks, blade_op) -> StructureConstants:
+    """Structure constants of the blade basis ``masks`` under the product
+    whose blade sign function is ``blade_op``.
 
-    Every element must be a single blade with coefficient 1 (ValueError
-    otherwise), no blade may repeat (NotIndependent), and every product
-    of two basis elements must stay in their span (NotClosed).  Integral
-    constants are stored as ints.
+    Cell (i, j) is {index of mask: sign} for ``sign, mask =
+    blade_op(masks[i], masks[j])``, and empty when the sign is 0, exactly
+    as ``core.bilinear`` extends the same function.  An empty or repeated
+    mask list raises NotIndependent; a product landing on a blade outside
+    the list raises NotClosed.
     """
-    basis = list(basis)
-    if not basis:
+    masks = list(masks)
+    if not masks:
         raise NotIndependent("empty basis")
-    for b in basis:
-        if list(b.terms.values()) != [1]:
-            raise ValueError(
-                f"basis element {b} is not a single blade with coefficient 1"
-            )
-    masks = [next(iter(b.terms)) for b in basis]
     index = {mask: i for i, mask in enumerate(masks)}
     if len(index) < len(masks):
         raise NotIndependent("a blade appears twice in the basis")
     table = []
-    for i, bi in enumerate(basis):
+    for i, a in enumerate(masks):
         row = []
-        for j, bj in enumerate(basis):
-            cell: dict[int, Rational] = {}
-            for mask, c in product(bi, bj).terms.items():
-                k = index.get(mask)
-                if k is None:
-                    raise NotClosed(
-                        f"product of basis elements {i} and {j} leaves the span"
-                    )
-                cell[k] = c.numerator if c.denominator == 1 else c
-            row.append(cell)
+        for j, b in enumerate(masks):
+            sign, mask = blade_op(a, b)
+            if not sign:
+                row.append({})
+                continue
+            k = index.get(mask)
+            if k is None:
+                raise NotClosed(
+                    f"product of basis elements {i} and {j} leaves the span"
+                )
+            row.append({k: sign})
         table.append(row)
     return StructureConstants(table)
 
@@ -304,7 +303,3 @@ def expected_invariants(cls: AlgebraClass) -> StructuralInvariants:
     blocks = [StructureConstants.matrix_units(c.m, c.K) for c in cls.components]
     return structural_invariants(functools.reduce(StructureConstants.direct_sum, blocks))
 
-
-def blade_basis(sig, masks) -> list[Multivector]:
-    """Multivector wrappers for a list of blade masks."""
-    return [Multivector.blade(sig, m) for m in masks]

@@ -51,7 +51,6 @@ from .oracle import (
     NotAssociative,
     StructuralInvariants,
     associativity_is_exhaustive,
-    blade_basis,
     expected_invariants,
     regular_representation,
     structural_invariants,
@@ -85,20 +84,26 @@ def target_signature(gr: Z2Grading) -> tuple[int, int]:
     return p0 + q1, q0 + p1
 
 
+def vee_alpha_blade_op(gr: Z2Grading):
+    """Blade sign function of ∨: the geometric-product kernel under the
+    negative-square mask neg ^ odd, i.e. the Clifford product of g_a."""
+    neg = gr.sig.neg_mask ^ gr.odd_mask
+    return lambda x, y: kernels.blade_mul(x, y, neg)
+
+
 def vee_alpha(a: Multivector, b: Multivector, gr: Z2Grading) -> Multivector:
     """The deformed Clifford product on arbitrary multivectors.
 
     Defined on vectors by v ∨ b = v^b + alpha(v)⌟b.  The product it
     generates is the Clifford product of the deformed metric g_a, whose
     odd generators square to minus their original squares, so on blades
-    it is the geometric-product kernel under the negative-square mask
-    neg ^ odd.  verify_clifford_map checks this against the definition,
-    and checks associativity and the g_a generator relations.
+    it is ``vee_alpha_blade_op``.  verify_clifford_map checks this against
+    the definition, and checks associativity and the g_a generator
+    relations.
     """
     _check(a, gr)
     _check(b, gr)
-    neg = gr.sig.neg_mask ^ gr.odd_mask
-    return bilinear(a, b, lambda x, y: kernels.blade_mul(x, y, neg))
+    return bilinear(a, b, vee_alpha_blade_op(gr))
 
 
 def vee_alpha_via_split(v: Multivector, a: Multivector, gr: Z2Grading) -> Multivector:
@@ -128,13 +133,9 @@ def tilt_product(a: Multivector, b: Multivector) -> Multivector:
     )
 
 
-def vee_prime(a: Multivector, b: Multivector, gr: Z2Grading) -> Multivector:
-    """The alternative deformed product: on alpha-homogeneous elements of
-    parities i, j it is (-1)^(ij) times the original product in reversed
-    order, extended bilinearly.  Associative, and respects the grading.
-    """
-    _check(a, gr)
-    _check(b, gr)
+def vee_prime_blade_op(gr: Z2Grading):
+    """Blade sign function of ∨': x ∨' y = (-1)^(π(x)π(y)) y x, with π
+    the alpha-parity of a blade."""
     neg, odd = gr.sig.neg_mask, gr.odd_mask
 
     def blade_op(x: int, y: int) -> tuple[int, int]:
@@ -143,7 +144,17 @@ def vee_prime(a: Multivector, b: Multivector, gr: Z2Grading) -> Multivector:
             sign = -sign
         return sign, mask
 
-    return bilinear(a, b, blade_op)
+    return blade_op
+
+
+def vee_prime(a: Multivector, b: Multivector, gr: Z2Grading) -> Multivector:
+    """The alternative deformed product: on alpha-homogeneous elements of
+    parities i, j it is (-1)^(ij) times the original product in reversed
+    order, extended bilinearly.  Associative, and respects the grading.
+    """
+    _check(a, gr)
+    _check(b, gr)
+    return bilinear(a, b, vee_prime_blade_op(gr))
 
 
 def naive_antisymmetrization(x: Multivector, y: Multivector, gr: Z2Grading) -> Multivector:
@@ -287,15 +298,16 @@ def verify_clifford_map(
     checks.append(CheckResult("definition", not bad, detail))
 
     # one associativity pass serves both (iii) and (iv)
-    basis = blade_basis(sig, blades)
-    sc = regular_representation(basis, lambda x, y: vee_alpha(x, y, gr))
+    sc = regular_representation(blades, vee_alpha_blade_op(gr))
     how = "exhaustive" if associativity_is_exhaustive(sc.dim) else f"{triples} sampled"
     r, s = target_signature(gr)
     cls = classify_clifford(r, s)
     try:
         got = structural_invariants(sc, seed=seed, associativity_trials=triples)
     except NotAssociative as exc:
-        witness = "({}, {}, {})".format(*(basis[i] for i in exc.triple))
+        witness = "({}, {}, {})".format(
+            *(Multivector.blade(sig, blades[i]) for i in exc.triple)
+        )
         checks.append(
             CheckResult("associativity", False, f"{how} triples, first violation {witness}")
         )
@@ -312,10 +324,7 @@ def verify_clifford_map(
 def vee_prime_invariants(gr: Z2Grading, *, seed: int = 0) -> StructuralInvariants:
     """Fingerprint of the carrier under ∨' (reported, not asserted: no
     closed form is claimed for its isomorphism class)."""
-    blades = all_blades(gr.sig)
     return structural_invariants(
-        regular_representation(
-            blade_basis(gr.sig, blades), lambda x, y: vee_prime(x, y, gr)
-        ),
+        regular_representation(all_blades(gr.sig), vee_prime_blade_op(gr)),
         seed=seed,
     )

@@ -33,6 +33,7 @@ from .core import (
     Signature,
     all_blades,
     extended_metric,
+    geometric_blade_op,
     geometric_product,
     left_contraction,
     parity,
@@ -43,7 +44,6 @@ from .core import (
 from .grading import Z2Grading, even_subalgebra_basis
 from .oracle import (
     associativity_is_exhaustive,
-    blade_basis,
     expected_invariants,
     first_nonassociative_triple,
     regular_representation,
@@ -166,9 +166,7 @@ def verify_table1(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteReport:
         def cell(sig=sig):
             cls = classify_clifford(sig.p, sig.q)
             got = structural_invariants(
-                regular_representation(
-                    blade_basis(sig, all_blades(sig)), geometric_product
-                ),
+                regular_representation(all_blades(sig), geometric_blade_op(sig)),
                 seed=seed,
             )
             want = expected_invariants(cls)
@@ -197,7 +195,7 @@ def verify_table2(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteReport:
                 problems.append(f"!= Cl({sig.p},{sig.q - 1})")
             masks = [m for m in all_blades(sig) if not m.bit_count() & 1]
             got = structural_invariants(
-                regular_representation(blade_basis(sig, masks), geometric_product),
+                regular_representation(masks, geometric_blade_op(sig)),
                 seed=seed,
             )
             if got != expected_invariants(cls):
@@ -242,8 +240,7 @@ def verify_table4(
                     cls = classify_even_subalgebra(sig.p, sig.q, p0, q0)
                     got = structural_invariants(
                         regular_representation(
-                            blade_basis(sig, even_subalgebra_basis(gr)),
-                            geometric_product,
+                            even_subalgebra_basis(gr), geometric_blade_op(sig)
                         ),
                         seed=seed,
                     )
@@ -302,14 +299,13 @@ def verify_core(
 
         def assoc_cell(sig=sig, blades=blades, rng=rng):
             if associativity_is_exhaustive(len(blades)):
-                basis = blade_basis(sig, blades)
-                sc = regular_representation(basis, geometric_product)
+                sc = regular_representation(blades, geometric_blade_op(sig))
                 witness = first_nonassociative_triple(sc, seed, trials)
                 detail = f"{len(blades) ** 3} exhaustive blade triples, "
                 if witness is None:
                     return True, detail + "0 violations"
                 return False, detail + "first violation ({}, {}, {})".format(
-                    *(basis[i] for i in witness)
+                    *(Multivector.blade(sig, blades[i]) for i in witness)
                 )
             bad = 0
             for _ in range(trials):

@@ -156,3 +156,26 @@ def from_multivector(a) -> Terms:
     from cliffsig import blade_indices
 
     return {blade_indices(m): c for m, c in a.terms.items()}
+
+
+def multivector_structure_constants(sig, masks, product):
+    """Structure constants of a blade basis read off a Multivector
+    product: cell (i, j) holds the terms of product(b_i, b_j) keyed by
+    basis index, integral coefficients as ints.  This is the slow route
+    the oracle's ``regular_representation`` replaces by reading the
+    product's blade sign function directly; it is kept to cross-check
+    that the two agree."""
+    from cliffsig import Multivector
+
+    index = {mask: i for i, mask in enumerate(masks)}
+    basis = [Multivector.blade(sig, m) for m in masks]
+    return [
+        [
+            {
+                index[mask]: c.numerator if c.denominator == 1 else c
+                for mask, c in product(a, b).terms.items()
+            }
+            for b in basis
+        ]
+        for a in basis
+    ]

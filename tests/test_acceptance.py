@@ -20,6 +20,7 @@ from cliffsig import (
     even_subalgebra_basis,
     expected_invariants,
     find_wedge_counterexample,
+    geometric_blade_op,
     geometric_product,
     naive_antisymmetrization,
     tilt_product,
@@ -32,7 +33,7 @@ from cliffsig import (
     weighted_antisymmetrization,
 )
 from cliffsig.grading import DimensionClass
-from cliffsig.oracle import blade_basis, regular_representation, structural_invariants
+from cliffsig.oracle import regular_representation, structural_invariants
 from cliffsig.verify import (
     all_gradings,
     random_multivector,
@@ -53,7 +54,7 @@ def test_criterion_01_full_algebra_classification():
     count = 0
     for sig in signatures_up_to(6):
         got = structural_invariants(
-            regular_representation(blade_basis(sig, all_blades(sig)), geometric_product)
+            regular_representation(all_blades(sig), geometric_blade_op(sig))
         )
         assert got == expected_invariants(classify_clifford(sig.p, sig.q)), sig
         count += 1
@@ -71,7 +72,7 @@ def test_criterion_02_even_part_classification():
             assert cls == classify_clifford(sig.q, sig.p - 1), sig
         masks = [m for m in all_blades(sig) if not bin(m).count("1") & 1]
         got = structural_invariants(
-            regular_representation(blade_basis(sig, masks), geometric_product)
+            regular_representation(masks, geometric_blade_op(sig))
         )
         assert got == expected_invariants(cls), sig
         count += 1

@@ -402,6 +402,27 @@ def test_multivector_immutability_and_canonical_form():
         a.terms[0] = Fraction(2)
 
 
+@pytest.mark.parametrize("coeff", [0.1, 1.0, "1/3", None, 1j])
+def test_inexact_coefficients_rejected(coeff):
+    # no floating point anywhere: a float, a string or anything else that
+    # is not an int or a Fraction is refused, never converted
+    sig = Signature(1, 0)
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Multivector(sig, {0: coeff})
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Multivector.scalar(sig, coeff)
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Multivector.blade(sig, 0b1, coeff)
+
+
+def test_exact_coefficients_accepted():
+    sig = Signature(1, 0)
+    assert Multivector(sig, {1: 2}).terms == {1: Fraction(2)}
+    assert Multivector.scalar(sig, Fraction(1, 3)).terms == {0: Fraction(1, 3)}
+    assert Multivector.blade(sig, 0b1, -1).terms == {1: Fraction(-1)}
+    assert all(type(c) is Fraction for c in Multivector(sig, {0: 5}).terms.values())
+
+
 def test_signature_validation():
     with pytest.raises(ValueError):
         Signature(-1, 0)

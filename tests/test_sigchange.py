@@ -472,15 +472,19 @@ def test_verify_clifford_map_names_first_witnesses(monkeypatch):
     # a closed but non-associative product: flip the sign of e1 ∨ e1 only
     import cliffsig.sigchange as sigchange
 
-    honest = sigchange.vee_alpha
+    honest = sigchange.vee_alpha_blade_op
     sig = Signature(2, 0)
-    e1 = basis(sig, 1)
 
-    def twisted(a, b, gr):
-        out = honest(a, b, gr)
-        return -out if a == e1 and b == e1 else out
+    def twisted(gr):
+        op = honest(gr)
 
-    monkeypatch.setattr(sigchange, "vee_alpha", twisted)
+        def blade_op(x, y):
+            sign, mask = op(x, y)
+            return (-sign, mask) if x == y == 0b1 else (sign, mask)
+
+        return blade_op
+
+    monkeypatch.setattr(sigchange, "vee_alpha_blade_op", twisted)
     rep = verify_clifford_map(Z2Grading.trivial(sig))
     details = {c.name: c.detail for c in rep.checks if not c.ok}
     assert set(details) == {"generator-relations", "definition", "associativity", "fingerprint"}

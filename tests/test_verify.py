@@ -121,13 +121,18 @@ def test_core_associativity_names_first_blade_triple(monkeypatch):
     # (1 1) e1 = -e1 but 1 (1 e1) = e1
     import cliffsig.verify as verify
 
-    honest = verify.geometric_product
+    honest = verify.geometric_blade_op
 
-    def twisted(a, b):
-        out = honest(a, b)
-        return -out if a.terms == {0: 1} and b.terms == {1: 1} else out
+    def twisted(sig):
+        op = honest(sig)
 
-    monkeypatch.setattr(verify, "geometric_product", twisted)
+        def blade_op(x, y):
+            sign, mask = op(x, y)
+            return (-sign, mask) if (x, y) == (0, 0b1) else (sign, mask)
+
+        return blade_op
+
+    monkeypatch.setattr(verify, "geometric_blade_op", twisted)
     rep = verify.verify_core(max_n=1)
     cell = next(c for c in rep.cells if c.key == "1,0:associativity")
     assert not cell.ok
