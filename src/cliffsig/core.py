@@ -21,9 +21,10 @@ from typing import Iterable, Mapping
 
 from . import kernels
 
-#: Cap on p+q.  Storage and the dense classification oracle scale like
-#: 2^n, so this is a guard rail, not a hard algorithmic limit; raise it
-#: if you can pay the cost.
+#: Cap on p+q.  A multivector stores up to 2^n terms and the oracle's
+#: sign table has 4^n cells, so this is a guard rail, not a hard
+#: algorithmic limit; raise it if you can pay the cost.  Fingerprint
+#: injectivity is tested for every class reachable within it.
 MAX_DIMENSION = 12
 
 Rational = Fraction | int

@@ -46,6 +46,13 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"numeral of {len(digits)} digits is too long", pos) from None
+
+
 class _Parser:
     def __init__(self, text: str, sig: Signature, star: ProductFn):
         self.text = text
@@ -124,16 +131,17 @@ class _Parser:
     def factor(self) -> Multivector:
         kind, val, pos = self._next()
         if kind == "num":
-            coeff = Fraction(int(val))
+            coeff = Fraction(_int(val, pos))
             k2, v2, _ = self._peek()
             if k2 == "op" and v2 == "/":
                 self._next()
                 k3, v3, p3 = self._next()
                 if k3 != "num":
                     raise ParseError("expected denominator digits after '/'", p3)
-                if int(v3) == 0:
+                den = _int(v3, p3)
+                if den == 0:
                     raise ParseError("zero denominator", p3)
-                coeff /= int(v3)
+                coeff /= den
             return Multivector.scalar(self.sig, coeff)
         if kind == "blade":
             return self._blade(val, pos)
@@ -155,7 +163,7 @@ class _Parser:
     def _blade(self, literal: str, pos: int) -> Multivector:
         value = Multivector.scalar(self.sig, 1)
         for part in literal[1:].split("e"):
-            i = int(part)
+            i = _int(part, pos)
             if not 1 <= i <= self.sig.n:
                 raise ParseError(f"basis vector e{i} out of range for {self.sig}", pos)
             value = geometric_product(value, Multivector.basis_vector(self.sig, i))

@@ -2,10 +2,11 @@
 
 There is one elimination, ``nullspace``: fraction-exact Gauss-Jordan on
 sparse rows, which needs no pivoting heuristics since nothing rounds.
-It gives the oracle its center and involution validation its
-eigenspaces.  The symmetric-signature routine diagonalizes by congruence
-(Schur complements plus the hyperbolic row/column trick for zero
-diagonals) and never computes eigenvalues.
+It gives involution validation its eigenspaces.  The symmetric-signature
+routine diagonalizes by congruence (Schur complements plus the
+hyperbolic row/column trick for zero diagonals) and never computes
+eigenvalues; involution validation reads the signatures of the even and
+odd spaces from it.
 """
 
 from __future__ import annotations

@@ -5,8 +5,16 @@ bitmasks: blade products by bubble-sort transposition counting, the
 extended metric by cofactor-expansion Gram determinants, contractions by
 solving the adjointness relation coefficient by coefficient.  No code is
 shared with the package, so agreement is meaningful.
+
+The one exception is the dense fingerprint reference at the end, which
+calls ``cliffsig.linalg`` for its center nullspace and its congruence
+signature; the package's fingerprint, read off a blade sign table, uses
+neither.
 """
 
+import functools
+import itertools
+import random
 from fractions import Fraction
 
 Terms = dict[tuple[int, ...], Fraction]  # index tuple -> coefficient
@@ -179,3 +187,233 @@ def multivector_structure_constants(sig, masks, product):
         ]
         for a in basis
     ]
+
+
+# -- dense fingerprint reference ---------------------------------------------
+#
+# The oracle's construction before it read fingerprints off the blade sign
+# table: one {index: constant} dict per cell, associativity by expanding
+# both sides, the center as a nullspace and the trace form as a dense
+# matrix diagonalized by congruence (both through ``cliffsig.linalg``),
+# and reference classes realized by matrix units.  It assumes nothing
+# about the products' blade structure, so the tests compare the package's
+# sign-table shortcuts and closed forms against it.
+_K_UNITS = {"R": ("1",), "C": ("1", "i"), "H": ("1", "i", "j", "k")}
+
+_H_MUL = {
+    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
+    ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
+    ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
+    ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
+}
+
+_K_MUL = {
+    "R": {("1", "1"): (1, "1")},
+    "C": {("1", "1"): (1, "1"), ("1", "i"): (1, "i"),
+          ("i", "1"): (1, "i"), ("i", "i"): (-1, "1")},
+    "H": _H_MUL,
+}
+
+class DenseConstants:
+    """Sparse structure constants: b_i b_j = sum_k table[i][j][k] b_k.
+
+    Each constant is an ``int`` when integral and a ``Fraction`` otherwise,
+    never a ``float``.
+    """
+
+    __slots__ = ("table", "dim")
+
+    def __init__(self, table):
+        self.table = table
+        self.dim = len(table)
+
+    def direct_sum(self, other: "DenseConstants") -> "DenseConstants":
+        off = self.dim
+        table = [
+            [dict(cell) for cell in row] + [{} for _ in range(other.dim)]
+            for row in self.table
+        ]
+        for row in other.table:
+            new_row = [{} for _ in range(off)]
+            new_row.extend({k + off: v for k, v in cell.items()} for cell in row)
+            table.append(new_row)
+        return DenseConstants(table)
+
+    @classmethod
+    def matrix_units(cls, m: int, K: str) -> "DenseConstants":
+        """Reference realization of M(m, K) over the real basis
+        {E_ab * u : u a unit of K}."""
+        units = _K_UNITS[K]
+        mul = _K_MUL[K]
+        nu = len(units)
+
+        def idx(a: int, b: int, ui: int) -> int:
+            return (a * m + b) * nu + ui
+
+        dim = m * m * nu
+        table = [[{} for _ in range(dim)] for _ in range(dim)]
+        for a, b, ui in itertools.product(range(m), range(m), range(nu)):
+            left = idx(a, b, ui)
+            for c, d, vi in itertools.product(range(m), range(m), range(nu)):
+                if b != c:
+                    continue
+                sign, w = mul[(units[ui], units[vi])]
+                table[left][idx(c, d, vi)] = {
+                    idx(a, d, units.index(w)): sign
+                }
+        return cls(table)
+
+
+def dense_regular_representation(masks, blade_op) -> DenseConstants:
+    """Cell (i, j) is {index of mask: sign} for ``sign, mask =
+    blade_op(masks[i], masks[j])``, and empty when the sign is 0."""
+    from cliffsig import NotClosed, NotIndependent
+
+    masks = list(masks)
+    if not masks:
+        raise NotIndependent("empty basis")
+    index = {mask: i for i, mask in enumerate(masks)}
+    if len(index) < len(masks):
+        raise NotIndependent("a blade appears twice in the basis")
+    table = []
+    for i, a in enumerate(masks):
+        row = []
+        for j, b in enumerate(masks):
+            sign, mask = blade_op(a, b)
+            if not sign:
+                row.append({})
+                continue
+            k = index.get(mask)
+            if k is None:
+                raise NotClosed(
+                    f"product of basis elements {i} and {j} leaves the span"
+                )
+            row.append({k: sign})
+        table.append(row)
+    return DenseConstants(table)
+
+
+def dense_first_nonassociative_triple(sc: DenseConstants, seed: int, trials: int):
+    """First basis triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k),
+    or None, over the same triples as the package's check."""
+    from cliffsig.oracle import associativity_is_exhaustive
+
+    dim = sc.dim
+    table = sc.table
+    if associativity_is_exhaustive(dim):
+        triples = itertools.product(range(dim), repeat=3)
+    else:
+        rng = random.Random(seed)
+        triples = (
+            (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
+            for _ in range(trials)
+        )
+    for i, j, k in triples:
+        # (b_i b_j) b_k - b_i (b_j b_k), accumulated coordinate-wise
+        diff = {}
+        for mid, v in table[i][j].items():
+            for out, w in table[mid][k].items():
+                diff[out] = diff.get(out, 0) + v * w
+        for mid, v in table[j][k].items():
+            for out, w in table[i][mid].items():
+                diff[out] = diff.get(out, 0) - v * w
+        if any(diff.values()):
+            return i, j, k
+    return None
+
+
+def dense_center_basis(sc: DenseConstants):
+    """Nullspace of x -> ([x, b_j])_j over the basis coordinates."""
+    from cliffsig import linalg
+
+    dim = sc.dim
+    rows = {}
+
+    def add(key, col, val):
+        row = rows.setdefault(key, {})
+        row[col] = row.get(col, 0) + val
+
+    for i in range(dim):
+        for j in range(dim):
+            for k, v in sc.table[i][j].items():
+                add((j, k), i, v)
+                add((i, k), j, -v)
+    seen = set()
+    sparse_rows = []
+    for row in rows.values():
+        row = {c: v for c, v in row.items() if v}
+        if not row:
+            continue
+        lead = min(row)
+        scale = row[lead]
+        key = tuple(sorted((c, Fraction(v, scale)) for c, v in row.items()))
+        if key not in seen:
+            seen.add(key)
+            sparse_rows.append(row)
+    return linalg.nullspace(sparse_rows, dim)
+
+
+def dense_trace_form(sc: DenseConstants):
+    """B[i][j] = tr(L_i L_j) = sum over a, m of c_{im}^a c_{ja}^m.
+
+    The sum runs over nonzero constants only: index (m, a) -> [(i, c_{im}^a)]
+    once, then join every c_{ja}^m against it.  This is the definition
+    itself, not tr(L_{b_i b_j}), which would lean on associativity.
+    """
+    dim = sc.dim
+    table = sc.table
+    by_entry = {}
+    for i, row in enumerate(table):
+        for m, cell in enumerate(row):
+            for a, c in cell.items():
+                by_entry.setdefault((m, a), []).append((i, c))
+    b = [[0] * dim for _ in range(dim)]
+    for j, row in enumerate(table):
+        for a, cell in enumerate(row):
+            for m, v in cell.items():
+                for i, w in by_entry.get((m, a), ()):
+                    b[i][j] += w * v
+    return b
+
+
+def _bilinear_form(b, u, v):
+    total = 0
+    for i, ui in enumerate(u):
+        if ui:
+            row = b[i]
+            for j, vj in enumerate(v):
+                if vj and row[j]:
+                    total += ui * row[j] * vj
+    return total
+
+
+def dense_invariants(sc: DenseConstants, *, seed: int = 0, associativity_trials: int = 200):
+    """The fingerprint by the dense route; NotAssociative on a violation."""
+    from cliffsig import NotAssociative, StructuralInvariants, linalg
+
+    bad = dense_first_nonassociative_triple(sc, seed, associativity_trials)
+    if bad is not None:
+        raise NotAssociative(bad)
+    center = dense_center_basis(sc)
+    b = dense_trace_form(sc)
+    pos, neg, _zero = linalg.symmetric_signature(b)
+    if center:
+        gram = [
+            [_bilinear_form(b, u, v) for v in center]
+            for u in center
+        ]
+        cpos, cneg, _ = linalg.symmetric_signature(gram)
+    else:
+        cpos = cneg = 0
+    return StructuralInvariants(
+        dim=sc.dim,
+        center_dim=len(center),
+        trace_sig=(pos, neg),
+        center_trace_sig=(cpos, cneg),
+    )
+
+
+def reference_constants(cls) -> DenseConstants:
+    """Matrix units for each component of the class, direct-summed."""
+    blocks = [DenseConstants.matrix_units(c.m, c.K) for c in cls.components]
+    return functools.reduce(DenseConstants.direct_sum, blocks)

@@ -27,13 +27,19 @@ from cliffsig import (
     vee_alpha,
     vee_alpha_via_split,
     vee_prime,
+    vee_prime_blade_op,
     verify_clifford_map,
     verify_table4,
     wedge,
     weighted_antisymmetrization,
 )
 from cliffsig.grading import DimensionClass
-from cliffsig.oracle import regular_representation, structural_invariants
+from cliffsig.oracle import (
+    associativity_is_exhaustive,
+    first_nonassociative_triple,
+    regular_representation,
+    structural_invariants,
+)
 from cliffsig.verify import (
     all_gradings,
     random_multivector,
@@ -197,7 +203,9 @@ def test_criterion_08_lounesto_tilt():
 
 
 def test_criterion_09_vee_prime_suite():
-    # associativity and parity closure, exhaustive for n <= 4
+    # associativity and parity closure, exhaustive for n <= 4;
+    # associativity runs the oracle's check on vee_prime's blade sign
+    # function, which test_oracle ties to vee_prime cell by cell
     triples = 0
     for sig in signatures_up_to(4):
         blades = all_blades(sig)
@@ -208,11 +216,10 @@ def test_criterion_09_vee_prime_suite():
                 pa = gr.blade_parity(next(iter(a.terms)))
                 pb = gr.blade_parity(next(iter(b.terms)))
                 assert all(gr.blade_parity(m) == (pa + pb) & 1 for m in ab.terms)
-            for a, b, c in itertools.product(mvs, repeat=3):
-                assert vee_prime(vee_prime(a, b, gr), c, gr) == vee_prime(
-                    a, vee_prime(b, c, gr), gr
-                )
-                triples += 1
+            sc = regular_representation(blades, vee_prime_blade_op(gr))
+            assert associativity_is_exhaustive(sc.dim)
+            assert first_nonassociative_triple(sc, 0, 0) is None, gr
+            triples += sc.dim**3
     # the parity-weighted wedge identity holds for all tested vectors
     rng = random.Random(9)
     for sig in signatures_up_to(3):

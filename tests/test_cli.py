@@ -143,6 +143,12 @@ def test_eval_deep_nesting_is_parse_error(capsys):
     assert out == "" and err.startswith("parse error") and "nested" in err
 
 
+def test_eval_over_long_numeral_is_parse_error(capsys):
+    code, out, err = run(capsys, "eval", "--sig", "1,1", "1/" + "1" * 5000)
+    assert code == 2
+    assert out == "" and err.startswith("parse error") and "(at position 2)" in err
+
+
 def test_sigchange_command(capsys):
     code, out, _ = run(
         capsys, "sigchange", "--sig", "1,3", "--odd", "e2,e3,e4", "--expr", "e1*e1",

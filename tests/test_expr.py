@@ -83,6 +83,17 @@ def test_out_of_range_index_is_parse_error():
     assert "e3" in str(err.value) and "Cl(1,1)" in str(err.value)
 
 
+def test_over_long_numeral_is_parse_error():
+    # int() refuses numerals past the interpreter's digit limit (4,300 by
+    # default); that is a parse error at the token, not a bare ValueError
+    sig = Signature(1, 1)
+    digits = "1" * 5000
+    for text, position in [(digits, 0), ("e" + digits, 0), ("1/" + digits, 2)]:
+        with pytest.raises(ParseError, match="5000 digits") as err:
+            parse_multivector(text, sig)
+        assert err.value.position == position
+
+
 def test_canonical_format():
     sig = Signature(3, 0)
     a = Multivector(

@@ -1,6 +1,5 @@
 """Regular representation and structural fingerprints."""
 
-import functools
 import itertools
 from fractions import Fraction
 
@@ -31,21 +30,37 @@ from cliffsig import (
     vee_prime_blade_op,
 )
 from cliffsig import kernels
-from cliffsig.oracle import _center_basis, _trace_form
+from cliffsig.core import MAX_DIMENSION
+from cliffsig.oracle import first_nonassociative_triple
 from cliffsig.verify import canonical_odd_mask, signatures_up_to
 
-from oracles import multivector_structure_constants
+from oracles import (
+    DenseConstants,
+    dense_first_nonassociative_triple,
+    dense_invariants,
+    dense_regular_representation,
+    multivector_structure_constants,
+    reference_constants,
+)
 
 
 # -- regular representation ----------------------------------------------------
 
 
+def cells(sc):
+    """The sign/index form as {index: sign} cells, empty where the sign is 0."""
+    return [
+        [{k: s} if s else {} for s, k in zip(sign_row, prod_row)]
+        for sign_row, prod_row in zip(sc.sign, sc.prod)
+    ]
+
+
 def test_two_element_basis_of_cl10():
     sig = Signature(1, 0)
     sc = regular_representation([0b0, 0b1], geometric_blade_op(sig))
-    assert sc.dim == 2
-    assert sc.table[1][1] == {0: Fraction(1)}  # e1*e1 = 1
-    assert sc.table[0][1] == {1: Fraction(1)}
+    assert isinstance(sc, StructureConstants) and sc.dim == 2
+    assert (sc.sign[1][1], sc.prod[1][1]) == (1, 0)  # e1*e1 = 1
+    assert (sc.sign[0][1], sc.prod[0][1]) == (1, 1)
 
 
 def test_even_subalgebra_is_closed():
@@ -54,7 +69,7 @@ def test_even_subalgebra_is_closed():
     sc = regular_representation(even_subalgebra_basis(gr), geometric_blade_op(sig))
     assert sc.dim == 4
     for i, j in itertools.product(range(4), repeat=2):
-        assert sum(abs(v) for v in sc.table[i][j].values()) == 1
+        assert abs(sc.sign[i][j]) == 1 and 0 <= sc.prod[i][j] < 4
 
 
 def test_not_closed():
@@ -72,11 +87,20 @@ def test_not_independent():
         regular_representation([], geometric_blade_op(sig))
 
 
+def test_product_off_the_symmetric_difference_rejected():
+    # every shortcut of the oracle rests on e_a e_b = ±e_{a^b}: e1 e1 = e1
+    # is inside the span but not on the blade 0, so it is refused
+    with pytest.raises(ValueError, match="basis elements 1 and 1") as info:
+        regular_representation([0, 1], lambda a, b: (1, a | b))
+    assert not isinstance(info.value, (NotClosed, NotIndependent))
+
+
 def test_zero_sign_gives_empty_cell():
     # a sign of 0 is no term, as in core.bilinear: the wedge of two
-    # overlapping blades is 0, even though its mask is outside the basis
+    # overlapping blades is 0, whatever mask the sign function reports
     sc = regular_representation([0b0, 0b1], kernels.blade_wedge)
-    assert sc.table == [[{0: 1}, {1: 1}], [{1: 1}, {}]]
+    assert sc.sign == [[1, 1], [1, 0]]
+    assert sc.prod == [[0, 1], [1, -1]]
 
 
 def test_blade_ops_match_the_multivector_products():
@@ -85,7 +109,7 @@ def test_blade_ops_match_the_multivector_products():
     # three products the package fingerprints, over every grading n <= 4
     for sig in signatures_up_to(4):
         masks = all_blades(sig)
-        assert regular_representation(masks, geometric_blade_op(sig)).table == (
+        assert cells(regular_representation(masks, geometric_blade_op(sig))) == (
             multivector_structure_constants(sig, masks, geometric_product)
         )
         for odd_mask in range(1 << sig.n):
@@ -97,7 +121,7 @@ def test_blade_ops_match_the_multivector_products():
                 want = multivector_structure_constants(
                     sig, masks, lambda a, b: product(a, b, gr)
                 )
-                assert regular_representation(masks, op(gr)).table == want, (
+                assert cells(regular_representation(masks, op(gr))) == want, (
                     gr, product.__name__
                 )
 
@@ -130,27 +154,57 @@ def test_matrix_algebra_fingerprint():
     assert structural_invariants(sc) == StructuralInvariants(4, 1, (3, 1), (1, 0))
 
 
+def flipped(op, *pairs):
+    """``op`` with the sign of each listed blade pair negated."""
+
+    def blade_op(a, b):
+        sign, mask = op(a, b)
+        return (-sign, mask) if (a, b) in pairs else (sign, mask)
+
+    return blade_op
+
+
 def test_non_associative_detected():
-    table = [[{} for _ in range(2)] for _ in range(2)]
-    table[0][0] = {0: Fraction(1)}
-    table[0][1] = {1: Fraction(1)}
-    table[1][0] = {1: Fraction(1)}
-    table[1][1] = {0: Fraction(1), 1: Fraction(1)}
-    # (b1 b1) b1 = b0 b1 + b1 b1 = b0 + 2 b1; b1 (b1 b1) likewise -> tweak
-    table[1][1] = {0: Fraction(1)}
-    structural_invariants(StructureConstants(table))  # this one is fine (Cl(1,0))
-    table[0][1] = {1: Fraction(2)}  # breaks unitality/associativity
-    with pytest.raises(NotAssociative):
-        structural_invariants(StructureConstants(table))
+    # one flipped sign of the geometric product breaks the cocycle
+    # identity, except three flips that stay associative: 1*1 in Cl(0,0)
+    # (R with unit -1) and e1*e1 in Cl(1,0) and Cl(0,1) (they swap).  The
+    # first failing triple is the dense reference's, both over every
+    # triple (n <= 2, one flipped cell) and over the seeded sample (n = 5,
+    # the row of e1 flipped)
+    cases = []
+    for sig in signatures_up_to(2):
+        masks = all_blades(sig)
+        for pair in itertools.product(masks, repeat=2):
+            cases.append((masks, flipped(geometric_blade_op(sig), pair)))
+    sig = Signature(3, 2)
+    masks = all_blades(sig)
+    cases.append((masks, flipped(geometric_blade_op(sig), *((0b1, b) for b in masks))))
+    failing = 0
+    for masks, op in cases:
+        sc = regular_representation(masks, op)
+        want = dense_first_nonassociative_triple(
+            dense_regular_representation(masks, op), 0, 200
+        )
+        assert first_nonassociative_triple(sc, 0, 200) == want, (masks, op)
+        if want is not None:
+            failing += 1
+            with pytest.raises(NotAssociative) as info:
+                structural_invariants(sc)
+            assert info.value.triple == want
+    assert want is not None, "the sampled n = 5 case stays associative"
+    assert failing == len(cases) - 3
 
 
 def test_not_associative_carries_first_triple():
-    # b0 is a left unit but b1 b0 = 2 b1: the first failing triple in
-    # order is (1, 0, 0), with (b1 b0) b0 = 4 b1 but b1 (b0 b0) = 2 b1
-    table = [[{0: 1}, {1: 1}], [{1: 2}, {0: 1}]]
+    # b0 b0 = b0 and b1 b1 = b0 as in Cl(1,0), but b1 b0 = -b1: the first
+    # failing triple in order is (1, 0, 0), with (b1 b0) b0 = b1 but
+    # b1 (b0 b0) = -b1
+    op = flipped(geometric_blade_op(Signature(1, 0)), (1, 0))
     with pytest.raises(NotAssociative, match=r"\(b1 b0\) b0") as info:
-        structural_invariants(StructureConstants(table))
+        structural_invariants(regular_representation([0, 1], op))
     assert info.value.triple == (1, 0, 0)
+    dense = dense_regular_representation([0, 1], op)
+    assert dense_first_nonassociative_triple(dense, 0, 200) == (1, 0, 0)
 
 
 # -- reference realizations ------------------------------------------------------
@@ -170,7 +224,7 @@ def test_expected_invariants_examples():
 
 
 def test_matrix_units_multiplication():
-    sc = StructureConstants.matrix_units(2, "R")
+    sc = DenseConstants.matrix_units(2, "R")
     # E00*E01 = E01; E01*E10 = E00; E01*E01 = 0
     assert sc.table[0][1] == {1: Fraction(1)}
     assert sc.table[1][2] == {0: Fraction(1)}
@@ -178,19 +232,20 @@ def test_matrix_units_multiplication():
 
 
 def test_direct_sum_blocks_do_not_interact():
-    a = StructureConstants.matrix_units(1, "C")
+    a = DenseConstants.matrix_units(1, "C")
     s = a.direct_sum(a)
     assert s.dim == 4
     assert s.table[0][2] == {} and s.table[3][1] == {}
-    inv = structural_invariants(s)
+    inv = dense_invariants(s)
     assert inv.dim == 4 and inv.center_dim == 4
 
 
-def all_table_classes(max_dim):
-    """Every class the closed forms can produce, up to a dimension cap."""
+def all_table_classes(max_dim, max_n=8):
+    """Every class the closed forms produce with p+q <= max_n, up to a
+    dimension cap."""
     seen = set()
-    for p in range(9):
-        for q in range(9 - p):
+    for p in range(max_n + 1):
+        for q in range(max_n + 1 - p):
             if 1 << (p + q) <= max_dim:
                 seen.add(classify_clifford(p, q))
             if p + q >= 1 and 1 << (p + q - 1) <= max_dim:
@@ -203,15 +258,25 @@ def all_table_classes(max_dim):
     return seen
 
 
-def test_fingerprint_injectivity_up_to_dim_256():
-    classes = all_table_classes(256)
-    assert len(classes) >= 25  # sanity: the enumeration is not degenerate
+def test_fingerprint_injectivity_up_to_the_dimension_cap():
+    # every class the three classifications reach with p+q <= 12 has its
+    # own fingerprint, so fingerprint equality identifies the class in
+    # every sweep the dimension cap allows
+    classes = all_table_classes(1 << MAX_DIMENSION, MAX_DIMENSION)
+    assert len(classes) >= 44  # sanity: the enumeration is not degenerate
     fingerprints = {}
     for cls in sorted(classes, key=lambda c: (c.real_dim, str(c))):
         fp = expected_invariants(cls)
         assert fp.trace_sig[0] + fp.trace_sig[1] == fp.dim  # semisimple
         assert fp not in fingerprints, f"{cls} collides with {fingerprints[fp]}"
         fingerprints[fp] = cls
+
+
+def test_closed_form_matches_the_matrix_unit_references():
+    # the dense fingerprint of M(m, K) built from matrix units, direct
+    # summed per component, for every class up to real dimension 256
+    for cls in all_table_classes(256):
+        assert expected_invariants(cls) == dense_invariants(reference_constants(cls)), cls
 
 
 def test_non_clifford_even_subalgebra_detected():
@@ -224,35 +289,29 @@ def test_non_clifford_even_subalgebra_detected():
         assert fp != expected_invariants(classify_clifford(r, s))
 
 
-def reference_constants(cls):
-    """The matrix-unit table ``expected_invariants`` fingerprints."""
-    blocks = [StructureConstants.matrix_units(c.m, c.K) for c in cls.components]
-    return functools.reduce(StructureConstants.direct_sum, blocks)
-
-
-def table4_constants(max_n):
-    for sig in signatures_up_to(max_n):
+def fingerprinted_blade_bases():
+    """(masks, blade_op) for every blade basis the verify suites
+    fingerprint: table1, table2 and table4 with n <= 6, and the full
+    basis under vee_alpha and vee_prime for every grading with n <= 4."""
+    for sig in signatures_up_to(6):
+        op = geometric_blade_op(sig)
+        yield all_blades(sig), op
+        if sig.n:
+            yield [m for m in all_blades(sig) if not m.bit_count() & 1], op
         for p0 in range(sig.p + 1):
             for q0 in range(sig.q + 1):
                 gr = Z2Grading(sig, canonical_odd_mask(sig, sig.p - p0, sig.q - q0))
-                yield regular_representation(
-                    even_subalgebra_basis(gr), geometric_blade_op(sig)
-                )
+                yield even_subalgebra_basis(gr), op
+    for sig in signatures_up_to(4):
+        for odd_mask in range(1 << sig.n):
+            gr = Z2Grading(sig, odd_mask)
+            yield all_blades(sig), vee_alpha_blade_op(gr)
+            yield all_blades(sig), vee_prime_blade_op(gr)
 
 
-def test_int_and_fraction_constants_give_identical_fingerprints():
-    # the package's tables are integral and stored as ints; wrapping every
-    # constant in Fraction must not change the fingerprint, and neither
-    # domain may leak a float into the trace form or the center basis
-    tables = [reference_constants(cls) for cls in all_table_classes(64)]
-    tables.extend(table4_constants(4))
-    for sc in tables:
-        values = [v for row in sc.table for cell in row for v in cell.values()]
-        assert values and all(type(v) is int for v in values)
-        wrapped = StructureConstants(
-            [[{k: Fraction(v) for k, v in cell.items()} for cell in row] for row in sc.table]
+def test_sign_table_fingerprints_match_the_dense_reference():
+    for masks, op in fingerprinted_blade_bases():
+        got = structural_invariants(regular_representation(masks, op))
+        assert got == dense_invariants(dense_regular_representation(masks, op)), (
+            masks, op
         )
-        assert structural_invariants(sc) == structural_invariants(wrapped)
-        for table in (sc, wrapped):
-            assert not any(type(x) is float for row in _trace_form(table) for x in row)
-            assert not any(type(x) is float for v in _center_basis(table) for x in v)

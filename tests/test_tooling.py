@@ -19,3 +19,29 @@ def test_no_bare_assert_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"bare assert statements: {found}"
+
+
+def test_no_floating_point_in_package():
+    # every computation is exact: no float (or complex) literal and no use
+    # of the name float, except the wall-clock seconds of a verify cell
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "verify.py":
+            cell = next(
+                n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Cell"
+            )
+            allowed = {
+                id(n.annotation)
+                for n in cell.body
+                if isinstance(n, ast.AnnAssign) and n.target.id == "seconds"
+            }
+        for node in ast.walk(tree):
+            literal = isinstance(node, ast.Constant) and isinstance(
+                node.value, (float, complex)
+            )
+            named = isinstance(node, ast.Name) and node.id == "float"
+            if (literal or named) and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"floating point in the package: {found}"
