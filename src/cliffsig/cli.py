@@ -32,9 +32,9 @@ from .grading import (
     grading_closure_check,
     validate_involution,
 )
-from .oracle import expected_invariants, regular_representation, structural_invariants
+from .oracle import oracle
 from .sigchange import target_signature, tilt_product, vee_alpha, vee_prime
-from .verify import SUITES, run_suite
+from .verify import SUITES, canonical_odd_mask, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -179,26 +179,12 @@ def _cmd_eval(args) -> int:
 def _cmd_classify(args) -> int:
     sig = args.sig
     out: dict = {"sig": [sig.p, sig.q]}
-    agree = True
     if args.even is not None:
         p0, q0 = args.even
         cls = classify_even_subalgebra(sig.p, sig.q, p0, q0)
         out["even_signature"] = [p0, q0]
         out["even_subalgebra"] = str(cls)
         lines = [str(cls)]
-        if args.oracle:
-            from .grading import Z2Grading as _G
-            from .verify import canonical_odd_mask
-
-            gr = _G(sig, canonical_odd_mask(sig, sig.p - p0, sig.q - q0))
-            got = structural_invariants(
-                regular_representation(
-                    even_subalgebra_basis(gr), geometric_blade_op(sig)
-                )
-            )
-            agree = got == expected_invariants(cls)
-            out["oracle_agrees"] = agree
-            lines.append(f"oracle: {'agrees' if agree else 'DISAGREES'}")
     else:
         cls = classify_clifford(sig.p, sig.q)
         out["algebra"] = str(cls)
@@ -207,13 +193,18 @@ def _cmd_classify(args) -> int:
             even = classify_even_part(sig.p, sig.q)
             out["even_part"] = str(even)
             lines.append(f"even part: {even}")
-        if args.oracle:
-            got = structural_invariants(
-                regular_representation(all_blades(sig), geometric_blade_op(sig))
-            )
-            agree = got == expected_invariants(cls)
-            out["oracle_agrees"] = agree
-            lines.append(f"oracle: {'agrees' if agree else 'DISAGREES'}")
+    agree = True
+    if args.oracle:
+        if args.even is not None:
+            odd = canonical_odd_mask(sig, sig.p - p0, sig.q - q0)
+            masks = even_subalgebra_basis(Z2Grading(sig, odd))
+        else:
+            masks = all_blades(sig)
+        verdict = oracle(masks, geometric_blade_op(sig), cls)
+        agree = out["oracle_agrees"] = verdict.ok
+        lines.append("oracle: " + ("agrees" if agree else f"DISAGREES; {verdict.problem}"))
+        if not agree:
+            out["oracle_problem"] = verdict.problem
     if args.json:
         print(json.dumps(out))
     else:

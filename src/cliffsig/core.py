@@ -106,10 +106,6 @@ def blade_indices(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def blade_grade(mask: int) -> int:
-    return kernels.grade(mask)
-
-
 def blade_sort_key(mask: int):
     """Canonical order: by grade, then lexicographically by index set."""
     return kernels.grade(mask), blade_indices(mask)
@@ -286,14 +282,6 @@ class Multivector:
 
     def __bool__(self):
         return bool(self._terms)
-
-    # -- involutions as methods (module functions do the work)
-
-    def parity(self) -> "Multivector":
-        return parity(self)
-
-    def reversion(self) -> "Multivector":
-        return reversion(self)
 
     def __str__(self) -> str:
         from .expr import format_multivector

@@ -78,10 +78,6 @@ class Z2Grading:
         return blade_indices(self.odd_mask)
 
     @property
-    def even_indices(self) -> tuple[int, ...]:
-        return blade_indices(self.even_mask)
-
-    @property
     def is_trivial(self) -> bool:
         return self.odd_mask == 0
 
@@ -95,14 +91,6 @@ class Z2Grading:
         p0 = kernels.grade(self.even_mask & pos)
         q0 = kernels.grade(self.even_mask & ~pos)
         return p0, q0, self.sig.p - p0, self.sig.q - q0
-
-    @property
-    def p0(self) -> int:
-        return self.counts()[0]
-
-    @property
-    def q0(self) -> int:
-        return self.counts()[1]
 
     def blade_parity(self, mask: int) -> int:
         """0 or 1: parity of the number of odd generators in the blade."""

@@ -22,7 +22,8 @@ signs alone, in Python ints with no division:
 * B is diagonal, since L_a L_b e_c lies on e_{a^b^c}, with
   B(e_a, e_a) = sum over c of σ(a,c) σ(a,a^c).
 
-``expected_invariants`` gives the fingerprint of a class in closed form.
+``expected_invariants`` gives the fingerprint of a class in closed form,
+and ``oracle`` compares the two; it alone turns a violation into a verdict.
 The test suite keeps the dense construction (dict tables, a center
 nullspace, congruence diagonalization, matrix-unit references) as the
 reference these shortcuts are compared with.
@@ -35,6 +36,7 @@ import random
 from dataclasses import dataclass
 
 from .classify import AlgebraClass
+from .core import blade_indices
 
 #: dim**3 at or below which associativity is checked exhaustively.
 _EXHAUSTIVE_TRIPLES = 4096
@@ -46,6 +48,10 @@ class NotClosed(ValueError):
 
 class NotIndependent(ValueError):
     """The proposed basis is linearly dependent."""
+
+
+class NotTwisted(ValueError):
+    """A product of two blades is not plus or minus their symmetric difference."""
 
 
 class NotAssociative(ValueError):
@@ -90,9 +96,9 @@ def regular_representation(masks, blade_op) -> StructureConstants:
     Cell (i, j) is read from ``sign, mask = blade_op(masks[i], masks[j])``;
     a sign of 0 is no term, exactly as ``core.bilinear`` extends the same
     function.  An empty or repeated mask list raises NotIndependent, a
-    nonzero product that is not plus or minus the symmetric difference of
-    its factors raises ValueError, and one landing on a blade outside the
-    list raises NotClosed.
+    nonzero product landing on a blade outside the list raises NotClosed,
+    and one that is not plus or minus the symmetric difference of its
+    factors raises NotTwisted.
     """
     masks = list(masks)
     if not masks:
@@ -107,15 +113,15 @@ def regular_representation(masks, blade_op) -> StructureConstants:
             s, mask = blade_op(a, b)
             k = -1
             if s:
-                if mask != a ^ b:
-                    raise ValueError(
-                        f"product of basis elements {i} and {j} is not "
-                        f"plus or minus the blade {a ^ b:#b}"
-                    )
                 k = index.get(mask, -1)
                 if k < 0:
                     raise NotClosed(
                         f"product of basis elements {i} and {j} leaves the span"
+                    )
+                if mask != a ^ b:
+                    raise NotTwisted(
+                        f"product of basis elements {i} and {j} is not "
+                        f"plus or minus the blade {a ^ b:#b}"
                     )
             sign_row.append(s)
             prod_row.append(k)
@@ -200,3 +206,44 @@ def expected_invariants(cls: AlgebraClass) -> StructuralInvariants:
     blocks = [_SIMPLE_INVARIANTS[c.K](c.m) for c in cls.components]
     dim, center_dim, pos, neg, cpos, cneg = map(sum, zip(*blocks))
     return StructuralInvariants(dim, center_dim, (pos, neg), (cpos, cneg))
+
+
+def format_blades(masks) -> str:
+    """A blade witness as text, e.g. ``(1, e1, e1^e2)``."""
+    names = ("^".join(f"e{i}" for i in blade_indices(m)) or "1" for m in masks)
+    return f"({', '.join(names)})"
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """``oracle``'s result: whether the associativity pass held and its
+    report, and ``problem``, the first failure ("" when there is none)."""
+
+    associative: bool
+    associativity: str
+    problem: str
+
+    @property
+    def ok(self) -> bool:
+        return not self.problem
+
+
+def oracle(masks, blade_op, cls: AlgebraClass, *, seed=0, trials=200) -> Verdict:
+    """Fingerprint of the blade basis ``masks`` under ``blade_op`` against
+    the reference of ``cls``, with one associativity pass.  A violation is
+    a failing verdict, not an exception: it names the first non-associative
+    blade triple, the NotClosed, NotIndependent or NotTwisted message, or
+    the oracle-vs-reference mismatch."""
+    how = "exhaustive" if associativity_is_exhaustive(len(masks)) else f"{trials} sampled"
+    try:
+        sc = regular_representation(masks, blade_op)
+        got = structural_invariants(sc, seed=seed, associativity_trials=trials)
+    except NotAssociative as exc:
+        witness = format_blades(masks[i] for i in exc.triple)
+        found = f"{how} triples, first violation {witness}"
+        return Verdict(False, found, f"not associative: {found}")
+    except (NotClosed, NotIndependent, NotTwisted) as exc:
+        return Verdict(False, str(exc), str(exc))
+    want = expected_invariants(cls)
+    problem = "" if got == want else f"oracle {got} != reference {want}"
+    return Verdict(True, f"{how} triples, 0 violations", problem)

@@ -32,6 +32,7 @@ from .core import (
     Multivector,
     Signature,
     all_blades,
+    blade_from_indices,
     extended_metric,
     geometric_blade_op,
     geometric_product,
@@ -44,14 +45,17 @@ from .core import (
 from .grading import Z2Grading, even_subalgebra_basis
 from .oracle import (
     associativity_is_exhaustive,
-    expected_invariants,
     first_nonassociative_triple,
+    format_blades,
+    oracle,
     regular_representation,
-    structural_invariants,
 )
 from .sigchange import random_vector, verify_clifford_map
 
 DEFAULT_SEED = 0
+
+#: Random triples (or draws) per sampled check of the core suite.
+CORE_TRIALS = 300
 
 SUITE_DEFAULT_MAX_N = {
     "table1": 6,
@@ -124,21 +128,15 @@ def all_gradings(sig: Signature):
 def canonical_odd_mask(sig: Signature, p1: int, q1: int) -> int:
     """Odd set used in sweeps: the last p1 positive and last q1 negative
     generators.  Any other choice with the same counts is isometric."""
-    mask = 0
-    for i in range(sig.p - p1 + 1, sig.p + 1):
-        mask |= 1 << (i - 1)
-    for i in range(sig.n - q1 + 1, sig.n + 1):
-        mask |= 1 << (i - 1)
-    return mask
+    return blade_from_indices(
+        [*range(sig.p - p1 + 1, sig.p + 1), *range(sig.n - q1 + 1, sig.n + 1)]
+    )
 
 
 def random_odd_mask(rng: random.Random, sig: Signature, p1: int, q1: int) -> int:
     pos = rng.sample(range(1, sig.p + 1), p1)
     neg = rng.sample(range(sig.p + 1, sig.n + 1), q1)
-    mask = 0
-    for i in pos + neg:
-        mask |= 1 << (i - 1)
-    return mask
+    return blade_from_indices(pos + neg)
 
 
 def random_multivector(
@@ -165,13 +163,9 @@ def verify_table1(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteReport:
 
         def cell(sig=sig):
             cls = classify_clifford(sig.p, sig.q)
-            got = structural_invariants(
-                regular_representation(all_blades(sig), geometric_blade_op(sig)),
-                seed=seed,
-            )
-            want = expected_invariants(cls)
-            return got == want, f"{sig} ~ {cls}" + (
-                "" if got == want else f"; oracle {got} != reference {want}"
+            verdict = oracle(all_blades(sig), geometric_blade_op(sig), cls, seed=seed)
+            return verdict.ok, f"{sig} ~ {cls}" + (
+                "" if verdict.ok else f"; {verdict.problem}"
             )
 
         _timed(report, f"{sig.p},{sig.q}", cell)
@@ -194,12 +188,9 @@ def verify_table2(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteReport:
             if sig.q >= 1 and cls != classify_clifford(sig.p, sig.q - 1):
                 problems.append(f"!= Cl({sig.p},{sig.q - 1})")
             masks = [m for m in all_blades(sig) if not m.bit_count() & 1]
-            got = structural_invariants(
-                regular_representation(masks, geometric_blade_op(sig)),
-                seed=seed,
-            )
-            if got != expected_invariants(cls):
-                problems.append("oracle fingerprint mismatch")
+            verdict = oracle(masks, geometric_blade_op(sig), cls, seed=seed)
+            if not verdict.ok:
+                problems.append(verdict.problem)
             return not problems, f"Cl+({sig.p},{sig.q}) ~ {cls}" + (
                 "; " + "; ".join(problems) if problems else ""
             )
@@ -238,15 +229,11 @@ def verify_table4(
                             f"expected {(p0, q0, p1, q1)}"
                         )
                     cls = classify_even_subalgebra(sig.p, sig.q, p0, q0)
-                    got = structural_invariants(
-                        regular_representation(
-                            even_subalgebra_basis(gr), geometric_blade_op(sig)
-                        ),
-                        seed=seed,
+                    verdict = oracle(
+                        even_subalgebra_basis(gr), geometric_blade_op(sig), cls, seed=seed
                     )
-                    want = expected_invariants(cls)
-                    return got == want, f"Cl0 ~ {cls}" + (
-                        "" if got == want else f"; oracle {got} != reference {want}"
+                    return verdict.ok, f"Cl0 ~ {cls}" + (
+                        "" if verdict.ok else f"; {verdict.problem}"
                     )
 
                 _timed(report, f"{sig.p},{sig.q},{p0},{q0}", cell)
@@ -274,9 +261,7 @@ def verify_sigchange(max_n: int = 5, seed: int = DEFAULT_SEED) -> SuiteReport:
     return report
 
 
-def verify_core(
-    max_n: int = 6, seed: int = DEFAULT_SEED, trials: int = 300
-) -> SuiteReport:
+def verify_core(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Base-product laws per signature: generator relations, associativity,
     contraction adjointness, involution laws, and v a = v^a + v⌟a."""
     report = SuiteReport("core")
@@ -300,15 +285,15 @@ def verify_core(
         def assoc_cell(sig=sig, blades=blades, rng=rng):
             if associativity_is_exhaustive(len(blades)):
                 sc = regular_representation(blades, geometric_blade_op(sig))
-                witness = first_nonassociative_triple(sc, seed, trials)
+                witness = first_nonassociative_triple(sc, seed, CORE_TRIALS)
                 detail = f"{len(blades) ** 3} exhaustive blade triples, "
                 if witness is None:
                     return True, detail + "0 violations"
-                return False, detail + "first violation ({}, {}, {})".format(
-                    *(Multivector.blade(sig, blades[i]) for i in witness)
+                return False, detail + "first violation " + format_blades(
+                    blades[i] for i in witness
                 )
             bad = 0
-            for _ in range(trials):
+            for _ in range(CORE_TRIALS):
                 a = random_multivector(rng, sig)
                 b = random_multivector(rng, sig)
                 c = random_multivector(rng, sig)
@@ -316,7 +301,7 @@ def verify_core(
                     a, geometric_product(b, c)
                 ):
                     bad += 1
-            return bad == 0, f"{trials} random multivector triples, {bad} violations"
+            return bad == 0, f"{CORE_TRIALS} random multivector triples, {bad} violations"
 
         def adjoint_cell(sig=sig, blades=blades, rng=rng):
             bad = checked = 0
@@ -327,7 +312,7 @@ def verify_core(
             else:
                 triples = (
                     (rng.choice(blades), rng.choice(blades), rng.choice(blades))
-                    for _ in range(trials)
+                    for _ in range(CORE_TRIALS)
                 )
             for ma, mb, mc in triples:
                 a = Multivector.blade(sig, ma)
@@ -347,7 +332,7 @@ def verify_core(
 
         def involution_cell(sig=sig, rng=rng):
             bad = 0
-            for _ in range(max(50, trials // 4)):
+            for _ in range(max(50, CORE_TRIALS // 4)):
                 a = random_multivector(rng, sig)
                 b = random_multivector(rng, sig)
                 ab = geometric_product(a, b)
@@ -361,7 +346,7 @@ def verify_core(
 
         def decomposition_cell(sig=sig, rng=rng):
             bad = 0
-            for _ in range(max(50, trials // 4)):
+            for _ in range(max(50, CORE_TRIALS // 4)):
                 v = random_vector(rng, sig)
                 a = random_multivector(rng, sig)
                 if geometric_product(v, a) != wedge(v, a) + left_contraction(v, a):

@@ -91,6 +91,62 @@ def test_classify_json_and_oracle(capsys):
     assert data["oracle_agrees"] is True
 
 
+@pytest.fixture
+def one_times_e1_flipped(monkeypatch):
+    # 1 * e1 = -e1: closed and twisted, but (1 1) e1 = -e1 != 1 (1 e1) = e1
+    import cliffsig.cli as cli
+    import cliffsig.verify as verify
+
+    honest = verify.geometric_blade_op
+
+    def twisted(sig):
+        op = honest(sig)
+
+        def blade_op(x, y):
+            sign, mask = op(x, y)
+            return (-sign, mask) if (x, y) == (0, 0b1) else (sign, mask)
+
+        return blade_op
+
+    monkeypatch.setattr(verify, "geometric_blade_op", twisted)
+    monkeypatch.setattr(cli, "geometric_blade_op", twisted)
+
+
+@pytest.mark.parametrize(
+    "suite, max_n, cells, violations", [("table1", "2", 6, 5), ("table4", "1", 5, 2)]
+)
+def test_verify_non_associative_product_exit_1(
+    capsys, one_times_e1_flipped, suite, max_n, cells, violations
+):
+    # a violation is a failing cell naming its first blade triple, not an
+    # aborted sweep; only the cells whose basis holds e1 fail
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--max-n", max_n)
+    assert code == 1
+    lines = out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL ")]
+    assert len(fails) == violations
+    assert all("first violation (1, 1, e1)" in line for line in fails)
+    assert lines[-1].startswith(
+        f"suite {suite}: {cells} cells, {violations} violations"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [("--sig", "1,0"), ("--sig", "2,0", "--even", "1,0")]
+)
+def test_classify_oracle_non_associative_product_exit_1(
+    capsys, one_times_e1_flipped, argv
+):
+    code, out, _ = run(capsys, "classify", *argv, "--oracle")
+    assert code == 1
+    assert out.splitlines()[-1].startswith("oracle: DISAGREES; not associative")
+    assert out.endswith("first violation (1, 1, e1)")
+    code, out, _ = run(capsys, "classify", *argv, "--oracle", "--json")
+    data = json.loads(out)
+    assert code == 1 and data["oracle_agrees"] is False
+    assert data["oracle_problem"].endswith("first violation (1, 1, e1)")
+
+
 def test_grading_command(capsys):
     code, out, _ = run(capsys, "grading", "--sig", "1,3", "--odd", "e2,e3,e4", "--json")
     data = json.loads(out)

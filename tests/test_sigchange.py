@@ -16,6 +16,7 @@ from cliffsig import (
     deformed_metric,
     extended_metric,
     find_wedge_counterexample,
+    geometric_blade_op,
     geometric_product,
     left_contraction,
     naive_antisymmetrization,
@@ -458,7 +459,7 @@ def test_verify_clifford_map_report_shape():
 
 def test_verify_clifford_map_coverage():
     small = verify_clifford_map(Z2Grading.from_odd_indices(Signature(2, 2), [1]))
-    big = verify_clifford_map(Z2Grading.from_odd_indices(Signature(3, 2), [1]), triples=300)
+    big = verify_clifford_map(Z2Grading.from_odd_indices(Signature(3, 2), [1]))
     details = {c.name: c.detail for c in small.checks}
     assert details["definition"] == "64 (generator, blade) pairs, 0 violations"
     assert details["associativity"] == "exhaustive triples, 0 violations"
@@ -494,6 +495,49 @@ def test_verify_clifford_map_names_first_witnesses(monkeypatch):
     assert "not associative" in details["fingerprint"]
 
 
+def test_passing_clifford_map_builds_no_multivector(monkeypatch):
+    # every check reads ∨ through its sign function alone
+    calls = []
+    honest = Multivector.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        honest(self, *args, **kwargs)
+
+    monkeypatch.setattr(Multivector, "__init__", counting)
+    for gr in [Z2Grading.from_odd_indices(Signature(2, 1), [2]), Z2Grading.usual(Signature(1, 3))]:
+        assert verify_clifford_map(gr).ok
+    assert calls == []
+
+
+def test_definition_rejects_the_original_metric_product(monkeypatch):
+    # swapping ∨ for the product of g itself breaks the definition and the
+    # g_a generator relations as soon as some generator is odd
+    import cliffsig.sigchange as sigchange
+
+    monkeypatch.setattr(sigchange, "vee_alpha_blade_op", lambda gr: geometric_blade_op(gr.sig))
+    for n in range(4):
+        for p in range(n + 1):
+            for gr in all_gradings(Signature(p, n - p)):
+                failing = {c.name for c in verify_clifford_map(gr).checks if not c.ok}
+                if gr.odd_mask:
+                    assert {"generator-relations", "definition"} <= failing, gr
+                else:
+                    assert not failing, gr
+
+
+def test_definition_sums_wedge_and_contraction(monkeypatch):
+    # a contraction that also fires when e is not in A adds a second copy of
+    # e^A; the check sums both kernels instead of choosing one, so it fails
+    import cliffsig.kernels as kernels
+
+    monkeypatch.setattr(kernels, "blade_left_contract", kernels.blade_mul)
+    rep = verify_clifford_map(Z2Grading.from_odd_indices(Signature(2, 0), [2]))
+    details = {c.name: c.detail for c in rep.checks if not c.ok}
+    assert set(details) == {"definition"}
+    assert details["definition"].endswith("4 violations; first (e1, 1)")
+
+
 def test_one_associativity_pass_per_clifford_map(monkeypatch):
     # the associativity and fingerprint checks share one pass of the
     # oracle's loop; the reference fingerprint is closed form and makes none
@@ -512,5 +556,5 @@ def test_one_associativity_pass_per_clifford_map(monkeypatch):
 
     monkeypatch.setattr(oracle, "first_nonassociative_triple", counting)
     for gr in gradings:
-        assert verify_clifford_map(gr, triples=300).ok
+        assert verify_clifford_map(gr).ok
     assert calls == [300, 300]

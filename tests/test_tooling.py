@@ -45,3 +45,23 @@ def test_no_floating_point_in_package():
             if (literal or named) and id(node) not in allowed:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"floating point in the package: {found}"
+
+
+def test_oracle_exceptions_are_caught_only_in_the_oracle():
+    # a violation becomes a failing verdict in one place (oracle.oracle);
+    # anywhere else, catching these would make a second policy
+    oracle_errors = {"NotAssociative", "NotClosed", "NotIndependent", "NotTwisted"}
+    found = []
+    for path in SOURCES:
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {
+                    n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(node.type)
+                    if isinstance(n, (ast.Name, ast.Attribute))
+                }
+                if names & oracle_errors:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"oracle exceptions caught outside oracle.py: {found}"

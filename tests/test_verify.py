@@ -137,3 +137,26 @@ def test_core_associativity_names_first_blade_triple(monkeypatch):
     cell = next(c for c in rep.cells if c.key == "1,0:associativity")
     assert not cell.ok
     assert cell.detail == "8 exhaustive blade triples, first violation (1, 1, e1)"
+
+
+def test_table4_product_leaving_the_span_fails_its_cell(monkeypatch):
+    # 1 * 1 lands on a blade outside every basis: each cell reports the
+    # oracle's NotClosed message and the sweep still runs to the end
+    import cliffsig.verify as verify
+
+    honest = verify.geometric_blade_op
+
+    def leaky(sig):
+        op = honest(sig)
+
+        def blade_op(x, y):
+            sign, mask = op(x, y)
+            return (sign, 1 << sig.n) if x == y == 0 else (sign, mask)
+
+        return blade_op
+
+    monkeypatch.setattr(verify, "geometric_blade_op", leaky)
+    report = verify_table4(max_n=1)
+    assert len(report.cells) == 5 and report.violations == 5
+    for c in report.cells:
+        assert c.detail.endswith("; product of basis elements 0 and 0 leaves the span")
