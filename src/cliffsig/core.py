@@ -4,8 +4,10 @@ The algebra lives on the 2^n-dimensional space of multivectors over an
 orthonormal basis e_1..e_n, where e_1..e_p square to +1 and the remaining
 q square to -1.  Blades are encoded as index bitmasks (bit i-1 <-> e_i)
 and a multivector is a sparse map from blade mask to an exact rational
-coefficient.  No floating point appears anywhere: every identity checked
-downstream (classification invariants, signature data) must hold exactly.
+coefficient, stored as integer numerators over one common denominator so
+that products run on ints.  No floating point appears anywhere: every
+identity checked downstream (classification invariants, signature data)
+must hold exactly.
 
 All values are immutable after construction and every operation is a pure
 function, so multivectors and signatures can be shared freely between
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -132,32 +135,43 @@ def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
 
 
 class Multivector:
-    """Element of Cl(p,q): sparse blade-mask -> Fraction map.
+    """Element of Cl(p,q): integer numerators over one common denominator.
 
-    Zero coefficients are never stored, so equality of the term maps is
-    equality in the algebra.  Instances are immutable.
+    Canonical form: ``_num`` maps blade masks to nonzero ints, ``_den`` is
+    a positive int, and gcd(_den, *_num.values()) == 1, so equality is a
+    plain compare of (sig, den, num).  ``terms`` shows the same value as a
+    blade-mask -> Fraction map.  Instances are immutable.
 
     Operators: ``+``/``-`` add, ``*`` is the geometric product (scalars
     promote), ``^`` the exterior product.  Contractions and the rest of
     the toolkit are module-level functions.
     """
 
-    __slots__ = ("sig", "_terms")
+    __slots__ = ("sig", "_num", "_den")
 
     def __init__(self, sig: Signature, terms: Mapping[int, Rational] | None = None):
-        clean: dict[int, Fraction] = {}
+        parts = []
+        den = 1
         if terms:
             for mask, coeff in terms.items():
                 sig.check_mask(mask)
-                if not isinstance(coeff, (int, Fraction)):
+                if isinstance(coeff, int):
+                    n, d = int(coeff), 1
+                elif isinstance(coeff, Fraction):
+                    n, d = coeff.numerator, coeff.denominator
+                else:
                     raise TypeError(
                         f"coefficient {coeff!r} is not an int or a Fraction"
                     )
-                c = Fraction(coeff)
-                if c:
-                    clean[mask] = c
+                if n:
+                    parts.append((mask, n, d))
+                    if d != 1:
+                        den = lcm(den, d)
+        # reduced fractions over the lcm of their denominators are in
+        # canonical form: no prime of the lcm divides every numerator
         object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_num", {m: n * (den // d) for m, n, d in parts})
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -166,7 +180,7 @@ class Multivector:
 
     @classmethod
     def zero(cls, sig: Signature) -> "Multivector":
-        return cls(sig)
+        return _new(sig, {}, 1)
 
     @classmethod
     def scalar(cls, sig: Signature, value: Rational) -> "Multivector":
@@ -175,7 +189,7 @@ class Multivector:
     @classmethod
     def basis_vector(cls, sig: Signature, i: int) -> "Multivector":
         sig.check_index(i)
-        return cls(sig, {1 << (i - 1): Fraction(1)})
+        return _new(sig, {1 << (i - 1): 1}, 1)
 
     @classmethod
     def blade(cls, sig: Signature, mask: int, coeff: Rational = 1) -> "Multivector":
@@ -185,20 +199,21 @@ class Multivector:
 
     @property
     def terms(self) -> Mapping[int, Fraction]:
-        return MappingProxyType(self._terms)
+        den = self._den
+        return MappingProxyType({m: Fraction(n, den) for m, n in self._num.items()})
 
     def grades(self) -> set[int]:
-        return {kernels.grade(m) for m in self._terms}
+        return {kernels.grade(m) for m in self._num}
 
     def scalar_part(self) -> Fraction:
-        return self._terms.get(0, Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_vector(self) -> bool:
         """True for elements of V (including 0)."""
-        return all(kernels.grade(m) == 1 for m in self._terms)
+        return all(kernels.grade(m) == 1 for m in self._num)
 
     def grade(self, k: int) -> "Multivector":
         return grade_projection(self, k)
@@ -218,10 +233,7 @@ class Multivector:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self._terms)
-        for mask, c in rhs._terms.items():
-            out[mask] = out.get(mask, Fraction(0)) + c
-        return Multivector(self.sig, out)
+        return _combine(self, rhs, 1)
 
     __radd__ = __add__
 
@@ -229,21 +241,28 @@ class Multivector:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return _combine(self, rhs, -1)
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return _combine(rhs, self, -1)
 
     def __neg__(self):
-        return Multivector(self.sig, {m: -c for m, c in self._terms.items()})
+        return _new(self.sig, {m: -n for m, n in self._num.items()}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            return Multivector(self.sig, {m: c * f for m, c in self._terms.items()})
+            top = f.numerator
+            if not top:
+                return _new(self.sig, {}, 1)
+            return _reduced(
+                self.sig,
+                {m: n * top for m, n in self._num.items()},
+                self._den * f.denominator,
+            )
         if isinstance(other, Multivector):
             return geometric_product(self, other)
         return NotImplemented
@@ -271,17 +290,24 @@ class Multivector:
         return wedge(lhs, self)
 
     def __eq__(self, other):
+        if isinstance(other, Multivector):
+            return (
+                self._den == other._den
+                and self._num == other._num
+                and self.sig == other.sig
+            )
         if isinstance(other, (int, Fraction)):
-            other = Multivector.scalar(self.sig, other)
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.sig == other.sig and self._terms == other._terms
+            return self._num.keys() <= {0} and self.scalar_part() == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.sig, frozenset(self._terms.items())))
+        if self._num.keys() <= {0}:
+            # equal to its scalar value, so it must hash like it
+            return hash(self.scalar_part())
+        return hash((self.sig, self._den, frozenset(self._num.items())))
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._num)
 
     def __str__(self) -> str:
         from .expr import format_multivector
@@ -290,6 +316,52 @@ class Multivector:
 
     def __repr__(self) -> str:
         return f"<{self} :: {self.sig}>"
+
+
+def _new(sig: Signature, num: dict[int, int], den: int) -> Multivector:
+    """A Multivector from numerators already in canonical form."""
+    a = object.__new__(Multivector)
+    object.__setattr__(a, "sig", sig)
+    object.__setattr__(a, "_num", num)
+    object.__setattr__(a, "_den", den)
+    return a
+
+
+def _reduced(sig: Signature, num: dict[int, int], den: int) -> Multivector:
+    """A Multivector from nonzero numerators over a positive denominator,
+    divided by their common gcd."""
+    if not num:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {m: n // g for m, n in num.items()}
+            den //= g
+    return _new(sig, num, den)
+
+
+def _combine(a: Multivector, b: Multivector, sign: int) -> Multivector:
+    """a + sign * b, over the lcm of the two denominators."""
+    den = lcm(a._den, b._den)
+    fa, fb = den // a._den, sign * (den // b._den)
+    num = {m: n * fa for m, n in a._num.items()} if fa != 1 else dict(a._num)
+    for m, n in b._num.items():
+        num[m] = num.get(m, 0) + n * fb
+    return _reduced(a.sig, {m: n for m, n in num.items() if n}, den)
+
+
+def _reweighted(a: Multivector, weight) -> Multivector:
+    """Keep, negate or drop each term of ``a`` as ``weight(mask)`` is
+    positive, negative or zero: the one shape of the grade and parity
+    projections and the involutions, here and in ``grading``."""
+    num = {}
+    for m, n in a._num.items():
+        w = weight(m)
+        if w:
+            num[m] = n if w > 0 else -n
+    if len(num) == len(a._num):  # same support: the gcd is unchanged
+        return _new(a.sig, num, a._den)
+    return _reduced(a.sig, num, a._den)
 
 
 def _check_same_sig(a: Multivector, b: Multivector) -> None:
@@ -302,19 +374,24 @@ def bilinear(a: Multivector, b: Multivector, blade_op) -> Multivector:
 
     The one driver behind every product in the package: each product is
     only a choice of ``blade_op``, which sends a pair of blade masks to a
-    sign in {-1, 0, 1} and a result mask.  The caller checks signatures.
+    sign in {-1, 0, 1} and a result mask.  Numerators multiply as ints
+    over the product of the denominators, reduced by one gcd at the end;
+    every result mask is range-checked.  The caller checks signatures.
     """
-    out: dict[int, Fraction] = {}
-    for ma, ca in a._terms.items():
-        for mb, cb in b._terms.items():
+    out: dict[int, int] = {}
+    get = out.get
+    b_terms = b._num.items()
+    for ma, ca in a._num.items():
+        for mb, cb in b_terms:
             sign, mask = blade_op(ma, mb)
             if sign:
-                acc = out.get(mask, Fraction(0)) + sign * ca * cb
-                if acc:
-                    out[mask] = acc
-                elif mask in out:
-                    del out[mask]
-    return Multivector(a.sig, out)
+                out[mask] = get(mask, 0) + sign * ca * cb
+    num = {m: n for m, n in out.items() if n}
+    sig = a.sig
+    if num and not (min(num) >= 0 and max(num) <= sig.full_mask):
+        for mask in num:
+            sig.check_mask(mask)
+    return _reduced(sig, num, a._den * b._den)
 
 
 def geometric_blade_op(sig: Signature):
@@ -353,33 +430,25 @@ def right_contraction(a: Multivector, b: Multivector) -> Multivector:
 
 def grade_projection(a: Multivector, k: int) -> Multivector:
     """Grade-k part of a; 0 for k outside [0, n] (by convention)."""
-    return Multivector(
-        a.sig, {m: c for m, c in a._terms.items() if kernels.grade(m) == k}
-    )
+    return _reweighted(a, lambda m: kernels.grade(m) == k)
 
 
 def even_grade_part(a: Multivector) -> Multivector:
-    return Multivector(a.sig, {m: c for m, c in a._terms.items() if not kernels.grade(m) & 1})
+    return _reweighted(a, lambda m: not kernels.grade(m) & 1)
 
 
 def odd_grade_part(a: Multivector) -> Multivector:
-    return Multivector(a.sig, {m: c for m, c in a._terms.items() if kernels.grade(m) & 1})
+    return _reweighted(a, lambda m: kernels.grade(m) & 1)
 
 
 def parity(a: Multivector) -> Multivector:
     """Grade involution: (-1)^k on the grade-k part; an automorphism."""
-    return Multivector(
-        a.sig,
-        {m: -c if kernels.grade(m) & 1 else c for m, c in a._terms.items()},
-    )
+    return _reweighted(a, lambda m: -1 if kernels.grade(m) & 1 else 1)
 
 
 def reversion(a: Multivector) -> Multivector:
     """Reversion: (-1)^floor(k/2) on the grade-k part; an anti-automorphism."""
-    return Multivector(
-        a.sig,
-        {m: -c if kernels.grade(m) // 2 & 1 else c for m, c in a._terms.items()},
-    )
+    return _reweighted(a, lambda m: -1 if kernels.grade(m) // 2 & 1 else 1)
 
 
 def extended_metric(a: Multivector, b: Multivector) -> Fraction:
@@ -391,10 +460,10 @@ def extended_metric(a: Multivector, b: Multivector) -> Fraction:
     """
     _check_same_sig(a, b)
     neg = a.sig.neg_mask
-    total = Fraction(0)
-    small, large = (a._terms, b._terms) if len(a._terms) <= len(b._terms) else (b._terms, a._terms)
-    for mask, ca in small.items():
-        cb = large.get(mask)
-        if cb is not None:
-            total += ca * cb * kernels.blade_metric_sign(mask, neg)
-    return total
+    total = 0
+    small, large = (a._num, b._num) if len(a._num) <= len(b._num) else (b._num, a._num)
+    for mask, na in small.items():
+        nb = large.get(mask)
+        if nb is not None:
+            total += na * nb * kernels.blade_metric_sign(mask, neg)
+    return Fraction(total, a._den * b._den)

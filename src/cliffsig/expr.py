@@ -179,11 +179,12 @@ def parse_multivector(
 
 def format_multivector(a: Multivector) -> str:
     """Canonical text form; parses back to the same value."""
-    if not a.terms:
+    terms = a.terms
+    if not terms:
         return "0"
     pieces: list[str] = []
-    for mask in sorted(a.terms, key=blade_sort_key):
-        coeff = a.terms[mask]
+    for mask in sorted(terms, key=blade_sort_key):
+        coeff = terms[mask]
         negative = coeff < 0
         mag = -coeff if negative else coeff
         if mask == 0:

@@ -19,6 +19,7 @@ from .core import (
     Multivector,
     Signature,
     SignatureMismatch,
+    _reweighted,
     all_blades,
     blade_from_indices,
     blade_indices,
@@ -105,24 +106,21 @@ def alpha(a: Multivector, gr: Z2Grading) -> Multivector:
     """Grading automorphism: -1 on odd blades, +1 on even ones."""
     if a.sig != gr.sig:
         raise SignatureMismatch(f"{a.sig} vs {gr.sig}")
-    return Multivector(
-        a.sig,
-        {m: -c if gr.blade_parity(m) else c for m, c in a.terms.items()},
-    )
+    return _reweighted(a, lambda m: -1 if gr.blade_parity(m) else 1)
 
 
 def project_even(a: Multivector, gr: Z2Grading) -> Multivector:
     """pi_0(a) = (a + alpha(a)) / 2: the even component."""
     if a.sig != gr.sig:
         raise SignatureMismatch(f"{a.sig} vs {gr.sig}")
-    return Multivector(a.sig, {m: c for m, c in a.terms.items() if not gr.blade_parity(m)})
+    return _reweighted(a, lambda m: not gr.blade_parity(m))
 
 
 def project_odd(a: Multivector, gr: Z2Grading) -> Multivector:
     """pi_1(a) = (a - alpha(a)) / 2: the odd component."""
     if a.sig != gr.sig:
         raise SignatureMismatch(f"{a.sig} vs {gr.sig}")
-    return Multivector(a.sig, {m: c for m, c in a.terms.items() if gr.blade_parity(m)})
+    return _reweighted(a, gr.blade_parity)
 
 
 def even_subalgebra_basis(gr: Z2Grading) -> list[int]:

@@ -145,9 +145,8 @@ def random_multivector(
     out: dict[int, Fraction] = {}
     for _ in range(terms):
         mask = rng.randrange(1 << sig.n)
-        out[mask] = out.get(mask, Fraction(0)) + Fraction(
-            rng.randint(-8, 8), rng.randint(1, 6)
-        )
+        c = Fraction(rng.randint(-8, 8), rng.randint(1, 6))
+        out[mask] = out[mask] + c if mask in out else c
     return Multivector(sig, out)
 
 

@@ -6,10 +6,12 @@ extended metric by cofactor-expansion Gram determinants, contractions by
 solving the adjointness relation coefficient by coefficient.  No code is
 shared with the package, so agreement is meaningful.
 
-The one exception is the dense fingerprint reference at the end, which
-calls ``cliffsig.linalg`` for its center nullspace and its congruence
-signature; the package's fingerprint, read off a blade sign table, uses
-neither.
+Two sections are exceptions.  The Fraction-dict reference for the
+multivector arithmetic takes the package's blade sign functions, so it
+checks only the integer-numerator representation, not the blade signs.
+The dense fingerprint reference at the end calls ``cliffsig.linalg`` for
+its center nullspace and its congruence signature; the package's
+fingerprint, read off a blade sign table, uses neither.
 """
 
 import functools
@@ -187,6 +189,58 @@ def multivector_structure_constants(sig, masks, product):
         ]
         for a in basis
     ]
+
+
+# -- Fraction-dict reference for the multivector arithmetic -------------------
+#
+# ``Multivector`` stores integer numerators over one common denominator.
+# These are its operations as they were written before that, on plain
+# {mask: Fraction} dicts with zero coefficients dropped, one Fraction
+# operation per term.  They take the same blade sign functions and blade
+# predicates as the package, so the tests compare the arithmetic alone.
+
+MaskTerms = dict[int, Fraction]  # blade mask -> nonzero coefficient
+
+
+def ref_bilinear(a: MaskTerms, b: MaskTerms, blade_op) -> MaskTerms:
+    out: MaskTerms = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            sign, mask = blade_op(ma, mb)
+            if sign:
+                acc = out.get(mask, Fraction(0)) + sign * ca * cb
+                if acc:
+                    out[mask] = acc
+                elif mask in out:
+                    del out[mask]
+    return out
+
+
+def ref_add(a: MaskTerms, b: MaskTerms) -> MaskTerms:
+    out = dict(a)
+    for mask, c in b.items():
+        out[mask] = out.get(mask, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_scale(a: MaskTerms, f) -> MaskTerms:
+    f = Fraction(f)
+    return {m: c * f for m, c in a.items() if c * f}
+
+
+def ref_reweight(a: MaskTerms, weight) -> MaskTerms:
+    """Keep, negate or drop each term by ``weight(mask)`` in {1, -1, 0}:
+    the shape of every grade, parity and grading projection or involution."""
+    return {m: weight(m) * c for m, c in a.items() if weight(m)}
+
+
+def ref_extended_metric(a: MaskTerms, b: MaskTerms, metric_sign) -> Fraction:
+    total = Fraction(0)
+    for mask, ca in a.items():
+        cb = b.get(mask)
+        if cb is not None:
+            total += ca * cb * metric_sign(mask)
+    return total
 
 
 # -- dense fingerprint reference ---------------------------------------------

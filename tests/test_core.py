@@ -1,6 +1,7 @@
 """Core multivector arithmetic against the brute-force oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,23 +13,36 @@ from cliffsig import (
     Multivector,
     Signature,
     SignatureMismatch,
+    Z2Grading,
     all_blades,
+    alpha,
     blade_product,
     extended_metric,
+    geometric_blade_op,
     geometric_product,
     grade_projection,
+    kernels,
     left_contraction,
     parity,
+    project_even,
+    project_odd,
     reversion,
     right_contraction,
     wedge,
 )
+from cliffsig.core import bilinear, even_grade_part, odd_grade_part
+from cliffsig.sigchange import vee_alpha, vee_alpha_blade_op, vee_prime, vee_prime_blade_op
 from oracles import (
     from_multivector,
     naive_blade_product,
     naive_gp,
     naive_left_contraction,
     naive_right_contraction,
+    ref_add,
+    ref_bilinear,
+    ref_extended_metric,
+    ref_reweight,
+    ref_scale,
     to_multivector,
 )
 
@@ -421,6 +435,112 @@ def test_exact_coefficients_accepted():
     assert Multivector.scalar(sig, Fraction(1, 3)).terms == {0: Fraction(1, 3)}
     assert Multivector.blade(sig, 0b1, -1).terms == {1: Fraction(-1)}
     assert all(type(c) is Fraction for c in Multivector(sig, {0: 5}).terms.values())
+
+
+def test_scalar_multivector_hashes_like_its_value():
+    # == promotes a scalar, so the hash must agree with the scalar's
+    sig = Signature(2, 1)
+    for value in (0, 3, -1, Fraction(5, 7)):
+        a = Multivector.scalar(sig, value)
+        assert a == value
+        assert hash(a) == hash(value)
+        assert len({a, value}) == 1
+    assert hash(Multivector.zero(sig)) == hash(0)
+    b = Multivector(sig, {0: 3, 1: 1})
+    assert b != 3 and len({b, 3}) == 2
+
+
+# -- canonical form against the Fraction-dict reference ---------------------
+
+
+@st.composite
+def mask_terms(draw, sig):
+    """{mask: Fraction} with zero coefficients dropped, as a reference value."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        mask = draw(st.integers(0, sig.full_mask))
+        c = Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 12)))
+        terms[mask] = terms.get(mask, Fraction(0)) + c
+    return {m: c for m, c in terms.items() if c}
+
+
+def assert_canonical(x):
+    num, den = x._num, x._den
+    assert type(den) is int and den >= 1
+    assert all(type(n) is int and n for n in num.values())
+    assert math.gcd(den, *num.values()) == 1
+    assert all(type(c) is Fraction for c in x.terms.values())
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_operations_match_the_fraction_reference(data):
+    sig = data.draw(st.sampled_from([Signature(0, 0), Signature(2, 0), Signature(1, 2), SIG31]))
+    gr = Z2Grading(sig, data.draw(st.integers(0, sig.full_mask)))
+    A, B = data.draw(mask_terms(sig)), data.draw(mask_terms(sig))
+    f = Fraction(data.draw(st.integers(-40, 40)), data.draw(st.integers(1, 40)))
+    k = data.draw(st.integers(-1, sig.n + 1))
+    a, b = Multivector(sig, A), Multivector(sig, B)
+    neg = sig.neg_mask
+
+    def alpha_parity(m):
+        return kernels.grade(m & gr.odd_mask) & 1
+
+    cases = [
+        (a, A),
+        (geometric_product(a, b), ref_bilinear(A, B, geometric_blade_op(sig))),
+        (wedge(a, b), ref_bilinear(A, B, kernels.blade_wedge)),
+        (
+            left_contraction(a, b),
+            ref_bilinear(A, B, lambda x, y: kernels.blade_left_contract(x, y, neg)),
+        ),
+        (
+            right_contraction(a, b),
+            ref_bilinear(A, B, lambda x, y: kernels.blade_right_contract(x, y, neg)),
+        ),
+        (vee_alpha(a, b, gr), ref_bilinear(A, B, vee_alpha_blade_op(gr))),
+        (vee_prime(a, b, gr), ref_bilinear(A, B, vee_prime_blade_op(gr))),
+        (a + b, ref_add(A, B)),
+        (a - b, ref_add(A, ref_scale(B, -1))),
+        (a - a, {}),
+        (-a, ref_scale(A, -1)),
+        (a + f, ref_add(A, {0: f} if f else {})),
+        (a * f, ref_scale(A, f)),
+        (f * a, ref_scale(A, f)),
+        (a * 0, {}),
+        (grade_projection(a, k), ref_reweight(A, lambda m: 1 if kernels.grade(m) == k else 0)),
+        (even_grade_part(a), ref_reweight(A, lambda m: 0 if kernels.grade(m) & 1 else 1)),
+        (odd_grade_part(a), ref_reweight(A, lambda m: 1 if kernels.grade(m) & 1 else 0)),
+        (parity(a), ref_reweight(A, lambda m: -1 if kernels.grade(m) & 1 else 1)),
+        (reversion(a), ref_reweight(A, lambda m: -1 if kernels.grade(m) // 2 & 1 else 1)),
+        (alpha(a, gr), ref_reweight(A, lambda m: -1 if alpha_parity(m) else 1)),
+        (project_even(a, gr), ref_reweight(A, lambda m: 0 if alpha_parity(m) else 1)),
+        (project_odd(a, gr), ref_reweight(A, alpha_parity)),
+    ]
+    if f:
+        cases.append((a / f, ref_scale(A, 1 / f)))
+    for got, want in cases:
+        assert dict(got.terms) == want
+        assert_canonical(got)
+        assert got == Multivector(sig, want)
+        assert hash(got) == hash(Multivector(sig, want))
+    want = ref_extended_metric(A, B, lambda m: kernels.blade_metric_sign(m, neg))
+    assert extended_metric(a, b) == want
+    assert type(extended_metric(a, b)) is Fraction
+    assert a.scalar_part() == A.get(0, 0) and type(a.scalar_part()) is Fraction
+
+
+def test_product_result_masks_are_range_checked():
+    # a sign function landing outside the algebra is refused, as the
+    # constructor refuses an out-of-range mask
+    sig = Signature(2, 0)
+    a = Multivector.basis_vector(sig, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        bilinear(a, a, lambda x, y: (1, 0b100))
+    with pytest.raises(ValueError, match="out of range"):
+        bilinear(a, a, lambda x, y: (1, -1))
+    with pytest.raises(ValueError, match="out of range"):
+        Multivector(sig, {0b100: 1})
 
 
 def test_signature_validation():

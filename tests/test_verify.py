@@ -2,12 +2,15 @@
 randomized-subset re-check."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
+from cliffsig.sigchange import random_vector
 from cliffsig.verify import (
     SUITES,
     canonical_odd_mask,
+    random_multivector,
     random_odd_mask,
     run_suite,
     signatures_up_to,
@@ -37,6 +40,27 @@ def test_random_odd_mask_counts():
         p1, q1 = rng.randint(0, 3), rng.randint(0, 2)
         gr = Z2Grading(sig, random_odd_mask(rng, sig, p1, q1))
         assert gr.counts() == (3 - p1, 2 - q1, p1, q1)
+
+
+def test_random_draws_are_frozen():
+    # the sampled core and sigchange cells check these exact multivectors;
+    # a change of representation must not change what a seed draws
+    rng = random.Random(7)
+    sig = Signature(2, 1)
+    assert [dict(random_multivector(rng, sig).terms) for _ in range(3)] == [
+        {5: F(-1), 0: F(14, 5), 1: F(3, 5)},
+        {0: F(-3, 2), 6: F(-3), 1: F(29, 6)},  # e1 drawn twice: 5 - 1/6
+        {0: F(4), 3: F(-7, 5), 2: F(-3, 4)},
+    ]
+    assert [dict(random_vector(rng, sig).terms) for _ in range(2)] == [
+        {1: F(-1), 2: F(-5, 2), 4: F(-1)},
+        {1: F(2), 2: F(3), 4: F(3, 2)},
+    ]
+    # the first draw of the core suite's Cl(3,3) associativity cell, seed 0
+    rng = random.Random(0 * 10_000 + 3 * 100 + 3)
+    assert dict(random_multivector(rng, Signature(3, 3)).terms) == {
+        4: F(-1, 6), 24: F(-6, 5), 33: F(2), 20: F(5, 4)
+    }
 
 
 def test_report_json_schema():
