@@ -359,8 +359,6 @@ def _reweighted(a: Multivector, weight) -> Multivector:
         w = weight(m)
         if w:
             num[m] = n if w > 0 else -n
-    if len(num) == len(a._num):  # same support: the gcd is unchanged
-        return _new(a.sig, num, a._den)
     return _reduced(a.sig, num, a._den)
 
 
@@ -388,9 +386,9 @@ def bilinear(a: Multivector, b: Multivector, blade_op) -> Multivector:
                 out[mask] = get(mask, 0) + sign * ca * cb
     num = {m: n for m, n in out.items() if n}
     sig = a.sig
-    if num and not (min(num) >= 0 and max(num) <= sig.full_mask):
-        for mask in num:
-            sig.check_mask(mask)
+    if num:
+        sig.check_mask(min(num))
+        sig.check_mask(max(num))
     return _reduced(sig, num, a._den * b._den)
 
 

@@ -496,15 +496,24 @@ def test_verify_clifford_map_names_first_witnesses(monkeypatch):
 
 
 def test_passing_clifford_map_builds_no_multivector(monkeypatch):
-    # every check reads ∨ through its sign function alone
+    # every check reads ∨ through its sign function alone; count both ways a
+    # Multivector is made: the public constructor and core's canonical-form
+    # builder behind zero, basis_vector, negation and every product
+    import cliffsig.core as core
+
     calls = []
-    honest = Multivector.__init__
+    honest_init, honest_new = Multivector.__init__, core._new
 
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        honest(self, *args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        calls.append("__init__")
+        honest_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Multivector, "__init__", counting)
+    def counting_new(*args):
+        calls.append("_new")
+        return honest_new(*args)
+
+    monkeypatch.setattr(Multivector, "__init__", counting_init)
+    monkeypatch.setattr(core, "_new", counting_new)
     for gr in [Z2Grading.from_odd_indices(Signature(2, 1), [2]), Z2Grading.usual(Signature(1, 3))]:
         assert verify_clifford_map(gr).ok
     assert calls == []
