@@ -22,8 +22,10 @@ signs alone, in Python ints with no division:
 * B is diagonal, since L_a L_b e_c lies on e_{a^b^c}, with
   B(e_a, e_a) = sum over c of σ(a,c) σ(a,a^c).
 
-``expected_invariants`` gives the fingerprint of a class in closed form,
-and ``oracle`` compares the two; it alone turns a violation into a verdict.
+``expected_invariants`` gives the fingerprint of a class in closed form.
+``oracle`` runs the one associativity pass (``check_associativity``),
+fingerprints with ``structural_invariants``, which checks nothing, and
+compares the two; it alone turns a violation into a verdict.
 The test suite keeps the dense construction (dict tables, a center
 nullspace, congruence diagonalization, matrix-unit references) as the
 reference these shortcuts are compared with.
@@ -52,16 +54,6 @@ class NotIndependent(ValueError):
 
 class NotTwisted(ValueError):
     """A product of two blades is not plus or minus their symmetric difference."""
-
-
-class NotAssociative(ValueError):
-    """The structure constants fail an associativity check; ``triple`` is
-    the first failing basis triple (i, j, k)."""
-
-    def __init__(self, triple: tuple[int, int, int]):
-        i, j, k = triple
-        super().__init__(f"(b{i} b{j}) b{k} != b{i} (b{j} b{k})")
-        self.triple = triple
 
 
 @dataclass(frozen=True)
@@ -166,15 +158,9 @@ def _signature(values) -> tuple[int, int]:
     return sum(v > 0 for v in values), sum(v < 0 for v in values)
 
 
-def structural_invariants(
-    sc: StructureConstants, *, seed: int = 0, associativity_trials: int = 200
-) -> StructuralInvariants:
-    """Fingerprint of an associative unital algebra given by structure
-    constants.  Associativity is spot-checked (exhaustively for small
-    dimensions) and NotAssociative raised on a violation."""
-    bad = first_nonassociative_triple(sc, seed, associativity_trials)
-    if bad is not None:
-        raise NotAssociative(bad)
+def structural_invariants(sc: StructureConstants) -> StructuralInvariants:
+    """Fingerprint of the algebra given by structure constants.  It does
+    not check associativity; ``oracle`` does that first."""
     sign, prod = sc.sign, sc.prod
     trace = [
         sum(s * row[k] for s, k in zip(row, prod_row) if s)
@@ -228,22 +214,34 @@ class Verdict:
         return not self.problem
 
 
+def check_associativity(
+    masks, sc: StructureConstants, seed: int, trials: int
+) -> tuple[bool, str]:
+    """The associativity pass over the blade basis ``masks`` with structure
+    constants ``sc`` (every triple while dim**3 <= 4096, ``trials`` seeded
+    ones beyond) and its report: ``exhaustive triples`` or ``N sampled
+    triples``, then ``0 violations`` or the first failing triple as blades."""
+    how = "exhaustive" if associativity_is_exhaustive(sc.dim) else f"{trials} sampled"
+    bad = first_nonassociative_triple(sc, seed, trials)
+    if bad is None:
+        return True, f"{how} triples, 0 violations"
+    witness = format_blades(masks[i] for i in bad)
+    return False, f"{how} triples, first violation {witness}"
+
+
 def oracle(masks, blade_op, cls: AlgebraClass, *, seed=0, trials=200) -> Verdict:
     """Fingerprint of the blade basis ``masks`` under ``blade_op`` against
-    the reference of ``cls``, with one associativity pass.  A violation is
+    the reference of ``cls``, after one associativity pass.  A violation is
     a failing verdict, not an exception: it names the first non-associative
     blade triple, the NotClosed, NotIndependent or NotTwisted message, or
     the oracle-vs-reference mismatch."""
-    how = "exhaustive" if associativity_is_exhaustive(len(masks)) else f"{trials} sampled"
     try:
         sc = regular_representation(masks, blade_op)
-        got = structural_invariants(sc, seed=seed, associativity_trials=trials)
-    except NotAssociative as exc:
-        witness = format_blades(masks[i] for i in exc.triple)
-        found = f"{how} triples, first violation {witness}"
-        return Verdict(False, found, f"not associative: {found}")
     except (NotClosed, NotIndependent, NotTwisted) as exc:
         return Verdict(False, str(exc), str(exc))
-    want = expected_invariants(cls)
+    associative, report = check_associativity(masks, sc, seed, trials)
+    if not associative:
+        return Verdict(False, report, f"not associative: {report}")
+    got, want = structural_invariants(sc), expected_invariants(cls)
     problem = "" if got == want else f"oracle {got} != reference {want}"
-    return Verdict(True, f"{how} triples, 0 violations", problem)
+    return Verdict(True, report, problem)

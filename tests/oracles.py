@@ -441,13 +441,21 @@ def _bilinear_form(b, u, v):
     return total
 
 
-def dense_invariants(sc: DenseConstants, *, seed: int = 0, associativity_trials: int = 200):
-    """The fingerprint by the dense route; NotAssociative on a violation."""
-    from cliffsig import NotAssociative, StructuralInvariants, linalg
-
-    bad = dense_first_nonassociative_triple(sc, seed, associativity_trials)
+def dense_invariants(sc: DenseConstants):
+    """The fingerprint by the dense route, after its own associativity
+    check (every triple while dim**3 <= 4096, 200 seeded ones beyond);
+    ValueError on a violation."""
+    bad = dense_first_nonassociative_triple(sc, 0, 200)
     if bad is not None:
-        raise NotAssociative(bad)
+        raise ValueError(f"not associative at basis triple {bad}")
+    return dense_fingerprint(sc)
+
+
+def dense_fingerprint(sc: DenseConstants):
+    """The fingerprint by the dense route without any associativity check:
+    center nullspace, trace form and congruence signatures."""
+    from cliffsig import StructuralInvariants, linalg
+
     center = dense_center_basis(sc)
     b = dense_trace_form(sc)
     pos, neg, _zero = linalg.symmetric_signature(b)

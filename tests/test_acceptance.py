@@ -18,7 +18,6 @@ from cliffsig import (
     classify_even_subalgebra,
     dimension_dichotomy_check,
     even_subalgebra_basis,
-    expected_invariants,
     find_wedge_counterexample,
     geometric_blade_op,
     geometric_product,
@@ -37,8 +36,8 @@ from cliffsig.grading import DimensionClass
 from cliffsig.oracle import (
     associativity_is_exhaustive,
     first_nonassociative_triple,
+    oracle,
     regular_representation,
-    structural_invariants,
 )
 from cliffsig.verify import (
     all_gradings,
@@ -56,13 +55,13 @@ def _report(number, name, detail=""):
 
 def test_criterion_01_full_algebra_classification():
     # oracle fingerprint of (carrier, geometric product) == reference
-    # fingerprint of the closed-form class, for all 28 algebras p+q <= 6
+    # fingerprint of the closed-form class, after the oracle's
+    # associativity pass, for all 28 algebras p+q <= 6
     count = 0
     for sig in signatures_up_to(6):
-        got = structural_invariants(
-            regular_representation(all_blades(sig), geometric_blade_op(sig))
-        )
-        assert got == expected_invariants(classify_clifford(sig.p, sig.q)), sig
+        cls = classify_clifford(sig.p, sig.q)
+        verdict = oracle(all_blades(sig), geometric_blade_op(sig), cls)
+        assert verdict.ok, (sig, verdict.problem)
         count += 1
     assert count == 28
     _report(1, "full-algebra classification", f"{count} algebras")
@@ -77,10 +76,8 @@ def test_criterion_02_even_part_classification():
         if sig.p >= 1:
             assert cls == classify_clifford(sig.q, sig.p - 1), sig
         masks = [m for m in all_blades(sig) if not bin(m).count("1") & 1]
-        got = structural_invariants(
-            regular_representation(masks, geometric_blade_op(sig))
-        )
-        assert got == expected_invariants(cls), sig
+        verdict = oracle(masks, geometric_blade_op(sig), cls)
+        assert verdict.ok, (sig, verdict.problem)
         count += 1
     _report(2, "even-part classification", f"{count} algebras")
 

@@ -7,7 +7,6 @@ import pytest
 
 from cliffsig import (
     AlgebraClass,
-    NotAssociative,
     NotClosed,
     NotIndependent,
     Signature,
@@ -31,12 +30,13 @@ from cliffsig import (
 )
 from cliffsig import kernels
 from cliffsig.core import MAX_DIMENSION
-from cliffsig.oracle import first_nonassociative_triple
+from cliffsig.oracle import first_nonassociative_triple, format_blades, oracle
 from cliffsig.verify import canonical_odd_mask, signatures_up_to
 
 from oracles import (
     DenseConstants,
     dense_first_nonassociative_triple,
+    dense_fingerprint,
     dense_invariants,
     dense_regular_representation,
     multivector_structure_constants,
@@ -170,7 +170,7 @@ def test_non_associative_detected():
     # (R with unit -1) and e1*e1 in Cl(1,0) and Cl(0,1) (they swap).  The
     # first failing triple is the dense reference's, both over every
     # triple (n <= 2, one flipped cell) and over the seeded sample (n = 5,
-    # the row of e1 flipped)
+    # the row of e1 flipped), and the oracle's verdict names it as blades
     cases = []
     for sig in signatures_up_to(2):
         masks = all_blades(sig)
@@ -186,11 +186,13 @@ def test_non_associative_detected():
             dense_regular_representation(masks, op), 0, 200
         )
         assert first_nonassociative_triple(sc, 0, 200) == want, (masks, op)
+        verdict = oracle(masks, op, AlgebraClass.of("R"))
+        assert verdict.associative == (want is None), (masks, op)
         if want is not None:
             failing += 1
-            with pytest.raises(NotAssociative) as info:
-                structural_invariants(sc)
-            assert info.value.triple == want
+            witness = format_blades(masks[i] for i in want)
+            assert not verdict.ok
+            assert verdict.associativity.endswith(f"first violation {witness}")
     assert want is not None, "the sampled n = 5 case stays associative"
     assert failing == len(cases) - 3
 
@@ -198,13 +200,33 @@ def test_non_associative_detected():
 def test_not_associative_carries_first_triple():
     # b0 b0 = b0 and b1 b1 = b0 as in Cl(1,0), but b1 b0 = -b1: the first
     # failing triple in order is (1, 0, 0), with (b1 b0) b0 = b1 but
-    # b1 (b0 b0) = -b1
+    # b1 (b0 b0) = -b1, which the verdict names as blades
     op = flipped(geometric_blade_op(Signature(1, 0)), (1, 0))
-    with pytest.raises(NotAssociative, match=r"\(b1 b0\) b0") as info:
-        structural_invariants(regular_representation([0, 1], op))
-    assert info.value.triple == (1, 0, 0)
+    verdict = oracle([0, 1], op, classify_clifford(1, 0))
+    assert not verdict.associative and not verdict.ok
+    assert verdict.associativity == "exhaustive triples, first violation (e1, 1, 1)"
+    assert verdict.problem == f"not associative: {verdict.associativity}"
     dense = dense_regular_representation([0, 1], op)
     assert dense_first_nonassociative_triple(dense, 0, 200) == (1, 0, 0)
+
+
+def test_fingerprint_checks_no_associativity():
+    # structural_invariants fingerprints any table it is given: on every
+    # non-associative table made by flipping one sign of the geometric
+    # product with n <= 3, it equals the dense route without its
+    # associativity check (center nullspace, trace form, signatures)
+    non_associative = 0
+    for sig in signatures_up_to(3):
+        masks = all_blades(sig)
+        for pair in itertools.product(masks, repeat=2):
+            op = flipped(geometric_blade_op(sig), pair)
+            sc = regular_representation(masks, op)
+            if first_nonassociative_triple(sc, 0, 200) is None:
+                continue
+            non_associative += 1
+            dense = dense_regular_representation(masks, op)
+            assert structural_invariants(sc) == dense_fingerprint(dense), (sig, pair)
+    assert non_associative == 310
 
 
 # -- reference realizations ------------------------------------------------------

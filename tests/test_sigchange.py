@@ -426,7 +426,7 @@ def test_counterexample_search_over_all_small_gradings():
     # exists exactly when the grading is not the all-odd one and n >= 2
     for sig in [Signature(2, 0), Signature(1, 1), Signature(2, 1), Signature(1, 0)]:
         for gr in all_gradings(sig):
-            w = find_wedge_counterexample(gr, trials=50)
+            w = find_wedge_counterexample(gr)
             if gr.is_usual or sig.n < 2:
                 assert w is None
             else:

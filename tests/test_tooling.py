@@ -50,7 +50,7 @@ def test_no_floating_point_in_package():
 def test_oracle_exceptions_are_caught_only_in_the_oracle():
     # a violation becomes a failing verdict in one place (oracle.oracle);
     # anywhere else, catching these would make a second policy
-    oracle_errors = {"NotAssociative", "NotClosed", "NotIndependent", "NotTwisted"}
+    oracle_errors = {"NotClosed", "NotIndependent", "NotTwisted"}
     found = []
     for path in SOURCES:
         if path.name == "oracle.py":
@@ -65,3 +65,21 @@ def test_oracle_exceptions_are_caught_only_in_the_oracle():
                 if names & oracle_errors:
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, f"oracle exceptions caught outside oracle.py: {found}"
+
+
+def test_associativity_is_checked_only_in_the_oracle():
+    # oracle.oracle runs and words the one associativity pass; a second
+    # caller of the triple search would be a second policy and wording
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "oracle.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "first_nonassociative_triple")
+        or (isinstance(node, ast.Attribute) and node.attr == "first_nonassociative_triple")
+        or (
+            isinstance(node, ast.alias)
+            and node.name == "first_nonassociative_triple"
+        )
+    ]
+    assert not found, f"first_nonassociative_triple named outside oracle.py: {found}"
