@@ -81,13 +81,6 @@ class AlgebraClass:
     def __repr__(self) -> str:
         return f"AlgebraClass({self})"
 
-    def to_json_dict(self) -> dict:
-        return {"components": [{"m": c.m, "K": c.K} for c in self.components]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AlgebraClass":
-        return cls(SimpleComponent(c["m"], c["K"]) for c in data["components"])
-
 
 # The division-algebra part A of Cl(p,q) ~ M(m,R) (x) A, keyed by
 # (p-q) mod 8, with m fixed by m^2 dim_R A = 2^n.

@@ -13,13 +13,7 @@ import sys
 from fractions import Fraction
 
 from .classify import classify_clifford, classify_even_part, classify_even_subalgebra
-from .core import (
-    MAX_DIMENSION,
-    Signature,
-    all_blades,
-    geometric_blade_op,
-    geometric_product,
-)
+from .core import MAX_DIMENSION, Signature, geometric_product
 from .expr import ParseError, format_multivector, parse_multivector
 from .grading import (
     DichotomyViolation,
@@ -28,13 +22,11 @@ from .grading import (
     NotIsometry,
     Z2Grading,
     dimension_dichotomy_check,
-    even_subalgebra_basis,
     grading_closure_check,
     validate_involution,
 )
-from .oracle import oracle
 from .sigchange import target_signature, tilt_product, vee_alpha, vee_prime
-from .verify import SUITES, canonical_odd_mask, run_suite
+from .verify import DEFAULT_SEED, SUITES, even_subalgebra_problem, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -195,16 +187,12 @@ def _cmd_classify(args) -> int:
             lines.append(f"even part: {even}")
     agree = True
     if args.oracle:
-        if args.even is not None:
-            odd = canonical_odd_mask(sig, sig.p - p0, sig.q - q0)
-            masks = even_subalgebra_basis(Z2Grading(sig, odd))
-        else:
-            masks = all_blades(sig)
-        verdict = oracle(masks, geometric_blade_op(sig), cls)
-        agree = out["oracle_agrees"] = verdict.ok
-        lines.append("oracle: " + ("agrees" if agree else f"DISAGREES; {verdict.problem}"))
-        if not agree:
-            out["oracle_problem"] = verdict.problem
+        p0, q0 = args.even or (sig.p, sig.q)
+        problem = even_subalgebra_problem(sig, p0, q0, cls, DEFAULT_SEED)
+        agree = out["oracle_agrees"] = not problem
+        lines.append("oracle: " + ("agrees" if agree else f"DISAGREES; {problem}"))
+        if problem:
+            out["oracle_problem"] = problem
     if args.json:
         print(json.dumps(out))
     else:

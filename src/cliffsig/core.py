@@ -222,8 +222,7 @@ class Multivector:
 
     def _coerce(self, other) -> "Multivector | None":
         if isinstance(other, Multivector):
-            if other.sig != self.sig:
-                raise SignatureMismatch(f"{self.sig} vs {other.sig}")
+            _check_same_sig(self, other)
             return other
         if isinstance(other, (int, Fraction)):
             return Multivector.scalar(self.sig, other)
@@ -362,7 +361,8 @@ def _reweighted(a: Multivector, weight) -> Multivector:
     return _reduced(a.sig, num, a._den)
 
 
-def _check_same_sig(a: Multivector, b: Multivector) -> None:
+def _check_same_sig(a, b) -> None:
+    """Any two objects with a ``sig`` (a Multivector, a Z2Grading) must agree."""
     if a.sig != b.sig:
         raise SignatureMismatch(f"{a.sig} vs {b.sig}")
 

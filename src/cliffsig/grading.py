@@ -18,7 +18,7 @@ from . import kernels, linalg
 from .core import (
     Multivector,
     Signature,
-    SignatureMismatch,
+    _check_same_sig,
     _reweighted,
     all_blades,
     blade_from_indices,
@@ -104,22 +104,19 @@ class Z2Grading:
 
 def alpha(a: Multivector, gr: Z2Grading) -> Multivector:
     """Grading automorphism: -1 on odd blades, +1 on even ones."""
-    if a.sig != gr.sig:
-        raise SignatureMismatch(f"{a.sig} vs {gr.sig}")
+    _check_same_sig(a, gr)
     return _reweighted(a, lambda m: -1 if gr.blade_parity(m) else 1)
 
 
 def project_even(a: Multivector, gr: Z2Grading) -> Multivector:
     """pi_0(a) = (a + alpha(a)) / 2: the even component."""
-    if a.sig != gr.sig:
-        raise SignatureMismatch(f"{a.sig} vs {gr.sig}")
+    _check_same_sig(a, gr)
     return _reweighted(a, lambda m: not gr.blade_parity(m))
 
 
 def project_odd(a: Multivector, gr: Z2Grading) -> Multivector:
     """pi_1(a) = (a - alpha(a)) / 2: the odd component."""
-    if a.sig != gr.sig:
-        raise SignatureMismatch(f"{a.sig} vs {gr.sig}")
+    _check_same_sig(a, gr)
     return _reweighted(a, gr.blade_parity)
 
 

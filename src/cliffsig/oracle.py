@@ -128,24 +128,29 @@ def associativity_is_exhaustive(dim: int) -> bool:
     return dim**3 <= _EXHAUSTIVE_TRIPLES
 
 
+def triples(dim: int, rng: random.Random | int, trials: int):
+    """Index triples of a basis of size ``dim``: every one while
+    dim**3 <= _EXHAUSTIVE_TRIPLES, else ``trials`` drawn from ``rng``, a
+    ``random.Random`` or a seed for one (seeded only when sampling)."""
+    if associativity_is_exhaustive(dim):
+        return itertools.product(range(dim), repeat=3)
+    if isinstance(rng, int):
+        rng = random.Random(rng)
+    return (
+        (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
+        for _ in range(trials)
+    )
+
+
 def first_nonassociative_triple(
     sc: StructureConstants, seed: int, trials: int
 ) -> tuple[int, int, int] | None:
-    """First basis triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k),
-    or None.  Every triple is visited while dim**3 <= _EXHAUSTIVE_TRIPLES,
-    ``trials`` seeded random ones beyond.  Both sides lie on the same
-    blade, so they are compared by their signs (the cocycle identity)."""
-    dim = sc.dim
+    """First basis triple (i, j, k) of ``triples(sc.dim, seed, trials)``
+    with (b_i b_j) b_k != b_i (b_j b_k), or None.  Both sides lie on the
+    same blade, so they are compared by their signs (the cocycle
+    identity)."""
     sign, prod = sc.sign, sc.prod
-    if associativity_is_exhaustive(dim):
-        triples = itertools.product(range(dim), repeat=3)
-    else:
-        rng = random.Random(seed)
-        triples = (
-            (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
-            for _ in range(trials)
-        )
-    for i, j, k in triples:
+    for i, j, k in triples(sc.dim, seed, trials):
         s, t = sign[i][j], sign[j][k]
         left = s and s * sign[prod[i][j]][k]
         right = t and t * sign[i][prod[j][k]]

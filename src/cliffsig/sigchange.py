@@ -36,7 +36,7 @@ from .classify import classify_clifford
 from .core import (
     Multivector,
     Signature,
-    SignatureMismatch,
+    _check_same_sig,
     _reduced,
     all_blades,
     bilinear,
@@ -60,11 +60,6 @@ from .oracle import (
 ASSOCIATIVITY_TRIPLES = 300
 
 
-def _check(a: Multivector, gr: Z2Grading) -> None:
-    if a.sig != gr.sig:
-        raise SignatureMismatch(f"{a.sig} vs {gr.sig}")
-
-
 def _require_vector(v: Multivector, what: str) -> None:
     if not v.is_vector():
         raise ValueError(f"{what} must be a 1-vector, got grades {sorted(v.grades())}")
@@ -72,8 +67,8 @@ def _require_vector(v: Multivector, what: str) -> None:
 
 def deformed_metric(u: Multivector, v: Multivector, gr: Z2Grading) -> Fraction:
     """g_a(u,v) = g(u0,v0) - g(u1,v1) on 1-vectors."""
-    _check(u, gr)
-    _check(v, gr)
+    _check_same_sig(u, gr)
+    _check_same_sig(v, gr)
     _require_vector(u, "first argument")
     _require_vector(v, "second argument")
     return extended_metric(project_even(u, gr), project_even(v, gr)) - extended_metric(
@@ -104,16 +99,16 @@ def vee_alpha(a: Multivector, b: Multivector, gr: Z2Grading) -> Multivector:
     the definition, and checks associativity and the g_a generator
     relations.
     """
-    _check(a, gr)
-    _check(b, gr)
+    _check_same_sig(a, gr)
+    _check_same_sig(b, gr)
     return bilinear(a, b, vee_alpha_blade_op(gr))
 
 
 def vee_alpha_via_split(v: Multivector, a: Multivector, gr: Z2Grading) -> Multivector:
     """Independent route for a 1-vector ``v``: v ∨ a = v0 a + â v1,
     written entirely with the original geometric product."""
-    _check(v, gr)
-    _check(a, gr)
+    _check_same_sig(v, gr)
+    _check_same_sig(a, gr)
     _require_vector(v, "first argument")
     v0 = project_even(v, gr)
     v1 = project_odd(v, gr)
@@ -124,8 +119,7 @@ def tilt_product(a: Multivector, b: Multivector) -> Multivector:
     """Lounesto's tilt to the opposite metric: the deformed product of the
     all-odd grading in closed form, a ∨ b = b0 a0 + b0 a1 + b1 a0 - b1 a1
     with even/odd grade parts."""
-    if a.sig != b.sig:
-        raise SignatureMismatch(f"{a.sig} vs {b.sig}")
+    _check_same_sig(a, b)
     a0, a1 = even_grade_part(a), odd_grade_part(a)
     b0, b1 = even_grade_part(b), odd_grade_part(b)
     return (
@@ -155,8 +149,8 @@ def vee_prime(a: Multivector, b: Multivector, gr: Z2Grading) -> Multivector:
     parities i, j it is (-1)^(ij) times the original product in reversed
     order, extended bilinearly.  Associative, and respects the grading.
     """
-    _check(a, gr)
-    _check(b, gr)
+    _check_same_sig(a, gr)
+    _check_same_sig(b, gr)
     return bilinear(a, b, vee_prime_blade_op(gr))
 
 

@@ -6,11 +6,17 @@ against their defining laws), timing each cell.  Cells are pure
 computations, so a sweep could fan out to workers; the implementation
 stays sequential to keep report ordering deterministic.
 
+Every table cell fingerprints through ``even_subalgebra_problem``: the
+even subalgebra of the grading whose even 1-vectors have signature
+(p0, q0).  The whole algebra and its even-grade part are the two
+extremes, the trivial grading (p0, q0) = (p, q) and the usual one (0, 0).
+
 Suites:
 
-* ``table1``  — full algebras: oracle fingerprint vs classify_clifford.
-* ``table2``  — even-grade parts: fingerprint vs classify_even_part and
-  the Cl+(p,q) ~ Cl(q,p-1) identity.
+* ``table1``  — full algebras, the trivial grading: fingerprint vs
+  classify_clifford.
+* ``table2``  — even-grade parts, the usual grading: fingerprint vs
+  classify_even_part, and the Cl+(p,q) ~ Cl(q,p-1) identity.
 * ``table4``  — every grading's even subalgebra vs
   classify_even_subalgebra (the central sweep).
 * ``sigchange`` — verify_clifford_map over every grading.
@@ -25,7 +31,12 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .classify import classify_clifford, classify_even_part, classify_even_subalgebra
+from .classify import (
+    AlgebraClass,
+    classify_clifford,
+    classify_even_part,
+    classify_even_subalgebra,
+)
 from .core import (
     MAX_DIMENSION,
     Multivector,
@@ -48,6 +59,7 @@ from .oracle import (
     check_associativity,
     oracle,
     regular_representation,
+    triples,
 )
 from .sigchange import random_vector, verify_clifford_map
 
@@ -58,17 +70,6 @@ CORE_TRIALS = 300
 
 #: Random draws per involution and decomposition cell of the core suite.
 CORE_DRAWS = 75
-
-SUITE_DEFAULT_MAX_N = {
-    "table1": 6,
-    "table2": 6,
-    "table4": 6,
-    "sigchange": 5,
-    "core": 6,
-}
-
-SUITES = tuple(SUITE_DEFAULT_MAX_N) + ("all",)
-
 
 @dataclass
 class Cell:
@@ -116,6 +117,12 @@ def _timed(report: SuiteReport, key: str, fn) -> None:
     report.cells.append(Cell(key, ok, detail, time.perf_counter() - start))
 
 
+def _cell_result(head: str, *problems: str) -> tuple[bool, str]:
+    """A cell's result: ``head``, then each nonempty problem after "; "."""
+    problems = [p for p in problems if p]
+    return not problems, "; ".join([head, *problems])
+
+
 def signatures_up_to(max_n: int):
     for n in range(max_n + 1):
         for p in range(n + 1):
@@ -135,23 +142,38 @@ def canonical_odd_mask(sig: Signature, p1: int, q1: int) -> int:
     )
 
 
-def random_multivector(
-    rng: random.Random, sig: Signature, terms: int = 4
-) -> Multivector:
-    """Sum of ``terms`` seeded random blades times n/d, n in [-8, 8] and
+def random_multivector(rng: random.Random, sig: Signature) -> Multivector:
+    """Sum of four seeded random blades times n/d, n in [-8, 8] and
     d in [1, 6]; drawn as numerators over 60."""
     num: dict[int, int] = {}
-    for _ in range(terms):
+    for _ in range(4):
         mask = rng.randrange(1 << sig.n)
         num[mask] = num.get(mask, 0) + rng.randint(-8, 8) * (60 // rng.randint(1, 6))
     return _reduced(sig, {m: n for m, n in num.items() if n}, 60)
+
+
+def even_subalgebra_problem(
+    sig: Signature, p0: int, q0: int, cls: AlgebraClass, seed: int
+) -> str:
+    """The one fingerprint check of the tables and ``classify --oracle``:
+    the even subalgebra of the canonical grading of ``sig`` whose even
+    1-vectors have signature (p0, q0), under the geometric product,
+    against ``cls``.  "" when it agrees, else the first problem: wrong
+    grading counts, or the oracle's verdict."""
+    p1, q1 = sig.p - p0, sig.q - q0
+    mask = canonical_odd_mask(sig, p1, q1)
+    gr = Z2Grading(sig, mask)
+    if gr.counts() != (p0, q0, p1, q1):
+        return f"odd mask {mask:#b} has counts {gr.counts()}, expected {(p0, q0, p1, q1)}"
+    basis = even_subalgebra_basis(gr)
+    return oracle(basis, geometric_blade_op(sig), cls, seed=seed).problem
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def verify_table1(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteReport:
+def verify_table1(max_n: int, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Fingerprint of (carrier, geometric product) against the closed-form
     class of Cl(p,q), for every signature with p+q <= max_n."""
     report = SuiteReport("table1")
@@ -159,16 +181,14 @@ def verify_table1(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteReport:
 
         def cell(sig=sig):
             cls = classify_clifford(sig.p, sig.q)
-            verdict = oracle(all_blades(sig), geometric_blade_op(sig), cls, seed=seed)
-            return verdict.ok, f"{sig} ~ {cls}" + (
-                "" if verdict.ok else f"; {verdict.problem}"
-            )
+            problem = even_subalgebra_problem(sig, sig.p, sig.q, cls, seed)
+            return _cell_result(f"{sig} ~ {cls}", problem)
 
         _timed(report, f"{sig.p},{sig.q}", cell)
     return report
 
 
-def verify_table2(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteReport:
+def verify_table2(max_n: int, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Even-grade subalgebras: oracle fingerprint, plus the closed-form
     identities Cl+(p,q) ~ Cl(q,p-1) ~ Cl(p,q-1)."""
     report = SuiteReport("table2")
@@ -183,49 +203,32 @@ def verify_table2(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteReport:
                 problems.append(f"!= Cl({sig.q},{sig.p - 1})")
             if sig.q >= 1 and cls != classify_clifford(sig.p, sig.q - 1):
                 problems.append(f"!= Cl({sig.p},{sig.q - 1})")
-            masks = [m for m in all_blades(sig) if not m.bit_count() & 1]
-            verdict = oracle(masks, geometric_blade_op(sig), cls, seed=seed)
-            if not verdict.ok:
-                problems.append(verdict.problem)
-            return not problems, f"Cl+({sig.p},{sig.q}) ~ {cls}" + (
-                "; " + "; ".join(problems) if problems else ""
-            )
+            problem = even_subalgebra_problem(sig, 0, 0, cls, seed)
+            return _cell_result(f"Cl+({sig.p},{sig.q}) ~ {cls}", *problems, problem)
 
         _timed(report, f"{sig.p},{sig.q}", cell)
     return report
 
 
-def verify_table4(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteReport:
-    """The central sweep: for every (p,q,p0,q0), build the grading, take
-    the even-subalgebra blade basis under the geometric product, and
-    check its fingerprint against classify_even_subalgebra."""
+def verify_table4(max_n: int, seed: int = DEFAULT_SEED) -> SuiteReport:
+    """The central sweep: for every (p,q,p0,q0), the even subalgebra of
+    the grading with even signature (p0,q0) against
+    classify_even_subalgebra."""
     report = SuiteReport("table4")
     for sig in signatures_up_to(max_n):
         for p0 in range(sig.p + 1):
             for q0 in range(sig.q + 1):
 
                 def cell(sig=sig, p0=p0, q0=q0):
-                    p1, q1 = sig.p - p0, sig.q - q0
-                    mask = canonical_odd_mask(sig, p1, q1)
-                    gr = Z2Grading(sig, mask)
-                    if gr.counts() != (p0, q0, p1, q1):
-                        return False, (
-                            f"odd mask {mask:#b} has counts {gr.counts()}, "
-                            f"expected {(p0, q0, p1, q1)}"
-                        )
                     cls = classify_even_subalgebra(sig.p, sig.q, p0, q0)
-                    verdict = oracle(
-                        even_subalgebra_basis(gr), geometric_blade_op(sig), cls, seed=seed
-                    )
-                    return verdict.ok, f"Cl0 ~ {cls}" + (
-                        "" if verdict.ok else f"; {verdict.problem}"
-                    )
+                    problem = even_subalgebra_problem(sig, p0, q0, cls, seed)
+                    return _cell_result(f"Cl0 ~ {cls}", problem)
 
                 _timed(report, f"{sig.p},{sig.q},{p0},{q0}", cell)
     return report
 
 
-def verify_sigchange(max_n: int = 5, seed: int = DEFAULT_SEED) -> SuiteReport:
+def verify_sigchange(max_n: int, seed: int = DEFAULT_SEED) -> SuiteReport:
     """verify_clifford_map over every grading of every Cl(p,q), p+q <= max_n."""
     report = SuiteReport("sigchange")
     for sig in signatures_up_to(max_n):
@@ -233,20 +236,18 @@ def verify_sigchange(max_n: int = 5, seed: int = DEFAULT_SEED) -> SuiteReport:
 
             def cell(gr=gr):
                 res = verify_clifford_map(gr, seed=seed)
-                bad = [c for c in res.checks if not c.ok]
                 r, s = res.target
-                if bad:
-                    return False, f"-> Cl({r},{s}); " + "; ".join(
-                        f"{c.name}: {c.detail}" for c in bad
-                    )
-                return True, f"-> Cl({r},{s})"
+                return _cell_result(
+                    f"-> Cl({r},{s})",
+                    *(f"{c.name}: {c.detail}" for c in res.checks if not c.ok),
+                )
 
             odd = ",".join(str(i) for i in gr.odd_indices)
             _timed(report, f"{sig.p},{sig.q},odd={odd}", cell)
     return report
 
 
-def verify_core(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteReport:
+def verify_core(max_n: int, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Base-product laws per signature: generator relations, associativity,
     contraction adjointness, involution laws, and v a = v^a + v⌟a."""
     report = SuiteReport("core")
@@ -283,20 +284,10 @@ def verify_core(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteReport:
             return bad == 0, f"{CORE_TRIALS} random multivector triples, {bad} violations"
 
         def adjoint_cell(sig=sig, blades=blades, rng=rng):
+            units = [Multivector.blade(sig, m) for m in blades]
             bad = checked = 0
-            if associativity_is_exhaustive(len(blades)):
-                triples = (
-                    (a, b, c) for a in blades for b in blades for c in blades
-                )
-            else:
-                triples = (
-                    (rng.choice(blades), rng.choice(blades), rng.choice(blades))
-                    for _ in range(CORE_TRIALS)
-                )
-            for ma, mb, mc in triples:
-                a = Multivector.blade(sig, ma)
-                b = Multivector.blade(sig, mb)
-                c = Multivector.blade(sig, mc)
+            for i, j, k in triples(len(units), rng, CORE_TRIALS):
+                a, b, c = units[i], units[j], units[k]
                 checked += 1
                 if extended_metric(left_contraction(a, b), c) != extended_metric(
                     b, wedge(reversion(a), c)
@@ -341,13 +332,16 @@ def verify_core(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteReport:
     return report
 
 
+#: Each suite's function and its default max_n.
 _SUITE_FNS = {
-    "table1": verify_table1,
-    "table2": verify_table2,
-    "table4": verify_table4,
-    "sigchange": verify_sigchange,
-    "core": verify_core,
+    "table1": (verify_table1, 6),
+    "table2": (verify_table2, 6),
+    "table4": (verify_table4, 6),
+    "sigchange": (verify_sigchange, 5),
+    "core": (verify_core, 6),
 }
+
+SUITES = tuple(_SUITE_FNS) + ("all",)
 
 
 def run_suite(name: str, max_n: int | None = None, seed: int = DEFAULT_SEED) -> SuiteReport:
@@ -355,7 +349,7 @@ def run_suite(name: str, max_n: int | None = None, seed: int = DEFAULT_SEED) -> 
     the package dimension limit."""
     if name == "all":
         combined = SuiteReport("all")
-        for sub in SUITE_DEFAULT_MAX_N:
+        for sub in _SUITE_FNS:
             rep = run_suite(sub, max_n, seed)
             for c in rep.cells:
                 combined.cells.append(
@@ -364,7 +358,8 @@ def run_suite(name: str, max_n: int | None = None, seed: int = DEFAULT_SEED) -> 
         return combined
     if name not in _SUITE_FNS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    n = SUITE_DEFAULT_MAX_N[name] if max_n is None else max_n
+    fn, default_max_n = _SUITE_FNS[name]
+    n = default_max_n if max_n is None else max_n
     if not 0 <= n <= MAX_DIMENSION:
         raise ValueError(f"max_n must be between 0 and {MAX_DIMENSION}")
-    return _SUITE_FNS[name](n, seed)
+    return fn(n, seed)

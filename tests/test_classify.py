@@ -1,8 +1,6 @@
 """Closed-form classification: periodicity tables, tensor rewrite rules,
 and their internal consistency."""
 
-import json
-
 import pytest
 
 from cliffsig import (
@@ -222,13 +220,6 @@ def test_string_forms():
     assert str(cls("C", "C")) == "C (+) C"
     assert str(M(4, "R")) == "M(4,R)"
     assert str(tensor_simplify(cls("R", "R"), cls("H"))) == "H (+) H"
-
-
-def test_json_roundtrip():
-    for c in [M(2, "H"), cls("C", "C"), cls("R", "R", "R", "R"), M(8, "R")]:
-        blob = json.dumps(c.to_json_dict())
-        assert AlgebraClass.from_json_dict(json.loads(blob)) == c
-    assert M(2, "H").to_json_dict() == {"components": [{"m": 2, "K": "H"}]}
 
 
 def test_multiset_equality():

@@ -139,12 +139,16 @@ def test_even_basis_example():
 
 
 def test_even_basis_usual_and_trivial():
-    sig = Signature(2, 1)
-    usual = even_subalgebra_basis(Z2Grading.usual(sig))
-    assert all(len(blade_indices(m)) % 2 == 0 for m in usual)
-    assert len(usual) == 4
-    trivial = even_subalgebra_basis(Z2Grading.trivial(sig))
-    assert len(trivial) == 8
+    # the table sweeps fingerprint the whole algebra and its even-grade
+    # part as these two even subalgebras, on the same blades in the same order
+    for n in range(9):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            blades = all_blades(sig)
+            assert even_subalgebra_basis(Z2Grading.trivial(sig)) == blades
+            assert even_subalgebra_basis(Z2Grading.usual(sig)) == [
+                m for m in blades if len(blade_indices(m)) % 2 == 0
+            ]
 
 
 def test_dimension_dichotomy_exhaustive():

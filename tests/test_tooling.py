@@ -83,3 +83,26 @@ def test_associativity_is_checked_only_in_the_oracle():
         )
     ]
     assert not found, f"first_nonassociative_triple named outside oracle.py: {found}"
+
+
+def test_oracle_is_called_only_by_the_two_fingerprint_checks():
+    # the table cells and classify --oracle fingerprint through
+    # verify.even_subalgebra_problem, and sigchange cells through
+    # verify_clifford_map; a third caller would pick its own blade basis
+    # and word its own verdict
+    allowed = {
+        ("verify.py", "even_subalgebra_problem"),
+        ("sigchange.py", "verify_clifford_map"),
+    }
+    found = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name == "oracle" and (path.name, owner) not in allowed:
+                    found.append(f"{path.name}:{node.lineno} in {owner}")
+    assert not found, f"oracle called outside the two fingerprint checks: {found}"

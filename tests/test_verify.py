@@ -149,7 +149,9 @@ def test_table4_reports_grading_count_mismatch(monkeypatch):
     report = verify_table4(max_n=1)
     failing = {c.key: c.detail for c in report.cells if not c.ok}
     assert sorted(failing) == ["0,1,0,0", "1,0,0,0"]
-    assert "(1, 0, 0, 0)" in failing["1,0,0,0"] and "(0, 0, 1, 0)" in failing["1,0,0,0"]
+    assert failing["1,0,0,0"] == (
+        "Cl0 ~ R; odd mask 0b0 has counts (1, 0, 0, 0), expected (0, 0, 1, 0)"
+    )
 
 
 def test_core_associativity_coverage():
