@@ -26,7 +26,7 @@ from .grading import (
     validate_involution,
 )
 from .sigchange import target_signature, tilt_product, vee_alpha, vee_prime
-from .verify import DEFAULT_SEED, SUITES, even_subalgebra_problem, run_suite
+from .verify import SUITES, even_subalgebra_problem, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -138,7 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification sweep")
     p_ver.add_argument("--suite", choices=SUITES, required=True)
     p_ver.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=int, default=0,
+                       help="seed of the core suite's random draws (default: 0); "
+                            "the other suites draw nothing")
     p_ver.add_argument("--json", action="store_true")
     return parser
 
@@ -188,7 +190,7 @@ def _cmd_classify(args) -> int:
     agree = True
     if args.oracle:
         p0, q0 = args.even or (sig.p, sig.q)
-        problem = even_subalgebra_problem(sig, p0, q0, cls, DEFAULT_SEED)
+        problem = even_subalgebra_problem(sig, p0, q0, cls)
         agree = out["oracle_agrees"] = not problem
         lines.append("oracle: " + ("agrees" if agree else f"DISAGREES; {problem}"))
         if problem:

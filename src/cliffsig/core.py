@@ -24,8 +24,8 @@ from typing import Iterable, Mapping
 
 from . import kernels
 
-#: Cap on p+q.  A multivector stores up to 2^n terms and the oracle's
-#: sign table has 4^n cells, so this is a guard rail, not a hard
+#: Cap on p+q.  A multivector stores up to 2^n terms and the oracle makes
+#: dim² sign reads in O(dim) memory, so this is a guard rail, not a hard
 #: algorithmic limit; raise it if you can pay the cost.  Fingerprint
 #: injectivity is tested for every class reachable within it.
 MAX_DIMENSION = 12

@@ -9,26 +9,31 @@ equality stand in for an isomorphism when cross-checking the closed-form
 tables.
 
 Every product the package fingerprints sends two blades to plus or minus
-their symmetric difference, or to 0: e_a e_b = σ(a,b) e_{a^b}, a twisted
-group algebra of (Z2)^n (Albuquerque and Majid, J. Pure Appl. Algebra 171
-(2002)).  ``regular_representation`` checks that form and stores one sign
-and one result index per cell; the fingerprint then follows from the
-signs alone, in Python ints with no division:
+their symmetric difference, e_a e_b = σ(a,b) e_{a^b}, with a twist that
+is a GF(2) bicharacter: σ(a,b) = (-1)^(aᵀBb) in coordinates over a GF(2)
+basis of the blade group, for one k×k matrix B read from the products of
+the basis blades.  Such a twist is a 2-cocycle, so the algebra is
+associative (Albuquerque and Majid, J. Pure Appl. Algebra 171 (2002)).
+``bicharacter_certificate`` reads B and visits every pair of basis blades
+once, row by row, keeping one int per row; the fingerprint then follows
+from B alone, in Python ints with no division:
 
-* associativity is the cocycle identity σ(i,j) σ(i^j,k) = σ(j,k) σ(i,j^k);
-* the center is spanned by the basis blades whose signs commute with
-  every basis blade, since [x, e_b] sends distinct blades to distinct
-  blades (this needs no associativity);
-* B is diagonal, since L_a L_b e_c lies on e_{a^b^c}, with
-  B(e_a, e_a) = sum over c of σ(a,c) σ(a,a^c).
+* the certificate: every pair's sign equals (-1)^(aᵀBb), which proves
+  associativity exactly, at every size;
+* the center is spanned by the basis blades a with aᵀ(B+Bᵀ)g even for
+  every GF(2) basis blade g, since [x, e_b] sends distinct blades to
+  distinct blades;
+* the trace form is diagonal, since L_a L_b e_c lies on e_{a^b^c}, with
+  B(e_a, e_a) = dim·σ(a,a).
 
 ``expected_invariants`` gives the fingerprint of a class in closed form.
-``oracle`` runs the one associativity pass (``check_associativity``),
-fingerprints with ``structural_invariants``, which checks nothing, and
-compares the two; it alone turns a violation into a verdict.
-The test suite keeps the dense construction (dict tables, a center
-nullspace, congruence diagonalization, matrix-unit references) as the
-reference these shortcuts are compared with.
+``oracle`` runs the certificate and compares the two; it alone turns a
+violation into a verdict.  The products themselves stay the bit-reorder
+kernels of ``kernels``: none is computed from B, so the certificate is a
+check of those kernels.  The test suite keeps the sign-table route and
+the dense construction (dict tables, a center nullspace, congruence
+diagonalization, matrix-unit references) as the references these
+shortcuts are compared with.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ from dataclasses import dataclass
 from .classify import AlgebraClass
 from .core import blade_indices
 
-#: dim**3 at or below which associativity is checked exhaustively.
+#: dim**3 at or below which a failed certificate is followed by a search
+#: of every triple for an associativity witness.
 _EXHAUSTIVE_TRIPLES = 4096
 
 
@@ -67,30 +73,104 @@ class StructuralInvariants:
     center_trace_sig: tuple[int, int]
 
 
-class StructureConstants:
-    """Blade-basis structure constants: b_i b_j = sign[i][j] b_{prod[i][j]}.
-
-    A sign is -1, 0 or 1; where it is 0 the product is 0 and prod is -1.
-    """
-
-    __slots__ = ("sign", "prod", "dim")
-
-    def __init__(self, sign: list[list[int]], prod: list[list[int]]):
-        self.sign = sign
-        self.prod = prod
-        self.dim = len(sign)
+def associativity_is_exhaustive(dim: int) -> bool:
+    """Whether a basis of this size is small enough to visit every triple."""
+    return dim**3 <= _EXHAUSTIVE_TRIPLES
 
 
-def regular_representation(masks, blade_op) -> StructureConstants:
-    """Structure constants of the blade basis ``masks`` under the product
-    whose blade sign function is ``blade_op``.
+def triples(dim: int, rng: random.Random, trials: int):
+    """Index triples of a basis of size ``dim``: every one while
+    dim**3 <= _EXHAUSTIVE_TRIPLES, else ``trials`` drawn from ``rng``."""
+    if associativity_is_exhaustive(dim):
+        return itertools.product(range(dim), repeat=3)
+    return (
+        (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
+        for _ in range(trials)
+    )
 
-    Cell (i, j) is read from ``sign, mask = blade_op(masks[i], masks[j])``;
-    a sign of 0 is no term, exactly as ``core.bilinear`` extends the same
-    function.  An empty or repeated mask list raises NotIndependent, a
-    nonzero product landing on a blade outside the list raises NotClosed,
-    and one that is not plus or minus the symmetric difference of its
-    factors raises NotTwisted.
+
+def format_blades(masks) -> str:
+    """A blade witness as text, e.g. ``(1, e1, e1^e2)``."""
+    names = ("^".join(f"e{i}" for i in blade_indices(m)) or "1" for m in masks)
+    return f"({', '.join(names)})"
+
+
+def _coordinates(masks) -> tuple[list[int], list[int], int]:
+    """A GF(2) basis of the span of ``masks``, chosen greedily among them,
+    each mask's coordinates over it as a bitmask, and the span's size."""
+    span = {0: 0}  # blade -> coordinates
+    generators: list[int] = []
+    for mask in masks:
+        if mask not in span:
+            bit = 1 << len(generators)
+            generators.append(mask)
+            span.update({x ^ mask: c | bit for x, c in span.items()})
+    return generators, [span[mask] for mask in masks], len(span)
+
+
+def _bicharacter_row(rows: list[int], coord: int) -> int:
+    """aᵀM for the coordinates ``coord`` of a, with M given by its rows."""
+    out = 0
+    for i, row in enumerate(rows):
+        if coord >> i & 1:
+            out ^= row
+    return out
+
+
+def _invariants(rows: list[int], coords: list[int]) -> StructuralInvariants:
+    """The fingerprint of the twisted group algebra whose twist is the
+    bicharacter with matrix rows ``rows``, on blades with coordinates
+    ``coords``: B(e_a, e_a) = dim·σ(a,a), and a is central when
+    aᵀ(B+Bᵀ) = 0."""
+    sym = [r ^ sum((s >> i & 1) << j for j, s in enumerate(rows)) for i, r in enumerate(rows)]
+    negative = [(_bicharacter_row(rows, c) & c).bit_count() & 1 for c in coords]
+    central = [neg for neg, c in zip(negative, coords) if not _bicharacter_row(sym, c)]
+    dim, neg, cdim, cneg = len(coords), sum(negative), len(central), sum(central)
+    return StructuralInvariants(dim, cdim, (dim - neg, neg), (cdim - cneg, cneg))
+
+
+def _first_nonassociative_triple(masks, blade_op):
+    """First blade triple (a, b, c) of ``masks`` with (ab)c != a(bc), read
+    through ``blade_op`` on a closed, twisted basis, or None; None at once
+    when dim**3 > _EXHAUSTIVE_TRIPLES."""
+    if not associativity_is_exhaustive(len(masks)):
+        return None
+    for a, b, c in itertools.product(masks, repeat=3):
+        s, ab = blade_op(a, b)
+        t, bc = blade_op(b, c)
+        if (s and s * blade_op(ab, c)[0]) != (t and t * blade_op(a, bc)[0]):
+            return a, b, c
+    return None
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """``oracle``'s result: whether the certificate proved associativity
+    and its report, and ``problem``, the first failure ("" when there is
+    none)."""
+
+    associative: bool
+    associativity: str
+    problem: str
+
+    @property
+    def ok(self) -> bool:
+        return not self.problem
+
+
+def bicharacter_certificate(masks, blade_op) -> tuple[Verdict, StructuralInvariants | None]:
+    """The one pass over every pair of the blade basis ``masks`` under the
+    product whose blade sign function is ``blade_op``: its verdict on
+    associativity, and the fingerprint read off B when the pass is clean.
+
+    B is read from ``blade_op`` on a GF(2) basis of the span chosen among
+    ``masks``, and every pair's sign is compared with (-1)^(aᵀBb).  An
+    empty or repeated mask list raises NotIndependent, a nonzero product
+    landing on a blade outside the list raises NotClosed, and one that is
+    not plus or minus the symmetric difference of its factors raises
+    NotTwisted, at the first such pair in row-major order.  On a failed
+    comparison every triple is searched while dim**3 <= 4096; the verdict
+    names the first non-associative triple, else the first failing pair.
     """
     masks = list(masks)
     if not masks:
@@ -98,88 +178,43 @@ def regular_representation(masks, blade_op) -> StructureConstants:
     index = {mask: i for i, mask in enumerate(masks)}
     if len(index) < len(masks):
         raise NotIndependent("a blade appears twice in the basis")
-    sign, prod = [], []
-    for i, a in enumerate(masks):
-        sign_row, prod_row = [], []
-        for j, b in enumerate(masks):
+    generators, coords, span = _coordinates(masks)
+    unclosed = len(masks) < span  # else a ^ b is always a basis blade
+    rows = [
+        sum((blade_op(g, h)[0] < 0) << j for j, h in enumerate(generators))
+        for g in generators
+    ]
+    bad = None
+    for a, ca in zip(masks, coords):
+        row = _bicharacter_row(rows, ca)
+        for b, cb in zip(masks, coords):
             s, mask = blade_op(a, b)
-            k = -1
-            if s:
-                k = index.get(mask, -1)
-                if k < 0:
-                    raise NotClosed(
-                        f"product of basis elements {i} and {j} leaves the span"
-                    )
-                if mask != a ^ b:
-                    raise NotTwisted(
-                        f"product of basis elements {i} and {j} is not "
-                        f"plus or minus the blade {a ^ b:#b}"
-                    )
-            sign_row.append(s)
-            prod_row.append(k)
-        sign.append(sign_row)
-        prod.append(prod_row)
-    return StructureConstants(sign, prod)
+            if s and (mask != a ^ b or unclosed and mask not in index):
+                i, j = index[a], index[b]
+                if mask not in index:
+                    raise NotClosed(f"product of basis elements {i} and {j} leaves the span")
+                raise NotTwisted(
+                    f"product of basis elements {i} and {j} is not "
+                    f"plus or minus the blade {a ^ b:#b}"
+                )
+            if s != (-1 if (row & cb).bit_count() & 1 else 1) and bad is None:
+                bad = a, b
+    how = f"bicharacter certificate, {len(masks) ** 2} pairs"
+    if bad is None:
+        return Verdict(True, f"{how}, 0 violations", ""), _invariants(rows, coords)
+    triple = _first_nonassociative_triple(masks, blade_op)
+    if triple is not None:
+        report = f"exhaustive triples, first violation {format_blades(triple)}"
+        return Verdict(False, report, f"not associative: {report}"), None
+    report = f"{how}, first violation {format_blades(bad)}"
+    return Verdict(False, report, f"not a bicharacter twist: {report}"), None
 
 
-def associativity_is_exhaustive(dim: int) -> bool:
-    """Whether the associativity check visits every triple of a basis of
-    this size (rather than a seeded sample)."""
-    return dim**3 <= _EXHAUSTIVE_TRIPLES
-
-
-def triples(dim: int, rng: random.Random | int, trials: int):
-    """Index triples of a basis of size ``dim``: every one while
-    dim**3 <= _EXHAUSTIVE_TRIPLES, else ``trials`` drawn from ``rng``, a
-    ``random.Random`` or a seed for one (seeded only when sampling)."""
-    if associativity_is_exhaustive(dim):
-        return itertools.product(range(dim), repeat=3)
-    if isinstance(rng, int):
-        rng = random.Random(rng)
-    return (
-        (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
-        for _ in range(trials)
-    )
-
-
-def first_nonassociative_triple(
-    sc: StructureConstants, seed: int, trials: int
-) -> tuple[int, int, int] | None:
-    """First basis triple (i, j, k) of ``triples(sc.dim, seed, trials)``
-    with (b_i b_j) b_k != b_i (b_j b_k), or None.  Both sides lie on the
-    same blade, so they are compared by their signs (the cocycle
-    identity)."""
-    sign, prod = sc.sign, sc.prod
-    for i, j, k in triples(sc.dim, seed, trials):
-        s, t = sign[i][j], sign[j][k]
-        left = s and s * sign[prod[i][j]][k]
-        right = t and t * sign[i][prod[j][k]]
-        if left != right:
-            return i, j, k
-    return None
-
-
-def _signature(values) -> tuple[int, int]:
-    return sum(v > 0 for v in values), sum(v < 0 for v in values)
-
-
-def structural_invariants(sc: StructureConstants) -> StructuralInvariants:
-    """Fingerprint of the algebra given by structure constants.  It does
-    not check associativity; ``oracle`` does that first."""
-    sign, prod = sc.sign, sc.prod
-    trace = [
-        sum(s * row[k] for s, k in zip(row, prod_row) if s)
-        for row, prod_row in zip(sign, prod)
-    ]
-    central = [
-        b for b, (row, col) in enumerate(zip(sign, zip(*sign))) if tuple(row) == col
-    ]
-    return StructuralInvariants(
-        dim=sc.dim,
-        center_dim=len(central),
-        trace_sig=_signature(trace),
-        center_trace_sig=_signature([trace[b] for b in central]),
-    )
+def check_associativity(masks, blade_op) -> tuple[bool, str]:
+    """Whether the certificate proves the product associative on the blade
+    basis ``masks``, and its report."""
+    verdict, _ = bicharacter_certificate(masks, blade_op)
+    return verdict.associative, verdict.associativity
 
 
 #: M(m, K) as a real algebra: dim, center_dim, trace_sig, center_trace_sig.
@@ -199,54 +234,23 @@ def expected_invariants(cls: AlgebraClass) -> StructuralInvariants:
     return StructuralInvariants(dim, center_dim, (pos, neg), (cpos, cneg))
 
 
-def format_blades(masks) -> str:
-    """A blade witness as text, e.g. ``(1, e1, e1^e2)``."""
-    names = ("^".join(f"e{i}" for i in blade_indices(m)) or "1" for m in masks)
-    return f"({', '.join(names)})"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """``oracle``'s result: whether the associativity pass held and its
-    report, and ``problem``, the first failure ("" when there is none)."""
-
-    associative: bool
-    associativity: str
-    problem: str
-
-    @property
-    def ok(self) -> bool:
-        return not self.problem
-
-
-def check_associativity(
-    masks, sc: StructureConstants, seed: int, trials: int
-) -> tuple[bool, str]:
-    """The associativity pass over the blade basis ``masks`` with structure
-    constants ``sc`` (every triple while dim**3 <= 4096, ``trials`` seeded
-    ones beyond) and its report: ``exhaustive triples`` or ``N sampled
-    triples``, then ``0 violations`` or the first failing triple as blades."""
-    how = "exhaustive" if associativity_is_exhaustive(sc.dim) else f"{trials} sampled"
-    bad = first_nonassociative_triple(sc, seed, trials)
-    if bad is None:
-        return True, f"{how} triples, 0 violations"
-    witness = format_blades(masks[i] for i in bad)
-    return False, f"{how} triples, first violation {witness}"
-
-
-def oracle(masks, blade_op, cls: AlgebraClass, *, seed=0, trials=200) -> Verdict:
+def oracle(masks, blade_op, cls: AlgebraClass) -> Verdict:
     """Fingerprint of the blade basis ``masks`` under ``blade_op`` against
-    the reference of ``cls``, after one associativity pass.  A violation is
-    a failing verdict, not an exception: it names the first non-associative
-    blade triple, the NotClosed, NotIndependent or NotTwisted message, or
-    the oracle-vs-reference mismatch."""
+    the reference of ``cls``, from one ``bicharacter_certificate`` pass.
+
+    The contract is stricter than associativity: the twist must be a
+    bicharacter, so an associative product twisted by a coboundary that
+    is not bilinear, σ(a,b) f(a) f(b) f(a^b), fails.  A violation is a
+    failing verdict, not an exception: it names the first non-associative
+    blade triple (searched while dim**3 <= 4096), else the first pair off
+    the bicharacter, the NotClosed, NotIndependent or NotTwisted message,
+    or the oracle-vs-reference mismatch."""
     try:
-        sc = regular_representation(masks, blade_op)
+        verdict, got = bicharacter_certificate(masks, blade_op)
     except (NotClosed, NotIndependent, NotTwisted) as exc:
         return Verdict(False, str(exc), str(exc))
-    associative, report = check_associativity(masks, sc, seed, trials)
-    if not associative:
-        return Verdict(False, report, f"not associative: {report}")
-    got, want = structural_invariants(sc), expected_invariants(cls)
+    if got is None:
+        return verdict
+    want = expected_invariants(cls)
     problem = "" if got == want else f"oracle {got} != reference {want}"
-    return Verdict(True, report, problem)
+    return Verdict(True, verdict.associativity, problem)

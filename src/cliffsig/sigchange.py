@@ -14,7 +14,7 @@ generators' squares flipped, extended bilinearly by ``core.bilinear``.
 That is checked, not assumed: ``verify_clifford_map`` compares that sign
 function with the definition v ∨ a = v^a + alpha(v)⌟a, summed from the
 original metric's blade kernels, on every (generator, blade) pair and
-checks its associativity, which together pin it to the product the
+certifies its associativity, which together pin it to the product the
 definition generates.  Two further routes are kept as independent
 cross-checks: the split form against the original product
 (``vee_alpha_via_split``) and, for the all-odd grading, Lounesto's tilt
@@ -48,16 +48,7 @@ from .core import (
     wedge,
 )
 from .grading import Z2Grading, project_even, project_odd
-from .oracle import (
-    StructuralInvariants,
-    format_blades,
-    oracle,
-    regular_representation,
-    structural_invariants,
-)
-
-#: Seeded random blade triples of verify_clifford_map's associativity check.
-ASSOCIATIVITY_TRIPLES = 300
+from .oracle import format_blades, oracle
 
 
 def _require_vector(v: Multivector, what: str) -> None:
@@ -257,15 +248,15 @@ def _blade_sum(*terms) -> dict[int, int]:
     return {mask: c for mask, c in out.items() if c}
 
 
-def verify_clifford_map(gr: Z2Grading, *, seed: int = 0) -> CliffordMapReport:
+def verify_clifford_map(gr: Z2Grading) -> CliffordMapReport:
     """Establish that the deformed product realizes Cl(r,s) on the carrier,
     reading ∨ only through its sign function, so no multivector is built.
 
     (i) generator relations e_i ∨ e_j + e_j ∨ e_i = 2 g_a(e_i,e_j);
     (ii) the definition e ∨ A = e^A + alpha(e)⌟A on every generator and
     blade, summing the wedge and contraction kernels of the original metric;
-    (iii) associativity of the blade-basis structure constants, by the
-    oracle's pass (``oracle.check_associativity``);
+    (iii) associativity, by the oracle's bicharacter certificate over
+    every blade pair (``oracle.bicharacter_certificate``);
     (iv) the fingerprint of the blade basis under ∨ equals that of Cl(r,s).
     (ii) and (iii) together make ∨ the product that folding generators by
     the definition produces.  Each failing check names its first witness.
@@ -304,18 +295,10 @@ def verify_clifford_map(gr: Z2Grading, *, seed: int = 0) -> CliffordMapReport:
 
     r, s = target_signature(gr)
     cls = classify_clifford(r, s)
-    verdict = oracle(blades, op, cls, seed=seed, trials=ASSOCIATIVITY_TRIPLES)
+    verdict = oracle(blades, op, cls)
     found = verdict.problem or "fingerprints agree"
     checks += [
         CheckResult("associativity", verdict.associative, verdict.associativity),
         CheckResult("fingerprint", verdict.ok, f"target Cl({r},{s}) ~ {cls}; {found}"),
     ]
     return CliffordMapReport(grading=gr, target=(r, s), checks=checks)
-
-
-def vee_prime_invariants(gr: Z2Grading) -> StructuralInvariants:
-    """Fingerprint of the carrier under ∨' (reported, not asserted: no
-    closed form is claimed for its isomorphism class)."""
-    return structural_invariants(
-        regular_representation(all_blades(gr.sig), vee_prime_blade_op(gr))
-    )

@@ -6,12 +6,14 @@ extended metric by cofactor-expansion Gram determinants, contractions by
 solving the adjointness relation coefficient by coefficient.  No code is
 shared with the package, so agreement is meaningful.
 
-Two sections are exceptions.  The Fraction-dict reference for the
+Three sections are exceptions.  The Fraction-dict reference for the
 multivector arithmetic takes the package's blade sign functions, so it
 checks only the integer-numerator representation, not the blade signs.
-The dense fingerprint reference at the end calls ``cliffsig.linalg`` for
-its center nullspace and its congruence signature; the package's
-fingerprint, read off a blade sign table, uses neither.
+The sign-table reference stores a product's dim**2 signs and reads its
+fingerprint and associativity off the table; the package's oracle reads
+the same numbers off a certified bicharacter and keeps no table.  The
+dense fingerprint reference at the end calls ``cliffsig.linalg`` for its
+center nullspace and its congruence signature; the package uses neither.
 """
 
 import functools
@@ -172,7 +174,7 @@ def multivector_structure_constants(sig, masks, product):
     """Structure constants of a blade basis read off a Multivector
     product: cell (i, j) holds the terms of product(b_i, b_j) keyed by
     basis index, integral coefficients as ints.  This is the slow route
-    the oracle's ``regular_representation`` replaces by reading the
+    that ``regular_representation`` below replaces by reading the
     product's blade sign function directly; it is kept to cross-check
     that the two agree."""
     from cliffsig import Multivector
@@ -241,6 +243,121 @@ def ref_extended_metric(a: MaskTerms, b: MaskTerms, metric_sign) -> Fraction:
         if cb is not None:
             total += ca * cb * metric_sign(mask)
     return total
+
+
+# -- sign-table reference ------------------------------------------------------
+#
+# The oracle's construction before the bicharacter certificate: a dim**2
+# table of signs and result indices read from a blade sign function, the
+# cocycle identity over every triple (or seeded ones), and the fingerprint
+# read off the table.  It assumes a twisted product but no bicharacter, so
+# the tests compare the certificate's fingerprints and wordings with it.
+
+
+class StructureConstants:
+    """Blade-basis structure constants: b_i b_j = sign[i][j] b_{prod[i][j]}.
+
+    A sign is -1, 0 or 1; where it is 0 the product is 0 and prod is -1.
+    """
+
+    __slots__ = ("sign", "prod", "dim")
+
+    def __init__(self, sign, prod):
+        self.sign = sign
+        self.prod = prod
+        self.dim = len(sign)
+
+
+def regular_representation(masks, blade_op) -> StructureConstants:
+    """Cell (i, j) is read from ``sign, mask = blade_op(masks[i], masks[j])``;
+    a sign of 0 is no term.  NotIndependent, NotClosed and NotTwisted as
+    the oracle raises them."""
+    from cliffsig import NotClosed, NotIndependent, NotTwisted
+
+    masks = list(masks)
+    if not masks:
+        raise NotIndependent("empty basis")
+    index = {mask: i for i, mask in enumerate(masks)}
+    if len(index) < len(masks):
+        raise NotIndependent("a blade appears twice in the basis")
+    sign, prod = [], []
+    for i, a in enumerate(masks):
+        sign_row, prod_row = [], []
+        for j, b in enumerate(masks):
+            s, mask = blade_op(a, b)
+            k = -1
+            if s:
+                k = index.get(mask, -1)
+                if k < 0:
+                    raise NotClosed(
+                        f"product of basis elements {i} and {j} leaves the span"
+                    )
+                if mask != a ^ b:
+                    raise NotTwisted(
+                        f"product of basis elements {i} and {j} is not "
+                        f"plus or minus the blade {a ^ b:#b}"
+                    )
+            sign_row.append(s)
+            prod_row.append(k)
+        sign.append(sign_row)
+        prod.append(prod_row)
+    return StructureConstants(sign, prod)
+
+
+def first_nonassociative_triple(sc: StructureConstants, seed: int, trials: int):
+    """First basis triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), or
+    None: every triple while dim**3 <= 4096, else ``trials`` drawn from
+    ``random.Random(seed)``.  Both sides lie on the same blade, so they are
+    compared by their signs (the cocycle identity)."""
+    from cliffsig.oracle import triples
+
+    sign, prod = sc.sign, sc.prod
+    for i, j, k in triples(sc.dim, random.Random(seed), trials):
+        s, t = sign[i][j], sign[j][k]
+        left = s and s * sign[prod[i][j]][k]
+        right = t and t * sign[i][prod[j][k]]
+        if left != right:
+            return i, j, k
+    return None
+
+
+def table_check_associativity(masks, sc: StructureConstants, seed: int, trials: int):
+    """The table's associativity pass and its report, worded as the oracle
+    words a triple: ``exhaustive triples`` or ``N sampled triples``, then
+    ``0 violations`` or the first failing triple as blades."""
+    from cliffsig.oracle import associativity_is_exhaustive, format_blades
+
+    how = "exhaustive" if associativity_is_exhaustive(sc.dim) else f"{trials} sampled"
+    bad = first_nonassociative_triple(sc, seed, trials)
+    if bad is None:
+        return True, f"{how} triples, 0 violations"
+    witness = format_blades(masks[i] for i in bad)
+    return False, f"{how} triples, first violation {witness}"
+
+
+def structural_invariants(sc: StructureConstants):
+    """Fingerprint read off the table, checking no associativity:
+    B(e_a, e_a) = sum over c of σ(a,c) σ(a,a^c), and the center spanned by
+    the blades whose row equals their column."""
+    from cliffsig import StructuralInvariants
+
+    def signature(values):
+        return sum(v > 0 for v in values), sum(v < 0 for v in values)
+
+    sign, prod = sc.sign, sc.prod
+    trace = [
+        sum(s * row[k] for s, k in zip(row, prod_row) if s)
+        for row, prod_row in zip(sign, prod)
+    ]
+    central = [
+        b for b, (row, col) in enumerate(zip(sign, zip(*sign))) if tuple(row) == col
+    ]
+    return StructuralInvariants(
+        dim=sc.dim,
+        center_dim=len(central),
+        trace_sig=signature(trace),
+        center_trace_sig=signature([trace[b] for b in central]),
+    )
 
 
 # -- dense fingerprint reference ---------------------------------------------

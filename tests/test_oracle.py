@@ -1,4 +1,5 @@
-"""Regular representation and structural fingerprints."""
+"""The oracle's bicharacter certificate and structural fingerprints,
+against the sign-table and dense references of ``oracles``."""
 
 import itertools
 from fractions import Fraction
@@ -9,11 +10,12 @@ from cliffsig import (
     AlgebraClass,
     NotClosed,
     NotIndependent,
+    NotTwisted,
     Signature,
     StructuralInvariants,
-    StructureConstants,
     Z2Grading,
     all_blades,
+    blade_indices,
     classify_clifford,
     classify_even_part,
     classify_even_subalgebra,
@@ -21,8 +23,6 @@ from cliffsig import (
     expected_invariants,
     geometric_blade_op,
     geometric_product,
-    regular_representation,
-    structural_invariants,
     vee_alpha,
     vee_alpha_blade_op,
     vee_prime,
@@ -30,7 +30,7 @@ from cliffsig import (
 )
 from cliffsig import kernels
 from cliffsig.core import MAX_DIMENSION
-from cliffsig.oracle import first_nonassociative_triple, format_blades, oracle
+from cliffsig.oracle import bicharacter_certificate, format_blades, oracle
 from cliffsig.verify import canonical_odd_mask, signatures_up_to
 
 from oracles import (
@@ -39,12 +39,16 @@ from oracles import (
     dense_fingerprint,
     dense_invariants,
     dense_regular_representation,
+    first_nonassociative_triple,
     multivector_structure_constants,
     reference_constants,
+    regular_representation,
+    structural_invariants,
+    table_check_associativity,
 )
 
 
-# -- regular representation ----------------------------------------------------
+# -- the certificate pass ------------------------------------------------------
 
 
 def cells(sc):
@@ -57,8 +61,12 @@ def cells(sc):
 
 def test_two_element_basis_of_cl10():
     sig = Signature(1, 0)
+    verdict, fingerprint = bicharacter_certificate([0b0, 0b1], geometric_blade_op(sig))
+    assert verdict.ok and verdict.associative
+    assert verdict.associativity == "bicharacter certificate, 4 pairs, 0 violations"
+    assert fingerprint == StructuralInvariants(2, 2, (2, 0), (2, 0))
     sc = regular_representation([0b0, 0b1], geometric_blade_op(sig))
-    assert isinstance(sc, StructureConstants) and sc.dim == 2
+    assert sc.dim == 2
     assert (sc.sign[1][1], sc.prod[1][1]) == (1, 0)  # e1*e1 = 1
     assert (sc.sign[0][1], sc.prod[0][1]) == (1, 1)
 
@@ -66,41 +74,59 @@ def test_two_element_basis_of_cl10():
 def test_even_subalgebra_is_closed():
     sig = Signature(3, 0)
     gr = Z2Grading.from_odd_indices(sig, [3])
-    sc = regular_representation(even_subalgebra_basis(gr), geometric_blade_op(sig))
-    assert sc.dim == 4
+    masks = even_subalgebra_basis(gr)
+    verdict, fingerprint = bicharacter_certificate(masks, geometric_blade_op(sig))
+    assert verdict.ok and fingerprint.dim == 4
+    sc = regular_representation(masks, geometric_blade_op(sig))
     for i, j in itertools.product(range(4), repeat=2):
         assert abs(sc.sign[i][j]) == 1 and 0 <= sc.prod[i][j] < 4
 
 
 def test_not_closed():
+    # e1*e2 lands outside the span: the pass raises the table's message,
+    # and the oracle turns it into a failing verdict
     sig = Signature(2, 0)
-    masks = [0b00, 0b01, 0b10]  # e1*e2 lands outside the span
-    with pytest.raises(NotClosed):
-        regular_representation(masks, geometric_blade_op(sig))
+    masks = [0b00, 0b01, 0b10]
+    message = "product of basis elements 1 and 2 leaves the span"
+    for build in (bicharacter_certificate, regular_representation):
+        with pytest.raises(NotClosed, match=message):
+            build(masks, geometric_blade_op(sig))
+    verdict = oracle(masks, geometric_blade_op(sig), classify_clifford(2, 0))
+    assert not verdict.ok and verdict.problem == message
 
 
 def test_not_independent():
     sig = Signature(1, 0)
-    with pytest.raises(NotIndependent):
-        regular_representation([1, 1], geometric_blade_op(sig))
-    with pytest.raises(NotIndependent):
-        regular_representation([], geometric_blade_op(sig))
+    for build in (bicharacter_certificate, regular_representation):
+        with pytest.raises(NotIndependent):
+            build([1, 1], geometric_blade_op(sig))
+        with pytest.raises(NotIndependent):
+            build([], geometric_blade_op(sig))
 
 
 def test_product_off_the_symmetric_difference_rejected():
     # every shortcut of the oracle rests on e_a e_b = ±e_{a^b}: e1 e1 = e1
     # is inside the span but not on the blade 0, so it is refused
-    with pytest.raises(ValueError, match="basis elements 1 and 1") as info:
-        regular_representation([0, 1], lambda a, b: (1, a | b))
-    assert not isinstance(info.value, (NotClosed, NotIndependent))
+    for build in (bicharacter_certificate, regular_representation):
+        with pytest.raises(NotTwisted, match="basis elements 1 and 1"):
+            build([0, 1], lambda a, b: (1, a | b))
 
 
 def test_zero_sign_gives_empty_cell():
     # a sign of 0 is no term, as in core.bilinear: the wedge of two
-    # overlapping blades is 0, whatever mask the sign function reports
+    # overlapping blades is 0, whatever mask the sign function reports.
+    # The exterior algebra is associative, but 0 is no bicharacter sign,
+    # so the certificate fails at e1 ^ e1 and the triple search finds none
     sc = regular_representation([0b0, 0b1], kernels.blade_wedge)
     assert sc.sign == [[1, 1], [1, 0]]
     assert sc.prod == [[0, 1], [1, -1]]
+    assert first_nonassociative_triple(sc, 0, 200) is None
+    verdict, fingerprint = bicharacter_certificate([0b0, 0b1], kernels.blade_wedge)
+    assert not verdict.associative and fingerprint is None
+    assert verdict.associativity == (
+        "bicharacter certificate, 4 pairs, first violation (e1, e1)"
+    )
+    assert verdict.problem == f"not a bicharacter twist: {verdict.associativity}"
 
 
 def test_blade_ops_match_the_multivector_products():
@@ -129,29 +155,30 @@ def test_blade_ops_match_the_multivector_products():
 # -- structural invariants -------------------------------------------------------
 
 
-def quaternion_constants():
-    sig = Signature(0, 2)  # Cl(0,2) is the quaternions
-    masks = [0b00, 0b01, 0b10, 0b11]
-    return regular_representation(masks, geometric_blade_op(sig))
+def fingerprints(masks, op):
+    """The certificate's fingerprint and the sign-table reference's."""
+    return (
+        bicharacter_certificate(masks, op)[1],
+        structural_invariants(regular_representation(masks, op)),
+    )
 
 
 def test_quaternion_fingerprint():
-    inv = structural_invariants(quaternion_constants())
-    assert inv == StructuralInvariants(4, 1, (1, 3), (1, 0))
+    sig = Signature(0, 2)  # Cl(0,2) is the quaternions
+    got, ref = fingerprints([0b00, 0b01, 0b10, 0b11], geometric_blade_op(sig))
+    assert got == ref == StructuralInvariants(4, 1, (1, 3), (1, 0))
 
 
 def test_split_fingerprint():
     # R (+) R realized as Cl(1,0)
-    sig = Signature(1, 0)
-    sc = regular_representation([0, 1], geometric_blade_op(sig))
-    assert structural_invariants(sc) == StructuralInvariants(2, 2, (2, 0), (2, 0))
+    got, ref = fingerprints([0, 1], geometric_blade_op(Signature(1, 0)))
+    assert got == ref == StructuralInvariants(2, 2, (2, 0), (2, 0))
 
 
 def test_matrix_algebra_fingerprint():
     # M(2,R) realized as Cl(2,0)
-    sig = Signature(2, 0)
-    sc = regular_representation([0, 1, 2, 3], geometric_blade_op(sig))
-    assert structural_invariants(sc) == StructuralInvariants(4, 1, (3, 1), (1, 0))
+    got, ref = fingerprints([0, 1, 2, 3], geometric_blade_op(Signature(2, 0)))
+    assert got == ref == StructuralInvariants(4, 1, (3, 1), (1, 0))
 
 
 def flipped(op, *pairs):
@@ -165,36 +192,49 @@ def flipped(op, *pairs):
 
 
 def test_non_associative_detected():
-    # one flipped sign of the geometric product breaks the cocycle
-    # identity, except three flips that stay associative: 1*1 in Cl(0,0)
-    # (R with unit -1) and e1*e1 in Cl(1,0) and Cl(0,1) (they swap).  The
-    # first failing triple is the dense reference's, both over every
-    # triple (n <= 2, one flipped cell) and over the seeded sample (n = 5,
-    # the row of e1 flipped), and the oracle's verdict names it as blades
-    cases = []
+    # one flipped sign of the geometric product breaks the bicharacter,
+    # except e1*e1 in Cl(1,0) and Cl(0,1), which swaps the two.  Where the
+    # dense reference finds a failing triple (every triple, n <= 2, one
+    # flipped cell), the verdict names it as blades in the table's
+    # wording.  1*1 = -1 in Cl(0,0) is R with unit -1, associative but off
+    # the bicharacter, so the verdict names the pair.  At n = 5 (the row
+    # of e1 flipped) the dense sample finds a triple, and the verdict,
+    # which searches no triples at dim 32, names the first pair
+    cases = failing = 0
     for sig in signatures_up_to(2):
         masks = all_blades(sig)
         for pair in itertools.product(masks, repeat=2):
-            cases.append((masks, flipped(geometric_blade_op(sig), pair)))
+            cases += 1
+            op = flipped(geometric_blade_op(sig), pair)
+            sc = regular_representation(masks, op)
+            want = dense_first_nonassociative_triple(
+                dense_regular_representation(masks, op), 0, 200
+            )
+            assert first_nonassociative_triple(sc, 0, 200) == want, (sig, pair)
+            verdict = oracle(masks, op, AlgebraClass.of("R"))
+            if want is not None:
+                _, report = table_check_associativity(masks, sc, 0, 200)
+                assert verdict.associativity == report, (sig, pair)
+                assert verdict.problem == f"not associative: {report}"
+            elif not verdict.associative:
+                assert (sig, pair) == (Signature(0, 0), (0, 0))
+                assert verdict.problem == (
+                    "not a bicharacter twist: bicharacter certificate, "
+                    "1 pairs, first violation (1, 1)"
+                )
+            failing += not verdict.associative
+    assert failing == cases - 2
     sig = Signature(3, 2)
     masks = all_blades(sig)
-    cases.append((masks, flipped(geometric_blade_op(sig), *((0b1, b) for b in masks))))
-    failing = 0
-    for masks, op in cases:
-        sc = regular_representation(masks, op)
-        want = dense_first_nonassociative_triple(
-            dense_regular_representation(masks, op), 0, 200
-        )
-        assert first_nonassociative_triple(sc, 0, 200) == want, (masks, op)
-        verdict = oracle(masks, op, AlgebraClass.of("R"))
-        assert verdict.associative == (want is None), (masks, op)
-        if want is not None:
-            failing += 1
-            witness = format_blades(masks[i] for i in want)
-            assert not verdict.ok
-            assert verdict.associativity.endswith(f"first violation {witness}")
-    assert want is not None, "the sampled n = 5 case stays associative"
-    assert failing == len(cases) - 3
+    op = flipped(geometric_blade_op(sig), *((0b1, b) for b in masks))
+    assert dense_first_nonassociative_triple(
+        dense_regular_representation(masks, op), 0, 200
+    ) is not None
+    verdict = oracle(masks, op, classify_clifford(3, 2))
+    assert verdict.associativity == (
+        "bicharacter certificate, 1024 pairs, first violation (e1, 1)"
+    )
+    assert verdict.problem == f"not a bicharacter twist: {verdict.associativity}"
 
 
 def test_not_associative_carries_first_triple():
@@ -210,8 +250,58 @@ def test_not_associative_carries_first_triple():
     assert dense_first_nonassociative_triple(dense, 0, 200) == (1, 0, 0)
 
 
+def coboundary_twisted(op, blade):
+    """``op`` times f(a) f(b) f(a^b), with f = -1 on ``blade`` only."""
+
+    def f(mask):
+        return -1 if mask == blade else 1
+
+    def blade_op(a, b):
+        sign, mask = op(a, b)
+        return sign * f(a) * f(b) * f(a ^ b), mask
+
+    return blade_op
+
+
+def test_coboundary_twist_fails_the_certificate():
+    # twisting by a coboundary keeps the product associative and the
+    # algebra isomorphic to Cl(p,q) (e_a -> f(a) e_a), but from n = 3 on
+    # the twist is no bicharacter: the oracle's contract is the stricter
+    # one, and its verdict names the first pair whose sign differs from
+    # the product over i in a, j in b of the generator signs σ(e_i, e_j)
+    for sig in signatures_up_to(3):
+        if sig.n < 3:
+            continue
+        masks = all_blades(sig)
+        cls = classify_clifford(sig.p, sig.q)
+        for blade in masks:
+            op = coboundary_twisted(geometric_blade_op(sig), blade)
+            dense = dense_regular_representation(masks, op)
+            assert dense_first_nonassociative_triple(dense, 0, 200) is None
+            assert dense_fingerprint(dense) == expected_invariants(cls)
+
+            def generator_product(a, b):
+                sign = 1
+                for i in blade_indices(a):
+                    for j in blade_indices(b):
+                        sign *= op(1 << (i - 1), 1 << (j - 1))[0]
+                return sign
+
+            first = next(
+                (a, b)
+                for a, b in itertools.product(masks, repeat=2)
+                if op(a, b)[0] != generator_product(a, b)
+            )
+            verdict = oracle(masks, op, cls)
+            assert not verdict.associative and not verdict.ok
+            assert verdict.problem == (
+                "not a bicharacter twist: bicharacter certificate, 64 pairs, "
+                f"first violation {format_blades(first)}"
+            ), (sig, blade)
+
+
 def test_fingerprint_checks_no_associativity():
-    # structural_invariants fingerprints any table it is given: on every
+    # the sign-table reference fingerprints any table it is given: on every
     # non-associative table made by flipping one sign of the geometric
     # product with n <= 3, it equals the dense route without its
     # associativity check (center nullspace, trace form, signatures)
@@ -337,3 +427,30 @@ def test_sign_table_fingerprints_match_the_dense_reference():
         assert got == dense_invariants(dense_regular_representation(masks, op)), (
             masks, op
         )
+
+
+def tabulated(sig, op):
+    """``op`` read from a table of its values on every blade pair of
+    ``sig``, built once: the same sign function, cheaper to call."""
+    blades = range(1 << sig.n)
+    table = [[op(a, b) for b in blades] for a in blades]
+    return lambda a, b: table[a][b]
+
+
+def test_certificate_fingerprints_match_the_sign_table_reference():
+    # the fingerprint read off B equals the one read off the whole sign
+    # table: the even subalgebra of every grading with n <= 7 under the
+    # geometric product, and the full basis under vee_alpha and vee_prime
+    # for every grading with n <= 5
+    bases = []
+    for sig in signatures_up_to(7):
+        op = tabulated(sig, geometric_blade_op(sig))
+        bases += [(even_subalgebra_basis(Z2Grading(sig, odd)), op) for odd in range(1 << sig.n)]
+    for sig in signatures_up_to(5):
+        for odd in range(1 << sig.n):
+            gr = Z2Grading(sig, odd)
+            bases += [(all_blades(sig), vee_alpha_blade_op(gr)), (all_blades(sig), vee_prime_blade_op(gr))]
+    assert len(bases) == 1793 + 2 * 321
+    for masks, op in bases:
+        got, ref = fingerprints(masks, op)
+        assert got == ref, (masks, op)

@@ -27,12 +27,14 @@ from cliffsig import (
     vee_alpha,
     vee_alpha_via_split,
     vee_prime,
-    vee_prime_invariants,
+    vee_prime_blade_op,
     verify_clifford_map,
     wedge,
     weighted_antisymmetrization,
 )
 from cliffsig.verify import all_gradings, random_multivector, random_vector
+
+from oracles import regular_representation, structural_invariants
 
 
 def basis(sig, i):
@@ -380,7 +382,9 @@ def test_vee_prime_generator_squares_match_deformed_metric():
 def test_vee_prime_fingerprint_is_reported():
     # no closed form is asserted; the fingerprint is just well-defined
     gr = Z2Grading.from_odd_indices(Signature(1, 1), [1])
-    fp = vee_prime_invariants(gr)
+    fp = structural_invariants(
+        regular_representation(all_blades(gr.sig), vee_prime_blade_op(gr))
+    )
     assert fp.dim == 4
 
 
@@ -462,9 +466,9 @@ def test_verify_clifford_map_coverage():
     big = verify_clifford_map(Z2Grading.from_odd_indices(Signature(3, 2), [1]))
     details = {c.name: c.detail for c in small.checks}
     assert details["definition"] == "64 (generator, blade) pairs, 0 violations"
-    assert details["associativity"] == "exhaustive triples, 0 violations"
+    assert details["associativity"] == "bicharacter certificate, 256 pairs, 0 violations"
     details = {c.name: c.detail for c in big.checks}
-    assert details["associativity"] == "300 sampled triples, 0 violations"
+    assert details["associativity"] == "bicharacter certificate, 1024 pairs, 0 violations"
     assert small.ok and big.ok
 
 
@@ -548,8 +552,8 @@ def test_definition_sums_wedge_and_contraction(monkeypatch):
 
 
 def test_one_associativity_pass_per_clifford_map(monkeypatch):
-    # the associativity and fingerprint checks share one pass of the
-    # oracle's loop; the reference fingerprint is closed form and makes none
+    # the associativity and fingerprint checks share one certificate pass;
+    # the reference fingerprint is closed form and makes none
     import cliffsig.oracle as oracle
 
     gradings = [
@@ -557,13 +561,13 @@ def test_one_associativity_pass_per_clifford_map(monkeypatch):
         Z2Grading.from_odd_indices(Signature(3, 2), [1, 4]),
     ]
     calls = []
-    honest = oracle.first_nonassociative_triple
+    honest = oracle.bicharacter_certificate
 
-    def counting(sc, seed, trials):
-        calls.append(trials)
-        return honest(sc, seed, trials)
+    def counting(masks, blade_op):
+        calls.append(len(masks))
+        return honest(masks, blade_op)
 
-    monkeypatch.setattr(oracle, "first_nonassociative_triple", counting)
+    monkeypatch.setattr(oracle, "bicharacter_certificate", counting)
     for gr in gradings:
         assert verify_clifford_map(gr).ok
-    assert calls == [300, 300]
+    assert calls == [8, 32]

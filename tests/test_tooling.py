@@ -67,22 +67,32 @@ def test_oracle_exceptions_are_caught_only_in_the_oracle():
     assert not found, f"oracle exceptions caught outside oracle.py: {found}"
 
 
-def test_associativity_is_checked_only_in_the_oracle():
-    # oracle.oracle runs and words the one associativity pass; a second
-    # caller of the triple search would be a second policy and wording
-    found = [
+def _named_outside_oracle(name):
+    """Every place outside oracle.py where ``name`` is read, imported or
+    looked up as an attribute."""
+    return [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
         if path.name != "oracle.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if (isinstance(node, ast.Name) and node.id == "first_nonassociative_triple")
-        or (isinstance(node, ast.Attribute) and node.attr == "first_nonassociative_triple")
-        or (
-            isinstance(node, ast.alias)
-            and node.name == "first_nonassociative_triple"
-        )
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
     ]
-    assert not found, f"first_nonassociative_triple named outside oracle.py: {found}"
+
+
+def test_associativity_is_checked_only_in_the_oracle():
+    # oracle.py runs and words the one associativity pass, the bicharacter
+    # certificate; a second caller would be a second policy and wording
+    found = _named_outside_oracle("bicharacter_certificate")
+    assert not found, f"bicharacter_certificate named outside oracle.py: {found}"
+
+
+def test_no_product_is_computed_from_the_bicharacter():
+    # the certificate compares each product's sign with (-1)^(aᵀBb); a
+    # product computed from aᵀB would be certified against itself
+    found = _named_outside_oracle("_bicharacter_row")
+    assert not found, f"_bicharacter_row named outside oracle.py: {found}"
 
 
 def test_oracle_is_called_only_by_the_two_fingerprint_checks():

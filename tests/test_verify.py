@@ -155,12 +155,12 @@ def test_table4_reports_grading_count_mismatch(monkeypatch):
 
 
 def test_core_associativity_coverage():
-    # exhaustive over blade triples through the oracle's loop for n <= 4,
+    # exact through the oracle's bicharacter certificate for n <= 4,
     # random rational multivectors beyond
     rep = run_suite("core", 5)
     details = {c.key: c.detail for c in rep.cells if c.key.endswith(":associativity")}
-    assert details["2,2:associativity"] == "exhaustive triples, 0 violations"
-    assert details["1,0:associativity"] == "exhaustive triples, 0 violations"
+    assert details["2,2:associativity"] == "bicharacter certificate, 256 pairs, 0 violations"
+    assert details["1,0:associativity"] == "bicharacter certificate, 4 pairs, 0 violations"
     assert details["3,2:associativity"] == "300 random multivector triples, 0 violations"
 
 
