@@ -170,18 +170,6 @@ def classify_even_part(p: int, q: int) -> AlgebraClass:
     return _expand(_EVEN_PART_PERIOD[(p - q) % 8], 1 << (p + q - 1))
 
 
-def classify_complex_clifford(n: int) -> AlgebraClass:
-    """Complex Clifford algebra in n generators, as a complex algebra:
-    M(2^k, C) for n = 2k and a double copy for n = 2k+1."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    k = n // 2
-    comp = SimpleComponent(1 << k, "C")
-    if n % 2 == 0:
-        return AlgebraClass((comp,))
-    return AlgebraClass((comp, comp))
-
-
 def _tensor_pair(a: SimpleComponent, b: SimpleComponent) -> list[SimpleComponent]:
     ks = {a.K, b.K}
     m = a.m * b.m

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -114,9 +115,16 @@ def blade_sort_key(mask: int):
     return kernels.grade(mask), blade_indices(mask)
 
 
+@cache
+def blade_order(n: int) -> tuple[int, ...]:
+    """Every blade mask on n generators in canonical order, sorted once
+    per n."""
+    return tuple(sorted(range(1 << n), key=blade_sort_key))
+
+
 def all_blades(sig: Signature) -> list[int]:
-    """Every blade mask of Cl(p,q) in canonical order."""
-    return sorted(range(1 << sig.n), key=blade_sort_key)
+    """Every blade mask of Cl(p,q) in canonical order, as a new list."""
+    return list(blade_order(sig.n))
 
 
 def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:

@@ -23,8 +23,8 @@ from .core import (
     all_blades,
     blade_from_indices,
     blade_indices,
+    blade_order,
     blade_product,
-    blade_sort_key,
 )
 
 
@@ -126,10 +126,7 @@ def even_subalgebra_basis(gr: Z2Grading) -> list[int]:
     This is a vector-space basis of the even subalgebra: 2^n blades for
     the trivial grading, 2^(n-1) otherwise.
     """
-    return sorted(
-        (m for m in range(1 << gr.sig.n) if not gr.blade_parity(m)),
-        key=blade_sort_key,
-    )
+    return [m for m in blade_order(gr.sig.n) if not gr.blade_parity(m)]
 
 
 class DimensionClass(Enum):

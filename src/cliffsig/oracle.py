@@ -26,6 +26,16 @@ from B alone, in Python ints with no division:
 * the trace form is diagonal, since L_a L_b e_c lies on e_{a^b^c}, with
   B(e_a, e_a) = dim·σ(a,a).
 
+A clean pass over a group of blades also fingerprints every subgroup of
+it, with no further product (``certify``, ``Certificate``): c(·), the
+coordinates over the group's GF(2) basis, is additive, so for blades s, t
+of a subgroup with GF(2) basis h_1..h_m chosen among its blades,
+c(s)ᵀB c(t) = d(s)ᵀ B_sub d(t), where d(·) gives coordinates over h and
+B_sub[k][l] = c(h_k)ᵀB c(h_l).  Every pair of the subgroup was compared in
+the group's pass, so B_sub holds exactly the signs a pass over the
+subgroup alone would read, and the fingerprint is the same.  Every even
+subalgebra of a grading of Cl(p,q) is such a subgroup of its blades.
+
 ``expected_invariants`` gives the fingerprint of a class in closed form.
 ``oracle`` runs the certificate and compares the two; it alone turns a
 violation into a verdict.  The products themselves stay the bit-reorder
@@ -158,21 +168,10 @@ class Verdict:
         return not self.problem
 
 
-def bicharacter_certificate(masks, blade_op) -> tuple[Verdict, StructuralInvariants | None]:
-    """The one pass over every pair of the blade basis ``masks`` under the
-    product whose blade sign function is ``blade_op``: its verdict on
-    associativity, and the fingerprint read off B when the pass is clean.
-
-    B is read from ``blade_op`` on a GF(2) basis of the span chosen among
-    ``masks``, and every pair's sign is compared with (-1)^(aᵀBb).  An
-    empty or repeated mask list raises NotIndependent, a nonzero product
-    landing on a blade outside the list raises NotClosed, and one that is
-    not plus or minus the symmetric difference of its factors raises
-    NotTwisted, at the first such pair in row-major order.  On a failed
-    comparison every triple is searched while dim**3 <= 4096; the verdict
-    names the first non-associative triple, else the first failing pair.
-    """
-    masks = list(masks)
+def _read_bicharacter(masks: list[int], blade_op):
+    """The certificate pass over every pair of the blade basis ``masks``:
+    B's rows, each mask's coordinates, and the first pair whose sign is
+    not (-1)^(aᵀBb), or None.  Raises as ``bicharacter_certificate``."""
     if not masks:
         raise NotIndependent("empty basis")
     index = {mask: i for i, mask in enumerate(masks)}
@@ -199,6 +198,25 @@ def bicharacter_certificate(masks, blade_op) -> tuple[Verdict, StructuralInvaria
                 )
             if s != (-1 if (row & cb).bit_count() & 1 else 1) and bad is None:
                 bad = a, b
+    return rows, coords, bad
+
+
+def bicharacter_certificate(masks, blade_op) -> tuple[Verdict, StructuralInvariants | None]:
+    """The one pass over every pair of the blade basis ``masks`` under the
+    product whose blade sign function is ``blade_op``: its verdict on
+    associativity, and the fingerprint read off B when the pass is clean.
+
+    B is read from ``blade_op`` on a GF(2) basis of the span chosen among
+    ``masks``, and every pair's sign is compared with (-1)^(aᵀBb).  An
+    empty or repeated mask list raises NotIndependent, a nonzero product
+    landing on a blade outside the list raises NotClosed, and one that is
+    not plus or minus the symmetric difference of its factors raises
+    NotTwisted, at the first such pair in row-major order.  On a failed
+    comparison every triple is searched while dim**3 <= 4096; the verdict
+    names the first non-associative triple, else the first failing pair.
+    """
+    masks = list(masks)
+    rows, coords, bad = _read_bicharacter(masks, blade_op)
     how = f"bicharacter certificate, {len(masks) ** 2} pairs"
     if bad is None:
         return Verdict(True, f"{how}, 0 violations", ""), _invariants(rows, coords)
@@ -208,6 +226,54 @@ def bicharacter_certificate(masks, blade_op) -> tuple[Verdict, StructuralInvaria
         return Verdict(False, report, f"not associative: {report}"), None
     report = f"{how}, first violation {format_blades(bad)}"
     return Verdict(False, report, f"not a bicharacter twist: {report}"), None
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """What a clean ``bicharacter_certificate`` pass read: the rows of B
+    and the coordinates of every certified blade over B's GF(2) basis."""
+
+    rows: tuple[int, ...]
+    coords: dict[int, int]
+
+    def subgroup_invariants(self, masks) -> StructuralInvariants:
+        """The fingerprint of the subalgebra on the blades ``masks``, a
+        subgroup of the certified ones, read off B restricted to it with
+        no product; it equals ``bicharacter_certificate``'s on ``masks``.
+        An empty or repeated mask list raises NotIndependent; a blade
+        outside the certified ones, or a list not closed under the
+        symmetric difference, raises NotClosed."""
+        masks = list(masks)
+        if not masks:
+            raise NotIndependent("empty basis")
+        if len(set(masks)) < len(masks):
+            raise NotIndependent("a blade appears twice in the basis")
+        outside = next((m for m in masks if m not in self.coords), None)
+        if outside is not None:
+            raise NotClosed(f"blade {outside:#b} is not among the certified blades")
+        generators, sub, span = _coordinates(masks)
+        if span > len(masks):
+            raise NotClosed("the basis is not closed under the symmetric difference")
+        whole = [self.coords[h] for h in generators]
+        rows = [
+            sum(((row & h).bit_count() & 1) << j for j, h in enumerate(whole))
+            for row in (_bicharacter_row(self.rows, g) for g in whole)
+        ]
+        return _invariants(rows, sub)
+
+
+def certify(masks, blade_op) -> Certificate | None:
+    """The certificate of the blade basis ``masks`` under ``blade_op``,
+    kept so that every subgroup of it can be fingerprinted with no further
+    product; None when the pass fails or raises."""
+    masks = list(masks)
+    try:
+        rows, coords, bad = _read_bicharacter(masks, blade_op)
+    except (NotClosed, NotIndependent, NotTwisted):
+        return None
+    if bad is not None:
+        return None
+    return Certificate(tuple(rows), dict(zip(masks, coords)))
 
 
 def check_associativity(masks, blade_op) -> tuple[bool, str]:
@@ -234,9 +300,14 @@ def expected_invariants(cls: AlgebraClass) -> StructuralInvariants:
     return StructuralInvariants(dim, center_dim, (pos, neg), (cpos, cneg))
 
 
-def oracle(masks, blade_op, cls: AlgebraClass) -> Verdict:
+def oracle(masks, blade_op, cls: AlgebraClass, *, certificate: Certificate | None = None) -> Verdict:
     """Fingerprint of the blade basis ``masks`` under ``blade_op`` against
     the reference of ``cls``, from one ``bicharacter_certificate`` pass.
+
+    With a ``certificate`` of a group of blades holding ``masks``, made
+    under the same ``blade_op``, the fingerprint is read off its B with no
+    product; where ``masks`` is no subgroup of it, the pass runs as
+    without one, so a failing verdict is worded the same either way.
 
     The contract is stricter than associativity: the twist must be a
     bicharacter, so an associative product twisted by a coboundary that
@@ -245,12 +316,23 @@ def oracle(masks, blade_op, cls: AlgebraClass) -> Verdict:
     blade triple (searched while dim**3 <= 4096), else the first pair off
     the bicharacter, the NotClosed, NotIndependent or NotTwisted message,
     or the oracle-vs-reference mismatch."""
-    try:
-        verdict, got = bicharacter_certificate(masks, blade_op)
-    except (NotClosed, NotIndependent, NotTwisted) as exc:
-        return Verdict(False, str(exc), str(exc))
+    masks = list(masks)
+    got = None
+    if certificate is not None:
+        try:
+            got = certificate.subgroup_invariants(masks)
+        except (NotClosed, NotIndependent):
+            pass  # the pass below words the failure
+        else:
+            pairs = len(certificate.coords) ** 2
+            verdict = Verdict(True, f"bicharacter certificate, {pairs} pairs, 0 violations", "")
     if got is None:
-        return verdict
+        try:
+            verdict, got = bicharacter_certificate(masks, blade_op)
+        except (NotClosed, NotIndependent, NotTwisted) as exc:
+            return Verdict(False, str(exc), str(exc))
+        if got is None:
+            return verdict
     want = expected_invariants(cls)
     problem = "" if got == want else f"oracle {got} != reference {want}"
     return Verdict(True, verdict.associativity, problem)

@@ -3,8 +3,10 @@
 Each suite re-derives a family of facts cell by cell and cross-checks the
 closed-form classification against the structural oracle (or products
 against their defining laws), timing each cell.  Cells are pure
-computations, so a sweep could fan out to workers; the implementation
-stays sequential to keep report ordering deterministic.
+computations, except that a ``table4`` signature's cells share one
+certificate, made in its first cell; a sweep could fan out to workers
+one signature each, but stays sequential to keep report ordering
+deterministic.
 
 Every table cell fingerprints through ``even_subalgebra_problem``: the
 even subalgebra of the grading whose even 1-vectors have signature
@@ -30,6 +32,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .classify import (
     AlgebraClass,
@@ -54,7 +57,14 @@ from .core import (
     wedge,
 )
 from .grading import Z2Grading, even_subalgebra_basis
-from .oracle import associativity_is_exhaustive, check_associativity, oracle, triples
+from .oracle import (
+    Certificate,
+    associativity_is_exhaustive,
+    certify,
+    check_associativity,
+    oracle,
+    triples,
+)
 from .sigchange import random_vector, verify_clifford_map
 
 DEFAULT_SEED = 0
@@ -146,19 +156,23 @@ def random_multivector(rng: random.Random, sig: Signature) -> Multivector:
     return _reduced(sig, {m: n for m, n in num.items() if n}, 60)
 
 
-def even_subalgebra_problem(sig: Signature, p0: int, q0: int, cls: AlgebraClass) -> str:
+def even_subalgebra_problem(
+    sig: Signature, p0: int, q0: int, cls: AlgebraClass, *, certificate: Certificate | None = None
+) -> str:
     """The one fingerprint check of the tables and ``classify --oracle``:
     the even subalgebra of the canonical grading of ``sig`` whose even
     1-vectors have signature (p0, q0), under the geometric product,
     against ``cls``.  "" when it agrees, else the first problem: wrong
-    grading counts, or the oracle's verdict."""
+    grading counts, or the oracle's verdict.  ``certificate``, of every
+    blade of ``sig`` under the geometric product, lets the oracle read
+    the fingerprint off it."""
     p1, q1 = sig.p - p0, sig.q - q0
     mask = canonical_odd_mask(sig, p1, q1)
     gr = Z2Grading(sig, mask)
     if gr.counts() != (p0, q0, p1, q1):
         return f"odd mask {mask:#b} has counts {gr.counts()}, expected {(p0, q0, p1, q1)}"
     basis = even_subalgebra_basis(gr)
-    return oracle(basis, geometric_blade_op(sig), cls).problem
+    return oracle(basis, geometric_blade_op(sig), cls, certificate=certificate).problem
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +219,27 @@ def verify_table2(max_n: int) -> SuiteReport:
 def verify_table4(max_n: int) -> SuiteReport:
     """The central sweep: for every (p,q,p0,q0), the even subalgebra of
     the grading with even signature (p0,q0) against
-    classify_even_subalgebra."""
+    classify_even_subalgebra.
+
+    Every even subalgebra of Cl(p,q) is a subgroup of its blades, so one
+    certificate of the whole algebra, made in the signature's first cell,
+    gives every cell its fingerprint.  Where that pass fails, each cell
+    runs its own, and fails or passes as it would alone."""
     report = SuiteReport("table4")
+
+    @lru_cache(maxsize=1)
+    def whole_algebra(sig: Signature) -> Certificate | None:
+        return certify(all_blades(sig), geometric_blade_op(sig))
+
     for sig in signatures_up_to(max_n):
         for p0 in range(sig.p + 1):
             for q0 in range(sig.q + 1):
 
                 def cell(sig=sig, p0=p0, q0=q0):
                     cls = classify_even_subalgebra(sig.p, sig.q, p0, q0)
-                    problem = even_subalgebra_problem(sig, p0, q0, cls)
+                    problem = even_subalgebra_problem(
+                        sig, p0, q0, cls, certificate=whole_algebra(sig)
+                    )
                     return _cell_result(f"Cl0 ~ {cls}", problem)
 
                 _timed(report, f"{sig.p},{sig.q},{p0},{q0}", cell)

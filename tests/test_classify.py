@@ -7,7 +7,6 @@ from cliffsig import (
     AlgebraClass,
     SimpleComponent,
     classify_clifford,
-    classify_complex_clifford,
     classify_even_part,
     classify_even_subalgebra,
     even_subalgebra_lookup,
@@ -82,18 +81,6 @@ def test_even_part_identity_chain():
             if q >= 1:
                 assert even == classify_clifford(p, q - 1)
             assert even == classify_even_part(q, p)
-
-
-# -- complex classification ---------------------------------------------------
-
-
-def test_complex_values():
-    assert classify_complex_clifford(0) == cls("C")
-    assert classify_complex_clifford(2) == M(2, "C")
-    assert classify_complex_clifford(3) == AlgebraClass(
-        [SimpleComponent(2, "C"), SimpleComponent(2, "C")]
-    )
-    assert classify_complex_clifford(4) == M(4, "C")
 
 
 # -- tensor_simplify ----------------------------------------------------------

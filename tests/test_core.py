@@ -549,3 +549,14 @@ def test_signature_validation():
     with pytest.raises(ValueError):
         Signature(7, 6)  # beyond the cap
     assert Signature(6, 6).n == 12
+
+
+def test_all_blades_returns_a_new_list():
+    # the canonical order is sorted once per n; a caller that mutates the
+    # list it was given cannot change the next caller's
+    sig = Signature(2, 1)
+    first = all_blades(sig)
+    want = list(first)
+    first.reverse()
+    first.append(99)
+    assert all_blades(sig) == want == [0, 1, 2, 4, 3, 5, 6, 7]

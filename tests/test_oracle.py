@@ -30,7 +30,7 @@ from cliffsig import (
 )
 from cliffsig import kernels
 from cliffsig.core import MAX_DIMENSION
-from cliffsig.oracle import bicharacter_certificate, format_blades, oracle
+from cliffsig.oracle import bicharacter_certificate, certify, format_blades, oracle
 from cliffsig.verify import canonical_odd_mask, signatures_up_to
 
 from oracles import (
@@ -441,16 +441,60 @@ def test_certificate_fingerprints_match_the_sign_table_reference():
     # the fingerprint read off B equals the one read off the whole sign
     # table: the even subalgebra of every grading with n <= 7 under the
     # geometric product, and the full basis under vee_alpha and vee_prime
-    # for every grading with n <= 5
+    # for every grading with n <= 5.  Each even subalgebra is fingerprinted
+    # a third way too, off the certificate of its whole algebra
     bases = []
     for sig in signatures_up_to(7):
         op = tabulated(sig, geometric_blade_op(sig))
-        bases += [(even_subalgebra_basis(Z2Grading(sig, odd)), op) for odd in range(1 << sig.n)]
+        whole = certify(all_blades(sig), op)
+        bases += [
+            (even_subalgebra_basis(Z2Grading(sig, odd)), op, whole)
+            for odd in range(1 << sig.n)
+        ]
     for sig in signatures_up_to(5):
         for odd in range(1 << sig.n):
             gr = Z2Grading(sig, odd)
-            bases += [(all_blades(sig), vee_alpha_blade_op(gr)), (all_blades(sig), vee_prime_blade_op(gr))]
+            bases += [
+                (all_blades(sig), vee_alpha_blade_op(gr), None),
+                (all_blades(sig), vee_prime_blade_op(gr), None),
+            ]
     assert len(bases) == 1793 + 2 * 321
-    for masks, op in bases:
+    subgroups = 0
+    for masks, op, whole in bases:
         got, ref = fingerprints(masks, op)
         assert got == ref, (masks, op)
+        if whole is not None:
+            subgroups += 1
+            assert whole.subgroup_invariants(masks) == ref, masks
+    assert subgroups == 1793
+
+
+def test_subgroup_read_rejects_what_the_pass_rejects():
+    # a list that is no subgroup of the certified blades raises the same
+    # exceptions as the per-basis pass, and the oracle then words the
+    # failure through that pass, as if it had no certificate
+    sig = Signature(2, 0)
+    op = geometric_blade_op(sig)
+    whole = certify(all_blades(sig), op)
+    assert whole is not None
+    for masks in ([0b01, 0b01], []):
+        with pytest.raises(NotIndependent):
+            whole.subgroup_invariants(masks)
+    with pytest.raises(NotClosed, match="not closed under the symmetric difference"):
+        whole.subgroup_invariants([0b00, 0b01, 0b10])
+    with pytest.raises(NotClosed, match="0b100 is not among the certified blades"):
+        whole.subgroup_invariants([0b000, 0b100])
+    cls = classify_clifford(2, 0)
+    for masks in ([0b01, 0b01], [0b00, 0b01, 0b10]):
+        assert oracle(masks, op, cls, certificate=whole) == oracle(masks, op, cls)
+    assert not oracle([0b00, 0b01, 0b10], op, cls, certificate=whole).ok
+
+
+def test_certify_refuses_a_failing_pass():
+    # a pass that fails or raises leaves no certificate to read from
+    sig = Signature(2, 0)
+    masks = all_blades(sig)
+    assert certify(masks, flipped(geometric_blade_op(sig), (0b01, 0b10))) is None
+    assert certify([0b00, 0b01, 0b10], geometric_blade_op(sig)) is None
+    assert certify([0, 1], lambda a, b: (1, a | b)) is None
+    assert certify([], geometric_blade_op(sig)) is None

@@ -116,3 +116,33 @@ def test_oracle_is_called_only_by_the_two_fingerprint_checks():
                 if name == "oracle" and (path.name, owner) not in allowed:
                     found.append(f"{path.name}:{node.lineno} in {owner}")
     assert not found, f"oracle called outside the two fingerprint checks: {found}"
+
+
+def test_only_table4_shares_a_whole_algebra_certificate():
+    # verify_table4 certifies each signature once and its cells read their
+    # fingerprints off that certificate; even_subalgebra_problem only hands
+    # it on to the oracle.  Another sweep that shared one would be a second
+    # sharing policy, with its own rule for when a failing pass fails a cell
+    allowed = {
+        "certify": {("verify.py", "verify_table4")},
+        "certificate": {
+            ("verify.py", "verify_table4"),
+            ("verify.py", "even_subalgebra_problem"),
+        },
+    }
+    found = []
+    for path in SOURCES:
+        if path.name == "oracle.py":
+            continue
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                uses = {name} | {k.arg for k in node.keywords}
+                for what in uses & set(allowed):
+                    if (path.name, owner) not in allowed[what]:
+                        found.append(f"{path.name}:{node.lineno} {what} in {owner}")
+    assert not found, f"a whole-algebra certificate outside verify_table4: {found}"

@@ -208,3 +208,33 @@ def test_table4_product_leaving_the_span_fails_its_cell(monkeypatch):
     assert len(report.cells) == 5 and report.violations == 5
     for c in report.cells:
         assert c.detail.endswith("; product of basis elements 0 and 0 leaves the span")
+
+
+def test_table4_failure_is_attributed_to_its_cells(monkeypatch):
+    # e1 e2 = -e12 breaks the whole algebra's certificate wherever both
+    # generators appear, so each cell of such a signature runs its own
+    # pass: the report equals a sweep with no shared certificate, and the
+    # cells whose even subalgebra holds no e1 e2 pair still pass
+    import cliffsig.verify as verify
+
+    honest = verify.geometric_blade_op
+
+    def twisted(sig):
+        op = honest(sig)
+
+        def blade_op(x, y):
+            sign, mask = op(x, y)
+            return (-sign, mask) if (x, y) == (0b01, 0b10) else (sign, mask)
+
+        return blade_op
+
+    monkeypatch.setattr(verify, "geometric_blade_op", twisted)
+    shared = verify_table4(max_n=2)
+    monkeypatch.setattr(verify, "certify", lambda masks, blade_op: None)
+    per_basis = verify_table4(max_n=2)
+    assert [(c.key, c.ok, c.detail) for c in shared.cells] == [
+        (c.key, c.ok, c.detail) for c in per_basis.cells
+    ]
+    verdicts = {c.key: c.ok for c in shared.cells if c.key.startswith("2,0,")}
+    assert verdicts == {"2,0,0,0": True, "2,0,1,0": True, "2,0,2,0": False}
+    assert shared.violations == 3
