@@ -271,9 +271,7 @@ def certify(masks, blade_op) -> Certificate | None:
         rows, coords, bad = _read_bicharacter(masks, blade_op)
     except (NotClosed, NotIndependent, NotTwisted):
         return None
-    if bad is not None:
-        return None
-    return Certificate(tuple(rows), dict(zip(masks, coords)))
+    return None if bad else Certificate(tuple(rows), dict(zip(masks, coords)))
 
 
 def check_associativity(masks, blade_op) -> tuple[bool, str]:
@@ -300,7 +298,9 @@ def expected_invariants(cls: AlgebraClass) -> StructuralInvariants:
     return StructuralInvariants(dim, center_dim, (pos, neg), (cpos, cneg))
 
 
-def oracle(masks, blade_op, cls: AlgebraClass, *, certificate: Certificate | None = None) -> Verdict:
+def oracle(
+    masks, blade_op, cls: AlgebraClass, *, certificate: Certificate | None = None
+) -> Verdict:
     """Fingerprint of the blade basis ``masks`` under ``blade_op`` against
     the reference of ``cls``, from one ``bicharacter_certificate`` pass.
 
@@ -323,16 +323,17 @@ def oracle(masks, blade_op, cls: AlgebraClass, *, certificate: Certificate | Non
             got = certificate.subgroup_invariants(masks)
         except (NotClosed, NotIndependent):
             pass  # the pass below words the failure
-        else:
-            pairs = len(certificate.coords) ** 2
-            verdict = Verdict(True, f"bicharacter certificate, {pairs} pairs, 0 violations", "")
-    if got is None:
+    if got is not None:
+        pairs = len(certificate.coords) ** 2
+        associativity = f"bicharacter certificate, {pairs} pairs, 0 violations"
+    else:
         try:
             verdict, got = bicharacter_certificate(masks, blade_op)
         except (NotClosed, NotIndependent, NotTwisted) as exc:
             return Verdict(False, str(exc), str(exc))
         if got is None:
             return verdict
+        associativity = verdict.associativity
     want = expected_invariants(cls)
     problem = "" if got == want else f"oracle {got} != reference {want}"
-    return Verdict(True, verdict.associativity, problem)
+    return Verdict(True, associativity, problem)
