@@ -402,9 +402,18 @@ def bilinear(a: Multivector, b: Multivector, blade_op) -> Multivector:
 
 def geometric_blade_op(sig: Signature):
     """Blade sign function of the Clifford product of ``sig``: the one
-    definition behind ``geometric_product`` and its structure constants."""
+    definition behind ``geometric_product``; ``geometric_row_op`` is the
+    same kernel by rows, for the oracle."""
     neg = sig.neg_mask
     return lambda ma, mb: kernels.blade_mul(ma, mb, neg)
+
+
+def geometric_row_op(sig: Signature):
+    """Row sign function of the Clifford product of ``sig``: a blade and a
+    list of blades to ``geometric_blade_op``'s (sign, mask) for each, as
+    the oracle reads it."""
+    neg = sig.neg_mask
+    return lambda ma, mbs: kernels.blade_mul_row(ma, mbs, neg)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:

@@ -5,6 +5,13 @@ e1^e3 is 0b101.  ``neg_mask`` marks the generators squaring to -1.  It
 may be any subset of the generators, not only the trailing q of a
 ``Signature``: the deformed product of a grading is ``blade_mul`` under
 the mask with the odd generators' squares flipped.
+
+Every sign is the parity of ``r & b`` for a mask ``r`` that depends on
+the left factor ``a`` alone: ``reorder_mask(a)`` for the merge
+permutation, XOR ``a & neg_mask`` for the squares of the common indices.
+``blade_mul_row`` computes ``r`` once for a whole row of right factors;
+``blade_mul`` is its one-pair form, and the test suite checks both
+against bubble-sort transposition counting.
 """
 
 
@@ -13,20 +20,28 @@ def grade(mask):
     return mask.bit_count()
 
 
+def reorder_mask(a):
+    """The mask whose bit j is set iff an odd number of ``a``'s bits lie
+    above j: a suffix XOR of ``a >> 1``, doubling the shift each step, so
+    ceil(log2(n)) steps for n generators."""
+    r = a >> 1
+    shift = 1
+    while r >> shift:
+        r ^= r >> shift
+        shift <<= 1
+    return r
+
+
 def reorder_sign(a, b):
     """Parity sign of the permutation merging two increasing index lists.
 
     This is the sign accumulated by transposing the concatenation of the
     index sequences of ``a`` and ``b`` into a single increasing sequence
     (equal indices are left adjacent; their metric signs are applied by
-    blade_mul, not here).
+    blade_mul, not here): each index of ``b`` passes the indices of ``a``
+    above it.
     """
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += (a & b).bit_count()
-        a >>= 1
-    return -1 if swaps & 1 else 1
+    return -1 if (reorder_mask(a) & b).bit_count() & 1 else 1
 
 
 def blade_metric_sign(mask, neg_mask):
@@ -39,13 +54,17 @@ def blade_mul(a, b, neg_mask):
 
     Repeated indices annihilate via e_i^2 = +/-1, so the result mask is
     the symmetric difference; the sign combines the merge permutation
-    with the metric signs of the common indices.
+    with the metric signs of the common indices, a & b & neg_mask.
     """
-    sign = reorder_sign(a, b)
-    common = a & b
-    if (common & neg_mask).bit_count() & 1:
-        sign = -sign
-    return sign, a ^ b
+    r = reorder_mask(a) ^ (a & neg_mask)
+    return -1 if (r & b).bit_count() & 1 else 1, a ^ b
+
+
+def blade_mul_row(a, bs, neg_mask):
+    """``[blade_mul(a, b, neg_mask) for b in bs]``, with the left factor's
+    sign mask computed once for the row."""
+    r = reorder_mask(a) ^ (a & neg_mask)
+    return [(-1 if (r & b).bit_count() & 1 else 1, a ^ b) for b in bs]
 
 
 def blade_wedge(a, b):

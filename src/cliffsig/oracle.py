@@ -16,7 +16,10 @@ the basis blades.  Such a twist is a 2-cocycle, so the algebra is
 associative (Albuquerque and Majid, J. Pure Appl. Algebra 171 (2002)).
 ``bicharacter_certificate`` reads B and visits every pair of basis blades
 once, row by row, keeping one int per row; the fingerprint then follows
-from B alone, in Python ints with no division:
+from B alone, in Python ints with no division.  The product is given as
+a row sign function ``row_op(a, bs)``, the (sign, mask) of a·b for every
+b in the list ``bs``, so a pass makes k + dim calls (k generator rows of
+B, then one per basis row) and still reads all dim² signs:
 
 * the certificate: every pair's sign equals (-1)^(aᵀBb), which proves
   associativity exactly, at every size;
@@ -38,12 +41,15 @@ subalgebra of a grading of Cl(p,q) is such a subgroup of its blades.
 
 ``expected_invariants`` gives the fingerprint of a class in closed form.
 ``oracle`` runs the certificate and compares the two; it alone turns a
-violation into a verdict.  The products themselves stay the bit-reorder
-kernels of ``kernels``: none is computed from B, so the certificate is a
-check of those kernels.  The test suite keeps the sign-table route and
-the dense construction (dict tables, a center nullspace, congruence
-diagonalization, matrix-unit references) as the references these
-shortcuts are compared with.
+violation into a verdict.  The row sign functions are the row forms of
+the bit-reorder kernels of ``kernels`` (``blade_mul_row``), which the
+test suite checks pair by pair against ``blade_mul`` and bubble-sort
+transposition counting; none is computed from B, so the certificate is a
+check of those kernels.  The fingerprint reads aᵀB and aᵀ(B+Bᵀ) for each
+blade off tables over the whole span, one XOR per entry.  The test suite
+keeps the sign-table route and the dense construction (dict tables, a
+center nullspace, congruence diagonalization, matrix-unit references) as
+the references these shortcuts are compared with.
 """
 
 from __future__ import annotations
@@ -127,24 +133,39 @@ def _bicharacter_row(rows: list[int], coord: int) -> int:
     return out
 
 
+def _span_rows(rows: list[int]) -> list[int]:
+    """aᵀM for every coordinate bitmask a < 2**len(rows), indexed by a,
+    with M given by its rows: one XOR each, doubling over the span as
+    ``_coordinates`` does."""
+    out = [0]
+    for row in rows:
+        out += [x ^ row for x in out]
+    return out
+
+
 def _invariants(rows: list[int], coords: list[int]) -> StructuralInvariants:
     """The fingerprint of the twisted group algebra whose twist is the
     bicharacter with matrix rows ``rows``, on blades with coordinates
     ``coords``: B(e_a, e_a) = dim·σ(a,a), and a is central when
     aᵀ(B+Bᵀ) = 0."""
     sym = [r ^ sum((s >> i & 1) << j for j, s in enumerate(rows)) for i, r in enumerate(rows)]
-    negative = [(_bicharacter_row(rows, c) & c).bit_count() & 1 for c in coords]
-    central = [neg for neg, c in zip(negative, coords) if not _bicharacter_row(sym, c)]
+    row_of, sym_of = _span_rows(rows), _span_rows(sym)
+    negative = [(row_of[c] & c).bit_count() & 1 for c in coords]
+    central = [neg for neg, c in zip(negative, coords) if not sym_of[c]]
     dim, neg, cdim, cneg = len(coords), sum(negative), len(central), sum(central)
     return StructuralInvariants(dim, cdim, (dim - neg, neg), (cdim - cneg, cneg))
 
 
-def _first_nonassociative_triple(masks, blade_op):
+def _first_nonassociative_triple(masks, row_op):
     """First blade triple (a, b, c) of ``masks`` with (ab)c != a(bc), read
-    through ``blade_op`` on a closed, twisted basis, or None; None at once
-    when dim**3 > _EXHAUSTIVE_TRIPLES."""
+    through ``row_op`` one-element rows on a closed, twisted basis, or
+    None; None at once when dim**3 > _EXHAUSTIVE_TRIPLES."""
     if not associativity_is_exhaustive(len(masks)):
         return None
+
+    def blade_op(a, b):
+        return row_op(a, [b])[0]
+
     for a, b, c in itertools.product(masks, repeat=3):
         s, ab = blade_op(a, b)
         t, bc = blade_op(b, c)
@@ -168,10 +189,11 @@ class Verdict:
         return not self.problem
 
 
-def _read_bicharacter(masks: list[int], blade_op):
+def _read_bicharacter(masks: list[int], row_op):
     """The certificate pass over every pair of the blade basis ``masks``:
     B's rows, each mask's coordinates, and the first pair whose sign is
-    not (-1)^(aᵀBb), or None.  Raises as ``bicharacter_certificate``."""
+    not (-1)^(aᵀBb), or None.  ``row_op`` is called once per generator
+    row of B and once per basis row.  Raises as ``bicharacter_certificate``."""
     if not masks:
         raise NotIndependent("empty basis")
     index = {mask: i for i, mask in enumerate(masks)}
@@ -180,14 +202,13 @@ def _read_bicharacter(masks: list[int], blade_op):
     generators, coords, span = _coordinates(masks)
     unclosed = len(masks) < span  # else a ^ b is always a basis blade
     rows = [
-        sum((blade_op(g, h)[0] < 0) << j for j, h in enumerate(generators))
+        sum((s < 0) << j for j, (s, _) in enumerate(row_op(g, generators)))
         for g in generators
     ]
     bad = None
     for a, ca in zip(masks, coords):
         row = _bicharacter_row(rows, ca)
-        for b, cb in zip(masks, coords):
-            s, mask = blade_op(a, b)
+        for (s, mask), b, cb in zip(row_op(a, masks), masks, coords, strict=True):
             if s and (mask != a ^ b or unclosed and mask not in index):
                 i, j = index[a], index[b]
                 if mask not in index:
@@ -201,13 +222,15 @@ def _read_bicharacter(masks: list[int], blade_op):
     return rows, coords, bad
 
 
-def bicharacter_certificate(masks, blade_op) -> tuple[Verdict, StructuralInvariants | None]:
+def bicharacter_certificate(masks, row_op) -> tuple[Verdict, StructuralInvariants | None]:
     """The one pass over every pair of the blade basis ``masks`` under the
-    product whose blade sign function is ``blade_op``: its verdict on
+    product whose row sign function is ``row_op``: its verdict on
     associativity, and the fingerprint read off B when the pass is clean.
 
-    B is read from ``blade_op`` on a GF(2) basis of the span chosen among
-    ``masks``, and every pair's sign is compared with (-1)^(aᵀBb).  An
+    ``row_op(a, bs)`` gives the (sign, mask) of a·b for every b in the list
+    ``bs``.  B is read from ``row_op`` on a GF(2) basis of the span chosen
+    among ``masks``, one call per generator row, then one call per basis
+    row reads every pair, whose sign is compared with (-1)^(aᵀBb).  An
     empty or repeated mask list raises NotIndependent, a nonzero product
     landing on a blade outside the list raises NotClosed, and one that is
     not plus or minus the symmetric difference of its factors raises
@@ -216,11 +239,11 @@ def bicharacter_certificate(masks, blade_op) -> tuple[Verdict, StructuralInvaria
     names the first non-associative triple, else the first failing pair.
     """
     masks = list(masks)
-    rows, coords, bad = _read_bicharacter(masks, blade_op)
+    rows, coords, bad = _read_bicharacter(masks, row_op)
     how = f"bicharacter certificate, {len(masks) ** 2} pairs"
     if bad is None:
         return Verdict(True, f"{how}, 0 violations", ""), _invariants(rows, coords)
-    triple = _first_nonassociative_triple(masks, blade_op)
+    triple = _first_nonassociative_triple(masks, row_op)
     if triple is not None:
         report = f"exhaustive triples, first violation {format_blades(triple)}"
         return Verdict(False, report, f"not associative: {report}"), None
@@ -262,22 +285,22 @@ class Certificate:
         return _invariants(rows, sub)
 
 
-def certify(masks, blade_op) -> Certificate | None:
-    """The certificate of the blade basis ``masks`` under ``blade_op``,
+def certify(masks, row_op) -> Certificate | None:
+    """The certificate of the blade basis ``masks`` under ``row_op``,
     kept so that every subgroup of it can be fingerprinted with no further
     product; None when the pass fails or raises."""
     masks = list(masks)
     try:
-        rows, coords, bad = _read_bicharacter(masks, blade_op)
+        rows, coords, bad = _read_bicharacter(masks, row_op)
     except (NotClosed, NotIndependent, NotTwisted):
         return None
     return None if bad else Certificate(tuple(rows), dict(zip(masks, coords)))
 
 
-def check_associativity(masks, blade_op) -> tuple[bool, str]:
+def check_associativity(masks, row_op) -> tuple[bool, str]:
     """Whether the certificate proves the product associative on the blade
-    basis ``masks``, and its report."""
-    verdict, _ = bicharacter_certificate(masks, blade_op)
+    basis ``masks`` under the row sign function ``row_op``, and its report."""
+    verdict, _ = bicharacter_certificate(masks, row_op)
     return verdict.associative, verdict.associativity
 
 
@@ -299,13 +322,14 @@ def expected_invariants(cls: AlgebraClass) -> StructuralInvariants:
 
 
 def oracle(
-    masks, blade_op, cls: AlgebraClass, *, certificate: Certificate | None = None
+    masks, row_op, cls: AlgebraClass, *, certificate: Certificate | None = None
 ) -> Verdict:
-    """Fingerprint of the blade basis ``masks`` under ``blade_op`` against
-    the reference of ``cls``, from one ``bicharacter_certificate`` pass.
+    """Fingerprint of the blade basis ``masks`` under the row sign function
+    ``row_op`` against the reference of ``cls``, from one
+    ``bicharacter_certificate`` pass.
 
     With a ``certificate`` of a group of blades holding ``masks``, made
-    under the same ``blade_op``, the fingerprint is read off its B with no
+    under the same ``row_op``, the fingerprint is read off its B with no
     product; where ``masks`` is no subgroup of it, the pass runs as
     without one, so a failing verdict is worded the same either way.
 
@@ -328,7 +352,7 @@ def oracle(
         associativity = f"bicharacter certificate, {pairs} pairs, 0 violations"
     else:
         try:
-            verdict, got = bicharacter_certificate(masks, blade_op)
+            verdict, got = bicharacter_certificate(masks, row_op)
         except (NotClosed, NotIndependent, NotTwisted) as exc:
             return Verdict(False, str(exc), str(exc))
         if got is None:

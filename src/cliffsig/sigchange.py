@@ -80,6 +80,13 @@ def vee_alpha_blade_op(gr: Z2Grading):
     return lambda x, y: kernels.blade_mul(x, y, neg)
 
 
+def vee_alpha_row_op(gr: Z2Grading):
+    """Row sign function of ∨, ``vee_alpha_blade_op`` over a list of right
+    factors at once, as the oracle reads it."""
+    neg = gr.sig.neg_mask ^ gr.odd_mask
+    return lambda x, ys: kernels.blade_mul_row(x, ys, neg)
+
+
 def vee_alpha(a: Multivector, b: Multivector, gr: Z2Grading) -> Multivector:
     """The deformed Clifford product on arbitrary multivectors.
 
@@ -250,16 +257,19 @@ def _blade_sum(*terms) -> dict[int, int]:
 
 def verify_clifford_map(gr: Z2Grading) -> CliffordMapReport:
     """Establish that the deformed product realizes Cl(r,s) on the carrier,
-    reading ∨ only through its sign function, so no multivector is built.
+    reading ∨ only through its sign functions, so no multivector is built.
 
     (i) generator relations e_i ∨ e_j + e_j ∨ e_i = 2 g_a(e_i,e_j);
     (ii) the definition e ∨ A = e^A + alpha(e)⌟A on every generator and
     blade, summing the wedge and contraction kernels of the original metric;
     (iii) associativity, by the oracle's bicharacter certificate over
-    every blade pair (``oracle.bicharacter_certificate``);
+    every blade pair (``oracle.bicharacter_certificate``), read row by row
+    through ``vee_alpha_row_op``;
     (iv) the fingerprint of the blade basis under ∨ equals that of Cl(r,s).
-    (ii) and (iii) together make ∨ the product that folding generators by
-    the definition produces.  Each failing check names its first witness.
+    (i) and (ii) read ``vee_alpha_blade_op``, the same kernel one pair at a
+    time.  (ii) and (iii) together make ∨ the product that folding
+    generators by the definition produces.  Each failing check names its
+    first witness.
     """
     sig = gr.sig
     neg, odd = sig.neg_mask, gr.odd_mask
@@ -295,7 +305,7 @@ def verify_clifford_map(gr: Z2Grading) -> CliffordMapReport:
 
     r, s = target_signature(gr)
     cls = classify_clifford(r, s)
-    verdict = oracle(blades, op, cls)
+    verdict = oracle(blades, vee_alpha_row_op(gr), cls)
     found = verdict.problem or "fingerprints agree"
     checks += [
         CheckResult("associativity", verdict.associative, verdict.associativity),

@@ -48,8 +48,8 @@ from .core import (
     all_blades,
     blade_from_indices,
     extended_metric,
-    geometric_blade_op,
     geometric_product,
+    geometric_row_op,
     left_contraction,
     parity,
     reversion,
@@ -172,7 +172,7 @@ def even_subalgebra_problem(
     if gr.counts() != (p0, q0, p1, q1):
         return f"odd mask {mask:#b} has counts {gr.counts()}, expected {(p0, q0, p1, q1)}"
     basis = even_subalgebra_basis(gr)
-    return oracle(basis, geometric_blade_op(sig), cls, certificate=certificate).problem
+    return oracle(basis, geometric_row_op(sig), cls, certificate=certificate).problem
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def verify_table4(max_n: int) -> SuiteReport:
 
     @lru_cache(maxsize=1)
     def whole_algebra(sig: Signature) -> Certificate | None:
-        return certify(all_blades(sig), geometric_blade_op(sig))
+        return certify(all_blades(sig), geometric_row_op(sig))
 
     for sig in signatures_up_to(max_n):
         for p0 in range(sig.p + 1):
@@ -288,7 +288,7 @@ def verify_core(max_n: int, seed: int = DEFAULT_SEED) -> SuiteReport:
 
         def assoc_cell(sig=sig, blades=blades, rng=rng):
             if associativity_is_exhaustive(len(blades)):
-                return check_associativity(blades, geometric_blade_op(sig))
+                return check_associativity(blades, geometric_row_op(sig))
             bad = 0
             for _ in range(CORE_TRIALS):
                 a = random_multivector(rng, sig)

@@ -254,6 +254,13 @@ def ref_extended_metric(a: MaskTerms, b: MaskTerms, metric_sign) -> Fraction:
 # the tests compare the certificate's fingerprints and wordings with it.
 
 
+def rows(pair_op):
+    """The row sign function the oracle reads, ``row_op(a, bs)``, made from
+    a blade sign function one pair at a time: how the tests hand the
+    oracle a product they have altered or tabulated pair by pair."""
+    return lambda a, bs: [pair_op(a, b) for b in bs]
+
+
 class StructureConstants:
     """Blade-basis structure constants: b_i b_j = sign[i][j] b_{prod[i][j]}.
 

@@ -20,8 +20,8 @@ from cliffsig import (
     dimension_dichotomy_check,
     even_subalgebra_basis,
     find_wedge_counterexample,
-    geometric_blade_op,
     geometric_product,
+    geometric_row_op,
     naive_antisymmetrization,
     tilt_product,
     vee_alpha,
@@ -41,6 +41,8 @@ from cliffsig.verify import (
     run_suite,
     signatures_up_to,
 )
+
+from oracles import rows
 
 
 def _five_term_multivector(rng, sig):
@@ -64,7 +66,7 @@ def test_criterion_01_full_algebra_classification():
     count = 0
     for sig in signatures_up_to(6):
         cls = classify_clifford(sig.p, sig.q)
-        verdict = oracle(all_blades(sig), geometric_blade_op(sig), cls)
+        verdict = oracle(all_blades(sig), geometric_row_op(sig), cls)
         assert verdict.ok, (sig, verdict.problem)
         count += 1
     assert count == 28
@@ -80,7 +82,7 @@ def test_criterion_02_even_part_classification():
         if sig.p >= 1:
             assert cls == classify_clifford(sig.q, sig.p - 1), sig
         masks = [m for m in all_blades(sig) if not bin(m).count("1") & 1]
-        verdict = oracle(masks, geometric_blade_op(sig), cls)
+        verdict = oracle(masks, geometric_row_op(sig), cls)
         assert verdict.ok, (sig, verdict.problem)
         count += 1
     _report(2, "even-part classification", f"{count} algebras")
@@ -218,7 +220,7 @@ def test_criterion_09_vee_prime_suite():
                 pa = gr.blade_parity(next(iter(a.terms)))
                 pb = gr.blade_parity(next(iter(b.terms)))
                 assert all(gr.blade_parity(m) == (pa + pb) & 1 for m in ab.terms)
-            associative, report = check_associativity(blades, vee_prime_blade_op(gr))
+            associative, report = check_associativity(blades, rows(vee_prime_blade_op(gr)))
             assert associative, (gr, report)
             pairs += len(blades) ** 2
     # the parity-weighted wedge identity holds for all tested vectors

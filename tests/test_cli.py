@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffsig import Signature, parse_multivector
+from cliffsig import Signature, geometric_blade_op, parse_multivector
 from cliffsig.cli import main
+
+from oracles import rows
 
 
 def run(capsys, *argv):
@@ -97,18 +99,16 @@ def one_times_e1_flipped(monkeypatch):
     # verify and classify --oracle both reach the product through verify
     import cliffsig.verify as verify
 
-    honest = verify.geometric_blade_op
-
     def twisted(sig):
-        op = honest(sig)
+        op = geometric_blade_op(sig)
 
         def blade_op(x, y):
             sign, mask = op(x, y)
             return (-sign, mask) if (x, y) == (0, 0b1) else (sign, mask)
 
-        return blade_op
+        return rows(blade_op)
 
-    monkeypatch.setattr(verify, "geometric_blade_op", twisted)
+    monkeypatch.setattr(verify, "geometric_row_op", twisted)
 
 
 @pytest.mark.parametrize(

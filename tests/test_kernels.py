@@ -52,3 +52,38 @@ def test_wedge_and_contract_consistency():
             assert rs == 0
         else:
             assert (rs, rm) == kernels.blade_mul(a, b, neg)
+
+
+def test_reorder_mask_against_its_definition():
+    # bit j is set iff an odd number of a's bits lie above j
+    for a in range(1 << 12):
+        r = kernels.reorder_mask(a)
+        for j in range(13):
+            assert (r >> j & 1) == (a >> (j + 1)).bit_count() & 1, (a, j)
+        assert r >> 12 == 0, a
+
+
+def test_row_kernel_against_pairs_and_naive_oracle():
+    # each row equals blade_mul pair by pair and the transposition count:
+    # every pair for four signatures with n <= 6, and every negative set
+    # with n <= 4
+    cases = [
+        (p + q, ((1 << q) - 1) << p, p, q, None)
+        for p, q in [(6, 0), (3, 3), (0, 6), (2, 3)]
+    ] + [
+        (n, neg, 0, 0, blade_indices(neg))
+        for n in range(5)
+        for neg in range(1 << n)
+    ]
+    rows = 0
+    for n, neg, p, q, neg_indices in cases:
+        bs = list(range(1 << n))
+        for a in bs:
+            row = kernels.blade_mul_row(a, bs, neg)
+            assert row == [kernels.blade_mul(a, b, neg) for b in bs], (n, neg, a)
+            for b, (sign, mask) in zip(bs, row):
+                want = naive_blade_product(blade_indices(a), blade_indices(b), p, q, neg_indices)
+                assert (sign, blade_indices(mask)) == want, (n, neg, a, b)
+            rows += 1
+    assert rows == 3 * 64 + 32 + sum(4**n for n in range(5))
+    assert kernels.blade_mul_row(0b101, [], 0) == []

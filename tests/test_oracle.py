@@ -23,6 +23,7 @@ from cliffsig import (
     expected_invariants,
     geometric_blade_op,
     geometric_product,
+    geometric_row_op,
     vee_alpha,
     vee_alpha_blade_op,
     vee_prime,
@@ -43,6 +44,7 @@ from oracles import (
     multivector_structure_constants,
     reference_constants,
     regular_representation,
+    rows,
     structural_invariants,
     table_check_associativity,
 )
@@ -59,9 +61,15 @@ def cells(sc):
     ]
 
 
+def both_builds(op):
+    """(build, product) for the certificate and the sign-table reference:
+    the blade sign function ``op``, read by rows or pair by pair."""
+    return [(bicharacter_certificate, rows(op)), (regular_representation, op)]
+
+
 def test_two_element_basis_of_cl10():
     sig = Signature(1, 0)
-    verdict, fingerprint = bicharacter_certificate([0b0, 0b1], geometric_blade_op(sig))
+    verdict, fingerprint = bicharacter_certificate([0b0, 0b1], geometric_row_op(sig))
     assert verdict.ok and verdict.associative
     assert verdict.associativity == "bicharacter certificate, 4 pairs, 0 violations"
     assert fingerprint == StructuralInvariants(2, 2, (2, 0), (2, 0))
@@ -75,7 +83,7 @@ def test_even_subalgebra_is_closed():
     sig = Signature(3, 0)
     gr = Z2Grading.from_odd_indices(sig, [3])
     masks = even_subalgebra_basis(gr)
-    verdict, fingerprint = bicharacter_certificate(masks, geometric_blade_op(sig))
+    verdict, fingerprint = bicharacter_certificate(masks, geometric_row_op(sig))
     assert verdict.ok and fingerprint.dim == 4
     sc = regular_representation(masks, geometric_blade_op(sig))
     for i, j in itertools.product(range(4), repeat=2):
@@ -88,28 +96,28 @@ def test_not_closed():
     sig = Signature(2, 0)
     masks = [0b00, 0b01, 0b10]
     message = "product of basis elements 1 and 2 leaves the span"
-    for build in (bicharacter_certificate, regular_representation):
+    for build, op in both_builds(geometric_blade_op(sig)):
         with pytest.raises(NotClosed, match=message):
-            build(masks, geometric_blade_op(sig))
-    verdict = oracle(masks, geometric_blade_op(sig), classify_clifford(2, 0))
+            build(masks, op)
+    verdict = oracle(masks, geometric_row_op(sig), classify_clifford(2, 0))
     assert not verdict.ok and verdict.problem == message
 
 
 def test_not_independent():
     sig = Signature(1, 0)
-    for build in (bicharacter_certificate, regular_representation):
+    for build, op in both_builds(geometric_blade_op(sig)):
         with pytest.raises(NotIndependent):
-            build([1, 1], geometric_blade_op(sig))
+            build([1, 1], op)
         with pytest.raises(NotIndependent):
-            build([], geometric_blade_op(sig))
+            build([], op)
 
 
 def test_product_off_the_symmetric_difference_rejected():
     # every shortcut of the oracle rests on e_a e_b = ±e_{a^b}: e1 e1 = e1
     # is inside the span but not on the blade 0, so it is refused
-    for build in (bicharacter_certificate, regular_representation):
+    for build, op in both_builds(lambda a, b: (1, a | b)):
         with pytest.raises(NotTwisted, match="basis elements 1 and 1"):
-            build([0, 1], lambda a, b: (1, a | b))
+            build([0, 1], op)
 
 
 def test_zero_sign_gives_empty_cell():
@@ -121,12 +129,34 @@ def test_zero_sign_gives_empty_cell():
     assert sc.sign == [[1, 1], [1, 0]]
     assert sc.prod == [[0, 1], [1, -1]]
     assert first_nonassociative_triple(sc, 0, 200) is None
-    verdict, fingerprint = bicharacter_certificate([0b0, 0b1], kernels.blade_wedge)
+    verdict, fingerprint = bicharacter_certificate([0b0, 0b1], rows(kernels.blade_wedge))
     assert not verdict.associative and fingerprint is None
     assert verdict.associativity == (
         "bicharacter certificate, 4 pairs, first violation (e1, e1)"
     )
     assert verdict.problem == f"not a bicharacter twist: {verdict.associativity}"
+
+
+def test_a_pass_reads_one_row_per_call():
+    # k generator rows of B, then one row per basis blade: k + dim calls
+    # that read every one of the dim**2 signs of the basis from the kernel
+    for sig in signatures_up_to(4):
+        masks = all_blades(sig)
+        honest = geometric_row_op(sig)
+        calls = []
+
+        def spy(a, bs):
+            calls.append((a, list(bs)))
+            return honest(a, bs)
+
+        verdict, _ = bicharacter_certificate(masks, spy)
+        assert verdict.ok
+        k, dim = sig.n, len(masks)
+        generators = [1 << i for i in range(k)]
+        assert len(calls) == k + dim, sig
+        assert calls[:k] == [(g, generators) for g in generators]
+        assert calls[k:] == [(a, masks) for a in masks]
+        assert sum(len(bs) for _, bs in calls[k:]) == dim**2
 
 
 def test_blade_ops_match_the_multivector_products():
@@ -158,7 +188,7 @@ def test_blade_ops_match_the_multivector_products():
 def fingerprints(masks, op):
     """The certificate's fingerprint and the sign-table reference's."""
     return (
-        bicharacter_certificate(masks, op)[1],
+        bicharacter_certificate(masks, rows(op))[1],
         structural_invariants(regular_representation(masks, op)),
     )
 
@@ -211,7 +241,7 @@ def test_non_associative_detected():
                 dense_regular_representation(masks, op), 0, 200
             )
             assert first_nonassociative_triple(sc, 0, 200) == want, (sig, pair)
-            verdict = oracle(masks, op, AlgebraClass.of("R"))
+            verdict = oracle(masks, rows(op), AlgebraClass.of("R"))
             if want is not None:
                 _, report = table_check_associativity(masks, sc, 0, 200)
                 assert verdict.associativity == report, (sig, pair)
@@ -230,7 +260,7 @@ def test_non_associative_detected():
     assert dense_first_nonassociative_triple(
         dense_regular_representation(masks, op), 0, 200
     ) is not None
-    verdict = oracle(masks, op, classify_clifford(3, 2))
+    verdict = oracle(masks, rows(op), classify_clifford(3, 2))
     assert verdict.associativity == (
         "bicharacter certificate, 1024 pairs, first violation (e1, 1)"
     )
@@ -242,12 +272,41 @@ def test_not_associative_carries_first_triple():
     # failing triple in order is (1, 0, 0), with (b1 b0) b0 = b1 but
     # b1 (b0 b0) = -b1, which the verdict names as blades
     op = flipped(geometric_blade_op(Signature(1, 0)), (1, 0))
-    verdict = oracle([0, 1], op, classify_clifford(1, 0))
+    verdict = oracle([0, 1], rows(op), classify_clifford(1, 0))
     assert not verdict.associative and not verdict.ok
     assert verdict.associativity == "exhaustive triples, first violation (e1, 1, 1)"
     assert verdict.problem == f"not associative: {verdict.associativity}"
     dense = dense_regular_representation([0, 1], op)
     assert dense_first_nonassociative_triple(dense, 0, 200) == (1, 0, 0)
+
+
+def flipped_in_row(row_op, a, b):
+    """``row_op`` with the sign of a·b negated in the row of ``a``."""
+
+    def flipped_row_op(x, bs):
+        got = row_op(x, bs)
+        return [(-s, m) if (x, y) == (a, b) else (s, m) for (s, m), y in zip(got, bs)]
+
+    return flipped_row_op
+
+
+def test_one_flipped_sign_in_a_row_fails_with_its_pair():
+    # dim 32 searches no triples, so the verdict names the first pair off
+    # the bicharacter: the flipped pair itself when it is no generator
+    # pair (B is read from e_i e_j alone), and in every case the witness
+    # the same flip names when made pair by pair
+    sig = Signature(3, 2)
+    masks = all_blades(sig)
+    cls = classify_clifford(3, 2)
+    for a, b in [(0b1, 0b11), (0b111, 0b11000), (0, 0b11111), (0b10101, 0b10101), (0b1, 0b10)]:
+        verdict = oracle(masks, flipped_in_row(geometric_row_op(sig), a, b), cls)
+        pairwise = oracle(masks, rows(flipped(geometric_blade_op(sig), (a, b))), cls)
+        assert not verdict.associative and not verdict.ok
+        assert verdict == pairwise, (a, b)
+        if (a & (a - 1)) or (b & (b - 1)) or not (a and b):
+            assert verdict.associativity == (
+                f"bicharacter certificate, 1024 pairs, first violation {format_blades((a, b))}"
+            )
 
 
 def coboundary_twisted(op, blade):
@@ -292,7 +351,7 @@ def test_coboundary_twist_fails_the_certificate():
                 for a, b in itertools.product(masks, repeat=2)
                 if op(a, b)[0] != generator_product(a, b)
             )
-            verdict = oracle(masks, op, cls)
+            verdict = oracle(masks, rows(op), cls)
             assert not verdict.associative and not verdict.ok
             assert verdict.problem == (
                 "not a bicharacter twist: bicharacter certificate, 64 pairs, "
@@ -446,7 +505,7 @@ def test_certificate_fingerprints_match_the_sign_table_reference():
     bases = []
     for sig in signatures_up_to(7):
         op = tabulated(sig, geometric_blade_op(sig))
-        whole = certify(all_blades(sig), op)
+        whole = certify(all_blades(sig), rows(op))
         bases += [
             (even_subalgebra_basis(Z2Grading(sig, odd)), op, whole)
             for odd in range(1 << sig.n)
@@ -474,7 +533,7 @@ def test_subgroup_read_rejects_what_the_pass_rejects():
     # exceptions as the per-basis pass, and the oracle then words the
     # failure through that pass, as if it had no certificate
     sig = Signature(2, 0)
-    op = geometric_blade_op(sig)
+    op = geometric_row_op(sig)
     whole = certify(all_blades(sig), op)
     assert whole is not None
     for masks in ([0b01, 0b01], []):
@@ -494,7 +553,7 @@ def test_certify_refuses_a_failing_pass():
     # a pass that fails or raises leaves no certificate to read from
     sig = Signature(2, 0)
     masks = all_blades(sig)
-    assert certify(masks, flipped(geometric_blade_op(sig), (0b01, 0b10))) is None
-    assert certify([0b00, 0b01, 0b10], geometric_blade_op(sig)) is None
-    assert certify([0, 1], lambda a, b: (1, a | b)) is None
-    assert certify([], geometric_blade_op(sig)) is None
+    assert certify(masks, rows(flipped(geometric_blade_op(sig), (0b01, 0b10)))) is None
+    assert certify([0b00, 0b01, 0b10], geometric_row_op(sig)) is None
+    assert certify([0, 1], rows(lambda a, b: (1, a | b))) is None
+    assert certify([], geometric_row_op(sig)) is None

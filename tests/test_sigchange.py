@@ -18,6 +18,7 @@ from cliffsig import (
     find_wedge_counterexample,
     geometric_blade_op,
     geometric_product,
+    geometric_row_op,
     left_contraction,
     naive_antisymmetrization,
     project_even,
@@ -34,7 +35,7 @@ from cliffsig import (
 )
 from cliffsig.verify import all_gradings, random_multivector, random_vector
 
-from oracles import regular_representation, structural_invariants
+from oracles import regular_representation, rows, structural_invariants
 
 
 def basis(sig, i):
@@ -489,6 +490,7 @@ def test_verify_clifford_map_names_first_witnesses(monkeypatch):
         return blade_op
 
     monkeypatch.setattr(sigchange, "vee_alpha_blade_op", twisted)
+    monkeypatch.setattr(sigchange, "vee_alpha_row_op", lambda gr: rows(twisted(gr)))
     rep = verify_clifford_map(Z2Grading.trivial(sig))
     details = {c.name: c.detail for c in rep.checks if not c.ok}
     assert set(details) == {"generator-relations", "definition", "associativity", "fingerprint"}
@@ -529,6 +531,7 @@ def test_definition_rejects_the_original_metric_product(monkeypatch):
     import cliffsig.sigchange as sigchange
 
     monkeypatch.setattr(sigchange, "vee_alpha_blade_op", lambda gr: geometric_blade_op(gr.sig))
+    monkeypatch.setattr(sigchange, "vee_alpha_row_op", lambda gr: geometric_row_op(gr.sig))
     for n in range(4):
         for p in range(n + 1):
             for gr in all_gradings(Signature(p, n - p)):
@@ -563,9 +566,9 @@ def test_one_associativity_pass_per_clifford_map(monkeypatch):
     calls = []
     honest = oracle.bicharacter_certificate
 
-    def counting(masks, blade_op):
+    def counting(masks, row_op):
         calls.append(len(masks))
-        return honest(masks, blade_op)
+        return honest(masks, row_op)
 
     monkeypatch.setattr(oracle, "bicharacter_certificate", counting)
     for gr in gradings:

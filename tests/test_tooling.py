@@ -67,13 +67,13 @@ def test_oracle_exceptions_are_caught_only_in_the_oracle():
     assert not found, f"oracle exceptions caught outside oracle.py: {found}"
 
 
-def _named_outside_oracle(name):
-    """Every place outside oracle.py where ``name`` is read, imported or
+def _named_outside(name, module="oracle.py"):
+    """Every place outside ``module`` where ``name`` is read, imported or
     looked up as an attribute."""
     return [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
-        if path.name != "oracle.py"
+        if path.name != module
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if (isinstance(node, ast.Name) and node.id == name)
         or (isinstance(node, ast.Attribute) and node.attr == name)
@@ -84,15 +84,23 @@ def _named_outside_oracle(name):
 def test_associativity_is_checked_only_in_the_oracle():
     # oracle.py runs and words the one associativity pass, the bicharacter
     # certificate; a second caller would be a second policy and wording
-    found = _named_outside_oracle("bicharacter_certificate")
+    found = _named_outside("bicharacter_certificate")
     assert not found, f"bicharacter_certificate named outside oracle.py: {found}"
 
 
 def test_no_product_is_computed_from_the_bicharacter():
     # the certificate compares each product's sign with (-1)^(aᵀBb); a
     # product computed from aᵀB would be certified against itself
-    found = _named_outside_oracle("_bicharacter_row")
+    found = _named_outside("_bicharacter_row")
     assert not found, f"_bicharacter_row named outside oracle.py: {found}"
+
+
+def test_signs_come_only_from_the_kernel_functions():
+    # every product and the oracle read their signs through the kernel
+    # functions the tests cross-check (blade_mul, blade_mul_row, ...); a
+    # module using the sign mask itself would compute signs of its own
+    found = _named_outside("reorder_mask", "kernels.py")
+    assert not found, f"reorder_mask named outside kernels.py: {found}"
 
 
 def test_oracle_is_called_only_by_the_two_fingerprint_checks():

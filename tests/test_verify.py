@@ -23,8 +23,11 @@ from cliffsig import (
     classify_even_subalgebra,
     even_subalgebra_basis,
     geometric_blade_op,
+    geometric_row_op,
 )
 import random
+
+from oracles import rows
 
 
 def test_signature_enumeration():
@@ -101,7 +104,7 @@ def test_table4_randomized_subsets_agree():
                 gr = Z2Grading(sig, random_odd_mask(rng, sig, p1, q1))
                 assert gr.counts() == (p0, q0, p1, q1)
                 cls = classify_even_subalgebra(sig.p, sig.q, p0, q0)
-                verdict = oracle(even_subalgebra_basis(gr), geometric_blade_op(sig), cls)
+                verdict = oracle(even_subalgebra_basis(gr), geometric_row_op(sig), cls)
                 assert verdict.ok, (gr, verdict.problem)
 
 
@@ -169,18 +172,16 @@ def test_core_associativity_names_first_blade_triple(monkeypatch):
     # (1 1) e1 = -e1 but 1 (1 e1) = e1
     import cliffsig.verify as verify
 
-    honest = verify.geometric_blade_op
-
     def twisted(sig):
-        op = honest(sig)
+        op = geometric_blade_op(sig)
 
         def blade_op(x, y):
             sign, mask = op(x, y)
             return (-sign, mask) if (x, y) == (0, 0b1) else (sign, mask)
 
-        return blade_op
+        return rows(blade_op)
 
-    monkeypatch.setattr(verify, "geometric_blade_op", twisted)
+    monkeypatch.setattr(verify, "geometric_row_op", twisted)
     rep = verify.verify_core(max_n=1)
     cell = next(c for c in rep.cells if c.key == "1,0:associativity")
     assert not cell.ok
@@ -192,18 +193,16 @@ def test_table4_product_leaving_the_span_fails_its_cell(monkeypatch):
     # oracle's NotClosed message and the sweep still runs to the end
     import cliffsig.verify as verify
 
-    honest = verify.geometric_blade_op
-
     def leaky(sig):
-        op = honest(sig)
+        op = geometric_blade_op(sig)
 
         def blade_op(x, y):
             sign, mask = op(x, y)
             return (sign, 1 << sig.n) if x == y == 0 else (sign, mask)
 
-        return blade_op
+        return rows(blade_op)
 
-    monkeypatch.setattr(verify, "geometric_blade_op", leaky)
+    monkeypatch.setattr(verify, "geometric_row_op", leaky)
     report = verify_table4(max_n=1)
     assert len(report.cells) == 5 and report.violations == 5
     for c in report.cells:
@@ -217,20 +216,18 @@ def test_table4_failure_is_attributed_to_its_cells(monkeypatch):
     # cells whose even subalgebra holds no e1 e2 pair still pass
     import cliffsig.verify as verify
 
-    honest = verify.geometric_blade_op
-
     def twisted(sig):
-        op = honest(sig)
+        op = geometric_blade_op(sig)
 
         def blade_op(x, y):
             sign, mask = op(x, y)
             return (-sign, mask) if (x, y) == (0b01, 0b10) else (sign, mask)
 
-        return blade_op
+        return rows(blade_op)
 
-    monkeypatch.setattr(verify, "geometric_blade_op", twisted)
+    monkeypatch.setattr(verify, "geometric_row_op", twisted)
     shared = verify_table4(max_n=2)
-    monkeypatch.setattr(verify, "certify", lambda masks, blade_op: None)
+    monkeypatch.setattr(verify, "certify", lambda masks, row_op: None)
     per_basis = verify_table4(max_n=2)
     assert [(c.key, c.ok, c.detail) for c in shared.cells] == [
         (c.key, c.ok, c.detail) for c in per_basis.cells
