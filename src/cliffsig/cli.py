@@ -62,10 +62,16 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 def _load_involution(path: str):
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
         raise ValueError(f"{path}: expected a JSON list of rows (lists of rationals)")
-    return [[Fraction(str(x)) for x in row] for row in data]
+    try:
+        return [[Fraction(str(x)) for x in row] for row in data]
+    except ZeroDivisionError:
+        raise ValueError(f"{path}: an entry has a zero denominator") from None
 
 
 def _grading_from_args(sig: Signature, args) -> Z2Grading:

@@ -10,7 +10,8 @@ Every sign is the parity of ``r & b`` for a mask ``r`` that depends on
 the left factor ``a`` alone: ``reorder_mask(a)`` for the merge
 permutation, XOR ``a & neg_mask`` for the squares of the common indices.
 ``blade_mul_row`` computes ``r`` once for a whole row of right factors;
-``blade_mul`` is its one-pair form, and the test suite checks both
+``blade_mul`` is its one-pair form, and the wedge and both contractions
+are ``blade_mul`` where they do not vanish.  The test suite checks each
 against bubble-sort transposition counting.
 """
 
@@ -30,18 +31,6 @@ def reorder_mask(a):
         r ^= r >> shift
         shift <<= 1
     return r
-
-
-def reorder_sign(a, b):
-    """Parity sign of the permutation merging two increasing index lists.
-
-    This is the sign accumulated by transposing the concatenation of the
-    index sequences of ``a`` and ``b`` into a single increasing sequence
-    (equal indices are left adjacent; their metric signs are applied by
-    blade_mul, not here): each index of ``b`` passes the indices of ``a``
-    above it.
-    """
-    return -1 if (reorder_mask(a) & b).bit_count() & 1 else 1
 
 
 def blade_metric_sign(mask, neg_mask):
@@ -68,10 +57,12 @@ def blade_mul_row(a, bs, neg_mask):
 
 
 def blade_wedge(a, b):
-    """Exterior product of two blades: (sign, mask), sign 0 on overlap."""
+    """Exterior product of two blades: (sign, mask), sign 0 on overlap.
+    On disjoint blades no square fires and a ^ b = a | b, so the geometric
+    product under any metric gives the merge sign."""
     if a & b:
         return 0, 0
-    return reorder_sign(a, b), a | b
+    return blade_mul(a, b, 0)
 
 
 def blade_left_contract(a, b, neg_mask):

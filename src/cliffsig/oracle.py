@@ -14,12 +14,14 @@ is a GF(2) bicharacter: σ(a,b) = (-1)^(aᵀBb) in coordinates over a GF(2)
 basis of the blade group, for one k×k matrix B read from the products of
 the basis blades.  Such a twist is a 2-cocycle, so the algebra is
 associative (Albuquerque and Majid, J. Pure Appl. Algebra 171 (2002)).
-``bicharacter_certificate`` reads B and visits every pair of basis blades
-once, row by row, keeping one int per row; the fingerprint then follows
-from B alone, in Python ints with no division.  The product is given as
-a row sign function ``row_op(a, bs)``, the (sign, mask) of a·b for every
-b in the list ``bs``, so a pass makes k + dim calls (k generator rows of
-B, then one per basis row) and still reads all dim² signs:
+``certify`` is the one pass: it reads B and visits every pair of basis
+blades once, row by row, keeping one int per row, and its ``Certificate``
+carries the verdict of every associativity check in the package, at
+every size.  The fingerprint of a clean pass then follows from B alone,
+in Python ints with no division.  The product is given as a row sign
+function ``row_op(a, bs)``, the (sign, mask) of a·b for every b in the
+list ``bs``, so a pass makes k + dim calls (k generator rows of B, then
+one per basis row) and still reads all dim² signs:
 
 * the certificate: every pair's sign equals (-1)^(aᵀBb), which proves
   associativity exactly, at every size;
@@ -30,7 +32,7 @@ B, then one per basis row) and still reads all dim² signs:
   B(e_a, e_a) = dim·σ(a,a).
 
 A clean pass over a group of blades also fingerprints every subgroup of
-it, with no further product (``certify``, ``Certificate``): c(·), the
+it, with no further product (``Certificate.subgroup_invariants``): c(·), the
 coordinates over the group's GF(2) basis, is additive, so for blades s, t
 of a subgroup with GF(2) basis h_1..h_m chosen among its blades,
 c(s)ᵀB c(t) = d(s)ᵀ B_sub d(t), where d(·) gives coordinates over h and
@@ -40,12 +42,11 @@ subgroup alone would read, and the fingerprint is the same.  Every even
 subalgebra of a grading of Cl(p,q) is such a subgroup of its blades.
 
 ``expected_invariants`` gives the fingerprint of a class in closed form.
-``oracle`` runs the certificate and compares the two; it alone turns a
-violation into a verdict.  The row sign functions are the row forms of
-the bit-reorder kernels of ``kernels`` (``blade_mul_row``), which the
-test suite checks pair by pair against ``blade_mul`` and bubble-sort
-transposition counting; none is computed from B, so the certificate is a
-check of those kernels.  The fingerprint reads aᵀB and aᵀ(B+Bᵀ) for each
+``oracle`` reads the certificate's fingerprint and compares the two.
+The row sign functions are the row forms of the bit-reorder kernels of
+``kernels`` (``blade_mul_row``), which the test suite checks pair by pair
+against ``blade_mul`` and bubble-sort transposition counting; none is
+computed from B, so the certificate is a check of those kernels.  The fingerprint reads aᵀB and aᵀ(B+Bᵀ) for each
 blade off tables over the whole span, one XOR per entry.  The test suite
 keeps the sign-table route and the dense construction (dict tables, a
 center nullspace, congruence diagonalization, matrix-unit references) as
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from .classify import AlgebraClass
@@ -111,9 +113,13 @@ def format_blades(masks) -> str:
     return f"({', '.join(names)})"
 
 
-def _coordinates(masks) -> tuple[list[int], list[int], int]:
+def _coordinates(masks) -> tuple[list[int], dict[int, int], int]:
     """A GF(2) basis of the span of ``masks``, chosen greedily among them,
-    each mask's coordinates over it as a bitmask, and the span's size."""
+    each mask's coordinates over it as a bitmask, in the order of
+    ``masks``, and the span's size.  An empty or repeated mask list
+    raises NotIndependent."""
+    if not masks:
+        raise NotIndependent("empty basis")
     span = {0: 0}  # blade -> coordinates
     generators: list[int] = []
     for mask in masks:
@@ -121,7 +127,10 @@ def _coordinates(masks) -> tuple[list[int], list[int], int]:
             bit = 1 << len(generators)
             generators.append(mask)
             span.update({x ^ mask: c | bit for x, c in span.items()})
-    return generators, [span[mask] for mask in masks], len(span)
+    coords = {mask: span[mask] for mask in masks}
+    if len(coords) < len(masks):
+        raise NotIndependent("a blade appears twice in the basis")
+    return generators, coords, len(span)
 
 
 def _bicharacter_row(rows: list[int], coord: int) -> int:
@@ -143,7 +152,7 @@ def _span_rows(rows: list[int]) -> list[int]:
     return out
 
 
-def _invariants(rows: list[int], coords: list[int]) -> StructuralInvariants:
+def _invariants(rows: Sequence[int], coords: Collection[int]) -> StructuralInvariants:
     """The fingerprint of the twisted group algebra whose twist is the
     bicharacter with matrix rows ``rows``, on blades with coordinates
     ``coords``: B(e_a, e_a) = dim·σ(a,a), and a is central when
@@ -191,14 +200,13 @@ class Verdict:
 
 def _read_bicharacter(masks: list[int], row_op):
     """The certificate pass over every pair of the blade basis ``masks``:
-    B's rows, each mask's coordinates, and the first pair whose sign is
-    not (-1)^(aᵀBb), or None.  ``row_op`` is called once per generator
-    row of B and once per basis row.  Raises as ``bicharacter_certificate``."""
-    if not masks:
-        raise NotIndependent("empty basis")
-    index = {mask: i for i, mask in enumerate(masks)}
-    if len(index) < len(masks):
-        raise NotIndependent("a blade appears twice in the basis")
+    B's rows, each mask's coordinates over B's GF(2) basis, and the first
+    pair whose sign is not (-1)^(aᵀBb), or None.  ``row_op`` is called once
+    per generator row of B and once per basis row.  An empty or repeated
+    mask list raises NotIndependent, a nonzero product landing on a blade
+    outside the list raises NotClosed, and one that is not plus or minus
+    the symmetric difference of its factors raises NotTwisted, at the
+    first such pair in row-major order."""
     generators, coords, span = _coordinates(masks)
     unclosed = len(masks) < span  # else a ^ b is always a basis blade
     rows = [
@@ -206,12 +214,13 @@ def _read_bicharacter(masks: list[int], row_op):
         for g in generators
     ]
     bad = None
-    for a, ca in zip(masks, coords):
+    column = list(coords.values())
+    for a, ca in zip(masks, column):
         row = _bicharacter_row(rows, ca)
-        for (s, mask), b, cb in zip(row_op(a, masks), masks, coords, strict=True):
-            if s and (mask != a ^ b or unclosed and mask not in index):
-                i, j = index[a], index[b]
-                if mask not in index:
+        for (s, mask), b, cb in zip(row_op(a, masks), masks, column, strict=True):
+            if s and (mask != a ^ b or unclosed and mask not in coords):
+                i, j = masks.index(a), masks.index(b)
+                if mask not in coords:
                     raise NotClosed(f"product of basis elements {i} and {j} leaves the span")
                 raise NotTwisted(
                     f"product of basis elements {i} and {j} is not "
@@ -222,59 +231,33 @@ def _read_bicharacter(masks: list[int], row_op):
     return rows, coords, bad
 
 
-def bicharacter_certificate(masks, row_op) -> tuple[Verdict, StructuralInvariants | None]:
-    """The one pass over every pair of the blade basis ``masks`` under the
-    product whose row sign function is ``row_op``: its verdict on
-    associativity, and the fingerprint read off B when the pass is clean.
-
-    ``row_op(a, bs)`` gives the (sign, mask) of a·b for every b in the list
-    ``bs``.  B is read from ``row_op`` on a GF(2) basis of the span chosen
-    among ``masks``, one call per generator row, then one call per basis
-    row reads every pair, whose sign is compared with (-1)^(aᵀBb).  An
-    empty or repeated mask list raises NotIndependent, a nonzero product
-    landing on a blade outside the list raises NotClosed, and one that is
-    not plus or minus the symmetric difference of its factors raises
-    NotTwisted, at the first such pair in row-major order.  On a failed
-    comparison every triple is searched while dim**3 <= 4096; the verdict
-    names the first non-associative triple, else the first failing pair.
-    """
-    masks = list(masks)
-    rows, coords, bad = _read_bicharacter(masks, row_op)
-    how = f"bicharacter certificate, {len(masks) ** 2} pairs"
-    if bad is None:
-        return Verdict(True, f"{how}, 0 violations", ""), _invariants(rows, coords)
-    triple = _first_nonassociative_triple(masks, row_op)
-    if triple is not None:
-        report = f"exhaustive triples, first violation {format_blades(triple)}"
-        return Verdict(False, report, f"not associative: {report}"), None
-    report = f"{how}, first violation {format_blades(bad)}"
-    return Verdict(False, report, f"not a bicharacter twist: {report}"), None
-
-
 @dataclass(frozen=True)
 class Certificate:
-    """What a clean ``bicharacter_certificate`` pass read: the rows of B
-    and the coordinates of every certified blade over B's GF(2) basis."""
+    """What one ``certify`` pass found: its verdict and, when the pass is
+    clean, the rows of B and the coordinates of every certified blade over
+    B's GF(2) basis.  A failing pass certifies no blade."""
 
+    verdict: Verdict
     rows: tuple[int, ...]
     coords: dict[int, int]
+
+    def invariants(self) -> StructuralInvariants:
+        """The fingerprint of the algebra on the certified blades, read
+        off B."""
+        return _invariants(self.rows, self.coords.values())
 
     def subgroup_invariants(self, masks) -> StructuralInvariants:
         """The fingerprint of the subalgebra on the blades ``masks``, a
         subgroup of the certified ones, read off B restricted to it with
-        no product; it equals ``bicharacter_certificate``'s on ``masks``.
+        no product; it equals the fingerprint of a pass over ``masks``.
         An empty or repeated mask list raises NotIndependent; a blade
         outside the certified ones, or a list not closed under the
         symmetric difference, raises NotClosed."""
         masks = list(masks)
-        if not masks:
-            raise NotIndependent("empty basis")
-        if len(set(masks)) < len(masks):
-            raise NotIndependent("a blade appears twice in the basis")
+        generators, sub, span = _coordinates(masks)
         outside = next((m for m in masks if m not in self.coords), None)
         if outside is not None:
             raise NotClosed(f"blade {outside:#b} is not among the certified blades")
-        generators, sub, span = _coordinates(masks)
         if span > len(masks):
             raise NotClosed("the basis is not closed under the symmetric difference")
         whole = [self.coords[h] for h in generators]
@@ -282,26 +265,41 @@ class Certificate:
             sum(((row & h).bit_count() & 1) << j for j, h in enumerate(whole))
             for row in (_bicharacter_row(self.rows, g) for g in whole)
         ]
-        return _invariants(rows, sub)
+        return _invariants(rows, sub.values())
 
 
-def certify(masks, row_op) -> Certificate | None:
-    """The certificate of the blade basis ``masks`` under ``row_op``,
-    kept so that every subgroup of it can be fingerprinted with no further
-    product; None when the pass fails or raises."""
+def certify(masks, row_op) -> Certificate:
+    """The one pass over every pair of the blade basis ``masks`` under the
+    product whose row sign function is ``row_op``: its verdict on
+    associativity, and B with every blade's coordinates when it is clean.
+
+    ``row_op(a, bs)`` gives the (sign, mask) of a·b for every b in the list
+    ``bs``.  B is read from ``row_op`` on a GF(2) basis of the span chosen
+    among ``masks``, one call per generator row, then one call per basis
+    row reads every pair, whose sign is compared with (-1)^(aᵀBb).  The
+    verdict fails on an empty or repeated mask list (the NotIndependent
+    message), a nonzero product landing on a blade outside the list
+    (NotClosed) or one that is not plus or minus the symmetric difference
+    of its factors (NotTwisted), at the first such pair in row-major
+    order.  On a failed comparison every triple is searched while
+    dim**3 <= 4096; the verdict names the first non-associative triple,
+    else the first failing pair."""
     masks = list(masks)
     try:
         rows, coords, bad = _read_bicharacter(masks, row_op)
-    except (NotClosed, NotIndependent, NotTwisted):
-        return None
-    return None if bad else Certificate(tuple(rows), dict(zip(masks, coords)))
-
-
-def check_associativity(masks, row_op) -> tuple[bool, str]:
-    """Whether the certificate proves the product associative on the blade
-    basis ``masks`` under the row sign function ``row_op``, and its report."""
-    verdict, _ = bicharacter_certificate(masks, row_op)
-    return verdict.associative, verdict.associativity
+    except (NotClosed, NotIndependent, NotTwisted) as exc:
+        return Certificate(Verdict(False, str(exc), str(exc)), (), {})
+    how = f"bicharacter certificate, {len(masks) ** 2} pairs"
+    if bad is None:
+        return Certificate(Verdict(True, f"{how}, 0 violations", ""), tuple(rows), coords)
+    triple = _first_nonassociative_triple(masks, row_op)
+    if triple is not None:
+        report = f"exhaustive triples, first violation {format_blades(triple)}"
+        verdict = Verdict(False, report, f"not associative: {report}")
+    else:
+        report = f"{how}, first violation {format_blades(bad)}"
+        verdict = Verdict(False, report, f"not a bicharacter twist: {report}")
+    return Certificate(verdict, (), {})
 
 
 #: M(m, K) as a real algebra: dim, center_dim, trace_sig, center_trace_sig.
@@ -325,13 +323,13 @@ def oracle(
     masks, row_op, cls: AlgebraClass, *, certificate: Certificate | None = None
 ) -> Verdict:
     """Fingerprint of the blade basis ``masks`` under the row sign function
-    ``row_op`` against the reference of ``cls``, from one
-    ``bicharacter_certificate`` pass.
+    ``row_op`` against the reference of ``cls``, from one ``certify`` pass.
 
     With a ``certificate`` of a group of blades holding ``masks``, made
     under the same ``row_op``, the fingerprint is read off its B with no
-    product; where ``masks`` is no subgroup of it, the pass runs as
-    without one, so a failing verdict is worded the same either way.
+    product.  Where ``masks`` is no subgroup of it, which holds for every
+    list when that pass failed, ``masks`` gets a pass of its own, so a
+    failing verdict is worded the same either way.
 
     The contract is stricter than associativity: the twist must be a
     bicharacter, so an associative product twisted by a coboundary that
@@ -347,17 +345,11 @@ def oracle(
             got = certificate.subgroup_invariants(masks)
         except (NotClosed, NotIndependent):
             pass  # the pass below words the failure
-    if got is not None:
-        pairs = len(certificate.coords) ** 2
-        associativity = f"bicharacter certificate, {pairs} pairs, 0 violations"
-    else:
-        try:
-            verdict, got = bicharacter_certificate(masks, row_op)
-        except (NotClosed, NotIndependent, NotTwisted) as exc:
-            return Verdict(False, str(exc), str(exc))
-        if got is None:
-            return verdict
-        associativity = verdict.associativity
+    if got is None:
+        certificate = certify(masks, row_op)
+        if not certificate.verdict.ok:
+            return certificate.verdict
+        got = certificate.invariants()
     want = expected_invariants(cls)
     problem = "" if got == want else f"oracle {got} != reference {want}"
-    return Verdict(True, associativity, problem)
+    return Verdict(True, certificate.verdict.associativity, problem)

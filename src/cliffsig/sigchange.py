@@ -263,7 +263,7 @@ def verify_clifford_map(gr: Z2Grading) -> CliffordMapReport:
     (ii) the definition e ∨ A = e^A + alpha(e)⌟A on every generator and
     blade, summing the wedge and contraction kernels of the original metric;
     (iii) associativity, by the oracle's bicharacter certificate over
-    every blade pair (``oracle.bicharacter_certificate``), read row by row
+    every blade pair (``oracle.certify``), read row by row
     through ``vee_alpha_row_op``;
     (iv) the fingerprint of the blade basis under ∨ equals that of Cl(r,s).
     (i) and (ii) read ``vee_alpha_blade_op``, the same kernel one pair at a

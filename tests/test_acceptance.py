@@ -34,7 +34,7 @@ from cliffsig import (
     weighted_antisymmetrization,
 )
 from cliffsig.grading import DimensionClass
-from cliffsig.oracle import check_associativity, oracle
+from cliffsig.oracle import certify, oracle
 from cliffsig.verify import (
     all_gradings,
     random_vector,
@@ -220,8 +220,8 @@ def test_criterion_09_vee_prime_suite():
                 pa = gr.blade_parity(next(iter(a.terms)))
                 pb = gr.blade_parity(next(iter(b.terms)))
                 assert all(gr.blade_parity(m) == (pa + pb) & 1 for m in ab.terms)
-            associative, report = check_associativity(blades, rows(vee_prime_blade_op(gr)))
-            assert associative, (gr, report)
+            verdict = certify(blades, rows(vee_prime_blade_op(gr))).verdict
+            assert verdict.associative, (gr, verdict.associativity)
             pairs += len(blades) ** 2
     # the parity-weighted wedge identity holds for all tested vectors
     rng = random.Random(9)

@@ -184,6 +184,23 @@ def test_grading_involution_file_not_a_matrix_exit_2(tmp_path, capsys, payload):
     assert out == "" and "expected a JSON list of rows" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps([["1/0", "0"], ["0", "1"]]), "an entry has a zero denominator"),
+        ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
+    ],
+    ids=["zero-denominator", "deep-nesting"],
+)
+def test_grading_involution_file_malformed_exit_2(tmp_path, capsys, text, message):
+    # both used to escape as a traceback with exit 1
+    path = tmp_path / "inv.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "grading", "--sig", "2,0", "--involution", str(path))
+    assert code == 2
+    assert out == "" and err == f"error: {path}: {message}"
+
+
 def test_grading_dichotomy_violation_exit_1(monkeypatch, capsys):
     monkeypatch.setattr("cliffsig.grading.even_subalgebra_basis", lambda gr: [0])
     code, out, err = run(capsys, "grading", "--sig", "2,0", "--odd", "e1")

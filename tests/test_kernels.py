@@ -41,7 +41,9 @@ def test_wedge_and_contract_consistency():
         if a & b:
             assert ws == 0
         else:
-            assert (ws, wm) == kernels.blade_mul(a, b, 0)  # no contraction happens
+            # no square fires: the sign is the bubble sort's merge sign
+            want_sign, want_idx = naive_blade_product(blade_indices(a), blade_indices(b))
+            assert (ws, blade_indices(wm)) == (want_sign, want_idx), (a, b)
         ls, lm = kernels.blade_left_contract(a, b, neg)
         if a & ~b:
             assert ls == 0

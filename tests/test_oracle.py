@@ -31,7 +31,7 @@ from cliffsig import (
 )
 from cliffsig import kernels
 from cliffsig.core import MAX_DIMENSION
-from cliffsig.oracle import bicharacter_certificate, certify, format_blades, oracle
+from cliffsig.oracle import certify, format_blades, oracle
 from cliffsig.verify import canonical_odd_mask, signatures_up_to
 
 from oracles import (
@@ -61,18 +61,22 @@ def cells(sc):
     ]
 
 
-def both_builds(op):
-    """(build, product) for the certificate and the sign-table reference:
-    the blade sign function ``op``, read by rows or pair by pair."""
-    return [(bicharacter_certificate, rows(op)), (regular_representation, op)]
+def refused(masks, op):
+    """The certificate's problem on the blade sign function ``op``, read by
+    rows, after checking that its verdict fails and certifies no blade."""
+    cert = certify(masks, rows(op))
+    assert not cert.verdict.ok and not cert.verdict.associative
+    assert cert.verdict.associativity == cert.verdict.problem
+    assert cert.rows == () and cert.coords == {}
+    return cert.verdict.problem
 
 
 def test_two_element_basis_of_cl10():
     sig = Signature(1, 0)
-    verdict, fingerprint = bicharacter_certificate([0b0, 0b1], geometric_row_op(sig))
-    assert verdict.ok and verdict.associative
-    assert verdict.associativity == "bicharacter certificate, 4 pairs, 0 violations"
-    assert fingerprint == StructuralInvariants(2, 2, (2, 0), (2, 0))
+    cert = certify([0b0, 0b1], geometric_row_op(sig))
+    assert cert.verdict.ok and cert.verdict.associative
+    assert cert.verdict.associativity == "bicharacter certificate, 4 pairs, 0 violations"
+    assert cert.invariants() == StructuralInvariants(2, 2, (2, 0), (2, 0))
     sc = regular_representation([0b0, 0b1], geometric_blade_op(sig))
     assert sc.dim == 2
     assert (sc.sign[1][1], sc.prod[1][1]) == (1, 0)  # e1*e1 = 1
@@ -83,41 +87,46 @@ def test_even_subalgebra_is_closed():
     sig = Signature(3, 0)
     gr = Z2Grading.from_odd_indices(sig, [3])
     masks = even_subalgebra_basis(gr)
-    verdict, fingerprint = bicharacter_certificate(masks, geometric_row_op(sig))
-    assert verdict.ok and fingerprint.dim == 4
+    cert = certify(masks, geometric_row_op(sig))
+    assert cert.verdict.ok and cert.invariants().dim == 4
     sc = regular_representation(masks, geometric_blade_op(sig))
     for i, j in itertools.product(range(4), repeat=2):
         assert abs(sc.sign[i][j]) == 1 and 0 <= sc.prod[i][j] < 4
 
 
 def test_not_closed():
-    # e1*e2 lands outside the span: the pass raises the table's message,
-    # and the oracle turns it into a failing verdict
+    # e1*e2 lands outside the span: the table raises it, the pass's verdict
+    # and the oracle's fail with the same message
     sig = Signature(2, 0)
     masks = [0b00, 0b01, 0b10]
     message = "product of basis elements 1 and 2 leaves the span"
-    for build, op in both_builds(geometric_blade_op(sig)):
-        with pytest.raises(NotClosed, match=message):
-            build(masks, op)
+    with pytest.raises(NotClosed, match=message):
+        regular_representation(masks, geometric_blade_op(sig))
+    assert refused(masks, geometric_blade_op(sig)) == message
     verdict = oracle(masks, geometric_row_op(sig), classify_clifford(2, 0))
     assert not verdict.ok and verdict.problem == message
 
 
 def test_not_independent():
     sig = Signature(1, 0)
-    for build, op in both_builds(geometric_blade_op(sig)):
-        with pytest.raises(NotIndependent):
-            build([1, 1], op)
-        with pytest.raises(NotIndependent):
-            build([], op)
+    op = geometric_blade_op(sig)
+    for masks, message in [([1, 1], "a blade appears twice in the basis"), ([], "empty basis")]:
+        with pytest.raises(NotIndependent, match=message):
+            regular_representation(masks, op)
+        assert refused(masks, op) == message
 
 
 def test_product_off_the_symmetric_difference_rejected():
     # every shortcut of the oracle rests on e_a e_b = ±e_{a^b}: e1 e1 = e1
     # is inside the span but not on the blade 0, so it is refused
-    for build, op in both_builds(lambda a, b: (1, a | b)):
-        with pytest.raises(NotTwisted, match="basis elements 1 and 1"):
-            build([0, 1], op)
+    def op(a, b):
+        return 1, a | b
+
+    with pytest.raises(NotTwisted, match="basis elements 1 and 1"):
+        regular_representation([0, 1], op)
+    assert refused([0, 1], op) == (
+        "product of basis elements 1 and 1 is not plus or minus the blade 0b0"
+    )
 
 
 def test_zero_sign_gives_empty_cell():
@@ -129,8 +138,9 @@ def test_zero_sign_gives_empty_cell():
     assert sc.sign == [[1, 1], [1, 0]]
     assert sc.prod == [[0, 1], [1, -1]]
     assert first_nonassociative_triple(sc, 0, 200) is None
-    verdict, fingerprint = bicharacter_certificate([0b0, 0b1], rows(kernels.blade_wedge))
-    assert not verdict.associative and fingerprint is None
+    cert = certify([0b0, 0b1], rows(kernels.blade_wedge))
+    verdict = cert.verdict
+    assert not verdict.associative and cert.coords == {}
     assert verdict.associativity == (
         "bicharacter certificate, 4 pairs, first violation (e1, e1)"
     )
@@ -149,8 +159,7 @@ def test_a_pass_reads_one_row_per_call():
             calls.append((a, list(bs)))
             return honest(a, bs)
 
-        verdict, _ = bicharacter_certificate(masks, spy)
-        assert verdict.ok
+        assert certify(masks, spy).verdict.ok
         k, dim = sig.n, len(masks)
         generators = [1 << i for i in range(k)]
         assert len(calls) == k + dim, sig
@@ -188,7 +197,7 @@ def test_blade_ops_match_the_multivector_products():
 def fingerprints(masks, op):
     """The certificate's fingerprint and the sign-table reference's."""
     return (
-        bicharacter_certificate(masks, rows(op))[1],
+        certify(masks, rows(op)).invariants(),
         structural_invariants(regular_representation(masks, op)),
     )
 
@@ -535,7 +544,7 @@ def test_subgroup_read_rejects_what_the_pass_rejects():
     sig = Signature(2, 0)
     op = geometric_row_op(sig)
     whole = certify(all_blades(sig), op)
-    assert whole is not None
+    assert whole.verdict.ok
     for masks in ([0b01, 0b01], []):
         with pytest.raises(NotIndependent):
             whole.subgroup_invariants(masks)
@@ -550,10 +559,20 @@ def test_subgroup_read_rejects_what_the_pass_rejects():
 
 
 def test_certify_refuses_a_failing_pass():
-    # a pass that fails or raises leaves no certificate to read from
+    # a pass that fails certifies no blade: its verdict fails, and reading
+    # any subgroup off it raises NotClosed, so the oracle runs its own pass
     sig = Signature(2, 0)
-    masks = all_blades(sig)
-    assert certify(masks, rows(flipped(geometric_blade_op(sig), (0b01, 0b10)))) is None
-    assert certify([0b00, 0b01, 0b10], geometric_row_op(sig)) is None
-    assert certify([0, 1], rows(lambda a, b: (1, a | b))) is None
-    assert certify([], geometric_row_op(sig)) is None
+    cases = [
+        (all_blades(sig), flipped(geometric_blade_op(sig), (0b01, 0b10)),
+         "not associative: exhaustive triples, first violation (e1, e1, e2)"),
+        ([0b00, 0b01, 0b10], geometric_blade_op(sig),
+         "product of basis elements 1 and 2 leaves the span"),
+        ([0, 1], lambda a, b: (1, a | b),
+         "product of basis elements 1 and 1 is not plus or minus the blade 0b0"),
+        ([], geometric_blade_op(sig), "empty basis"),
+    ]
+    for masks, op, problem in cases:
+        cert = certify(masks, rows(op))
+        assert not cert.verdict.ok and cert.verdict.problem == problem, masks
+        with pytest.raises(NotClosed, match="0b0 is not among the certified blades"):
+            cert.subgroup_invariants([0b0])

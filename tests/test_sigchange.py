@@ -564,13 +564,13 @@ def test_one_associativity_pass_per_clifford_map(monkeypatch):
         Z2Grading.from_odd_indices(Signature(3, 2), [1, 4]),
     ]
     calls = []
-    honest = oracle.bicharacter_certificate
+    honest = oracle.certify
 
     def counting(masks, row_op):
         calls.append(len(masks))
         return honest(masks, row_op)
 
-    monkeypatch.setattr(oracle, "bicharacter_certificate", counting)
+    monkeypatch.setattr(oracle, "certify", counting)
     for gr in gradings:
         assert verify_clifford_map(gr).ok
     assert calls == [8, 32]

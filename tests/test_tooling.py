@@ -82,10 +82,11 @@ def _named_outside(name, module="oracle.py"):
 
 
 def test_associativity_is_checked_only_in_the_oracle():
-    # oracle.py runs and words the one associativity pass, the bicharacter
-    # certificate; a second caller would be a second policy and wording
-    found = _named_outside("bicharacter_certificate")
-    assert not found, f"bicharacter_certificate named outside oracle.py: {found}"
+    # oracle.py runs the one associativity pass, the bicharacter
+    # certificate, and only its certify words a verdict on it; reading the
+    # raw pass anywhere else would be a second policy and wording
+    found = _named_outside("_read_bicharacter")
+    assert not found, f"_read_bicharacter named outside oracle.py: {found}"
 
 
 def test_no_product_is_computed_from_the_bicharacter():
@@ -129,10 +130,12 @@ def test_oracle_is_called_only_by_the_two_fingerprint_checks():
 def test_only_table4_shares_a_whole_algebra_certificate():
     # verify_table4 certifies each signature once and its cells read their
     # fingerprints off that certificate; even_subalgebra_problem only hands
-    # it on to the oracle.  Another sweep that shared one would be a second
-    # sharing policy, with its own rule for when a failing pass fails a cell
+    # it on to the oracle.  verify_core certifies too, but reads only the
+    # verdict and hands the certificate to nothing.  Another sweep that
+    # shared one would be a second sharing policy, with its own rule for
+    # when a failing pass fails a cell
     allowed = {
-        "certify": {("verify.py", "verify_table4")},
+        "certify": {("verify.py", "verify_table4"), ("verify.py", "verify_core")},
         "certificate": {
             ("verify.py", "verify_table4"),
             ("verify.py", "even_subalgebra_problem"),

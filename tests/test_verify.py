@@ -158,18 +158,20 @@ def test_table4_reports_grading_count_mismatch(monkeypatch):
 
 
 def test_core_associativity_coverage():
-    # exact through the oracle's bicharacter certificate for n <= 4,
-    # random rational multivectors beyond
+    # exact through the oracle's bicharacter certificate at every n
     rep = run_suite("core", 5)
     details = {c.key: c.detail for c in rep.cells if c.key.endswith(":associativity")}
     assert details["2,2:associativity"] == "bicharacter certificate, 256 pairs, 0 violations"
     assert details["1,0:associativity"] == "bicharacter certificate, 4 pairs, 0 violations"
-    assert details["3,2:associativity"] == "300 random multivector triples, 0 violations"
+    assert details["3,2:associativity"] == "bicharacter certificate, 1024 pairs, 0 violations"
 
 
 def test_core_associativity_names_first_blade_triple(monkeypatch):
     # 1 * e1 = -e1 breaks associativity first at (1, 1, e1):
-    # (1 1) e1 = -e1 but 1 (1 e1) = e1
+    # (1 1) e1 = -e1 but 1 (1 e1) = e1.  Every cell with n >= 1 reads the
+    # product through the certificate and fails: n <= 4 names that triple,
+    # and n = 5, which searches no triples at dim 32, the first pair off
+    # the bicharacter, (1, e1)
     import cliffsig.verify as verify
 
     def twisted(sig):
@@ -182,10 +184,17 @@ def test_core_associativity_names_first_blade_triple(monkeypatch):
         return rows(blade_op)
 
     monkeypatch.setattr(verify, "geometric_row_op", twisted)
-    rep = verify.verify_core(max_n=1)
-    cell = next(c for c in rep.cells if c.key == "1,0:associativity")
-    assert not cell.ok
-    assert cell.detail == "exhaustive triples, first violation (1, 1, e1)"
+    rep = verify.verify_core(max_n=5)
+    cells = {c.key: c for c in rep.cells if c.key.endswith(":associativity")}
+    assert len(cells) == 21 and cells.pop("0,0:associativity").ok
+    for key, cell in cells.items():
+        n = sum(map(int, key.split(":")[0].split(",")))
+        assert not cell.ok, key
+        assert cell.detail == (
+            "exhaustive triples, first violation (1, 1, e1)"
+            if n <= 4
+            else "bicharacter certificate, 1024 pairs, first violation (1, e1)"
+        ), key
 
 
 def test_table4_product_leaving_the_span_fails_its_cell(monkeypatch):
