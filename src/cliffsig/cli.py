@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import reduce
 
 from .classify import classify_clifford, classify_even_part, classify_even_subalgebra
 from .core import MAX_DIMENSION, Signature, geometric_product
@@ -26,7 +27,7 @@ from .grading import (
     validate_involution,
 )
 from .sigchange import target_signature, tilt_product, vee_alpha, vee_prime
-from .verify import SUITES, even_subalgebra_problem, run_suite
+from .verify import SUITES, canonical_odd_mask, even_subalgebra_problem, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -55,40 +56,43 @@ def _parse_odd(text: str) -> list[int]:
     return out
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    a, b = text.split(",")
-    return int(a), int(b)
-
-
-def _load_involution(path: str):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
-        raise ValueError(f"{path}: expected a JSON list of rows (lists of rationals)")
+def _parse_even(text: str) -> tuple[int, int]:
     try:
+        p0, q0 = text.split(",")
+        return int(p0), int(q0)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected --even p0,q0 — {exc}") from None
+
+
+def _load_involution(path: str) -> list[list[Fraction]]:
+    """The rational matrix in the UTF-8 JSON file at ``path``.  Content that
+    is not one raises a ValueError naming the file, as OSError's message
+    does for a file that cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+            raise ValueError("expected a JSON list of rows (lists of rationals)")
         return [[Fraction(str(x)) for x in row] for row in data]
+    except RecursionError:
+        reason = "JSON nested too deeply"
     except ZeroDivisionError:
-        raise ValueError(f"{path}: an entry has a zero denominator") from None
+        reason = "an entry has a zero denominator"
+    except ValueError as exc:
+        reason = str(exc)
+    raise ValueError(f"{path}: {reason}")
 
 
-def _grading_from_args(sig: Signature, args) -> Z2Grading:
-    odd = getattr(args, "odd", None) or []
-    return Z2Grading.from_odd_indices(sig, odd)
-
-
-def _product_fn(name: str, gr: Z2Grading):
+def _product(name: str, gr: Z2Grading):
+    """The product substituted for '*' and the signature (r, s) of the
+    algebra it makes on the carrier.  The geometric product and the tilt
+    are the deformed products of the trivial and the all-odd grading."""
     if name == "geometric":
-        return geometric_product
+        return geometric_product, target_signature(Z2Grading.trivial(gr.sig))
     if name == "tilt":
-        return tilt_product
-    if name == "vee":
-        return lambda a, b: vee_alpha(a, b, gr)
-    if name == "veeprime":
-        return lambda a, b: vee_prime(a, b, gr)
-    raise ValueError(f"unknown product {name!r}")
+        return tilt_product, target_signature(Z2Grading.usual(gr.sig))
+    vee = vee_alpha if name == "vee" else vee_prime
+    return (lambda a, b: vee(a, b, gr)), target_signature(gr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,40 +102,38 @@ def build_parser() -> argparse.ArgumentParser:
         "classification, and signature change.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sig_in = argparse.ArgumentParser(add_help=False)
+    sig_in.add_argument("--sig", type=_parse_sig, required=True, metavar="p,q")
 
-    p_eval = sub.add_parser("eval", help="evaluate multivector expressions")
-    p_eval.add_argument("--sig", type=_parse_sig, required=True, metavar="p,q")
+    p_eval = sub.add_parser("eval", parents=[sig_in], help="evaluate multivector expressions")
     p_eval.add_argument(
         "--product",
         choices=("geometric", "vee", "veeprime", "tilt"),
         default="geometric",
         help="product substituted for '*' (default: geometric)",
     )
-    p_eval.add_argument("--odd", type=_parse_odd, metavar="e1,e3",
+    p_eval.add_argument("--odd", type=_parse_odd, metavar="e1,e3", default=[],
                         help="odd generators of the grading (vee/veeprime)")
-    p_eval.add_argument("--json", action="store_true")
     p_eval.add_argument("exprs", nargs="+", metavar="EXPR",
                         help="expressions, combined left to right under the product")
+    p_eval.set_defaults(handler=_cmd_eval)
 
-    p_cls = sub.add_parser("classify", help="closed-form isomorphism classes")
-    p_cls.add_argument("--sig", type=_parse_sig, required=True, metavar="p,q")
-    p_cls.add_argument("--even", type=_parse_pair, metavar="p0,q0",
+    p_cls = sub.add_parser("classify", parents=[sig_in], help="closed-form isomorphism classes")
+    p_cls.add_argument("--even", type=_parse_even, metavar="p0,q0",
                        help="classify the even subalgebra of the grading with "
                             "this even 1-vector signature")
     p_cls.add_argument("--oracle", action="store_true",
                        help="re-derive via the structural fingerprint and report agreement")
-    p_cls.add_argument("--json", action="store_true")
+    p_cls.set_defaults(handler=_cmd_classify)
 
-    p_gr = sub.add_parser("grading", help="inspect or validate a grading")
-    p_gr.add_argument("--sig", type=_parse_sig, required=True, metavar="p,q")
-    p_gr.add_argument("--odd", type=_parse_odd, metavar="e1,e3")
+    p_gr = sub.add_parser("grading", parents=[sig_in], help="inspect or validate a grading")
+    p_gr.add_argument("--odd", type=_parse_odd, metavar="e1,e3", default=[])
     p_gr.add_argument("--involution", metavar="PATH",
                       help="JSON n x n rational matrix (entries like \"3/5\") "
                            "giving a candidate grading map on V")
-    p_gr.add_argument("--json", action="store_true")
+    p_gr.set_defaults(handler=_cmd_grading)
 
-    p_sc = sub.add_parser("sigchange", help="evaluate under a deformed product")
-    p_sc.add_argument("--sig", type=_parse_sig, required=True, metavar="p,q")
+    p_sc = sub.add_parser("sigchange", parents=[sig_in], help="evaluate under a deformed product")
     p_sc.add_argument("--odd", type=_parse_odd, metavar="e2,e3,e4", default=[])
     p_sc.add_argument(
         "--product",
@@ -139,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="vee",
     )
     p_sc.add_argument("--expr", required=True, metavar="EXPR")
-    p_sc.add_argument("--json", action="store_true")
+    p_sc.set_defaults(handler=_cmd_sigchange)
 
     p_ver = sub.add_parser("verify", help="run a verification sweep")
     p_ver.add_argument("--suite", choices=SUITES, required=True)
@@ -147,33 +149,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0,
                        help="seed of the core suite's random draws (default: 0); "
                             "the other suites draw nothing")
-    p_ver.add_argument("--json", action="store_true")
+    p_ver.set_defaults(handler=lambda args: _cmd_verify(args, parser.error))
+    for p_cmd in sub.choices.values():  # last, where every usage line lists it
+        p_cmd.add_argument("--json", action="store_true")
     return parser
+
+
+def _emit(args, out, lines: list[str], code: int) -> int:
+    """Print ``out`` as JSON under --json, else ``lines``; return ``code``.
+    ``out`` is a dict, or for verify the report's own indented JSON text."""
+    if args.json:
+        print(out if isinstance(out, str) else json.dumps(out))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 def _cmd_eval(args) -> int:
     sig = args.sig
-    gr = _grading_from_args(sig, args)
-    star = _product_fn(args.product, gr)
-    values = [parse_multivector(text, sig, star=star) for text in args.exprs]
-    result = values[0]
-    for v in values[1:]:
-        result = star(result, v)
-    if args.json:
-        out = {
-            "sig": [sig.p, sig.q],
-            "product": args.product,
-            "result": format_multivector(result),
-        }
-        if args.product in ("vee", "veeprime"):
-            out["odd"] = list(gr.odd_indices)
-            out["target"] = list(target_signature(gr))
-        elif args.product == "tilt":
-            out["target"] = [sig.q, sig.p]
-        print(json.dumps(out))
-    else:
-        print(format_multivector(result))
-    return EXIT_OK
+    gr = Z2Grading.from_odd_indices(sig, args.odd)
+    star, target = _product(args.product, gr)
+    result = reduce(star, [parse_multivector(text, sig, star=star) for text in args.exprs])
+    text = format_multivector(result)
+    out = {"sig": [sig.p, sig.q], "product": args.product, "result": text}
+    if args.product in ("vee", "veeprime"):
+        out["odd"] = list(gr.odd_indices)
+    if args.product != "geometric":
+        out["target"] = list(target)
+    return _emit(args, out, [text], EXIT_OK)
 
 
 def _cmd_classify(args) -> int:
@@ -201,124 +204,80 @@ def _cmd_classify(args) -> int:
         lines.append("oracle: " + ("agrees" if agree else f"DISAGREES; {problem}"))
         if problem:
             out["oracle_problem"] = problem
-    if args.json:
-        print(json.dumps(out))
-    else:
-        print("\n".join(lines))
-    return EXIT_OK if agree else EXIT_VIOLATION
+    return _emit(args, out, lines, EXIT_OK if agree else EXIT_VIOLATION)
 
 
 def _cmd_grading(args) -> int:
+    """Report a grading given by its odd generators or, once validated, by an
+    involution of V, which is isometric to the canonical grading with the
+    same counts (p0,q0,p1,q1); only an odd set is checked for closure."""
     sig = args.sig
     out: dict = {"sig": [sig.p, sig.q]}
     if args.involution:
-        matrix = _load_involution(args.involution)
         try:
-            split = validate_involution(matrix, sig)
+            split = validate_involution(_load_involution(args.involution), sig)
         except (NotInvolution, NotIsometry) as exc:
             msg = f"rejected: {type(exc).__name__}: {exc}"
-            if args.json:
-                print(json.dumps({**out, "accepted": False, "reason": msg}))
-            else:
-                print(msg)
-            return EXIT_VIOLATION
-        p0, q0, p1, q1 = split.counts()
-        out.update({"accepted": True, "p0": p0, "q0": q0, "p1": p1, "q1": q1})
-        lines = [f"accepted: (p0,q0,p1,q1) = ({p0},{q0},{p1},{q1})"]
-        gr = None
+            return _emit(args, {**out, "accepted": False, "reason": msg}, [msg], EXIT_VIOLATION)
+        _, _, p1, q1 = split.counts()
+        gr = Z2Grading(sig, canonical_odd_mask(sig, p1, q1))
+        out["accepted"] = True
     else:
-        gr = _grading_from_args(sig, args)
-        p0, q0, p1, q1 = gr.counts()
-        out.update({"odd": list(gr.odd_indices), "p0": p0, "q0": q0, "p1": p1, "q1": q1})
-        lines = [f"{gr}", f"(p0,q0,p1,q1) = ({p0},{q0},{p1},{q1})"]
+        gr = Z2Grading.from_odd_indices(sig, args.odd)
+        out["odd"] = list(gr.odd_indices)
+    p0, q0, p1, q1 = gr.counts()
+    out.update(p0=p0, q0=q0, p1=p1, q1=q1)
+    counts = f"(p0,q0,p1,q1) = ({p0},{q0},{p1},{q1})"
+    lines = [f"accepted: {counts}"] if args.involution else [str(gr), counts]
     cls = classify_even_subalgebra(sig.p, sig.q, p0, q0)
-    out["even_subalgebra"] = str(cls)
-    if gr is not None:
-        out["dichotomy"] = dimension_dichotomy_check(gr).value
-    else:
-        out["dichotomy"] = "trivial" if (p1, q1) == (0, 0) else "half"
-    r, s = p0 + q1, q0 + p1
-    out["target"] = [r, s]
-    lines.append(f"even subalgebra: {cls}")
-    lines.append(f"dimension class: {out['dichotomy']}")
-    lines.append(f"signature change target: Cl({r},{s})")
-    closure_ok = True
-    if gr is not None:
-        rep = grading_closure_check(gr)
-        closure_ok = rep.ok
-        out["closure_ok"] = closure_ok
-        out["closure_pairs"] = rep.pairs_checked
-        lines.append(
-            f"closure: {'ok' if closure_ok else 'VIOLATED'} "
-            f"({rep.pairs_checked} blade pairs)"
-        )
-    if args.json:
-        print(json.dumps(out))
-    else:
-        print("\n".join(lines))
-    return EXIT_OK if closure_ok else EXIT_VIOLATION
+    dichotomy = dimension_dichotomy_check(gr).value
+    r, s = target_signature(gr)
+    out.update(even_subalgebra=str(cls), dichotomy=dichotomy, target=[r, s])
+    lines += [
+        f"even subalgebra: {cls}",
+        f"dimension class: {dichotomy}",
+        f"signature change target: Cl({r},{s})",
+    ]
+    if args.involution:
+        return _emit(args, out, lines, EXIT_OK)
+    rep = grading_closure_check(gr)
+    out.update(closure_ok=rep.ok, closure_pairs=rep.pairs_checked)
+    lines.append(f"closure: {'ok' if rep.ok else 'VIOLATED'} ({rep.pairs_checked} blade pairs)")
+    return _emit(args, out, lines, EXIT_OK if rep.ok else EXIT_VIOLATION)
 
 
 def _cmd_sigchange(args) -> int:
     sig = args.sig
     gr = Z2Grading.from_odd_indices(sig, args.odd)
-    star = _product_fn(args.product, gr)
-    result = parse_multivector(args.expr, sig, star=star)
-    r, s = target_signature(gr)
-    if args.product == "tilt":
-        r, s = sig.q, sig.p
-    elif args.product == "geometric":
-        r, s = sig.p, sig.q
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "sig": [sig.p, sig.q],
-                    "odd": list(gr.odd_indices),
-                    "product": args.product,
-                    "target": [r, s],
-                    "result": format_multivector(result),
-                }
-            )
-        )
-    else:
-        print(f"target: Cl({r},{s})")
-        print(format_multivector(result))
-    return EXIT_OK
+    star, (r, s) = _product(args.product, gr)
+    text = format_multivector(parse_multivector(args.expr, sig, star=star))
+    out = {
+        "sig": [sig.p, sig.q],
+        "odd": list(gr.odd_indices),
+        "product": args.product,
+        "target": [r, s],
+        "result": text,
+    }
+    return _emit(args, out, [f"target: Cl({r},{s})", text], EXIT_OK)
 
 
-def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args, usage_error) -> int:
     if args.max_n is not None and not 0 <= args.max_n <= MAX_DIMENSION:
-        parser.error(f"--max-n must be between 0 and {MAX_DIMENSION}")
+        usage_error(f"--max-n must be between 0 and {MAX_DIMENSION}")
     report = run_suite(args.suite, args.max_n, args.seed)
-    if args.json:
-        print(report.to_json())
-    else:
-        total = sum(c.seconds for c in report.cells)
-        for c in report.cells:
-            if not c.ok:
-                print(f"FAIL {c.key}: {c.detail}")
-        print(
-            f"suite {report.suite}: {len(report.cells)} cells, "
-            f"{report.violations} violations ({total:.2f}s)"
-        )
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    total = sum(c.seconds for c in report.cells)
+    lines = [f"FAIL {c.key}: {c.detail}" for c in report.cells if not c.ok]
+    lines.append(
+        f"suite {report.suite}: {len(report.cells)} cells, "
+        f"{report.violations} violations ({total:.2f}s)"
+    )
+    return _emit(args, report.to_json(), lines, EXIT_OK if report.ok else EXIT_VIOLATION)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "grading":
-            return _cmd_grading(args)
-        if args.command == "sigchange":
-            return _cmd_sigchange(args)
-        if args.command == "verify":
-            return _cmd_verify(args, parser)
+        return args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -328,7 +287,6 @@ def main(argv=None) -> int:
     except (DichotomyViolation, EigenspaceViolation) as exc:
         print(f"violation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    raise AssertionError("unreachable")
 
 
 def entry() -> None:

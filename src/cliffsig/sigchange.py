@@ -247,43 +247,46 @@ class CliffordMapReport:
         return sum(not c.ok for c in self.checks)
 
 
-def _blade_sum(*terms) -> dict[int, int]:
-    """Signed blades, given as (sign, mask) pairs, summed; zeros dropped."""
-    out: dict[int, int] = {}
-    for sign, mask in terms:
-        out[mask] = out.get(mask, 0) + sign
-    return {mask: c for mask, c in out.items() if c}
+def _sums_to(x: tuple[int, int], y: tuple[int, int], z: tuple[int, int]) -> bool:
+    """Whether the signed blades x + y equal the signed blade z, each a
+    (sign, mask) pair with sign 0 for zero."""
+    (sx, mx), (sy, my) = x, y
+    if sx and sy and mx != my:
+        return False
+    total = sx + sy
+    return total == z[0] and (not total or (mx if sx else my) == z[1])
 
 
 def verify_clifford_map(gr: Z2Grading) -> CliffordMapReport:
     """Establish that the deformed product realizes Cl(r,s) on the carrier,
-    reading ∨ only through its sign functions, so no multivector is built.
+    reading ∨ only through its row sign function, so no multivector is built.
 
-    (i) generator relations e_i ∨ e_j + e_j ∨ e_i = 2 g_a(e_i,e_j);
+    (i) generator relations e_i ∨ e_j + e_j ∨ e_i = 2 g_a(e_i,e_j), from
+    the n rows e_i ∨ (e_1, ..., e_n);
     (ii) the definition e ∨ A = e^A + alpha(e)⌟A on every generator and
-    blade, summing the wedge and contraction kernels of the original metric;
+    blade, from one row e ∨ (every blade) per generator, each entry
+    compared with the wedge and contraction kernels of the original metric;
     (iii) associativity, by the oracle's bicharacter certificate over
-    every blade pair (``oracle.certify``), read row by row
-    through ``vee_alpha_row_op``;
+    every blade pair (``oracle.certify``);
     (iv) the fingerprint of the blade basis under ∨ equals that of Cl(r,s).
-    (i) and (ii) read ``vee_alpha_blade_op``, the same kernel one pair at a
-    time.  (ii) and (iii) together make ∨ the product that folding
-    generators by the definition produces.  Each failing check names its
-    first witness.
+    All four read ``vee_alpha_row_op``.  (ii) and (iii) together make ∨ the
+    product that folding generators by the definition produces.  Each
+    failing check names its first witness.
     """
     sig = gr.sig
     neg, odd = sig.neg_mask, gr.odd_mask
-    op = vee_alpha_blade_op(gr)
+    row_op = vee_alpha_row_op(gr)
     checks: list[CheckResult] = []
     generators = [1 << k for k in range(sig.n)]
 
+    rows = [row_op(a, generators) for a in generators]
     bad = []
     for i, a in enumerate(generators):
-        for b in generators[i:]:
-            g = -1 if a & neg else 1  # g(a, a); g_a(a, a) is -g(a, a) for odd a
-            want = {0: 2 * (-g if a & odd else g)} if a == b else {}
-            if _blade_sum(op(a, b), op(b, a)) != want:
-                bad.append((a, b))
+        g = -1 if a & neg else 1  # g(a, a); g_a(a, a) is -g(a, a) for odd a
+        for j in range(i, sig.n):
+            want = (2 * (-g if a & odd else g), 0) if i == j else (0, 0)
+            if not _sums_to(rows[i][j], rows[j][i], want):
+                bad.append((a, generators[j]))
     detail = f"{sig.n * (sig.n + 1) // 2} pairs, {len(bad)} violations"
     if bad:
         detail += f"; first {format_blades(bad[0])}"
@@ -293,10 +296,9 @@ def verify_clifford_map(gr: Z2Grading) -> CliffordMapReport:
     bad = []
     for e in generators:
         alpha_e = -1 if e & odd else 1
-        for a in blades:
+        for a, got in zip(blades, row_op(e, blades)):
             sign, mask = kernels.blade_left_contract(e, a, neg)
-            want = _blade_sum(kernels.blade_wedge(e, a), (alpha_e * sign, mask))
-            if _blade_sum(op(e, a)) != want:
+            if not _sums_to(kernels.blade_wedge(e, a), (alpha_e * sign, mask), got):
                 bad.append((e, a))
     detail = f"{sig.n * len(blades)} (generator, blade) pairs, {len(bad)} violations"
     if bad:

@@ -185,20 +185,55 @@ def test_grading_involution_file_not_a_matrix_exit_2(tmp_path, capsys, payload):
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "data, message",
     [
         (json.dumps([["1/0", "0"], ["0", "1"]]), "an entry has a zero denominator"),
         ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
+        (json.dumps([["abc", "0"], ["0", "1"]]), "Invalid literal for Fraction: 'abc'"),
+        ("[[1e400, 0], [0, 1]]", "Invalid literal for Fraction: 'inf'"),
+        ('[["1", "0"], ["0"', "Expecting ',' delimiter: line 1 column 18 (char 17)"),
+        (
+            "[[" + "1" * 5000 + ", 0], [0, 1]]",
+            "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 "
+            "digits; use sys.set_int_max_str_digits() to increase the limit",
+        ),
+        (b"\xff[[1]]", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     ],
-    ids=["zero-denominator", "deep-nesting"],
+    ids=["zero-denominator", "deep-nesting", "bad-literal", "overflowing-float",
+         "truncated", "long-numeral", "not-utf-8"],
 )
-def test_grading_involution_file_malformed_exit_2(tmp_path, capsys, text, message):
-    # both used to escape as a traceback with exit 1
+def test_grading_involution_file_malformed_exit_2(tmp_path, capsys, data, message):
+    # the first two used to escape as a traceback with exit 1, the rest as an
+    # error that did not name the file
     path = tmp_path / "inv.json"
-    path.write_text(text)
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
     code, out, err = run(capsys, "grading", "--sig", "2,0", "--involution", str(path))
     assert code == 2
     assert out == "" and err == f"error: {path}: {message}"
+
+
+def test_grading_involution_agrees_with_odd_set(tmp_path, capsys):
+    # a diagonal ±1 involution is the grading whose odd set is its -1 entries;
+    # both paths report the same counts, even subalgebra, dichotomy and target
+    keys = ("p0", "q0", "p1", "q1", "even_subalgebra", "dichotomy", "target")
+    path = tmp_path / "inv.json"
+    for n in range(4):
+        for p in range(n + 1):
+            sig = f"{p},{n - p}"
+            for odd_mask in range(1 << n):
+                signs = [-1 if odd_mask >> k & 1 else 1 for k in range(n)]
+                path.write_text(json.dumps(
+                    [[str(d) if i == j else "0" for j in range(n)] for i, d in enumerate(signs)]
+                ))
+                odd = ",".join(f"e{k + 1}" for k in range(n) if signs[k] == -1)
+                code_a, out_a, _ = run(
+                    capsys, "grading", "--sig", sig, "--involution", str(path), "--json"
+                )
+                code_b, out_b, _ = run(capsys, "grading", "--sig", sig, "--odd", odd, "--json")
+                assert code_a == code_b == 0, (sig, odd)
+                a, b = json.loads(out_a), json.loads(out_b)
+                assert a["accepted"] is True
+                assert {k: a[k] for k in keys} == {k: b[k] for k in keys}, (sig, odd)
 
 
 def test_grading_dichotomy_violation_exit_1(monkeypatch, capsys):
@@ -270,6 +305,19 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])  # a subcommand is required
     assert exc.value.code == 2
+    for even, reason in [
+        ("1,2,3", "too many values to unpack (expected 2)"),
+        ("x", "not enough values to unpack (expected 2, got 1)"),
+        ("1", "not enough values to unpack (expected 2, got 1)"),
+        ("1,y", "invalid literal for int() with base 10: 'y'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--sig", "3,0", "--even", even])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert err == (
+            f"cliffsig classify: error: argument --even: expected --even p0,q0 — {reason}"
+        )
 
 
 def test_verify_seed_flag_is_reproducible(capsys):
@@ -280,6 +328,133 @@ def test_verify_seed_flag_is_reproducible(capsys):
     for cell in a["cells"] + b["cells"]:
         del cell["seconds"]
     assert a == b
+
+
+
+# Exact stdout and exit code of one invocation per job and output mode; the
+# JSON lines fix key order.  Verify's cell timings are pinned to 0.
+_ACCEPTED = [["5/3", "-4/3"], ["4/3", "-5/3"]]
+_REJECTED = [["1", "1"], ["0", "1"]]
+_VERIFY_JSON = """{
+  "suite": "table2",
+  "cells": [
+    {
+      "key": "0,1",
+      "pass": true,
+      "detail": "Cl+(0,1) ~ R",
+      "seconds": 0.0
+    },
+    {
+      "key": "1,0",
+      "pass": true,
+      "detail": "Cl+(1,0) ~ R",
+      "seconds": 0.0
+    }
+  ],
+  "violations": 0
+}
+"""
+GOLDEN = [
+    (["eval", "--sig", "2,2", "(1 + e1)*(e2^e3) - 1/2"], 0, "-1/2 + e2^e3 + e1^e2^e3\n"),
+    (
+        ["eval", "--sig", "2,1", "--json", "e1*e2", "e3", "1/3 + e2"],
+        0,
+        '{"sig": [2, 1], "product": "geometric", "result": "-e1^e3 + 1/3*e1^e2^e3"}\n',
+    ),
+    (
+        ["eval", "--sig", "2,1", "--product", "tilt", "--json", "e1*e2*e3 + e3"],
+        0,
+        '{"sig": [2, 1], "product": "tilt", "result": "e3 + e1^e2^e3", "target": [1, 2]}\n',
+    ),
+    (
+        ["eval", "--sig", "1,3", "--product", "vee", "--odd", "e2,e3,e4", "--json",
+         "e2*e2", "e1 + e3"],
+        0,
+        '{"sig": [1, 3], "product": "vee", "result": "e1 + e3", "odd": [2, 3, 4], '
+        '"target": [4, 0]}\n',
+    ),
+    (["eval", "--sig", "2,1", "--product", "veeprime", "--odd", "e1", "e1*e2 + e2*e1"], 0, "0\n"),
+    (["classify", "--sig", "1,3"], 0, "Cl(1,3): M(2,H)\neven part: M(2,C)\n"),
+    (
+        ["classify", "--sig", "3,0", "--even", "1,0", "--json", "--oracle"],
+        0,
+        '{"sig": [3, 0], "even_signature": [1, 0], "even_subalgebra": "C (+) C", '
+        '"oracle_agrees": true}\n',
+    ),
+    (
+        ["grading", "--sig", "1,3", "--odd", "e2,e3,e4"],
+        0,
+        "Cl(1,3) odd=e2,e3,e4\n(p0,q0,p1,q1) = (1,0,0,3)\neven subalgebra: H (+) H\n"
+        "dimension class: half\nsignature change target: Cl(4,0)\n"
+        "closure: ok (256 blade pairs)\n",
+    ),
+    (
+        ["grading", "--sig", "2,1", "--odd", "e1", "--json"],
+        0,
+        '{"sig": [2, 1], "odd": [1], "p0": 1, "q0": 1, "p1": 1, "q1": 0, '
+        '"even_subalgebra": "M(2,R)", "dichotomy": "half", "target": [1, 2], '
+        '"closure_ok": true, "closure_pairs": 64}\n',
+    ),
+    (
+        ["grading", "--sig", "1,1", "--involution", "accepted.json"],
+        0,
+        "accepted: (p0,q0,p1,q1) = (1,0,0,1)\neven subalgebra: R (+) R\n"
+        "dimension class: half\nsignature change target: Cl(2,0)\n",
+    ),
+    (
+        ["grading", "--sig", "1,1", "--involution", "accepted.json", "--json"],
+        0,
+        '{"sig": [1, 1], "accepted": true, "p0": 1, "q0": 0, "p1": 0, "q1": 1, '
+        '"even_subalgebra": "R (+) R", "dichotomy": "half", "target": [2, 0]}\n',
+    ),
+    (
+        ["grading", "--sig", "2,0", "--involution", "rejected.json"],
+        1,
+        "rejected: NotInvolution: matrix squared is not the identity on V\n",
+    ),
+    (
+        ["grading", "--sig", "2,0", "--involution", "rejected.json", "--json"],
+        1,
+        '{"sig": [2, 0], "accepted": false, '
+        '"reason": "rejected: NotInvolution: matrix squared is not the identity on V"}\n',
+    ),
+    (
+        ["sigchange", "--sig", "1,3", "--odd", "e2,e3,e4", "--expr", "e1*e1 + e2*e3"],
+        0,
+        "target: Cl(4,0)\n1 + e2^e3\n",
+    ),
+    (
+        ["sigchange", "--sig", "2,1", "--product", "veeprime", "--odd", "e1", "--expr",
+         "e1*e2", "--json"],
+        0,
+        '{"sig": [2, 1], "odd": [1], "product": "veeprime", "target": [1, 2], '
+        '"result": "-e1^e2"}\n',
+    ),
+    (
+        ["sigchange", "--sig", "1,2", "--product", "geometric", "--expr", "e2*e2"],
+        0,
+        "target: Cl(1,2)\n-1\n",
+    ),
+    (["verify", "--suite", "table2", "--max-n", "1"], 0,
+     "suite table2: 2 cells, 0 violations (0.00s)\n"),
+    (["verify", "--suite", "table2", "--max-n", "1", "--json"], 0, _VERIFY_JSON),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
+)
+def test_golden_output(tmp_path, monkeypatch, capsys, argv, code, stdout):
+    import types
+
+    import cliffsig.verify as verify
+
+    monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    (tmp_path / "accepted.json").write_text(json.dumps(_ACCEPTED))
+    (tmp_path / "rejected.json").write_text(json.dumps(_REJECTED))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert capsys.readouterr().out == stdout
 
 
 _FUZZ_TOKENS = st.one_of(

@@ -16,7 +16,6 @@ from cliffsig import (
     deformed_metric,
     extended_metric,
     find_wedge_counterexample,
-    geometric_blade_op,
     geometric_product,
     geometric_row_op,
     left_contraction,
@@ -489,7 +488,6 @@ def test_verify_clifford_map_names_first_witnesses(monkeypatch):
 
         return blade_op
 
-    monkeypatch.setattr(sigchange, "vee_alpha_blade_op", twisted)
     monkeypatch.setattr(sigchange, "vee_alpha_row_op", lambda gr: rows(twisted(gr)))
     rep = verify_clifford_map(Z2Grading.trivial(sig))
     details = {c.name: c.detail for c in rep.checks if not c.ok}
@@ -530,7 +528,6 @@ def test_definition_rejects_the_original_metric_product(monkeypatch):
     # g_a generator relations as soon as some generator is odd
     import cliffsig.sigchange as sigchange
 
-    monkeypatch.setattr(sigchange, "vee_alpha_blade_op", lambda gr: geometric_blade_op(gr.sig))
     monkeypatch.setattr(sigchange, "vee_alpha_row_op", lambda gr: geometric_row_op(gr.sig))
     for n in range(4):
         for p in range(n + 1):
@@ -552,6 +549,18 @@ def test_definition_sums_wedge_and_contraction(monkeypatch):
     details = {c.name: c.detail for c in rep.checks if not c.ok}
     assert set(details) == {"definition"}
     assert details["definition"].endswith("4 violations; first (e1, 1)")
+
+
+def test_definition_rejects_a_wedge_that_fires_on_overlap(monkeypatch):
+    # on a blade holding e, a wedge that fires adds to the contraction's
+    # blade: e1 ∨ e1 = 1 against 1 + 1 (a sum of 2) and e2 ∨ e2 = -1
+    # against 1 - 1 (a sum of 0) must both fail, as every overlapping pair
+    import cliffsig.kernels as kernels
+
+    monkeypatch.setattr(kernels, "blade_wedge", lambda a, b: kernels.blade_mul(a, b, 0))
+    rep = verify_clifford_map(Z2Grading.from_odd_indices(Signature(2, 0), [2]))
+    details = {c.name: c.detail for c in rep.checks if not c.ok}
+    assert details == {"definition": "8 (generator, blade) pairs, 4 violations; first (e1, e1)"}
 
 
 def test_one_associativity_pass_per_clifford_map(monkeypatch):
