@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -32,6 +33,11 @@ from .verify import SUITES, canonical_odd_mask, even_subalgebra_problem, run_sui
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+
+#: Largest decimal exponent, in magnitude, that an involution entry given
+#: as a string may carry: CPython's default cap on the digits of an int
+#: read from text, which already bounds the numeral itself.
+MAX_EXPONENT = 4300
 
 
 def _parse_sig(text: str) -> Signature:
@@ -64,6 +70,16 @@ def _parse_even(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected --even p0,q0 — {exc}") from None
 
 
+def _rational(x) -> Fraction:
+    """A JSON entry as a Fraction.  A string's decimal exponent is bounded
+    first, since ``Fraction("1e999999999")`` would build a 10**9-digit
+    integer."""
+    exp = isinstance(x, str) and re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", x)
+    if exp and abs(int(exp[1])) > MAX_EXPONENT:
+        raise ValueError(f"entry {x!r} has a decimal exponent beyond ±{MAX_EXPONENT}")
+    return Fraction(str(x))
+
+
 def _load_involution(path: str) -> list[list[Fraction]]:
     """The rational matrix in the UTF-8 JSON file at ``path``.  Content that
     is not one raises a ValueError naming the file, as OSError's message
@@ -73,7 +89,7 @@ def _load_involution(path: str) -> list[list[Fraction]]:
             data = json.load(fh)
         if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
             raise ValueError("expected a JSON list of rows (lists of rationals)")
-        return [[Fraction(str(x)) for x in row] for row in data]
+        return [[_rational(x) for x in row] for row in data]
     except RecursionError:
         reason = "JSON nested too deeply"
     except ZeroDivisionError:

@@ -56,7 +56,6 @@ the references these shortcuts are compared with.
 from __future__ import annotations
 
 import itertools
-import random
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
@@ -94,17 +93,6 @@ class StructuralInvariants:
 def associativity_is_exhaustive(dim: int) -> bool:
     """Whether a basis of this size is small enough to visit every triple."""
     return dim**3 <= _EXHAUSTIVE_TRIPLES
-
-
-def triples(dim: int, rng: random.Random, trials: int):
-    """Index triples of a basis of size ``dim``: every one while
-    dim**3 <= _EXHAUSTIVE_TRIPLES, else ``trials`` drawn from ``rng``."""
-    if associativity_is_exhaustive(dim):
-        return itertools.product(range(dim), repeat=3)
-    return (
-        (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
-        for _ in range(trials)
-    )
 
 
 def format_blades(masks) -> str:

@@ -227,6 +227,14 @@ class CheckResult:
     ok: bool
     detail: str
 
+    @classmethod
+    def counted(cls, name: str, head: str, bad: list) -> CheckResult:
+        """A check whose detail is ``head``, the number of witnesses in
+        ``bad`` and the first of them as blades; it passes when there is
+        none."""
+        first = f"; first {format_blades(bad[0])}" if bad else ""
+        return cls(name, not bad, f"{head}, {len(bad)} violations{first}")
+
 
 @dataclass
 class CliffordMapReport:
@@ -257,6 +265,23 @@ def _sums_to(x: tuple[int, int], y: tuple[int, int], z: tuple[int, int]) -> bool
     return total == z[0] and (not total or (mx if sx else my) == z[1])
 
 
+def generator_relations(row_op, n: int, neg: int) -> CheckResult:
+    """e_i e_j + e_j e_i = 2 g(e_i, e_j) on the n generators, for the
+    product whose row sign function is ``row_op`` and the metric whose
+    generators in the mask ``neg`` square to -1, the rest to +1.  Read
+    from the n rows e_i (e_1, ..., e_n), over the n(n+1)/2 pairs i <= j;
+    a failing check names its first pair."""
+    generators = [1 << k for k in range(n)]
+    rows = [row_op(a, generators) for a in generators]
+    bad = []
+    for i, a in enumerate(generators):
+        for j in range(i, n):
+            want = (-2 if a & neg else 2, 0) if i == j else (0, 0)
+            if not _sums_to(rows[i][j], rows[j][i], want):
+                bad.append((a, generators[j]))
+    return CheckResult.counted("generator-relations", f"{n * (n + 1) // 2} pairs", bad)
+
+
 def verify_clifford_map(gr: Z2Grading) -> CliffordMapReport:
     """Establish that the deformed product realizes Cl(r,s) on the carrier,
     reading ∨ only through its row sign function, so no multivector is built.
@@ -276,22 +301,10 @@ def verify_clifford_map(gr: Z2Grading) -> CliffordMapReport:
     sig = gr.sig
     neg, odd = sig.neg_mask, gr.odd_mask
     row_op = vee_alpha_row_op(gr)
-    checks: list[CheckResult] = []
+    # g_a(e, e) is -g(e, e) for odd e
+    checks = [generator_relations(row_op, sig.n, neg ^ odd)]
+
     generators = [1 << k for k in range(sig.n)]
-
-    rows = [row_op(a, generators) for a in generators]
-    bad = []
-    for i, a in enumerate(generators):
-        g = -1 if a & neg else 1  # g(a, a); g_a(a, a) is -g(a, a) for odd a
-        for j in range(i, sig.n):
-            want = (2 * (-g if a & odd else g), 0) if i == j else (0, 0)
-            if not _sums_to(rows[i][j], rows[j][i], want):
-                bad.append((a, generators[j]))
-    detail = f"{sig.n * (sig.n + 1) // 2} pairs, {len(bad)} violations"
-    if bad:
-        detail += f"; first {format_blades(bad[0])}"
-    checks.append(CheckResult("generator-relations", not bad, detail))
-
     blades = all_blades(sig)
     bad = []
     for e in generators:
@@ -300,10 +313,8 @@ def verify_clifford_map(gr: Z2Grading) -> CliffordMapReport:
             sign, mask = kernels.blade_left_contract(e, a, neg)
             if not _sums_to(kernels.blade_wedge(e, a), (alpha_e * sign, mask), got):
                 bad.append((e, a))
-    detail = f"{sig.n * len(blades)} (generator, blade) pairs, {len(bad)} violations"
-    if bad:
-        detail += f"; first {format_blades(bad[0])}"
-    checks.append(CheckResult("definition", not bad, detail))
+    pairs = f"{sig.n * len(blades)} (generator, blade) pairs"
+    checks.append(CheckResult.counted("definition", pairs, bad))
 
     r, s = target_signature(gr)
     cls = classify_clifford(r, s)

@@ -311,15 +311,26 @@ def regular_representation(masks, blade_op) -> StructureConstants:
     return StructureConstants(sign, prod)
 
 
+def _triples(dim: int, seed: int, trials: int):
+    """Index triples of a basis of size ``dim``: every one while
+    dim**3 <= 4096, else ``trials`` drawn from ``random.Random(seed)``."""
+    from cliffsig.oracle import associativity_is_exhaustive
+
+    if associativity_is_exhaustive(dim):
+        return itertools.product(range(dim), repeat=3)
+    rng = random.Random(seed)
+    return (
+        (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
+        for _ in range(trials)
+    )
+
+
 def first_nonassociative_triple(sc: StructureConstants, seed: int, trials: int):
     """First basis triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), or
-    None: every triple while dim**3 <= 4096, else ``trials`` drawn from
-    ``random.Random(seed)``.  Both sides lie on the same blade, so they are
+    None, over ``_triples``.  Both sides lie on the same blade, so they are
     compared by their signs (the cocycle identity)."""
-    from cliffsig.oracle import triples
-
     sign, prod = sc.sign, sc.prod
-    for i, j, k in triples(sc.dim, random.Random(seed), trials):
+    for i, j, k in _triples(sc.dim, seed, trials):
         s, t = sign[i][j], sign[j][k]
         left = s and s * sign[prod[i][j]][k]
         right = t and t * sign[i][prod[j][k]]
@@ -473,20 +484,9 @@ def dense_regular_representation(masks, blade_op) -> DenseConstants:
 
 def dense_first_nonassociative_triple(sc: DenseConstants, seed: int, trials: int):
     """First basis triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k),
-    or None, over the same triples as the package's check."""
-    from cliffsig.oracle import associativity_is_exhaustive
-
-    dim = sc.dim
+    or None, over ``_triples``."""
     table = sc.table
-    if associativity_is_exhaustive(dim):
-        triples = itertools.product(range(dim), repeat=3)
-    else:
-        rng = random.Random(seed)
-        triples = (
-            (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
-            for _ in range(trials)
-        )
-    for i, j, k in triples:
+    for i, j, k in _triples(sc.dim, seed, trials):
         # (b_i b_j) b_k - b_i (b_j b_k), accumulated coordinate-wise
         diff = {}
         for mid, v in table[i][j].items():

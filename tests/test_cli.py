@@ -198,9 +198,14 @@ def test_grading_involution_file_not_a_matrix_exit_2(tmp_path, capsys, payload):
             "digits; use sys.set_int_max_str_digits() to increase the limit",
         ),
         (b"\xff[[1]]", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        *(
+            (json.dumps([[x, "0"], ["0", "1"]]), f"entry {x!r} has a decimal exponent beyond ±4300")
+            for x in ("1e999999999", "-1E+999999999", "1e-999999999")
+        ),
     ],
     ids=["zero-denominator", "deep-nesting", "bad-literal", "overflowing-float",
-         "truncated", "long-numeral", "not-utf-8"],
+         "truncated", "long-numeral", "not-utf-8", "huge-exponent", "huge-signed-exponent",
+         "huge-negative-exponent"],
 )
 def test_grading_involution_file_malformed_exit_2(tmp_path, capsys, data, message):
     # the first two used to escape as a traceback with exit 1, the rest as an
@@ -210,6 +215,17 @@ def test_grading_involution_file_malformed_exit_2(tmp_path, capsys, data, messag
     code, out, err = run(capsys, "grading", "--sig", "2,0", "--involution", str(path))
     assert code == 2
     assert out == "" and err == f"error: {path}: {message}"
+
+
+@pytest.mark.parametrize("entry", ["1e4300", "-1E-4300"])
+def test_grading_involution_exponent_at_the_bound_parses(tmp_path, capsys, entry):
+    # an exponent of 4300 in magnitude is read; the matrix is then no
+    # involution, a violation (exit 1), not a load error (exit 2)
+    path = tmp_path / "inv.json"
+    path.write_text(json.dumps([[entry, "0"], ["0", "1"]]))
+    code, out, err = run(capsys, "grading", "--sig", "2,0", "--involution", str(path))
+    assert code == 1
+    assert out == "rejected: NotInvolution: matrix squared is not the identity on V"
 
 
 def test_grading_involution_agrees_with_odd_set(tmp_path, capsys):

@@ -157,3 +157,54 @@ def test_only_table4_shares_a_whole_algebra_certificate():
                     if (path.name, owner) not in allowed[what]:
                         found.append(f"{path.name}:{node.lineno} {what} in {owner}")
     assert not found, f"a whole-algebra certificate outside verify_table4: {found}"
+
+
+def test_only_the_seeded_cells_draw():
+    # every blade law is decided exactly, so only two modules import
+    # random: sigchange.py (random_vector and the wedge witness search)
+    # and verify.py, whose seeded rng may reach only the two cells that
+    # check core.bilinear on random multivectors.  A sampled blade law
+    # would need a draw somewhere else
+    draws = {"verify.py", "sigchange.py"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name not in draws
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "random" in {a.name for a in node.names} | {getattr(node, "module", None)}
+    ]
+    assert not found, f"random imported outside {sorted(draws)}: {found}"
+
+    tree = ast.parse((SOURCES[0].parent / "verify.py").read_text())
+    calls = [
+        (getattr(owner, "name", "<module>"), node)
+        for owner in tree.body
+        for node in ast.walk(owner)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and getattr(node.func.value, "id", None) == "random"
+    ]
+    assert [(name, node.func.attr) for name, node in calls] == [("verify_core", "Random")]
+
+    core = next(n for n in tree.body if getattr(n, "name", None) == "verify_core")
+    seeded = {
+        t.id
+        for n in ast.walk(core)
+        if isinstance(n, ast.Assign) and any(n.value is node for _, node in calls)
+        for t in n.targets
+    }
+    cells = {"involution_cell", "decomposition_cell"}
+    allowed = {
+        id(n)
+        for cell in ast.walk(core)
+        if isinstance(cell, ast.FunctionDef) and cell.name in cells
+        for n in ast.walk(cell)
+    }
+    stray = [
+        n.lineno
+        for n in ast.walk(core)
+        if isinstance(n, ast.Name) and n.id in seeded
+        and isinstance(n.ctx, ast.Load) and id(n) not in allowed
+    ]
+    assert seeded and not stray, f"the seeded rng read outside {sorted(cells)}: lines {stray}"

@@ -244,3 +244,90 @@ def test_table4_failure_is_attributed_to_its_cells(monkeypatch):
     verdicts = {c.key: c.ok for c in shared.cells if c.key.startswith("2,0,")}
     assert verdicts == {"2,0,0,0": True, "2,0,1,0": True, "2,0,2,0": False}
     assert shared.violations == 3
+
+
+def _core_detail(monkeypatch, key, name=None, pair=None, fault=None):
+    """The detail of the core cell ``key`` at n <= 5, with the kernel
+    ``name`` altered by ``fault(sign, mask)`` on the one pair ``pair``."""
+    from cliffsig import kernels
+    from cliffsig.verify import verify_core
+
+    if name is not None:
+        base = getattr(kernels, name)
+
+        def kernel(x, y, *neg):
+            sign, mask = base(x, y, *neg)
+            return fault(sign, mask) if (x, y) == pair else (sign, mask)
+
+        monkeypatch.setattr(kernels, name, kernel)
+    cells = {c.key: c for c in verify_core(max_n=5).cells}
+    assert cells[key].ok == (name is None), cells[key].detail
+    return cells[key].detail
+
+
+def test_core_adjointness_reads_every_triple(monkeypatch):
+    # the identities are decided by pairs, so the cell covers all
+    # 32**3 blade triples of Cl(3,2) at once
+    assert _core_detail(monkeypatch, "3,2:adjointness") == "32768 triples, 0 violations"
+
+
+# Each fault below sits on a pair that the 300 triples once sampled by this
+# cell at seed 0 never read; the exact check names its triple.
+E1, E2, E3, E4, E5 = 0b1, 0b10, 0b100, 0b1000, 0b10000
+
+
+def test_core_adjointness_catches_a_leaking_left_contraction(monkeypatch):
+    # e1 ⌟ e2^e4 is 0; made e1^e2^e4, g(e1 ⌟ e2^e4, e1^e2^e4) = 1 while
+    # e1 ∧ e1^e2^e4 = 0
+    detail = _core_detail(
+        monkeypatch, "3,2:adjointness", "blade_left_contract", (E1, E2 | E4),
+        lambda sign, mask: (1, E1 | E2 | E4),
+    )
+    assert detail == "32768 triples, 1 violations; first (e1, e2^e4, e1^e2^e4)"
+
+
+def test_core_adjointness_catches_a_flipped_left_contraction(monkeypatch):
+    detail = _core_detail(
+        monkeypatch, "3,2:adjointness", "blade_left_contract", (E1, E1 | E4),
+        lambda sign, mask: (-sign, mask),
+    )
+    assert detail == "32768 triples, 1 violations; first (e1, e1^e4, e4)"
+
+
+def test_core_adjointness_catches_a_wedge_on_the_wrong_blade(monkeypatch):
+    # e1 ∧ e2^e3 sent to e1^e2 breaks g(b, ã∧c) for a = e1 and g(b, c∧ã)
+    # for a = e2^e3, each at b = e1^e2^e3 and at b = e1^e2
+    detail = _core_detail(
+        monkeypatch, "3,2:adjointness", "blade_wedge", (E1, E2 | E3),
+        lambda sign, mask: (sign, mask ^ E3),
+    )
+    assert detail == "32768 triples, 4 violations; first (e1, e1^e2, e2^e3)"
+
+
+def test_core_adjointness_catches_a_flipped_right_contraction(monkeypatch):
+    detail = _core_detail(
+        monkeypatch, "3,2:adjointness", "blade_right_contract", (E1 | E2 | E5, E2 | E5),
+        lambda sign, mask: (-sign, mask),
+    )
+    assert detail == "32768 triples, 1 violations; first (e2^e5, e1^e2^e5, e1)"
+
+
+def test_core_generators_name_the_first_pair(monkeypatch):
+    # e2 e1 = +e1^e2 makes e1 e2 + e2 e1 = 2 e1^e2, not 0: the cell reads
+    # the geometric product's rows and names the pair
+    import cliffsig.verify as verify
+
+    def commuting(sig):
+        op = geometric_blade_op(sig)
+
+        def blade_op(x, y):
+            sign, mask = op(x, y)
+            return (-sign, mask) if (x, y) == (E2, E1) else (sign, mask)
+
+        return rows(blade_op)
+
+    monkeypatch.setattr(verify, "geometric_row_op", commuting)
+    cells = {c.key: c for c in verify.verify_core(max_n=4).cells}
+    assert cells["1,0:generators"].detail == "1 pairs, 0 violations"
+    assert not cells["2,2:generators"].ok
+    assert cells["2,2:generators"].detail == "10 pairs, 1 violations; first (e1, e2)"
