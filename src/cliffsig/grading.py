@@ -24,7 +24,7 @@ from .core import (
     blade_from_indices,
     blade_indices,
     blade_order,
-    blade_product,
+    geometric_row_op,
 )
 
 
@@ -163,17 +163,18 @@ class ClosureReport:
 
 
 def grading_closure_check(gr: Z2Grading) -> ClosureReport:
-    """Multiply every blade pair and confirm the product lands in the
-    parity component predicted by the grading."""
-    sig = gr.sig
-    blades = all_blades(sig)
-    violations = []
-    for a in blades:
-        pa = gr.blade_parity(a)
-        for b in blades:
-            _, m = blade_product(a, b, sig)
-            if gr.blade_parity(m) != (pa + gr.blade_parity(b)) & 1:
-                violations.append((a, b))
+    """Multiply every blade pair, one row per blade through the geometric
+    row sign function, and confirm each product lands in the parity
+    component predicted by the grading."""
+    blades = all_blades(gr.sig)
+    row_op = geometric_row_op(gr.sig)
+    parity = [gr.blade_parity(m) for m in range(1 << gr.sig.n)]
+    violations = [
+        (a, b)
+        for a in blades
+        for (_, m), b in zip(row_op(a, blades), blades)
+        if parity[m] != parity[a] ^ parity[b]
+    ]
     return ClosureReport(pairs_checked=len(blades) ** 2, violations=violations)
 
 

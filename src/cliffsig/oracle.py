@@ -15,48 +15,47 @@ basis of the blade group, for one k×k matrix B read from the products of
 the basis blades.  Such a twist is a 2-cocycle, so the algebra is
 associative (Albuquerque and Majid, J. Pure Appl. Algebra 171 (2002)).
 ``certify`` is the one pass: it reads B and visits every pair of basis
-blades once, row by row, keeping one int per row, and its ``Certificate``
-carries the verdict of every associativity check in the package, at
-every size.  The fingerprint of a clean pass then follows from B alone,
-in Python ints with no division.  The product is given as a row sign
-function ``row_op(a, bs)``, the (sign, mask) of a·b for every b in the
-list ``bs``, so a pass makes k + dim calls (k generator rows of B, then
-one per basis row) and still reads all dim² signs:
+blades once, row by row, and its ``Certificate`` carries the verdict of
+every associativity check in the package, at every size.  The product is
+given as a row sign function ``row_op(a, bs)``, the (sign, mask) of a·b
+for every b in the list ``bs``, so a pass makes k + dim calls (k
+generator rows of B, then one per basis row) and still reads all dim²
+signs.  Before it compares them it builds two tables over the span, aᵀB
+and aᵀ(B+Bᵀ) for every coordinate bitmask a, one XOR per entry; a clean
+pass keeps them, and every fingerprint is then read off them, in Python
+ints with no division and no product:
 
 * the certificate: every pair's sign equals (-1)^(aᵀBb), which proves
   associativity exactly, at every size;
-* the center is spanned by the basis blades a with aᵀ(B+Bᵀ)g even for
-  every GF(2) basis blade g, since [x, e_b] sends distinct blades to
-  distinct blades;
 * the trace form is diagonal, since L_a L_b e_c lies on e_{a^b^c}, with
-  B(e_a, e_a) = dim·σ(a,a).
+  B(e_a, e_a) = dim·σ(a,a), negative when aᵀB·a is odd;
+* e_a commutes with e_b when aᵀ(B+Bᵀ)b is even, and [x, e_b] sends
+  distinct blades to distinct blades, so the center is spanned by the
+  blades a with aᵀ(B+Bᵀ) orthogonal to the coordinates of every blade.
 
-A clean pass over a group of blades also fingerprints every subgroup of
-it, with no further product (``Certificate.subgroup_invariants``): c(·), the
-coordinates over the group's GF(2) basis, is additive, so for blades s, t
-of a subgroup with GF(2) basis h_1..h_m chosen among its blades,
-c(s)ᵀB c(t) = d(s)ᵀ B_sub d(t), where d(·) gives coordinates over h and
-B_sub[k][l] = c(h_k)ᵀB c(h_l).  Every pair of the subgroup was compared in
-the group's pass, so B_sub holds exactly the signs a pass over the
-subgroup alone would read, and the fingerprint is the same.  Every even
-subalgebra of a grading of Cl(p,q) is such a subgroup of its blades.
+The same read fingerprints every subgroup of the certified blades
+(``Certificate.invariants(masks)``): coordinates are additive, so σ on a
+subgroup is the same bicharacter, every pair of it was compared in the
+group's pass, and a is central in the subalgebra when aᵀ(B+Bᵀ) is
+orthogonal to a GF(2) basis of the subgroup's coordinates.  The whole
+algebra is the case where that basis spans every coordinate, so its
+central blades are those with aᵀ(B+Bᵀ) = 0.  Every even subalgebra of a
+grading of Cl(p,q) is such a subgroup of its blades.
 
 ``expected_invariants`` gives the fingerprint of a class in closed form.
 ``oracle`` reads the certificate's fingerprint and compares the two.
 The row sign functions are the row forms of the bit-reorder kernels of
 ``kernels`` (``blade_mul_row``), which the test suite checks pair by pair
 against ``blade_mul`` and bubble-sort transposition counting; none is
-computed from B, so the certificate is a check of those kernels.  The fingerprint reads aᵀB and aᵀ(B+Bᵀ) for each
-blade off tables over the whole span, one XOR per entry.  The test suite
-keeps the sign-table route and the dense construction (dict tables, a
-center nullspace, congruence diagonalization, matrix-unit references) as
-the references these shortcuts are compared with.
+computed from B, so the certificate is a check of those kernels.  The
+test suite keeps the sign-table route and the dense construction (dict
+tables, a center nullspace, congruence diagonalization, matrix-unit
+references) as the references these shortcuts are compared with.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from .classify import AlgebraClass
@@ -121,36 +120,16 @@ def _coordinates(masks) -> tuple[list[int], dict[int, int], int]:
     return generators, coords, len(span)
 
 
-def _bicharacter_row(rows: list[int], coord: int) -> int:
-    """aᵀM for the coordinates ``coord`` of a, with M given by its rows."""
-    out = 0
-    for i, row in enumerate(rows):
-        if coord >> i & 1:
-            out ^= row
-    return out
-
-
-def _span_rows(rows: list[int]) -> list[int]:
-    """aᵀM for every coordinate bitmask a < 2**len(rows), indexed by a,
-    with M given by its rows: one XOR each, doubling over the span as
-    ``_coordinates`` does."""
-    out = [0]
-    for row in rows:
-        out += [x ^ row for x in out]
-    return out
-
-
-def _invariants(rows: Sequence[int], coords: Collection[int]) -> StructuralInvariants:
-    """The fingerprint of the twisted group algebra whose twist is the
-    bicharacter with matrix rows ``rows``, on blades with coordinates
-    ``coords``: B(e_a, e_a) = dim·σ(a,a), and a is central when
-    aᵀ(B+Bᵀ) = 0."""
+def _span_tables(rows: list[int]) -> tuple[list[int], list[int]]:
+    """aᵀB and aᵀ(B+Bᵀ) for every coordinate bitmask a < 2**len(rows),
+    indexed by a, with B given by its rows: one XOR per entry, doubling
+    over the span as ``_coordinates`` does."""
     sym = [r ^ sum((s >> i & 1) << j for j, s in enumerate(rows)) for i, r in enumerate(rows)]
-    row_of, sym_of = _span_rows(rows), _span_rows(sym)
-    negative = [(row_of[c] & c).bit_count() & 1 for c in coords]
-    central = [neg for neg, c in zip(negative, coords) if not sym_of[c]]
-    dim, neg, cdim, cneg = len(coords), sum(negative), len(central), sum(central)
-    return StructuralInvariants(dim, cdim, (dim - neg, neg), (cdim - cneg, cneg))
+    table_b, table_sym = [0], [0]
+    for row, sym_row in zip(rows, sym):
+        table_b += [x ^ row for x in table_b]
+        table_sym += [x ^ sym_row for x in table_sym]
+    return table_b, table_sym
 
 
 def _first_nonassociative_triple(masks, row_op):
@@ -188,23 +167,24 @@ class Verdict:
 
 def _read_bicharacter(masks: list[int], row_op):
     """The certificate pass over every pair of the blade basis ``masks``:
-    B's rows, each mask's coordinates over B's GF(2) basis, and the first
-    pair whose sign is not (-1)^(aᵀBb), or None.  ``row_op`` is called once
-    per generator row of B and once per basis row.  An empty or repeated
-    mask list raises NotIndependent, a nonzero product landing on a blade
-    outside the list raises NotClosed, and one that is not plus or minus
-    the symmetric difference of its factors raises NotTwisted, at the
-    first such pair in row-major order."""
+    each mask's coordinates over B's GF(2) basis, B's two span tables
+    (``_span_tables``), and the first pair whose sign is not (-1)^(aᵀBb),
+    or None.  ``row_op`` is called once per generator row of B and once
+    per basis row.  An empty or repeated mask list raises NotIndependent,
+    a nonzero product landing on a blade outside the list raises
+    NotClosed, and one that is not plus or minus the symmetric difference
+    of its factors raises NotTwisted, at the first such pair in row-major
+    order."""
     generators, coords, span = _coordinates(masks)
     unclosed = len(masks) < span  # else a ^ b is always a basis blade
-    rows = [
+    table_b, table_sym = _span_tables([
         sum((s < 0) << j for j, (s, _) in enumerate(row_op(g, generators)))
         for g in generators
-    ]
+    ])
     bad = None
     column = list(coords.values())
     for a, ca in zip(masks, column):
-        row = _bicharacter_row(rows, ca)
+        row = table_b[ca]
         for (s, mask), b, cb in zip(row_op(a, masks), masks, column, strict=True):
             if s and (mask != a ^ b or unclosed and mask not in coords):
                 i, j = masks.index(a), masks.index(b)
@@ -216,50 +196,60 @@ def _read_bicharacter(masks: list[int], row_op):
                 )
             if s != (-1 if (row & cb).bit_count() & 1 else 1) and bad is None:
                 bad = a, b
-    return rows, coords, bad
+    return coords, table_b, table_sym, bad
 
 
 @dataclass(frozen=True)
 class Certificate:
     """What one ``certify`` pass found: its verdict and, when the pass is
-    clean, the rows of B and the coordinates of every certified blade over
-    B's GF(2) basis.  A failing pass certifies no blade."""
+    clean, the coordinates of every certified blade over B's GF(2) basis
+    and B's two span tables, aᵀB and aᵀ(B+Bᵀ) indexed by the coordinate
+    bitmask a.  A failing pass certifies no blade."""
 
     verdict: Verdict
-    rows: tuple[int, ...]
     coords: dict[int, int]
+    table_b: list[int]
+    table_sym: list[int]
 
-    def invariants(self) -> StructuralInvariants:
-        """The fingerprint of the algebra on the certified blades, read
-        off B."""
-        return _invariants(self.rows, self.coords.values())
-
-    def subgroup_invariants(self, masks) -> StructuralInvariants:
-        """The fingerprint of the subalgebra on the blades ``masks``, a
-        subgroup of the certified ones, read off B restricted to it with
-        no product; it equals the fingerprint of a pass over ``masks``.
-        An empty or repeated mask list raises NotIndependent; a blade
-        outside the certified ones, or a list not closed under the
-        symmetric difference, raises NotClosed."""
-        masks = list(masks)
-        generators, sub, span = _coordinates(masks)
-        outside = next((m for m in masks if m not in self.coords), None)
-        if outside is not None:
-            raise NotClosed(f"blade {outside:#b} is not among the certified blades")
-        if span > len(masks):
-            raise NotClosed("the basis is not closed under the symmetric difference")
-        whole = [self.coords[h] for h in generators]
-        rows = [
-            sum(((row & h).bit_count() & 1) << j for j, h in enumerate(whole))
-            for row in (_bicharacter_row(self.rows, g) for g in whole)
-        ]
-        return _invariants(rows, sub.values())
+    def invariants(self, masks=None) -> StructuralInvariants:
+        """The fingerprint of the algebra on the certified blades, or with
+        ``masks``, of its subalgebra on those blades, a subgroup of the
+        certified ones, read off B's tables with no product; it equals the
+        fingerprint of a pass over ``masks``.  An empty or repeated mask
+        list raises NotIndependent; a blade outside the certified ones, or
+        a list not closed under the symmetric difference, raises
+        NotClosed."""
+        if masks is None:
+            coords = self.coords.values()
+            basis = [1 << i for i in range(len(self.table_b).bit_length() - 1)]
+        else:
+            masks = list(masks)
+            generators, _, span = _coordinates(masks)
+            outside = next((m for m in masks if m not in self.coords), None)
+            if outside is not None:
+                raise NotClosed(f"blade {outside:#b} is not among the certified blades")
+            if span > len(masks):
+                raise NotClosed("the basis is not closed under the symmetric difference")
+            coords = [self.coords[m] for m in masks]
+            basis = [self.coords[g] for g in generators]
+        table_b, table_sym = self.table_b, self.table_sym
+        negative = [(table_b[c] & c).bit_count() & 1 for c in coords]
+        central = []
+        for neg, c in zip(negative, coords):
+            for h in basis:
+                if (table_sym[c] & h).bit_count() & 1:
+                    break
+            else:
+                central.append(neg)
+        dim, neg, cdim, cneg = len(negative), sum(negative), len(central), sum(central)
+        return StructuralInvariants(dim, cdim, (dim - neg, neg), (cdim - cneg, cneg))
 
 
 def certify(masks, row_op) -> Certificate:
     """The one pass over every pair of the blade basis ``masks`` under the
     product whose row sign function is ``row_op``: its verdict on
-    associativity, and B with every blade's coordinates when it is clean.
+    associativity, and every blade's coordinates with B's tables when it
+    is clean.
 
     ``row_op(a, bs)`` gives the (sign, mask) of a·b for every b in the list
     ``bs``.  B is read from ``row_op`` on a GF(2) basis of the span chosen
@@ -274,12 +264,12 @@ def certify(masks, row_op) -> Certificate:
     else the first failing pair."""
     masks = list(masks)
     try:
-        rows, coords, bad = _read_bicharacter(masks, row_op)
+        coords, table_b, table_sym, bad = _read_bicharacter(masks, row_op)
     except (NotClosed, NotIndependent, NotTwisted) as exc:
-        return Certificate(Verdict(False, str(exc), str(exc)), (), {})
+        return Certificate(Verdict(False, str(exc), str(exc)), {}, [], [])
     how = f"bicharacter certificate, {len(masks) ** 2} pairs"
     if bad is None:
-        return Certificate(Verdict(True, f"{how}, 0 violations", ""), tuple(rows), coords)
+        return Certificate(Verdict(True, f"{how}, 0 violations", ""), coords, table_b, table_sym)
     triple = _first_nonassociative_triple(masks, row_op)
     if triple is not None:
         report = f"exhaustive triples, first violation {format_blades(triple)}"
@@ -287,7 +277,7 @@ def certify(masks, row_op) -> Certificate:
     else:
         report = f"{how}, first violation {format_blades(bad)}"
         verdict = Verdict(False, report, f"not a bicharacter twist: {report}")
-    return Certificate(verdict, (), {})
+    return Certificate(verdict, {}, [], [])
 
 
 #: M(m, K) as a real algebra: dim, center_dim, trace_sig, center_trace_sig.
@@ -314,8 +304,8 @@ def oracle(
     ``row_op`` against the reference of ``cls``, from one ``certify`` pass.
 
     With a ``certificate`` of a group of blades holding ``masks``, made
-    under the same ``row_op``, the fingerprint is read off its B with no
-    product.  Where ``masks`` is no subgroup of it, which holds for every
+    under the same ``row_op``, the fingerprint is read off its tables with
+    no product.  Where ``masks`` is no subgroup of it, which holds for every
     list when that pass failed, ``masks`` gets a pass of its own, so a
     failing verdict is worded the same either way.
 
@@ -330,7 +320,7 @@ def oracle(
     got = None
     if certificate is not None:
         try:
-            got = certificate.subgroup_invariants(masks)
+            got = certificate.invariants(masks)
         except (NotClosed, NotIndependent):
             pass  # the pass below words the failure
     if got is None:

@@ -12,6 +12,7 @@ from cliffsig import (
     even_subalgebra_lookup,
     tensor_simplify,
 )
+from cliffsig.core import MAX_DIMENSION
 
 
 def cls(*letters):
@@ -71,8 +72,9 @@ def test_even_part_requires_positive_dimension():
 
 def test_even_part_identity_chain():
     # Cl+(p,q) ~ Cl(q,p-1) ~ Cl(p,q-1) ~ Cl+(q,p), each where defined
-    for p in range(9):
-        for q in range(9 - p):
+    # every nontrivial cell up to the cap, so the printed Table 4 too
+    for p in range(MAX_DIMENSION + 1):
+        for q in range(MAX_DIMENSION + 1 - p):
             if p + q < 1:
                 continue
             even = classify_even_part(p, q)
@@ -157,8 +159,9 @@ def test_named_grading_families():
 def test_lookup_agrees_with_tensor_route():
     # nontrivial cells only: the half-dimension table cannot cover the
     # trivial grading, whose even part is the whole algebra
-    for p in range(9):
-        for q in range(9 - p):
+    # every nontrivial cell up to the cap, so the printed Table 4 too
+    for p in range(MAX_DIMENSION + 1):
+        for q in range(MAX_DIMENSION + 1 - p):
             for p0 in range(p + 1):
                 for q0 in range(q + 1):
                     if (p0, q0) == (p, q):

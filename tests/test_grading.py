@@ -30,6 +30,7 @@ from cliffsig import (
     validate_involution,
 )
 from cliffsig import grading, linalg
+from cliffsig.cli import main
 
 
 def gradings_of(sig):
@@ -220,6 +221,31 @@ def test_closure_examples():
         rep = grading_closure_check(Z2Grading.from_odd_indices(sig, odd))
         assert rep.ok
         assert rep.pairs_checked == (1 << sig.n) ** 2
+
+
+def test_closure_names_a_product_of_the_wrong_parity(monkeypatch, capsys):
+    # a row sign function that sends e1 e2 to e2 instead of e1^e2 puts an
+    # odd·even product in the even part under odd = {e1}: the sweep names
+    # exactly that pair, and the CLI exits 1
+    row_op = grading.geometric_row_op
+
+    def broken(sig):
+        op = row_op(sig)
+
+        def row(a, bs):
+            out = op(a, bs)
+            if a == 0b001:
+                out = [(s, 0b010) if b == 0b010 else (s, m) for (s, m), b in zip(out, bs)]
+            return out
+
+        return row
+
+    monkeypatch.setattr(grading, "geometric_row_op", broken)
+    rep = grading_closure_check(Z2Grading.from_odd_indices(Signature(2, 1), [1]))
+    assert rep.violations == [(0b001, 0b010)] and not rep.ok
+    assert rep.pairs_checked == 64
+    assert main(["grading", "--sig", "2,1", "--odd", "e1"]) == 1
+    assert "closure: VIOLATED (64 blade pairs)" in capsys.readouterr().out
 
 
 # -- involution validation ----------------------------------------------------

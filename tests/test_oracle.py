@@ -67,7 +67,7 @@ def refused(masks, op):
     cert = certify(masks, rows(op))
     assert not cert.verdict.ok and not cert.verdict.associative
     assert cert.verdict.associativity == cert.verdict.problem
-    assert cert.rows == () and cert.coords == {}
+    assert cert.coords == {} and cert.table_b == cert.table_sym == []
     return cert.verdict.problem
 
 
@@ -533,8 +533,35 @@ def test_certificate_fingerprints_match_the_sign_table_reference():
         assert got == ref, (masks, op)
         if whole is not None:
             subgroups += 1
-            assert whole.subgroup_invariants(masks) == ref, masks
+            assert whole.invariants(masks) == ref, masks
     assert subgroups == 1793
+
+
+def subgroups(n):
+    """Every subgroup of the blade group (Z2)^n, as a sorted mask list."""
+    found, frontier = set(), [frozenset({0})]
+    while frontier:
+        group = frontier.pop()
+        if group not in found:
+            found.add(group)
+            frontier += [group | {g ^ x for g in group} for x in range(1 << n) if x not in group]
+    return [sorted(group) for group in found]
+
+
+def test_every_subgroup_is_read_as_its_own_pass_reads_it():
+    # not only even subalgebras: the read off the whole algebra's tables
+    # equals a pass over the subgroup alone and the dense reference, for
+    # every subgroup of the blade group (16 for n = 3, 67 for n = 4)
+    assert [len(subgroups(n)) for n in range(5)] == [1, 2, 5, 16, 67]
+    for sig in (Signature(3, 0), Signature(2, 1), Signature(2, 2), Signature(1, 3)):
+        op = geometric_blade_op(sig)
+        whole = certify(all_blades(sig), rows(op))
+        for masks in subgroups(sig.n):
+            got = whole.invariants(masks)
+            assert got == certify(masks, rows(op)).invariants(), (sig, masks)
+            assert got == dense_invariants(dense_regular_representation(masks, op)), (
+                sig, masks
+            )
 
 
 def test_subgroup_read_rejects_what_the_pass_rejects():
@@ -547,11 +574,11 @@ def test_subgroup_read_rejects_what_the_pass_rejects():
     assert whole.verdict.ok
     for masks in ([0b01, 0b01], []):
         with pytest.raises(NotIndependent):
-            whole.subgroup_invariants(masks)
+            whole.invariants(masks)
     with pytest.raises(NotClosed, match="not closed under the symmetric difference"):
-        whole.subgroup_invariants([0b00, 0b01, 0b10])
+        whole.invariants([0b00, 0b01, 0b10])
     with pytest.raises(NotClosed, match="0b100 is not among the certified blades"):
-        whole.subgroup_invariants([0b000, 0b100])
+        whole.invariants([0b000, 0b100])
     cls = classify_clifford(2, 0)
     for masks in ([0b01, 0b01], [0b00, 0b01, 0b10]):
         assert oracle(masks, op, cls, certificate=whole) == oracle(masks, op, cls)
@@ -575,4 +602,4 @@ def test_certify_refuses_a_failing_pass():
         cert = certify(masks, rows(op))
         assert not cert.verdict.ok and cert.verdict.problem == problem, masks
         with pytest.raises(NotClosed, match="0b0 is not among the certified blades"):
-            cert.subgroup_invariants([0b0])
+            cert.invariants([0b0])

@@ -91,9 +91,11 @@ def test_associativity_is_checked_only_in_the_oracle():
 
 def test_no_product_is_computed_from_the_bicharacter():
     # the certificate compares each product's sign with (-1)^(aᵀBb); a
-    # product computed from aᵀB would be certified against itself
-    found = _named_outside("_bicharacter_row")
-    assert not found, f"_bicharacter_row named outside oracle.py: {found}"
+    # product computed from B's tables would be certified against itself,
+    # so only oracle.py builds or reads them
+    names = ("_span_tables", "table_b", "table_sym")
+    found = [(name, spot) for name in names for spot in _named_outside(name)]
+    assert not found, f"B's tables read outside oracle.py: {found}"
 
 
 def test_signs_come_only_from_the_kernel_functions():
