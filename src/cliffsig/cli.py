@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .classify import classify_clifford, classify_even_part, classify_even_subalgebra
-from .core import MAX_DIMENSION, Signature, geometric_product
+from .core import MAX_DIMENSION, Signature
 from .expr import ParseError, format_multivector, parse_multivector
 from .grading import (
     DichotomyViolation,
@@ -27,8 +27,8 @@ from .grading import (
     grading_closure_check,
     validate_involution,
 )
-from .sigchange import target_signature, tilt_product, vee_alpha, vee_prime
-from .verify import SUITES, canonical_odd_mask, even_subalgebra_problem, run_suite
+from .sigchange import target_signature, vee_alpha, vee_prime
+from .verify import DEFAULT_SEED, SUITES, canonical_odd_mask, even_subalgebra_problem, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -101,13 +101,15 @@ def _load_involution(path: str) -> list[list[Fraction]]:
 
 def _product(name: str, gr: Z2Grading):
     """The product substituted for '*' and the signature (r, s) of the
-    algebra it makes on the carrier.  The geometric product and the tilt
-    are the deformed products of the trivial and the all-odd grading."""
+    algebra it makes on the carrier: ∨, or ∨′ for veeprime, of a grading.
+    The geometric product is ∨ of the trivial grading (the same kernel
+    under the same mask) and the tilt ∨ of the all-odd one; vee and
+    veeprime take ``gr``, the --odd grading."""
     if name == "geometric":
-        return geometric_product, target_signature(Z2Grading.trivial(gr.sig))
-    if name == "tilt":
-        return tilt_product, target_signature(Z2Grading.usual(gr.sig))
-    vee = vee_alpha if name == "vee" else vee_prime
+        gr = Z2Grading.trivial(gr.sig)
+    elif name == "tilt":
+        gr = Z2Grading.usual(gr.sig)
+    vee = vee_prime if name == "veeprime" else vee_alpha
     return (lambda a, b: vee(a, b, gr)), target_signature(gr)
 
 
@@ -162,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification sweep")
     p_ver.add_argument("--suite", choices=SUITES, required=True)
     p_ver.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p_ver.add_argument("--seed", type=int, default=0,
-                       help="seed of the core suite's random draws (default: 0); "
+    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="seed of the core suite's random draws (default: %(default)s); "
                             "the other suites draw nothing")
     p_ver.set_defaults(handler=lambda args: _cmd_verify(args, parser.error))
     for p_cmd in sub.choices.values():  # last, where every usage line lists it

@@ -66,7 +66,7 @@ from .core import (
 )
 from .grading import Z2Grading, even_subalgebra_basis
 from .oracle import Certificate, certify, oracle
-from .sigchange import CheckResult, generator_relations, random_vector, verify_clifford_map
+from .sigchange import CheckResult, generator_relations, verify_clifford_map
 
 DEFAULT_SEED = 0
 
@@ -152,6 +152,13 @@ def random_multivector(rng: random.Random, sig: Signature) -> Multivector:
         mask = rng.randrange(1 << sig.n)
         num[mask] = num.get(mask, 0) + rng.randint(-8, 8) * (60 // rng.randint(1, 6))
     return _reduced(sig, {m: n for m, n in num.items() if n}, 60)
+
+
+def random_vector(rng: random.Random, sig: Signature) -> Multivector:
+    """1-vector with seeded random rational coefficients n/d, n in [-6, 6]
+    and d in [1, 4], e_1 first; drawn as numerators over 12."""
+    num = {1 << k: rng.randint(-6, 6) * (12 // rng.randint(1, 4)) for k in range(sig.n)}
+    return _reduced(sig, {m: n for m, n in num.items() if n}, 12)
 
 
 def even_subalgebra_problem(

@@ -3,13 +3,24 @@
 import contextlib
 import io
 import json
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffsig import Signature, geometric_blade_op, parse_multivector
+from cliffsig import (
+    Signature,
+    format_multivector,
+    geometric_blade_op,
+    geometric_product,
+    parse_multivector,
+    tilt_product,
+    vee_alpha,
+    vee_prime,
+)
 from cliffsig.cli import main
+from cliffsig.verify import all_gradings, signatures_up_to
 
 from oracles import rows
 
@@ -62,6 +73,37 @@ def test_eval_vee_product(capsys):
     assert code == 0
     assert data["target"] == [4, 0]
     assert data["result"] == "1"
+
+
+def test_eval_matches_the_direct_products(capsys):
+    # the CLI evaluates every product as ∨ or ∨′ of a grading; its output
+    # must be the expression read with the package's direct product (the
+    # closed-form tilt for tilt) as '*', for every odd set of every n <= 3
+    for sig in signatures_up_to(3):
+        n = sig.n
+        exprs = [["2*(1/3 - 1)*3"], ["1/2", "3 - 1/5"]]
+        if n:
+            exprs += [
+                [f"(1 + e1)*(e{n} - 1/2*e1)"],
+                [f"(e1 + 2*e{n})*(e1 - e{n}*e1)*(3/2 + e1^e{n})"],
+                ["e1 + 1", f"e{n}", f"1/3 - e1*e{n}"],
+            ]
+        for gr in all_gradings(sig):
+            refs = {
+                "geometric": geometric_product,
+                "tilt": tilt_product,
+                "vee": lambda a, b: vee_alpha(a, b, gr),
+                "veeprime": lambda a, b: vee_prime(a, b, gr),
+            }
+            odd = ",".join(f"e{i}" for i in gr.odd_indices)
+            for product, ref in refs.items():
+                for texts in exprs:
+                    want = reduce(ref, [parse_multivector(t, sig, star=ref) for t in texts])
+                    code, out, _ = run(
+                        capsys, "eval", "--sig", f"{sig.p},{sig.q}", "--product", product,
+                        "--odd", odd, *texts,
+                    )
+                    assert (code, out) == (0, format_multivector(want)), (gr, product, texts)
 
 
 def test_classify_outputs(capsys):

@@ -32,7 +32,7 @@ from cliffsig import (
     wedge,
     weighted_antisymmetrization,
 )
-from cliffsig.verify import all_gradings, random_multivector, random_vector
+from cliffsig.verify import all_gradings, random_multivector, random_vector, signatures_up_to
 
 from oracles import regular_representation, rows, structural_invariants
 
@@ -425,16 +425,23 @@ def test_counterexample_found_for_mixed_grading():
 
 
 def test_counterexample_search_over_all_small_gradings():
-    # any even 1-vector breaks the naive antisymmetrization (for the
-    # trivial grading it comes out with the opposite sign), so a witness
-    # exists exactly when the grading is not the all-odd one and n >= 2
-    for sig in [Signature(2, 0), Signature(1, 1), Signature(2, 1), Signature(1, 0)]:
+    # on basis vectors e_i, e_j (i < j) the naive antisymmetrization is
+    # e_i^e_j when both are odd and -e_i^e_j otherwise, so the witness is the
+    # first pair that is not both odd, and there is none exactly when n < 2
+    # or the grading is the all-odd one
+    for sig in signatures_up_to(6):
         for gr in all_gradings(sig):
             w = find_wedge_counterexample(gr)
-            if gr.is_usual or sig.n < 2:
-                assert w is None
-            else:
-                assert w is not None
+            pairs = [
+                (i, j)
+                for i, j in itertools.combinations(range(1, sig.n + 1), 2)
+                if not {i, j} <= set(gr.odd_indices)
+            ]
+            assert (w is None) == (not pairs) == (sig.n < 2 or gr.is_usual)
+            if pairs:
+                x, y = (basis(sig, k) for k in pairs[0])
+                assert (w.x, w.y) == (x, y)
+                assert w.exterior == wedge(x, y) == -w.antisymmetrized
 
 
 # -- verify_clifford_map ---------------------------------------------------------------

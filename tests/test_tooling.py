@@ -67,13 +67,13 @@ def test_oracle_exceptions_are_caught_only_in_the_oracle():
     assert not found, f"oracle exceptions caught outside oracle.py: {found}"
 
 
-def _named_outside(name, module="oracle.py"):
-    """Every place outside ``module`` where ``name`` is read, imported or
+def _named_outside(name, *modules):
+    """Every place outside ``modules`` where ``name`` is read, imported or
     looked up as an attribute."""
     return [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
-        if path.name != module
+        if path.name not in modules
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if (isinstance(node, ast.Name) and node.id == name)
         or (isinstance(node, ast.Attribute) and node.attr == name)
@@ -85,7 +85,7 @@ def test_associativity_is_checked_only_in_the_oracle():
     # oracle.py runs the one associativity pass, the bicharacter
     # certificate, and only its certify words a verdict on it; reading the
     # raw pass anywhere else would be a second policy and wording
-    found = _named_outside("_read_bicharacter")
+    found = _named_outside("_read_bicharacter", "oracle.py")
     assert not found, f"_read_bicharacter named outside oracle.py: {found}"
 
 
@@ -94,7 +94,7 @@ def test_no_product_is_computed_from_the_bicharacter():
     # product computed from B's tables would be certified against itself,
     # so only oracle.py builds or reads them
     names = ("_span_tables", "table_b", "table_sym")
-    found = [(name, spot) for name in names for spot in _named_outside(name)]
+    found = [(name, spot) for name in names for spot in _named_outside(name, "oracle.py")]
     assert not found, f"B's tables read outside oracle.py: {found}"
 
 
@@ -104,6 +104,20 @@ def test_signs_come_only_from_the_kernel_functions():
     # module using the sign mask itself would compute signs of its own
     found = _named_outside("reorder_mask", "kernels.py")
     assert not found, f"reorder_mask named outside kernels.py: {found}"
+
+
+def test_closed_forms_are_only_cross_checks():
+    # every product the package evaluates, the CLI's included, is ∨ or ∨′
+    # of a grading; the tilt and split closed forms are defined in
+    # sigchange.py and exported only for the tests to check ∨ against.  A
+    # module calling one would give a deformed product a second path
+    names = ("tilt_product", "vee_alpha_via_split")
+    found = [
+        (name, spot)
+        for name in names
+        for spot in _named_outside(name, "sigchange.py", "__init__.py")
+    ]
+    assert not found, f"a closed form named outside its definition and export: {found}"
 
 
 def test_oracle_is_called_only_by_the_two_fingerprint_checks():
@@ -162,12 +176,11 @@ def test_only_table4_shares_a_whole_algebra_certificate():
 
 
 def test_only_the_seeded_cells_draw():
-    # every blade law is decided exactly, so only two modules import
-    # random: sigchange.py (random_vector and the wedge witness search)
-    # and verify.py, whose seeded rng may reach only the two cells that
-    # check core.bilinear on random multivectors.  A sampled blade law
-    # would need a draw somewhere else
-    draws = {"verify.py", "sigchange.py"}
+    # every blade law is decided exactly, and the wedge witness search
+    # reads only basis pairs, so only verify.py imports random, and its
+    # seeded rng may reach only the two cells that check core.bilinear on
+    # random multivectors.  A sampled law would need a draw somewhere else
+    draws = {"verify.py"}
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES

@@ -7,11 +7,11 @@ from fractions import Fraction as F
 import pytest
 
 from cliffsig.oracle import oracle
-from cliffsig.sigchange import random_vector
 from cliffsig.verify import (
     SUITES,
     canonical_odd_mask,
     random_multivector,
+    random_vector,
     run_suite,
     signatures_up_to,
     verify_table4,
@@ -60,8 +60,9 @@ def test_random_odd_mask_counts():
 
 
 def test_random_draws_are_frozen():
-    # the sampled core and sigchange cells check these exact multivectors;
-    # a change of representation must not change what a seed draws
+    # the core suite's involution and decomposition cells check these exact
+    # multivectors; a change of representation must not change what a seed
+    # draws
     rng = random.Random(7)
     sig = Signature(2, 1)
     assert [dict(random_multivector(rng, sig).terms) for _ in range(3)] == [
@@ -73,7 +74,8 @@ def test_random_draws_are_frozen():
         {1: F(-1), 2: F(-5, 2), 4: F(-1)},
         {1: F(2), 2: F(3), 4: F(3, 2)},
     ]
-    # the first draw of the core suite's Cl(3,3) associativity cell, seed 0
+    # the first draw of the core suite's Cl(3,3) rng at seed 0, which goes to
+    # its involution cell
     rng = random.Random(0 * 10_000 + 3 * 100 + 3)
     assert dict(random_multivector(rng, Signature(3, 3)).terms) == {
         4: F(-1, 6), 24: F(-6, 5), 33: F(2), 20: F(5, 4)
