@@ -87,6 +87,13 @@ def vee_alpha_row_op(gr: Z2Grading):
     return lambda x, ys: kernels.blade_mul_row(x, ys, neg)
 
 
+def vee_alpha_key(gr: Z2Grading) -> tuple[int, int]:
+    """(n, neg ^ odd): the only part of a grading that ∨ reads.  The n+1
+    gradings of one n with the same mask, one per signature, have the same
+    ∨ and the same target Cl(n - |m|, |m|)."""
+    return gr.sig.n, gr.sig.neg_mask ^ gr.odd_mask
+
+
 def vee_alpha(a: Multivector, b: Multivector, gr: Z2Grading) -> Multivector:
     """The deformed Clifford product on arbitrary multivectors.
 
@@ -264,7 +271,7 @@ def generator_relations(row_op, n: int, neg: int) -> CheckResult:
     return CheckResult.counted("generator-relations", f"{n * (n + 1) // 2} pairs", bad)
 
 
-def verify_clifford_map(gr: Z2Grading) -> CliffordMapReport:
+def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> CliffordMapReport:
     """Establish that the deformed product realizes Cl(r,s) on the carrier,
     reading ∨ only through its row sign function, so no multivector is built.
 
@@ -279,15 +286,37 @@ def verify_clifford_map(gr: Z2Grading) -> CliffordMapReport:
     All four read ``vee_alpha_row_op``.  (ii) and (iii) together make ∨ the
     product that folding generators by the definition produces.  Each
     failing check names its first witness.
+
+    (i), (iii) and (iv) read ∨ alone, and (r, s) = (n - |m|, |m|), so they
+    are functions of ``vee_alpha_key(gr)`` = (n, m = neg ^ odd); only (ii)
+    reads alpha and the original metric apart.  ``shared``, a dict the
+    caller owns, keeps those three ``CheckResult``s by that key: a grading
+    whose key is there reuses them, exactly as if it had run them, and one
+    whose key is not stores its own.  It holds no certificate.
     """
     sig = gr.sig
     neg, odd = sig.neg_mask, gr.odd_mask
     row_op = vee_alpha_row_op(gr)
-    # g_a(e, e) is -g(e, e) for odd e
-    checks = [generator_relations(row_op, sig.n, neg ^ odd)]
+    blades = all_blades(sig)
+    r, s = target_signature(gr)
+
+    key = vee_alpha_key(gr)
+    product_checks = None if shared is None else shared.get(key)
+    if product_checks is None:
+        cls = classify_clifford(r, s)
+        verdict = oracle(blades, row_op, cls)
+        found = verdict.problem or "fingerprints agree"
+        product_checks = (
+            # g_a(e, e) is -g(e, e) for odd e
+            generator_relations(row_op, sig.n, neg ^ odd),
+            CheckResult("associativity", verdict.associative, verdict.associativity),
+            CheckResult("fingerprint", verdict.ok, f"target Cl({r},{s}) ~ {cls}; {found}"),
+        )
+        if shared is not None:
+            shared[key] = product_checks
+    relations, associativity, fingerprint = product_checks
 
     generators = [1 << k for k in range(sig.n)]
-    blades = all_blades(sig)
     bad = []
     for e in generators:
         alpha_e = -1 if e & odd else 1
@@ -296,14 +325,7 @@ def verify_clifford_map(gr: Z2Grading) -> CliffordMapReport:
             if not _sums_to(kernels.blade_wedge(e, a), (alpha_e * sign, mask), got):
                 bad.append((e, a))
     pairs = f"{sig.n * len(blades)} (generator, blade) pairs"
-    checks.append(CheckResult.counted("definition", pairs, bad))
+    definition = CheckResult.counted("definition", pairs, bad)
 
-    r, s = target_signature(gr)
-    cls = classify_clifford(r, s)
-    verdict = oracle(blades, row_op, cls)
-    found = verdict.problem or "fingerprints agree"
-    checks += [
-        CheckResult("associativity", verdict.associative, verdict.associativity),
-        CheckResult("fingerprint", verdict.ok, f"target Cl({r},{s}) ~ {cls}; {found}"),
-    ]
+    checks = [relations, definition, associativity, fingerprint]
     return CliffordMapReport(grading=gr, target=(r, s), checks=checks)

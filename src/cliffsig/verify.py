@@ -4,8 +4,11 @@ Each suite re-derives a family of facts cell by cell and cross-checks the
 closed-form classification against the structural oracle (or products
 against their defining laws), timing each cell.  Cells are pure
 computations, except that a ``table4`` signature's cells share one
-certificate, made in its first cell; a sweep could fan out to workers
-one signature each, but stays sequential to keep report ordering
+certificate, made in its first cell, and ``sigchange`` cells with the same
+deformed metric, keyed (n, neg ^ odd), share the three checks that read ∨
+alone, made in the first such cell.  Both sharings are exact: a shared
+result is the one the cell would compute alone.  A sweep could fan out to
+workers one n each, but stays sequential to keep report ordering
 deterministic.
 
 Every table cell fingerprints through ``even_subalgebra_problem``: the
@@ -21,7 +24,8 @@ Suites:
   classify_even_part, and the Cl+(p,q) ~ Cl(q,p-1) identity.
 * ``table4``  — every grading's even subalgebra vs
   classify_even_subalgebra (the central sweep).
-* ``sigchange`` — verify_clifford_map over every grading.
+* ``sigchange`` — verify_clifford_map over every grading, one ∨ check per
+  (n, neg ^ odd).
 * ``core``    — generator relations, associativity, contraction
   adjointness and involution laws for the base product.
 
@@ -252,13 +256,20 @@ def verify_table4(max_n: int) -> SuiteReport:
 
 
 def verify_sigchange(max_n: int) -> SuiteReport:
-    """verify_clifford_map over every grading of every Cl(p,q), p+q <= max_n."""
+    """verify_clifford_map over every grading of every Cl(p,q), p+q <= max_n.
+
+    ∨ depends on a grading only through (n, neg ^ odd), so the n+1
+    gradings of one n with the same mask share its generator-relation,
+    associativity and fingerprint checks, run in the first such cell; each
+    cell still runs its own definition check, which reads alpha.  The
+    report equals one whose cells each run verify_clifford_map alone."""
     report = SuiteReport("sigchange")
+    shared = {}
     for sig in signatures_up_to(max_n):
         for gr in all_gradings(sig):
 
             def cell(gr=gr):
-                res = verify_clifford_map(gr)
+                res = verify_clifford_map(gr, shared=shared)
                 r, s = res.target
                 return _cell_result(
                     f"-> Cl({r},{s})",

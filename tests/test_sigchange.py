@@ -25,6 +25,8 @@ from cliffsig import (
     target_signature,
     tilt_product,
     vee_alpha,
+    vee_alpha_key,
+    vee_alpha_row_op,
     vee_alpha_via_split,
     vee_prime,
     vee_prime_blade_op,
@@ -32,7 +34,14 @@ from cliffsig import (
     wedge,
     weighted_antisymmetrization,
 )
-from cliffsig.verify import all_gradings, random_multivector, random_vector, signatures_up_to
+from cliffsig.verify import (
+    _cell_result,
+    all_gradings,
+    random_multivector,
+    random_vector,
+    run_suite,
+    signatures_up_to,
+)
 
 from oracles import regular_representation, rows, structural_invariants
 
@@ -590,3 +599,96 @@ def test_one_associativity_pass_per_clifford_map(monkeypatch):
     for gr in gradings:
         assert verify_clifford_map(gr).ok
     assert calls == [8, 32]
+
+
+def _alone(gr):
+    """The sigchange cell of ``gr`` as (key, pass, detail), from a
+    verify_clifford_map call that shares nothing."""
+    res = verify_clifford_map(gr)
+    r, s = res.target
+    failing = (f"{c.name}: {c.detail}" for c in res.checks if not c.ok)
+    odd = ",".join(str(i) for i in gr.odd_indices)
+    return (f"{gr.sig.p},{gr.sig.q},odd={odd}", *_cell_result(f"-> Cl({r},{s})", *failing))
+
+
+def test_sigchange_sweep_equals_each_map_alone():
+    # the sweep shares the ∨-only checks by (n, neg ^ odd); no cell may tell
+    report = run_suite("sigchange", 5)
+    gradings = [gr for sig in signatures_up_to(5) for gr in all_gradings(sig)]
+    assert len(report.cells) == len(gradings) == 321
+    assert [(c.key, c.ok, c.detail) for c in report.cells] == [_alone(gr) for gr in gradings]
+    # and check by check, where a passing cell's detail names none
+    shared = {}
+    for gr in gradings:
+        assert verify_clifford_map(gr, shared=shared) == verify_clifford_map(gr), gr
+
+
+def test_one_certify_pass_per_deformed_metric(monkeypatch):
+    # the (n+1)·2^n gradings of one n have 2^n masks neg ^ odd, so a sweep
+    # certifies sum 2^k products, not sum (k+1)·2^k gradings (129 at n <= 4);
+    # the shared dict keeps CheckResults only, never a certificate
+    import cliffsig.oracle as oracle
+    from cliffsig.sigchange import CheckResult
+
+    calls = []
+    honest = oracle.certify
+
+    def counting(masks, row_op):
+        calls.append(len(masks))
+        return honest(masks, row_op)
+
+    monkeypatch.setattr(oracle, "certify", counting)
+    assert run_suite("sigchange", 4).ok
+    assert len(calls) == 31
+    assert sorted(set(calls)) == [1, 2, 4, 8, 16]
+
+    calls.clear()
+    shared = {}
+    for gr in all_gradings(Signature(1, 2)):
+        assert verify_clifford_map(gr, shared=shared).ok
+    assert len(calls) == 8 and len(shared) == 8
+    assert all(len(v) == 3 and all(type(c) is CheckResult for c in v) for v in shared.values())
+    calls.clear()
+    assert verify_clifford_map(Z2Grading.from_odd_indices(Signature(3, 0), [1])).ok
+    assert calls == [8]
+
+
+def test_vee_alpha_rows_depend_only_on_the_key():
+    # the assumption the sweep's sharing rests on, read on every row
+    seen = {}
+    for sig in signatures_up_to(4):
+        blades = all_blades(sig)
+        for gr in all_gradings(sig):
+            row_op = vee_alpha_row_op(gr)
+            table = [row_op(a, blades) for a in blades]
+            assert seen.setdefault(vee_alpha_key(gr), table) == table, gr
+    assert len(seen) == 31
+
+
+def test_a_fault_in_one_deformed_metric_fails_exactly_its_cells(monkeypatch):
+    # flip e1 ∨ e1 for the one key (3, 0b011): the four gradings of n = 3
+    # with that mask fail, each as it would alone, and every other passes
+    import cliffsig.sigchange as sigchange
+
+    honest = sigchange.vee_alpha_row_op
+    bad_key = (3, 0b011)
+
+    def twisted(gr):
+        op = honest(gr)
+        if vee_alpha_key(gr) != bad_key:
+            return op
+
+        def row_op(a, bs):
+            row = op(a, bs)
+            return [(-s, m) if a == b == 0b1 else (s, m) for b, (s, m) in zip(bs, row)]
+
+        return row_op
+
+    monkeypatch.setattr(sigchange, "vee_alpha_row_op", twisted)
+    report = run_suite("sigchange", 4)
+    gradings = [gr for sig in signatures_up_to(4) for gr in all_gradings(sig)]
+    failing = [gr for gr, c in zip(gradings, report.cells) if not c.ok]
+    assert [vee_alpha_key(gr) for gr in failing] == [bad_key] * 4
+    assert {(gr.sig.p, gr.sig.q) for gr in failing} == {(0, 3), (1, 2), (2, 1), (3, 0)}
+    assert [(c.key, c.ok, c.detail) for c in report.cells] == [_alone(gr) for gr in gradings]
+    assert all("generator-relations: " in c.detail for c in report.cells if not c.ok)
