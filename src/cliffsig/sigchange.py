@@ -13,7 +13,8 @@ to be: the Clifford product of g_a, i.e. the blade kernel with the odd
 generators' squares flipped, extended bilinearly by ``core.bilinear``.
 That is checked, not assumed: ``verify_clifford_map`` compares that sign
 function with the definition v ∨ a = v^a + alpha(v)⌟a, summed from the
-original metric's blade kernels, on every (generator, blade) pair and
+original metric's blade kernels, on every (generator, blade) pair (a
+whole row per generator, against rows made once per signature) and
 certifies its associativity, which together pin it to the product the
 definition generates.  Two further routes are kept, for the tests, as
 independent cross-checks: the split form against the original product
@@ -32,11 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import kernels
 from .classify import classify_clifford
 from .core import (
     Multivector,
+    Signature,
     _check_same_sig,
     all_blades,
     bilinear,
@@ -244,14 +247,15 @@ class CliffordMapReport:
         return sum(not c.ok for c in self.checks)
 
 
-def _sums_to(x: tuple[int, int], y: tuple[int, int], z: tuple[int, int]) -> bool:
-    """Whether the signed blades x + y equal the signed blade z, each a
-    (sign, mask) pair with sign 0 for zero."""
+def _signed_sum(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int] | None:
+    """The signed blades x + y, each a (sign, mask) pair with sign 0 for
+    zero, as one such pair, (0, 0) for zero; None when they are two
+    different blades, a sum that no pair stands for."""
     (sx, mx), (sy, my) = x, y
     if sx and sy and mx != my:
-        return False
+        return None
     total = sx + sy
-    return total == z[0] and (not total or (mx if sx else my) == z[1])
+    return (total, mx if sx else my) if total else (0, 0)
 
 
 def generator_relations(row_op, n: int, neg: int) -> CheckResult:
@@ -266,9 +270,30 @@ def generator_relations(row_op, n: int, neg: int) -> CheckResult:
     for i, a in enumerate(generators):
         for j in range(i, n):
             want = (-2 if a & neg else 2, 0) if i == j else (0, 0)
-            if not _sums_to(rows[i][j], rows[j][i], want):
+            if _signed_sum(rows[i][j], rows[j][i]) != want:
                 bad.append((a, generators[j]))
     return CheckResult.counted("generator-relations", f"{n * (n + 1) // 2} pairs", bad)
+
+
+def _expected_rows(e: int, blades: list[int], neg: int) -> tuple[list, list]:
+    """The rows e^A + e⌟A and e^A - e⌟A over ``blades`` for the generator
+    ``e``, under the metric whose generators in ``neg`` square to -1."""
+    pairs = [(kernels.blade_wedge(e, a), kernels.blade_left_contract(e, a, neg)) for a in blades]
+    return tuple([_signed_sum(w, (alpha * c, m)) for w, (c, m) in pairs] for alpha in (1, -1))
+
+
+@lru_cache(maxsize=1)
+def _definition_rows(sig: Signature) -> list[tuple[list, list]]:
+    """For each generator e of ``sig``, the rows e^A + e⌟A and e^A - e⌟A
+    over ``all_blades(sig)``: what e ∨ A must be for even and for odd e.
+
+    Each entry is summed from the original metric's wedge and contraction
+    kernels, never from ∨, so comparing it with a ∨ row is no tautology;
+    a sum that is not one signed blade is None, which equals no entry of a
+    row.  The rows depend on the signature alone, and a sweep visits one
+    signature's gradings in a row, so only the last signature's are kept."""
+    blades = all_blades(sig)
+    return [_expected_rows(1 << k, blades, sig.neg_mask) for k in range(sig.n)]
 
 
 def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> CliffordMapReport:
@@ -278,8 +303,11 @@ def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> Cliffor
     (i) generator relations e_i ∨ e_j + e_j ∨ e_i = 2 g_a(e_i,e_j), from
     the n rows e_i ∨ (e_1, ..., e_n);
     (ii) the definition e ∨ A = e^A + alpha(e)⌟A on every generator and
-    blade, from one row e ∨ (every blade) per generator, each entry
-    compared with the wedge and contraction kernels of the original metric;
+    blade: one row e ∨ (every blade) per generator is compared, as a whole
+    list, with the row e^A ± e⌟A summed from the original metric's wedge
+    and contraction kernels (``_definition_rows``, made once per
+    signature), the sign picked by alpha(e) = ±e; a row that differs is
+    read pair by pair to count and name its violations;
     (iii) associativity, by the oracle's bicharacter certificate over
     every blade pair (``oracle.certify``);
     (iv) the fingerprint of the blade basis under ∨ equals that of Cl(r,s).
@@ -289,10 +317,13 @@ def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> Cliffor
 
     (i), (iii) and (iv) read ∨ alone, and (r, s) = (n - |m|, |m|), so they
     are functions of ``vee_alpha_key(gr)`` = (n, m = neg ^ odd); only (ii)
-    reads alpha and the original metric apart.  ``shared``, a dict the
-    caller owns, keeps those three ``CheckResult``s by that key: a grading
-    whose key is there reuses them, exactly as if it had run them, and one
-    whose key is not stores its own.  It holds no certificate.
+    reads alpha and the original metric apart.  Its expected rows depend
+    on the signature alone and are cached by it, never by that key; each
+    grading picks its rows by alpha and reads its own ∨ rows against them.
+    ``shared``, a dict the caller owns, keeps the three ``CheckResult``s
+    of (i), (iii) and (iv) by the key: a grading whose key is there reuses
+    them, exactly as if it had run them, and one whose key is not stores
+    its own.  It holds no certificate.
     """
     sig = gr.sig
     neg, odd = sig.neg_mask, gr.odd_mask
@@ -316,14 +347,12 @@ def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> Cliffor
             shared[key] = product_checks
     relations, associativity, fingerprint = product_checks
 
-    generators = [1 << k for k in range(sig.n)]
     bad = []
-    for e in generators:
-        alpha_e = -1 if e & odd else 1
-        for a, got in zip(blades, row_op(e, blades)):
-            sign, mask = kernels.blade_left_contract(e, a, neg)
-            if not _sums_to(kernels.blade_wedge(e, a), (alpha_e * sign, mask), got):
-                bad.append((e, a))
+    for k, (plus, minus) in enumerate(_definition_rows(sig)):
+        e = 1 << k
+        want, got = (minus if e & odd else plus), row_op(e, blades)
+        if got != want:
+            bad += [(e, a) for a, w, z in zip(blades, want, got) if w != z]
     pairs = f"{sig.n * len(blades)} (generator, blade) pairs"
     definition = CheckResult.counted("definition", pairs, bad)
 

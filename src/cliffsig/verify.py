@@ -7,9 +7,11 @@ computations, except that a ``table4`` signature's cells share one
 certificate, made in its first cell, and ``sigchange`` cells with the same
 deformed metric, keyed (n, neg ^ odd), share the three checks that read ∨
 alone, made in the first such cell.  Both sharings are exact: a shared
-result is the one the cell would compute alone.  A sweep could fan out to
-workers one n each, but stays sequential to keep report ordering
-deterministic.
+result is the one the cell would compute alone.  ``sigchange`` cells of
+one signature also read the same expected definition rows, summed from
+the original metric's kernels in its first cell; each cell compares its
+own ∨ rows with them.  A sweep could fan out to workers one n each, but
+stays sequential to keep report ordering deterministic.
 
 Every table cell fingerprints through ``even_subalgebra_problem``: the
 even subalgebra of the grading whose even 1-vectors have signature
@@ -25,7 +27,7 @@ Suites:
 * ``table4``  — every grading's even subalgebra vs
   classify_even_subalgebra (the central sweep).
 * ``sigchange`` — verify_clifford_map over every grading, one ∨ check per
-  (n, neg ^ odd).
+  (n, neg ^ odd) and one set of definition rows per Cl(p,q).
 * ``core``    — generator relations, associativity, contraction
   adjointness and involution laws for the base product.
 
@@ -260,8 +262,10 @@ def verify_sigchange(max_n: int) -> SuiteReport:
 
     ∨ depends on a grading only through (n, neg ^ odd), so the n+1
     gradings of one n with the same mask share its generator-relation,
-    associativity and fingerprint checks, run in the first such cell; each
-    cell still runs its own definition check, which reads alpha.  The
+    associativity and fingerprint checks, run in the first such cell.  Each
+    cell still runs its own definition check, which reads alpha: it
+    compares the grading's ∨ rows with the expected rows e^A ± e⌟A, which
+    depend on the signature alone and are made in its first cell.  The
     report equals one whose cells each run verify_clifford_map alone."""
     report = SuiteReport("sigchange")
     shared = {}

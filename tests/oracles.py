@@ -14,6 +14,9 @@ fingerprint and associativity off the table; the package's oracle reads
 the same numbers off a certified bicharacter and keeps no table.  The
 dense fingerprint reference at the end calls ``cliffsig.linalg`` for its
 center nullspace and its congruence signature; the package uses neither.
+The definition reference reads the package's wedge and contraction
+kernels pair by pair, so it checks how ``verify_clifford_map`` caches and
+compares whole rows, not the kernels.
 """
 
 import functools
@@ -603,3 +606,44 @@ def reference_constants(cls) -> DenseConstants:
     """Matrix units for each component of the class, direct-summed."""
     blocks = [DenseConstants.matrix_units(c.m, c.K) for c in cls.components]
     return functools.reduce(DenseConstants.direct_sum, blocks)
+
+
+# -- pair-by-pair definition reference -----------------------------------------
+#
+# ``verify_clifford_map``'s definition check as it ran before the expected
+# rows were made once per signature: every (generator, blade) pair reads
+# the kernels afresh and compares e ∨ A with e^A + alpha(e)⌟A as
+# {mask: coefficient} sums, one pair at a time.
+
+
+def _signed_blades(*terms):
+    """{mask: coefficient} of a sum of (sign, mask) pairs, zeros dropped."""
+    out = {}
+    for sign, mask in terms:
+        if sign:
+            out[mask] = out.get(mask, 0) + sign
+    return {m: c for m, c in out.items() if c}
+
+
+def definition_reference(gr, row_op):
+    """The ``definition`` CheckResult of ``gr`` for the ∨ whose row sign
+    function is ``row_op``, each pair read from ``kernels.blade_wedge``
+    and ``kernels.blade_left_contract`` under the original metric at call
+    time."""
+    from cliffsig import kernels
+    from cliffsig.core import all_blades
+    from cliffsig.sigchange import CheckResult
+
+    sig = gr.sig
+    blades = all_blades(sig)
+    bad = []
+    for k in range(sig.n):
+        e = 1 << k
+        alpha_e = -1 if e & gr.odd_mask else 1
+        for a, got in zip(blades, row_op(e, blades)):
+            sign, mask = kernels.blade_left_contract(e, a, sig.neg_mask)
+            want = _signed_blades(kernels.blade_wedge(e, a), (alpha_e * sign, mask))
+            if _signed_blades(got) != want:
+                bad.append((e, a))
+    pairs = f"{sig.n * len(blades)} (generator, blade) pairs"
+    return CheckResult.counted("definition", pairs, bad)

@@ -43,11 +43,28 @@ from cliffsig.verify import (
     signatures_up_to,
 )
 
-from oracles import regular_representation, rows, structural_invariants
+from oracles import definition_reference, regular_representation, rows, structural_invariants
 
 
 def basis(sig, i):
     return Multivector.basis_vector(sig, i)
+
+
+@pytest.fixture
+def cold_rows():
+    """Clear the cache of expected definition rows before and after the
+    test, so rows made from altered kernels neither come from nor reach
+    another test."""
+    from cliffsig.sigchange import _definition_rows
+
+    _definition_rows.cache_clear()
+    yield _definition_rows
+    _definition_rows.cache_clear()
+
+
+def definition(gr):
+    """The ``definition`` CheckResult of ``verify_clifford_map(gr)``."""
+    return next(c for c in verify_clifford_map(gr).checks if c.name == "definition")
 
 
 def fold_vee_alpha(a, b, gr):
@@ -555,7 +572,7 @@ def test_definition_rejects_the_original_metric_product(monkeypatch):
                     assert not failing, gr
 
 
-def test_definition_sums_wedge_and_contraction(monkeypatch):
+def test_definition_sums_wedge_and_contraction(monkeypatch, cold_rows):
     # a contraction that also fires when e is not in A adds a second copy of
     # e^A; the check sums both kernels instead of choosing one, so it fails
     import cliffsig.kernels as kernels
@@ -567,7 +584,7 @@ def test_definition_sums_wedge_and_contraction(monkeypatch):
     assert details["definition"].endswith("4 violations; first (e1, 1)")
 
 
-def test_definition_rejects_a_wedge_that_fires_on_overlap(monkeypatch):
+def test_definition_rejects_a_wedge_that_fires_on_overlap(monkeypatch, cold_rows):
     # on a blade holding e, a wedge that fires adds to the contraction's
     # blade: e1 ∨ e1 = 1 against 1 + 1 (a sum of 2) and e2 ∨ e2 = -1
     # against 1 - 1 (a sum of 0) must both fail, as every overlapping pair
@@ -577,6 +594,101 @@ def test_definition_rejects_a_wedge_that_fires_on_overlap(monkeypatch):
     rep = verify_clifford_map(Z2Grading.from_odd_indices(Signature(2, 0), [2]))
     details = {c.name: c.detail for c in rep.checks if not c.ok}
     assert details == {"definition": "8 (generator, blade) pairs, 4 violations; first (e1, e1)"}
+
+
+def test_definition_equals_the_pair_by_pair_reference(cold_rows):
+    # whole-row comparison against the cached rows decides exactly what the
+    # pair-by-pair check did, whether the signature's rows are made by this
+    # call or were made by an earlier one
+    count = 0
+    for sig in signatures_up_to(5):
+        for gr in all_gradings(sig):
+            want = definition_reference(gr, vee_alpha_row_op(gr))
+            cold_rows.cache_clear()
+            assert definition(gr) == want, gr
+            assert cold_rows.cache_info().misses == 1
+            assert definition(gr) == want, gr
+            assert cold_rows.cache_info().hits == 1
+            count += 1
+    assert count == 321
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [lambda sign, mask: (-sign, mask), lambda sign, mask: (sign, mask ^ 0b10)],
+    ids=["flipped-sign", "wrong-mask"],
+)
+def test_definition_catches_one_bad_vee_entry_on_warm_rows(monkeypatch, cold_rows, fault):
+    # the trivial grading of Cl(2,1) makes the signature's rows; on the next
+    # one, with e1 odd, one ∨ entry, e1 ∨ e1^e3 = -e1⌟(e1^e3) = -e3, is
+    # altered, and the cached rows must catch it with the reference's count
+    # and first witness
+    import cliffsig.sigchange as sigchange
+
+    first, second, *_ = all_gradings(Signature(2, 1))
+    assert (first.odd_mask, second.odd_mask) == (0, 0b1)
+    assert definition(first).ok
+    honest = sigchange.vee_alpha_row_op
+
+    def twisted(gr):
+        op = honest(gr)
+
+        def row_op(a, bs):
+            row = op(a, bs)
+            return [fault(*z) if (a, b) == (0b1, 0b101) else z for b, z in zip(bs, row)]
+
+        return row_op
+
+    monkeypatch.setattr(sigchange, "vee_alpha_row_op", twisted)
+    got = definition(second)
+    assert cold_rows.cache_info().misses == 1 and cold_rows.cache_info().hits == 1
+    assert got == definition_reference(second, twisted(second))
+    assert got.detail == "24 (generator, blade) pairs, 1 violations; first (e1, e1^e3)"
+
+
+def test_definition_rows_come_from_the_original_kernels(monkeypatch, cold_rows):
+    # ∨ is honest; one left contraction of the original metric is flipped,
+    # so e1 ∨ e1^e2 = e2 no longer equals e1⌟(e1^e2) = -e2 for every grading
+    # with e1 odd, nor +e2 for every grading with e1 even.  Expected rows
+    # made from ∨ would still agree with it
+    import cliffsig.kernels as kernels
+
+    honest = kernels.blade_left_contract
+
+    def flipped(a, b, neg):
+        sign, mask = honest(a, b, neg)
+        return (-sign, mask) if (a, b) == (0b1, 0b11) else (sign, mask)
+
+    monkeypatch.setattr(kernels, "blade_left_contract", flipped)
+    for gr in all_gradings(Signature(1, 1)):
+        got = definition(gr)
+        assert got == definition_reference(gr, vee_alpha_row_op(gr))
+        assert got.detail == "8 (generator, blade) pairs, 1 violations; first (e1, e1^e2)", gr
+    assert cold_rows.cache_info().misses == 1
+
+
+def test_definition_rows_read_the_kernels_once_per_signature(monkeypatch, cold_rows):
+    # n generators by 2^n blades for each of the n+1 signatures of each n:
+    # sum (n+1)·n·2^n = 444 calls of each kernel at n <= 4, where reading
+    # them per grading made 5,992
+    import cliffsig.kernels as kernels
+
+    calls = {"blade_wedge": 0, "blade_left_contract": 0}
+
+    def counting(name):
+        honest = getattr(kernels, name)
+
+        def kernel(*args):
+            calls[name] += 1
+            return honest(*args)
+
+        return kernel
+
+    for name in calls:
+        monkeypatch.setattr(kernels, name, counting(name))
+    assert run_suite("sigchange", 4).ok
+    assert sum((n + 1) * n * 2**n for n in range(5)) == 444
+    assert calls == {"blade_wedge": 444, "blade_left_contract": 444}
 
 
 def test_one_associativity_pass_per_clifford_map(monkeypatch):

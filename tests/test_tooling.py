@@ -152,7 +152,10 @@ def test_only_table4_shares_a_whole_algebra_certificate():
     # when a failing pass fails a cell.  The one other sharing is exact and
     # shares no certificate: verify_sigchange hands verify_clifford_map a
     # dict of the CheckResults that read ∨ alone, keyed (n, neg ^ odd), so a
-    # failing pass fails every cell of that key as it would fail alone
+    # failing pass fails every cell of that key as it would fail alone.
+    # The only other cache is verify_clifford_map's expected definition
+    # rows, summed from the original metric's kernels and keyed by the
+    # signature; each cell compares its own ∨ rows with them
     allowed = {
         "certify": {("verify.py", "verify_table4"), ("verify.py", "verify_core")},
         "certificate": {
@@ -160,6 +163,7 @@ def test_only_table4_shares_a_whole_algebra_certificate():
             ("verify.py", "even_subalgebra_problem"),
         },
         "shared": {("verify.py", "verify_sigchange")},
+        "lru_cache": {("verify.py", "verify_table4"), ("sigchange.py", "_definition_rows")},
     }
     found = []
     for path in SOURCES:
@@ -177,6 +181,46 @@ def test_only_table4_shares_a_whole_algebra_certificate():
                     if (path.name, owner) not in allowed[what]:
                         found.append(f"{path.name}:{node.lineno} {what} in {owner}")
     assert not found, f"a whole-algebra certificate outside verify_table4: {found}"
+
+
+def test_definition_rows_never_read_the_deformed_product():
+    # verify_clifford_map compares each ∨ row with rows summed from the
+    # original metric's wedge and contraction kernels; rows made from a
+    # product kernel or from ∨ would check ∨ against itself, and another
+    # caller would read them without the grading's alpha
+    helpers = ("_definition_rows", "_expected_rows")
+    tree = ast.parse((SOURCES[0].parent / "sigchange.py").read_text())
+    named = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for top in tree.body
+        if getattr(top, "name", None) in helpers
+        for n in ast.walk(top)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+    products = sorted(
+        n for n in named
+        if n in ("blade_mul", "blade_mul_row", "geometric_product")
+        or n.startswith("vee_")
+        or n.endswith(("_row_op", "_blade_op"))
+    )
+    assert not products, f"the definition rows read {products}"
+    assert {"blade_wedge", "blade_left_contract"} <= named
+
+    callers = {
+        name: [
+            (path.name, getattr(top, "name", "<module>"))
+            for path in SOURCES
+            for top in ast.parse(path.read_text(), filename=str(path)).body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+        ]
+        for name in helpers
+    }
+    assert callers == {
+        "_definition_rows": [("sigchange.py", "verify_clifford_map")],
+        "_expected_rows": [("sigchange.py", "_definition_rows")],
+    }, callers
+    assert [spot for name in helpers for spot in _named_outside(name, "sigchange.py")] == []
 
 
 def test_only_the_seeded_cells_draw():
