@@ -28,7 +28,7 @@ from .grading import (
     validate_involution,
 )
 from .sigchange import target_signature, vee_alpha, vee_prime
-from .verify import DEFAULT_SEED, SUITES, canonical_odd_mask, even_subalgebra_problem, run_suite
+from .verify import SUITES, canonical_odd_mask, even_subalgebra_problem, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -161,12 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--expr", required=True, metavar="EXPR")
     p_sc.set_defaults(handler=_cmd_sigchange)
 
-    p_ver = sub.add_parser("verify", help="run a verification sweep")
+    p_ver = sub.add_parser("verify", help="run a verification sweep; every cell is exact")
     p_ver.add_argument("--suite", choices=SUITES, required=True)
-    p_ver.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed of the core suite's random draws (default: %(default)s); "
-                            "the other suites draw nothing")
+    p_ver.add_argument("--max-n", type=int, default=None, dest="max_n", help="largest p+q swept")
     p_ver.set_defaults(handler=lambda args: _cmd_verify(args, parser.error))
     for p_cmd in sub.choices.values():  # last, where every usage line lists it
         p_cmd.add_argument("--json", action="store_true")
@@ -282,7 +279,7 @@ def _cmd_sigchange(args) -> int:
 def _cmd_verify(args, usage_error) -> int:
     if args.max_n is not None and not 0 <= args.max_n <= MAX_DIMENSION:
         usage_error(f"--max-n must be between 0 and {MAX_DIMENSION}")
-    report = run_suite(args.suite, args.max_n, args.seed)
+    report = run_suite(args.suite, args.max_n)
     total = sum(c.seconds for c in report.cells)
     lines = [f"FAIL {c.key}: {c.detail}" for c in report.cells if not c.ok]
     lines.append(

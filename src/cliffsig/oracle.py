@@ -42,6 +42,13 @@ algebra is the case where that basis spans every coordinate, so its
 central blades are those with aᵀ(B+Bᵀ) = 0.  Every even subalgebra of a
 grading of Cl(p,q) is such a subgroup of its blades.
 
+The same tables decide the involution laws
+(``Certificate.involution_witnesses``).  A map sending each blade to ±
+itself is an automorphism exactly when its signs form a character of the
+blade group, and an anti-automorphism exactly when, as a GF(2) quadratic
+form, they refine the commutation bicharacter σ(a,b)σ(b,a) =
+(-1)^(aᵀ(B+Bᵀ)b).
+
 ``expected_invariants`` gives the fingerprint of a class in closed form.
 ``oracle`` reads the certificate's fingerprint and compares the two.
 The row sign functions are the row forms of the bit-reorder kernels of
@@ -243,6 +250,33 @@ class Certificate:
                 central.append(neg)
         dim, neg, cdim, cneg = len(negative), sum(negative), len(central), sum(central)
         return StructuralInvariants(dim, cdim, (dim - neg, neg), (cdim - cneg, cneg))
+
+    def involution_witnesses(self, parity, reversion):
+        """For two maps sending each certified blade to ± itself, given as
+        ``{mask: ±1}`` over the certified blades: the first blade pair
+        (a, b) with parity(a^b) != parity(a) parity(b), or None when the
+        parity signs are a character, so the map is an automorphism; and
+        the first with rev(a^b) rev(a) rev(b) != σ(a,b) σ(b,a), or None when
+        the reversion signs, as a GF(2) quadratic form q, have the polar
+        form aᵀ(B+Bᵀ)b, so the map is an anti-automorphism.
+
+        A character is the case of polar form 0.  Either form is fixed by
+        its values on B's generators, q(x⊕gᵢ) = q(x) + q(gᵢ) + [bit i of
+        xᵀ(B+Bᵀ)], so each law is decided by doubling over them, in O(dim),
+        and the pairs are scanned only where the signs differ from that
+        form."""
+        witnesses, blade = [], {c: m for m, c in self.coords.items()}
+        for signs, polar in ((parity, [0] * len(self.table_sym)), (reversion, self.table_sym)):
+            q = [int(signs[blade[c]] < 0) for c in range(len(polar))]
+            form = [0]
+            for i in range(len(q).bit_length() - 1):
+                form += [f ^ q[1 << i] ^ (polar[x] >> i & 1) for x, f in enumerate(form)]
+            pairs = itertools.product(self.coords.items(), repeat=2)
+            witnesses.append(None if form == q else next(
+                (a, b) for (a, ca), (b, cb) in pairs
+                if q[ca ^ cb] != q[ca] ^ q[cb] ^ (polar[ca] & cb).bit_count() & 1
+            ))
+        return tuple(witnesses)
 
 
 def certify(masks, row_op) -> Certificate:

@@ -291,9 +291,31 @@ def _definition_rows(sig: Signature) -> list[tuple[list, list]]:
     kernels, never from ∨, so comparing it with a ∨ row is no tautology;
     a sum that is not one signed blade is None, which equals no entry of a
     row.  The rows depend on the signature alone, and a sweep visits one
-    signature's gradings in a row, so only the last signature's are kept."""
+    signature's gradings, or its core cells, in a row, so only the last
+    signature's are kept."""
     blades = all_blades(sig)
     return [_expected_rows(1 << k, blades, sig.neg_mask) for k in range(sig.n)]
+
+
+def definition_check(sig: Signature, row_op, odd: int) -> CheckResult:
+    """e ∨ A = e^A + alpha(e)⌟A on every generator e and blade A of
+    ``sig``, for the product whose row sign function is ``row_op`` and the
+    grading whose generators in the mask ``odd`` are alpha-odd.  One row
+    e ∨ (every blade) per generator is compared, as a whole list, with
+    the row e^A ± e⌟A of ``_definition_rows``, the sign picked by
+    alpha(e) = ±e; a row that differs is read pair by pair to count and
+    name its violations.  Both sides are bilinear, so the identity then
+    holds for every 1-vector and multivector.  With ``odd`` = 0 it is
+    v a = v^a + v⌟a for the geometric product."""
+    blades = all_blades(sig)
+    bad = []
+    for k, (plus, minus) in enumerate(_definition_rows(sig)):
+        e = 1 << k
+        want, got = (minus if e & odd else plus), row_op(e, blades)
+        if got != want:
+            bad += [(e, a) for a, w, z in zip(blades, want, got) if w != z]
+    pairs = f"{sig.n * len(blades)} (generator, blade) pairs"
+    return CheckResult.counted("definition", pairs, bad)
 
 
 def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> CliffordMapReport:
@@ -303,11 +325,9 @@ def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> Cliffor
     (i) generator relations e_i ∨ e_j + e_j ∨ e_i = 2 g_a(e_i,e_j), from
     the n rows e_i ∨ (e_1, ..., e_n);
     (ii) the definition e ∨ A = e^A + alpha(e)⌟A on every generator and
-    blade: one row e ∨ (every blade) per generator is compared, as a whole
-    list, with the row e^A ± e⌟A summed from the original metric's wedge
-    and contraction kernels (``_definition_rows``, made once per
-    signature), the sign picked by alpha(e) = ±e; a row that differs is
-    read pair by pair to count and name its violations;
+    blade (``definition_check``): each generator's whole ∨ row against the
+    row e^A ± e⌟A summed from the original metric's wedge and contraction
+    kernels, made once per signature;
     (iii) associativity, by the oracle's bicharacter certificate over
     every blade pair (``oracle.certify``);
     (iv) the fingerprint of the blade basis under ∨ equals that of Cl(r,s).
@@ -328,14 +348,13 @@ def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> Cliffor
     sig = gr.sig
     neg, odd = sig.neg_mask, gr.odd_mask
     row_op = vee_alpha_row_op(gr)
-    blades = all_blades(sig)
     r, s = target_signature(gr)
 
     key = vee_alpha_key(gr)
     product_checks = None if shared is None else shared.get(key)
     if product_checks is None:
         cls = classify_clifford(r, s)
-        verdict = oracle(blades, row_op, cls)
+        verdict = oracle(all_blades(sig), row_op, cls)
         found = verdict.problem or "fingerprints agree"
         product_checks = (
             # g_a(e, e) is -g(e, e) for odd e
@@ -347,14 +366,5 @@ def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> Cliffor
             shared[key] = product_checks
     relations, associativity, fingerprint = product_checks
 
-    bad = []
-    for k, (plus, minus) in enumerate(_definition_rows(sig)):
-        e = 1 << k
-        want, got = (minus if e & odd else plus), row_op(e, blades)
-        if got != want:
-            bad += [(e, a) for a, w, z in zip(blades, want, got) if w != z]
-    pairs = f"{sig.n * len(blades)} (generator, blade) pairs"
-    definition = CheckResult.counted("definition", pairs, bad)
-
-    checks = [relations, definition, associativity, fingerprint]
+    checks = [relations, definition_check(sig, row_op, odd), associativity, fingerprint]
     return CliffordMapReport(grading=gr, target=(r, s), checks=checks)

@@ -3,15 +3,18 @@
 Each suite re-derives a family of facts cell by cell and cross-checks the
 closed-form classification against the structural oracle (or products
 against their defining laws), timing each cell.  Cells are pure
-computations, except that a ``table4`` signature's cells share one
-certificate, made in its first cell, and ``sigchange`` cells with the same
-deformed metric, keyed (n, neg ^ odd), share the three checks that read ∨
-alone, made in the first such cell.  Both sharings are exact: a shared
-result is the one the cell would compute alone.  ``sigchange`` cells of
-one signature also read the same expected definition rows, summed from
-the original metric's kernels in its first cell; each cell compares its
-own ∨ rows with them.  A sweep could fan out to workers one n each, but
-stays sequential to keep report ordering deterministic.
+computations, except that the cells of one signature in ``table4``, and
+``core``'s associativity and involutions cells, read one certificate of
+the whole algebra (``whole_algebra``), made in the first cell that needs
+it, and ``sigchange`` cells with the same deformed metric, keyed
+(n, neg ^ odd), share the three checks that read ∨ alone, made in the
+first such cell.  Both sharings are exact: a shared result is the one the
+cell would compute alone.  ``sigchange`` cells of one signature, and its
+``core`` decomposition cell, also read the same expected definition rows,
+summed from the original metric's kernels in the first cell that needs
+them; each cell compares its own rows with them.  A sweep could fan out
+to workers one n each, but stays sequential to keep report ordering
+deterministic.
 
 Every table cell fingerprints through ``even_subalgebra_problem``: the
 even subalgebra of the grading whose even 1-vectors have signature
@@ -29,21 +32,23 @@ Suites:
 * ``sigchange`` — verify_clifford_map over every grading, one ∨ check per
   (n, neg ^ odd) and one set of definition rows per Cl(p,q).
 * ``core``    — generator relations, associativity, contraction
-  adjointness and involution laws for the base product.
+  adjointness, involution laws and v a = v^a + v⌟a for the base product.
 
-No suite samples a blade law.  Every associativity verdict is the
-oracle's ``certify`` pass over all blade pairs, which proves associativity
-exactly at every size; the core suite's generator relations read the
-generator rows, and its adjointness cell decides all dim**3 blade triples
-from the kernel rows by pairs.  The suites' only random draws are the
-seeded multivectors of the core suite's involution and decomposition
-cells, which check ``core.bilinear``.
+No cell samples: every law is decided exactly, at every size, and no
+suite draws at random.  Every associativity verdict is the oracle's
+``certify`` pass over all blade pairs.  The core suite's generator
+relations read the generator rows; its adjointness cell decides all
+dim**3 blade triples from the kernel rows by pairs; its involutions cell
+reads ``core.parity`` and ``core.reversion`` on every blade and decides
+their laws on every blade pair off the certificate; and its
+decomposition cell is ``sigchange``'s definition check for the trivial
+grading, on every (generator, blade) pair, which decides the bilinear
+identity for all vectors and multivectors.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -59,25 +64,17 @@ from .core import (
     MAX_DIMENSION,
     Multivector,
     Signature,
-    _reduced,
     all_blades,
     blade_from_indices,
     blade_sort_key,
-    geometric_product,
     geometric_row_op,
-    left_contraction,
     parity,
     reversion,
-    wedge,
 )
 from .grading import Z2Grading, even_subalgebra_basis
-from .oracle import Certificate, certify, oracle
-from .sigchange import CheckResult, generator_relations, verify_clifford_map
+from .oracle import Certificate, certify, format_blades, oracle
+from .sigchange import CheckResult, definition_check, generator_relations, verify_clifford_map
 
-DEFAULT_SEED = 0
-
-#: Random draws per involution and decomposition cell of the core suite.
-CORE_DRAWS = 75
 
 @dataclass
 class Cell:
@@ -150,21 +147,13 @@ def canonical_odd_mask(sig: Signature, p1: int, q1: int) -> int:
     )
 
 
-def random_multivector(rng: random.Random, sig: Signature) -> Multivector:
-    """Sum of four seeded random blades times n/d, n in [-8, 8] and
-    d in [1, 6]; drawn as numerators over 60."""
-    num: dict[int, int] = {}
-    for _ in range(4):
-        mask = rng.randrange(1 << sig.n)
-        num[mask] = num.get(mask, 0) + rng.randint(-8, 8) * (60 // rng.randint(1, 6))
-    return _reduced(sig, {m: n for m, n in num.items() if n}, 60)
-
-
-def random_vector(rng: random.Random, sig: Signature) -> Multivector:
-    """1-vector with seeded random rational coefficients n/d, n in [-6, 6]
-    and d in [1, 4], e_1 first; drawn as numerators over 12."""
-    num = {1 << k: rng.randint(-6, 6) * (12 // rng.randint(1, 4)) for k in range(sig.n)}
-    return _reduced(sig, {m: n for m, n in num.items() if n}, 12)
+@lru_cache(maxsize=1)
+def whole_algebra(sig: Signature) -> Certificate:
+    """The one certificate of every blade of ``sig`` under the geometric
+    product that a suite's cells share.  A sweep visits one signature's
+    cells in a row, so only the last signature's is kept; each suite that
+    reads it clears it first, so a run never reads another run's pass."""
+    return certify(all_blades(sig), geometric_row_op(sig))
 
 
 def even_subalgebra_problem(
@@ -233,15 +222,12 @@ def verify_table4(max_n: int) -> SuiteReport:
     classify_even_subalgebra.
 
     Every even subalgebra of Cl(p,q) is a subgroup of its blades, so one
-    certificate of the whole algebra, made in the signature's first cell,
-    gives every cell its fingerprint.  Where that pass fails, each cell
-    runs its own, and fails or passes as it would alone."""
+    certificate of the whole algebra (``whole_algebra``), made in the
+    signature's first cell, gives every cell its fingerprint.  Where that
+    pass fails, each cell runs its own, and fails or passes as it would
+    alone."""
     report = SuiteReport("table4")
-
-    @lru_cache(maxsize=1)
-    def whole_algebra(sig: Signature) -> Certificate:
-        return certify(all_blades(sig), geometric_row_op(sig))
-
+    whole_algebra.cache_clear()
     for sig in signatures_up_to(max_n):
         for p0 in range(sig.p + 1):
             for q0 in range(sig.q + 1):
@@ -285,22 +271,26 @@ def verify_sigchange(max_n: int) -> SuiteReport:
     return report
 
 
-def verify_core(max_n: int, seed: int = DEFAULT_SEED) -> SuiteReport:
-    """Base-product laws per signature: generator relations, associativity
-    (the certificate over every blade pair), contraction adjointness on
-    every blade triple, all exact at every n, and, on seeded random
-    multivectors, involution laws and v a = v^a + v⌟a."""
+def verify_core(max_n: int) -> SuiteReport:
+    """Base-product laws per signature, all exact at every n: generator
+    relations, associativity (the certificate over every blade pair),
+    contraction adjointness on every blade triple, the involution laws on
+    every blade pair, and v a = v^a + v⌟a on every (generator, blade) pair.
+
+    The associativity and involutions cells read one certificate of the
+    signature (``whole_algebra``).  Where it is not clean, the involutions
+    cell fails and quotes the associativity verdict."""
     report = SuiteReport("core")
+    whole_algebra.cache_clear()
     for sig in signatures_up_to(max_n):
-        rng = random.Random(seed * 10_000 + sig.p * 100 + sig.q)
         blades = all_blades(sig)
 
         def gen_cell(sig=sig):
             res = generator_relations(geometric_row_op(sig), sig.n, sig.neg_mask)
             return res.ok, res.detail
 
-        def assoc_cell(sig=sig, blades=blades):
-            verdict = certify(blades, geometric_row_op(sig)).verdict
+        def assoc_cell(sig=sig):
+            verdict = whole_algebra(sig).verdict
             return verdict.associative, verdict.associativity
 
         def adjoint_cell(sig=sig, blades=blades):
@@ -334,28 +324,35 @@ def verify_core(max_n: int, seed: int = DEFAULT_SEED) -> SuiteReport:
             res = CheckResult.counted("adjointness", f"{len(blades) ** 3} triples", bad)
             return res.ok, res.detail
 
-        def involution_cell(sig=sig, rng=rng):
-            bad = 0
-            for _ in range(CORE_DRAWS):
-                a = random_multivector(rng, sig)
-                b = random_multivector(rng, sig)
-                ab = geometric_product(a, b)
-                if parity(parity(a)) != a or reversion(reversion(a)) != a:
-                    bad += 1
-                if parity(ab) != geometric_product(parity(a), parity(b)):
-                    bad += 1
-                if reversion(ab) != geometric_product(reversion(b), reversion(a)):
-                    bad += 1
-            return bad == 0, f"{bad} violations"
+        def involution_cell(sig=sig, blades=blades):
+            # each involution must send every blade to ± itself; a blade
+            # product is then ± a ^ b, so parity is an automorphism exactly
+            # when its signs are a character, and reversion an
+            # anti-automorphism exactly when its signs are a quadratic
+            # refinement of σ(a,b)σ(b,a), both decided off the certificate
+            head, names = f"{len(blades)} blades: ", ("parity", "reversion")
+            signs = ({}, {})
+            for name, law, sign in zip(names, (parity, reversion), signs):
+                for a in blades:
+                    x = Multivector.blade(sig, a)
+                    sign[a] = {x: 1, -x: -1}.get(law(x))
+                    if sign[a] is None:
+                        return False, f"{head}{name} sends {format_blades([a])} off ± itself"
+            certificate = whole_algebra(sig)
+            if not certificate.verdict.ok:
+                return False, f"{head}no certificate: {certificate.verdict.associativity}"
+            pairs = certificate.involution_witnesses(*signs)
+            forms = ("a character", "a quadratic refinement of the commutation bicharacter")
+            laws = [
+                f"{name} {form}" if pair is None
+                else f"{name} not {form}, first {format_blades(pair)}"
+                for name, form, pair in zip(names, forms, pairs)
+            ]
+            return pairs == (None, None), head + ", ".join(laws)
 
-        def decomposition_cell(sig=sig, rng=rng):
-            bad = 0
-            for _ in range(CORE_DRAWS):
-                v = random_vector(rng, sig)
-                a = random_multivector(rng, sig)
-                if geometric_product(v, a) != wedge(v, a) + left_contraction(v, a):
-                    bad += 1
-            return bad == 0, f"{bad} violations"
+        def decomposition_cell(sig=sig):
+            res = definition_check(sig, geometric_row_op(sig), 0)
+            return res.ok, res.detail
 
         key = f"{sig.p},{sig.q}"
         _timed(report, f"{key}:generators", gen_cell)
@@ -378,15 +375,15 @@ _SUITE_FNS = {
 SUITES = tuple(_SUITE_FNS) + ("all",)
 
 
-def run_suite(name: str, max_n: int | None = None, seed: int = DEFAULT_SEED) -> SuiteReport:
+def run_suite(name: str, max_n: int | None = None, _seed=None) -> SuiteReport:
     """Run one suite (or 'all'); max_n defaults per suite and is capped at
-    the package dimension limit.  ``seed`` drives only the random
-    multivectors of the core suite's involution and decomposition cells;
-    no other cell draws."""
+    the package dimension limit.  No cell draws at random, so the third
+    argument is ignored; it is accepted only because the benchmark's sweep
+    script still passes a seed."""
     if name == "all":
         combined = SuiteReport("all")
         for sub in _SUITE_FNS:
-            rep = run_suite(sub, max_n, seed)
+            rep = run_suite(sub, max_n)
             for c in rep.cells:
                 combined.cells.append(
                     Cell(f"{sub}/{c.key}", c.ok, c.detail, c.seconds)
@@ -398,4 +395,4 @@ def run_suite(name: str, max_n: int | None = None, seed: int = DEFAULT_SEED) -> 
     n = default_max_n if max_n is None else max_n
     if not 0 <= n <= MAX_DIMENSION:
         raise ValueError(f"max_n must be between 0 and {MAX_DIMENSION}")
-    return fn(n, seed) if name == "core" else fn(n)
+    return fn(n)

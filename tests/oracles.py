@@ -16,7 +16,9 @@ dense fingerprint reference at the end calls ``cliffsig.linalg`` for its
 center nullspace and its congruence signature; the package uses neither.
 The definition reference reads the package's wedge and contraction
 kernels pair by pair, so it checks how ``verify_clifford_map`` caches and
-compares whole rows, not the kernels.
+compares whole rows, not the kernels.  The seeded draws
+``random_multivector`` and ``random_vector`` are inputs to the randomized
+tests, not references, and return package multivectors.
 """
 
 import functools
@@ -171,6 +173,28 @@ def from_multivector(a) -> Terms:
     from cliffsig import blade_indices
 
     return {blade_indices(m): c for m, c in a.terms.items()}
+
+
+def random_multivector(rng: random.Random, sig):
+    """Sum of four seeded random blades times n/d, n in [-8, 8] and
+    d in [1, 6], as a package Multivector."""
+    from cliffsig import Multivector
+
+    coeffs = {}
+    for _ in range(4):
+        mask = rng.randrange(1 << sig.n)
+        coeffs[mask] = coeffs.get(mask, 0) + Fraction(rng.randint(-8, 8), rng.randint(1, 6))
+    return Multivector(sig, coeffs)
+
+
+def random_vector(rng: random.Random, sig):
+    """1-vector with seeded random rational coefficients n/d, n in [-6, 6]
+    and d in [1, 4], e_1 first, as a package Multivector."""
+    from cliffsig import Multivector
+
+    return Multivector(
+        sig, {1 << k: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for k in range(sig.n)}
+    )
 
 
 def multivector_structure_constants(sig, masks, product):

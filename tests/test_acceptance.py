@@ -37,12 +37,11 @@ from cliffsig.grading import DimensionClass
 from cliffsig.oracle import certify, oracle
 from cliffsig.verify import (
     all_gradings,
-    random_vector,
     run_suite,
     signatures_up_to,
 )
 
-from oracles import rows
+from oracles import random_vector, rows
 
 
 def _five_term_multivector(rng, sig):

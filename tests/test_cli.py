@@ -378,14 +378,22 @@ def test_usage_errors_exit_2(capsys):
         )
 
 
-def test_verify_seed_flag_is_reproducible(capsys):
-    code1, out1, _ = run(capsys, "verify", "--suite", "core", "--max-n", "2", "--json", "--seed", "42")
-    code2, out2, _ = run(capsys, "verify", "--suite", "core", "--max-n", "2", "--json", "--seed", "42")
+def test_verify_json_is_reproducible(capsys):
+    # no cell draws, so two runs differ only in their timings
+    code1, out1, _ = run(capsys, "verify", "--suite", "core", "--max-n", "2", "--json")
+    code2, out2, _ = run(capsys, "verify", "--suite", "core", "--max-n", "2", "--json")
     assert code1 == code2 == 0
     a, b = json.loads(out1), json.loads(out2)
     for cell in a["cells"] + b["cells"]:
         del cell["seconds"]
     assert a == b
+
+
+def test_verify_has_no_seed_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "core", "--max-n", "2", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 

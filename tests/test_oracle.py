@@ -603,3 +603,37 @@ def test_certify_refuses_a_failing_pass():
         assert not cert.verdict.ok and cert.verdict.problem == problem, masks
         with pytest.raises(NotClosed, match="0b0 is not among the certified blades"):
             cert.invariants([0b0])
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (0, 3)])
+def test_involution_witnesses_match_a_scan_of_every_pair(p, q):
+    # the doubling over B's generators decides both laws exactly: for every
+    # sign vector on the 8 blades, each witness is the first failing pair
+    # of a scan, None exactly when no pair fails.  2^3 of the 2^8 vectors
+    # are characters and 2^3 are quadratic refinements of σ(a,b)σ(b,a)
+    sig = Signature(p, q)
+    blades = all_blades(sig)
+    cert = certify(blades, geometric_row_op(sig))
+    sign = geometric_blade_op(sig)
+    holds = [0, 0]
+    for bits in range(1 << len(blades)):
+        s = {m: -1 if bits >> i & 1 else 1 for i, m in enumerate(blades)}
+        want = (
+            next(((a, b) for a in blades for b in blades if s[a ^ b] != s[a] * s[b]), None),
+            next(
+                (
+                    (a, b)
+                    for a in blades
+                    for b in blades
+                    if s[a ^ b] * s[a] * s[b] != sign(a, b)[0] * sign(b, a)[0]
+                ),
+                None,
+            ),
+        )
+        assert cert.involution_witnesses(s, s) == want, bits
+        holds = [h + (w is None) for h, w in zip(holds, want)]
+    assert holds == [8, 8]
+    grade = {m: len(blade_indices(m)) for m in blades}
+    parity = {m: (-1) ** k for m, k in grade.items()}
+    reversion = {m: (-1) ** (k * (k - 1) // 2) for m, k in grade.items()}
+    assert cert.involution_witnesses(parity, reversion) == (None, None)

@@ -37,13 +37,18 @@ from cliffsig import (
 from cliffsig.verify import (
     _cell_result,
     all_gradings,
-    random_multivector,
-    random_vector,
     run_suite,
     signatures_up_to,
 )
 
-from oracles import definition_reference, regular_representation, rows, structural_invariants
+from oracles import (
+    definition_reference,
+    random_multivector,
+    random_vector,
+    regular_representation,
+    rows,
+    structural_invariants,
+)
 
 
 def basis(sig, i):

@@ -143,51 +143,78 @@ def test_oracle_is_called_only_by_the_two_fingerprint_checks():
     assert not found, f"oracle called outside the two fingerprint checks: {found}"
 
 
+def _calls(tree):
+    """(owner, call) for every call in a module, the owner being the chain
+    of enclosing function or class names, e.g. ``verify_core.assoc_cell``,
+    or ``<module>``."""
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                yield owner, child
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = child.name if owner == "<module>" else f"{owner}.{child.name}"
+                yield from walk(child, name)
+            else:
+                yield from walk(child, owner)
+
+    return walk(tree, "<module>")
+
+
 def test_only_table4_shares_a_whole_algebra_certificate():
-    # verify_table4 certifies each signature once and its cells read their
-    # fingerprints off that certificate; even_subalgebra_problem only hands
-    # it on to the oracle.  verify_core certifies too, but reads only the
-    # verdict and hands the certificate to nothing.  Another sweep that
-    # shared one would be a second sharing policy, with its own rule for
-    # when a failing pass fails a cell.  The one other sharing is exact and
-    # shares no certificate: verify_sigchange hands verify_clifford_map a
-    # dict of the CheckResults that read ∨ alone, keyed (n, neg ^ odd), so a
+    # verify.whole_algebra is the one owner of a shared whole-algebra
+    # certificate: it certifies a signature once, keeps only the last, and
+    # each suite that reads it clears it first.  Its readers are
+    # verify_table4's cells, which read their fingerprints off it
+    # (even_subalgebra_problem only hands it on to the oracle), and
+    # verify_core's associativity and involutions cells, which read its
+    # verdict and its commutation bicharacter.  A second owner would be a
+    # second sharing policy, with its own rule for when a failing pass
+    # fails a cell.  The one other sharing is exact and shares no
+    # certificate: verify_sigchange hands verify_clifford_map a dict of
+    # the CheckResults that read ∨ alone, keyed (n, neg ^ odd), so a
     # failing pass fails every cell of that key as it would fail alone.
-    # The only other cache is verify_clifford_map's expected definition
-    # rows, summed from the original metric's kernels and keyed by the
-    # signature; each cell compares its own ∨ rows with them
+    # The only other cache is definition_check's expected rows, summed
+    # from the original metric's kernels and keyed by the signature; each
+    # sigchange cell and core decomposition cell compares its own rows
+    # with them
     allowed = {
-        "certify": {("verify.py", "verify_table4"), ("verify.py", "verify_core")},
+        "certify": {("verify.py", "whole_algebra")},
         "certificate": {
-            ("verify.py", "verify_table4"),
+            ("verify.py", "verify_table4.cell"),
             ("verify.py", "even_subalgebra_problem"),
         },
-        "shared": {("verify.py", "verify_sigchange")},
-        "lru_cache": {("verify.py", "verify_table4"), ("sigchange.py", "_definition_rows")},
+        "shared": {("verify.py", "verify_sigchange.cell")},
+        "lru_cache": {("verify.py", "whole_algebra"), ("sigchange.py", "_definition_rows")},
+        "whole_algebra": {
+            ("verify.py", "verify_table4.cell"),
+            ("verify.py", "verify_core.assoc_cell"),
+            ("verify.py", "verify_core.involution_cell"),
+        },
     }
-    found = []
+    found, seen = [], set()
     for path in SOURCES:
         if path.name == "oracle.py":
             continue
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
-            owner = getattr(top, "name", "<module>")
-            for node in ast.walk(top):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-                uses = {name} | {k.arg for k in node.keywords}
-                for what in uses & set(allowed):
-                    if (path.name, owner) not in allowed[what]:
-                        found.append(f"{path.name}:{node.lineno} {what} in {owner}")
-    assert not found, f"a whole-algebra certificate outside verify_table4: {found}"
+        for owner, node in _calls(ast.parse(path.read_text(), filename=str(path))):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            uses = {name} | {k.arg for k in node.keywords}
+            for what in uses & set(allowed):
+                seen.add((what, path.name, owner))
+                if (path.name, owner) not in allowed[what]:
+                    found.append(f"{path.name}:{node.lineno} {what} in {owner}")
+    assert not found, f"a whole-algebra certificate outside verify.whole_algebra: {found}"
+    assert seen == {(what, *spot) for what, spots in allowed.items() for spot in spots}, seen
 
 
 def test_definition_rows_never_read_the_deformed_product():
-    # verify_clifford_map compares each ∨ row with rows summed from the
-    # original metric's wedge and contraction kernels; rows made from a
-    # product kernel or from ∨ would check ∨ against itself, and another
-    # caller would read them without the grading's alpha
+    # definition_check compares each row of the product under test (∨ in
+    # verify_clifford_map, the geometric product in the core suite's
+    # decomposition cells) with rows summed from the original metric's
+    # wedge and contraction kernels; rows made from a product kernel or
+    # from ∨ would check the product against itself, and another caller
+    # would read them without the grading's alpha
     helpers = ("_definition_rows", "_expected_rows")
     tree = ast.parse((SOURCES[0].parent / "sigchange.py").read_text())
     named = {
@@ -217,57 +244,32 @@ def test_definition_rows_never_read_the_deformed_product():
         for name in helpers
     }
     assert callers == {
-        "_definition_rows": [("sigchange.py", "verify_clifford_map")],
+        "_definition_rows": [("sigchange.py", "definition_check")],
         "_expected_rows": [("sigchange.py", "_definition_rows")],
     }, callers
     assert [spot for name in helpers for spot in _named_outside(name, "sigchange.py")] == []
+    checks = sorted(
+        (path.name, owner)
+        for path in SOURCES
+        for owner, node in _calls(ast.parse(path.read_text(), filename=str(path)))
+        if getattr(node.func, "id", None) == "definition_check"
+    )
+    assert checks == [
+        ("sigchange.py", "verify_clifford_map"),
+        ("verify.py", "verify_core.decomposition_cell"),
+    ], checks
 
 
-def test_only_the_seeded_cells_draw():
-    # every blade law is decided exactly, and the wedge witness search
-    # reads only basis pairs, so only verify.py imports random, and its
-    # seeded rng may reach only the two cells that check core.bilinear on
-    # random multivectors.  A sampled law would need a draw somewhere else
-    draws = {"verify.py"}
+def test_no_module_imports_random():
+    # every law is decided exactly: the core suite's involutions and
+    # decomposition cells read every blade pair and every (generator,
+    # blade) pair, and the wedge witness search reads only basis pairs.  A
+    # sampled law would need a draw, and this pin edited in the open
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
-        if path.name not in draws
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, (ast.Import, ast.ImportFrom))
         and "random" in {a.name for a in node.names} | {getattr(node, "module", None)}
     ]
-    assert not found, f"random imported outside {sorted(draws)}: {found}"
-
-    tree = ast.parse((SOURCES[0].parent / "verify.py").read_text())
-    calls = [
-        (getattr(owner, "name", "<module>"), node)
-        for owner in tree.body
-        for node in ast.walk(owner)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and getattr(node.func.value, "id", None) == "random"
-    ]
-    assert [(name, node.func.attr) for name, node in calls] == [("verify_core", "Random")]
-
-    core = next(n for n in tree.body if getattr(n, "name", None) == "verify_core")
-    seeded = {
-        t.id
-        for n in ast.walk(core)
-        if isinstance(n, ast.Assign) and any(n.value is node for _, node in calls)
-        for t in n.targets
-    }
-    cells = {"involution_cell", "decomposition_cell"}
-    allowed = {
-        id(n)
-        for cell in ast.walk(core)
-        if isinstance(cell, ast.FunctionDef) and cell.name in cells
-        for n in ast.walk(cell)
-    }
-    stray = [
-        n.lineno
-        for n in ast.walk(core)
-        if isinstance(n, ast.Name) and n.id in seeded
-        and isinstance(n.ctx, ast.Load) and id(n) not in allowed
-    ]
-    assert seeded and not stray, f"the seeded rng read outside {sorted(cells)}: lines {stray}"
+    assert not found, f"random imported in the package: {found}"

@@ -10,13 +10,12 @@ from cliffsig.oracle import oracle
 from cliffsig.verify import (
     SUITES,
     canonical_odd_mask,
-    random_multivector,
-    random_vector,
     run_suite,
     signatures_up_to,
     verify_table4,
 )
 from cliffsig import (
+    Multivector,
     Signature,
     Z2Grading,
     blade_from_indices,
@@ -27,7 +26,19 @@ from cliffsig import (
 )
 import random
 
-from oracles import rows
+from oracles import random_multivector, random_vector, rows
+
+
+@pytest.fixture(autouse=True)
+def cold_rows():
+    """Clear the cached expected definition rows before and after each
+    test: a core sweep under an altered kernel makes them, and they must
+    reach no other test."""
+    from cliffsig.sigchange import _definition_rows
+
+    _definition_rows.cache_clear()
+    yield
+    _definition_rows.cache_clear()
 
 
 def test_signature_enumeration():
@@ -60,9 +71,7 @@ def test_random_odd_mask_counts():
 
 
 def test_random_draws_are_frozen():
-    # the core suite's involution and decomposition cells check these exact
-    # multivectors; a change of representation must not change what a seed
-    # draws
+    # a change of representation must not change what a seed draws
     rng = random.Random(7)
     sig = Signature(2, 1)
     assert [dict(random_multivector(rng, sig).terms) for _ in range(3)] == [
@@ -74,9 +83,7 @@ def test_random_draws_are_frozen():
         {1: F(-1), 2: F(-5, 2), 4: F(-1)},
         {1: F(2), 2: F(3), 4: F(3, 2)},
     ]
-    # the first draw of the core suite's Cl(3,3) rng at seed 0, which goes to
-    # its involution cell
-    rng = random.Random(0 * 10_000 + 3 * 100 + 3)
+    rng = random.Random(303)
     assert dict(random_multivector(rng, Signature(3, 3)).terms) == {
         4: F(-1, 6), 24: F(-6, 5), 33: F(2), 20: F(5, 4)
     }
@@ -111,8 +118,8 @@ def test_table4_randomized_subsets_agree():
 
 
 def test_suite_determinism():
-    a = run_suite("sigchange", 2, seed=7)
-    b = run_suite("sigchange", 2, seed=7)
+    a = run_suite("sigchange", 2)
+    b = run_suite("sigchange", 2)
     assert [(c.key, c.ok, c.detail) for c in a.cells] == [
         (c.key, c.ok, c.detail) for c in b.cells
     ]
@@ -333,3 +340,146 @@ def test_core_generators_name_the_first_pair(monkeypatch):
     assert cells["1,0:generators"].detail == "1 pairs, 0 violations"
     assert not cells["2,2:generators"].ok
     assert cells["2,2:generators"].detail == "10 pairs, 1 violations; first (e1, e2)"
+
+
+def _failing_core_cells(monkeypatch, module, name, replacement):
+    """Cl(3,2)'s failing core cells at n <= 5, name -> detail, with
+    ``module.name`` replaced by ``replacement(honest)``."""
+    import cliffsig.verify as verify
+
+    monkeypatch.setattr(module, name, replacement(getattr(module, name)))
+    cells = verify.verify_core(max_n=5).cells
+    return {c.key.split(":")[1]: c.detail for c in cells if c.key.startswith("3,2:") and not c.ok}
+
+
+def _sign_flipped_on(blade):
+    """An involution made from ``honest`` whose sign on ``blade`` is
+    flipped: still ± each blade, so only the law can fail."""
+
+    def alter(honest):
+        def law(x):
+            y = honest(x)
+            c = y.terms.get(blade)
+            return y - Multivector.blade(x.sig, blade, 2 * c) if c else y
+
+        return law
+
+    return alter
+
+
+def _kernel_flipped_on(pair):
+    """A kernel made from ``honest`` whose sign on the blade pair ``pair``
+    is flipped."""
+
+    def alter(honest):
+        def kernel(x, y, *neg):
+            sign, mask = honest(x, y, *neg)
+            return (-sign, mask) if (x, y) == pair else (sign, mask)
+
+        return kernel
+
+    return alter
+
+
+# Every involutions and decomposition fault below was counted by the cells'
+# seeded draws before they became exact, except the flipped geometric row,
+# which those draws never read; the exact cells name a witness pair.
+def test_core_involutions_catch_a_flipped_reversion_sign(monkeypatch):
+    # rev(e1^e2) = +e1^e2: rev(e1 e2) = rev(e2) rev(e1) = e2 e1 = -e1^e2
+    # no longer holds, first at the pair (e1, e2)
+    import cliffsig.verify as verify
+
+    failing = _failing_core_cells(monkeypatch, verify, "reversion", _sign_flipped_on(E1 | E2))
+    assert failing == {
+        "involutions": "32 blades: parity a character, reversion not a quadratic "
+        "refinement of the commutation bicharacter, first (e1, e2)"
+    }
+
+
+def test_core_involutions_catch_a_flipped_parity_sign(monkeypatch):
+    import cliffsig.verify as verify
+
+    failing = _failing_core_cells(monkeypatch, verify, "parity", _sign_flipped_on(E2 | E3 | E5))
+    assert failing == {
+        "involutions": "32 blades: parity not a character, first (e1, e2^e3^e5), "
+        "reversion a quadratic refinement of the commutation bicharacter"
+    }
+
+
+def test_core_involutions_require_each_blade_to_map_to_itself(monkeypatch):
+    # reversion sending e1^e2 to e1^e3 is no sign on blades; the cell reads
+    # each blade, so it names the blade instead of assuming diagonality
+    import cliffsig.verify as verify
+
+    def alter(honest):
+        def law(x):
+            y = honest(x)
+            c = y.terms.get(E1 | E2)
+            return y + Multivector(x.sig, {E1 | E2: -c, E1 | E3: c}) if c and x.sig.n > 2 else y
+
+        return law
+
+    failing = _failing_core_cells(monkeypatch, verify, "reversion", alter)
+    assert failing == {"involutions": "32 blades: reversion sends (e1^e2) off ± itself"}
+
+
+def test_core_decomposition_catches_a_flipped_left_contraction(monkeypatch):
+    # e2 ⌟ e1^e2 = -e1 made +e1: the adjointness cell, which reads the same
+    # kernel, fails with it, and nothing else does
+    from cliffsig import kernels
+
+    failing = _failing_core_cells(
+        monkeypatch, kernels, "blade_left_contract", _kernel_flipped_on((E2, E1 | E2))
+    )
+    assert failing == {
+        "adjointness": "32768 triples, 1 violations; first (e2, e1^e2, e1)",
+        "decomposition": "160 (generator, blade) pairs, 1 violations; first (e2, e1^e2)",
+    }
+
+
+def test_core_decomposition_catches_a_flipped_geometric_row(monkeypatch):
+    # e2 e1^e3 = -e1^e2^e3 made +e1^e2^e3.  One flipped sign is no
+    # bicharacter twist, so the certificate fails as well, and with it the
+    # involutions cell, which quotes its verdict
+    import cliffsig.verify as verify
+
+    def alter(honest):
+        return lambda sig: rows(_kernel_flipped_on((E2, E1 | E3))(geometric_blade_op(sig)))
+
+    failing = _failing_core_cells(monkeypatch, verify, "geometric_row_op", alter)
+    assert failing == {
+        "associativity": "bicharacter certificate, 1024 pairs, first violation (e2, e1^e3)",
+        "involutions": "32 blades: no certificate: "
+        "bicharacter certificate, 1024 pairs, first violation (e2, e1^e3)",
+        "decomposition": "160 (generator, blade) pairs, 1 violations; first (e2, e1^e3)",
+    }
+
+
+def test_core_involutions_quote_a_failed_certificate(monkeypatch):
+    # under 1 * e1 = -e1 no signature with n >= 1 has a clean certificate,
+    # so its involutions cell fails with the associativity cell's verdict
+    import cliffsig.verify as verify
+
+    def twisted(sig):
+        op = geometric_blade_op(sig)
+
+        def blade_op(x, y):
+            sign, mask = op(x, y)
+            return (-sign, mask) if (x, y) == (0, 0b1) else (sign, mask)
+
+        return rows(blade_op)
+
+    monkeypatch.setattr(verify, "geometric_row_op", twisted)
+    cells = {c.key: c for c in verify.verify_core(max_n=5).cells}
+    assert cells["0,0:involutions"].ok
+    for sig in signatures_up_to(5):
+        if sig.n:
+            key = f"{sig.p},{sig.q}"
+            involutions = cells[f"{key}:involutions"]
+            assert not involutions.ok, key
+            assert involutions.detail == (
+                f"{2**sig.n} blades: no certificate: {cells[f'{key}:associativity'].detail}"
+            )
+    assert cells["2,1:involutions"].detail == (
+        "8 blades: no certificate: exhaustive triples, first violation (1, 1, e1)"
+    )
