@@ -222,15 +222,17 @@ class Certificate:
         """The fingerprint of the algebra on the certified blades, or with
         ``masks``, of its subalgebra on those blades, a subgroup of the
         certified ones, read off B's tables with no product; it equals the
-        fingerprint of a pass over ``masks``.  An empty or repeated mask
-        list raises NotIndependent; a blade outside the certified ones, or
-        a list not closed under the symmetric difference, raises
-        NotClosed."""
-        if masks is None:
+        fingerprint of a pass over ``masks``.  ``masks`` defaults to every
+        certified blade, and a list of every certified blade, once each,
+        spans every coordinate, whose basis is the unit bitmasks.  An
+        empty or repeated mask list raises NotIndependent; a blade outside
+        the certified ones, or a list not closed under the symmetric
+        difference, raises NotClosed."""
+        masks = list(self.coords if masks is None else masks)
+        if masks and len(masks) == len(self.coords) and self.coords.keys() == set(masks):
             coords = self.coords.values()
             basis = [1 << i for i in range(len(self.table_b).bit_length() - 1)]
         else:
-            masks = list(masks)
             generators, _, span = _coordinates(masks)
             outside = next((m for m in masks if m not in self.coords), None)
             if outside is not None:

@@ -29,7 +29,6 @@ from cliffsig import (
     vee_prime,
     vee_prime_blade_op,
     verify_clifford_map,
-    verify_table4,
     wedge,
     weighted_antisymmetrization,
 )
@@ -88,7 +87,7 @@ def test_criterion_02_even_part_classification():
 
 
 def test_criterion_03_graded_even_subalgebra_sweep():
-    report = verify_table4(6)
+    report = run_suite("table4", 6)
     assert len(report.cells) == 210
     assert report.violations == 0, [c.key for c in report.cells if not c.ok]
     # the named instances

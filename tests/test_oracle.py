@@ -585,6 +585,37 @@ def test_subgroup_read_rejects_what_the_pass_rejects():
     assert not oracle([0b00, 0b01, 0b10], op, cls, certificate=whole).ok
 
 
+
+def test_every_certified_blade_is_read_as_the_whole_algebra(monkeypatch):
+    # a list of every certified blade, in any order, is the whole algebra:
+    # it reads the unit coordinates as the default does, with no GF(2)
+    # basis search; any other list searches one
+    import cliffsig.oracle as oracle_module
+
+    sigs = (Signature(0, 0), Signature(2, 1), Signature(1, 3), Signature(3, 2))
+    wholes = [certify(all_blades(sig), geometric_row_op(sig)) for sig in sigs]
+    searches = []
+    honest = oracle_module._coordinates
+
+    def counting(masks):
+        searches.append(len(masks))
+        return honest(masks)
+
+    monkeypatch.setattr(oracle_module, "_coordinates", counting)
+    for sig, whole in zip(sigs, wholes):
+        blades = all_blades(sig)
+        orders = [blades[::-1], blades[1:] + blades[:1], sorted(blades, key=bin), iter(blades)]
+        for masks in orders:
+            assert whole.invariants(masks) == whole.invariants(), sig
+    assert searches == []
+    even = [m for m in all_blades(sigs[-1]) if len(blade_indices(m)) % 2 == 0]
+    wholes[-1].invariants(even)
+    assert searches == [16]
+    failed = certify([], geometric_row_op(Signature(1, 0)))
+    with pytest.raises(NotIndependent, match="empty basis"):
+        failed.invariants([])
+
+
 def test_certify_refuses_a_failing_pass():
     # a pass that fails certifies no blade: its verdict fails, and reading
     # any subgroup off it raises NotClosed, so the oracle runs its own pass

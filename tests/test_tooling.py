@@ -163,30 +163,33 @@ def _calls(tree):
 
 def test_only_table4_shares_a_whole_algebra_certificate():
     # verify.whole_algebra is the one owner of a shared whole-algebra
-    # certificate: it certifies a signature once, keeps only the last, and
-    # each suite that reads it clears it first.  Its readers are
-    # verify_table4's cells, which read their fingerprints off it
+    # certificate: it certifies a signature once and keeps only the last,
+    # and run_suite, the one walk over signatures, owns the cache's
+    # lifetime, clearing it once per run.  Its readers are verify_table1's
+    # and verify_table4's cells, which read their fingerprints off it
     # (even_subalgebra_problem only hands it on to the oracle), and
     # verify_core's associativity and involutions cells, which read its
     # verdict and its commutation bicharacter.  A second owner would be a
     # second sharing policy, with its own rule for when a failing pass
     # fails a cell.  The one other sharing is exact and shares no
-    # certificate: verify_sigchange hands verify_clifford_map a dict of
-    # the CheckResults that read ∨ alone, keyed (n, neg ^ odd), so a
-    # failing pass fails every cell of that key as it would fail alone.
-    # The only other cache is definition_check's expected rows, summed
-    # from the original metric's kernels and keyed by the signature; each
-    # sigchange cell and core decomposition cell compares its own rows
-    # with them
+    # certificate: run_suite's one dict, which verify_sigchange's cells
+    # hand verify_clifford_map, of the CheckResults that read ∨ alone,
+    # keyed (n, neg ^ odd), so a failing pass fails every cell of that key
+    # as it would fail alone.  The only other cache is definition_check's
+    # expected rows, summed from the original metric's kernels and keyed
+    # by the signature; each sigchange cell and core decomposition cell
+    # compares its own rows with them
     allowed = {
         "certify": {("verify.py", "whole_algebra")},
         "certificate": {
+            ("verify.py", "verify_table1.cell"),
             ("verify.py", "verify_table4.cell"),
             ("verify.py", "even_subalgebra_problem"),
         },
         "shared": {("verify.py", "verify_sigchange.cell")},
         "lru_cache": {("verify.py", "whole_algebra"), ("sigchange.py", "_definition_rows")},
         "whole_algebra": {
+            ("verify.py", "verify_table1.cell"),
             ("verify.py", "verify_table4.cell"),
             ("verify.py", "verify_core.assoc_cell"),
             ("verify.py", "verify_core.involution_cell"),
@@ -207,6 +210,19 @@ def test_only_table4_shares_a_whole_algebra_certificate():
     assert not found, f"a whole-algebra certificate outside verify.whole_algebra: {found}"
     assert seen == {(what, *spot) for what, spots in allowed.items() for spot in spots}, seen
 
+
+
+def test_only_run_suite_clears_the_shared_certificate():
+    # run_suite clears whole_algebra once per run, before its one walk
+    # over the signatures; a suite clearing it too would drop the pass
+    # that table1, table4 and core share within all
+    clears = [
+        (path.name, owner, getattr(node.func.value, "id", None))
+        for path in SOURCES
+        for owner, node in _calls(ast.parse(path.read_text(), filename=str(path)))
+        if getattr(node.func, "attr", None) == "cache_clear"
+    ]
+    assert clears == [("verify.py", "run_suite", "whole_algebra")], clears
 
 def test_definition_rows_never_read_the_deformed_product():
     # definition_check compares each row of the product under test (∨ in

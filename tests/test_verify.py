@@ -12,7 +12,6 @@ from cliffsig.verify import (
     canonical_odd_mask,
     run_suite,
     signatures_up_to,
-    verify_table4,
 )
 from cliffsig import (
     Multivector,
@@ -146,6 +145,57 @@ def test_all_suite_prefixes_keys():
     assert rep.violations == 0
 
 
+def _joined(max_n):
+    """The five standalone runs, each key prefixed with its suite, as
+    (key, pass, detail)."""
+    return [
+        (f"{name}/{c.key}", c.ok, c.detail)
+        for name in SUITES[:-1]
+        for c in run_suite(name, max_n).cells
+    ]
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 2, 3, 4, 5, None])
+def test_all_equals_the_standalone_suites(max_n):
+    # one walk over the signatures runs every suite's cells at each; the
+    # report still lists each suite's cells together, in SUITES order
+    rep = run_suite("all", max_n)
+    assert [(c.key, c.ok, c.detail) for c in rep.cells] == _joined(max_n)
+
+
+def test_all_certifies_each_signature_once(monkeypatch):
+    # table1, table4 and core each certify the whole algebra once per
+    # signature when run alone (15 signatures at n <= 4), table2 certifies
+    # the even part (14, none at n = 0) and sigchange one ∨ per (n, mask)
+    # (31).  Within all, the first three share one pass per signature:
+    # 90 -> 60 passes at n <= 4, 174 -> 118 at the defaults (28 signatures
+    # at n <= 6, sigchange 63 at n <= 5)
+    import cliffsig.oracle as oracle
+
+    calls = []
+    honest = oracle._read_bicharacter
+
+    def counting(masks, row_op):
+        calls.append(len(masks))
+        return honest(masks, row_op)
+
+    monkeypatch.setattr(oracle, "_read_bicharacter", counting)
+    passes = {}
+    for name, max_n in [*((name, 4) for name in SUITES), ("all", None)]:
+        calls.clear()
+        assert run_suite(name, max_n).ok, name
+        passes[name, max_n] = len(calls)
+    assert passes == {
+        ("table1", 4): 15,
+        ("table2", 4): 14,
+        ("table4", 4): 15,
+        ("sigchange", 4): 31,
+        ("core", 4): 15,
+        ("all", 4): 60,
+        ("all", None): 118,
+    }
+
+
 def test_unknown_suite_and_bad_max_n():
     with pytest.raises(ValueError):
         run_suite("nope", 2)
@@ -158,7 +208,7 @@ def test_table4_reports_grading_count_mismatch(monkeypatch):
     import cliffsig.verify as verify
 
     monkeypatch.setattr(verify, "canonical_odd_mask", lambda sig, p1, q1: 0)
-    report = verify_table4(max_n=1)
+    report = run_suite("table4", 1)
     failing = {c.key: c.detail for c in report.cells if not c.ok}
     assert sorted(failing) == ["0,1,0,0", "1,0,0,0"]
     assert failing["1,0,0,0"] == (
@@ -193,7 +243,7 @@ def test_core_associativity_names_first_blade_triple(monkeypatch):
         return rows(blade_op)
 
     monkeypatch.setattr(verify, "geometric_row_op", twisted)
-    rep = verify.verify_core(max_n=5)
+    rep = run_suite("core", 5)
     cells = {c.key: c for c in rep.cells if c.key.endswith(":associativity")}
     assert len(cells) == 21 and cells.pop("0,0:associativity").ok
     for key, cell in cells.items():
@@ -221,7 +271,7 @@ def test_table4_product_leaving_the_span_fails_its_cell(monkeypatch):
         return rows(blade_op)
 
     monkeypatch.setattr(verify, "geometric_row_op", leaky)
-    report = verify_table4(max_n=1)
+    report = run_suite("table4", 1)
     assert len(report.cells) == 5 and report.violations == 5
     for c in report.cells:
         assert c.detail.endswith("; product of basis elements 0 and 0 leaves the span")
@@ -244,9 +294,9 @@ def test_table4_failure_is_attributed_to_its_cells(monkeypatch):
         return rows(blade_op)
 
     monkeypatch.setattr(verify, "geometric_row_op", twisted)
-    shared = verify_table4(max_n=2)
+    shared = run_suite("table4", 2)
     monkeypatch.setattr(verify, "certify", lambda masks, row_op: None)
-    per_basis = verify_table4(max_n=2)
+    per_basis = run_suite("table4", 2)
     assert [(c.key, c.ok, c.detail) for c in shared.cells] == [
         (c.key, c.ok, c.detail) for c in per_basis.cells
     ]
@@ -259,7 +309,6 @@ def _core_detail(monkeypatch, key, name=None, pair=None, fault=None):
     """The detail of the core cell ``key`` at n <= 5, with the kernel
     ``name`` altered by ``fault(sign, mask)`` on the one pair ``pair``."""
     from cliffsig import kernels
-    from cliffsig.verify import verify_core
 
     if name is not None:
         base = getattr(kernels, name)
@@ -269,7 +318,7 @@ def _core_detail(monkeypatch, key, name=None, pair=None, fault=None):
             return fault(sign, mask) if (x, y) == pair else (sign, mask)
 
         monkeypatch.setattr(kernels, name, kernel)
-    cells = {c.key: c for c in verify_core(max_n=5).cells}
+    cells = {c.key: c for c in run_suite("core", 5).cells}
     assert cells[key].ok == (name is None), cells[key].detail
     return cells[key].detail
 
@@ -336,7 +385,7 @@ def test_core_generators_name_the_first_pair(monkeypatch):
         return rows(blade_op)
 
     monkeypatch.setattr(verify, "geometric_row_op", commuting)
-    cells = {c.key: c for c in verify.verify_core(max_n=4).cells}
+    cells = {c.key: c for c in run_suite("core", 4).cells}
     assert cells["1,0:generators"].detail == "1 pairs, 0 violations"
     assert not cells["2,2:generators"].ok
     assert cells["2,2:generators"].detail == "10 pairs, 1 violations; first (e1, e2)"
@@ -348,7 +397,7 @@ def _failing_core_cells(monkeypatch, module, name, replacement):
     import cliffsig.verify as verify
 
     monkeypatch.setattr(module, name, replacement(getattr(module, name)))
-    cells = verify.verify_core(max_n=5).cells
+    cells = run_suite("core", 5).cells
     return {c.key.split(":")[1]: c.detail for c in cells if c.key.startswith("3,2:") and not c.ok}
 
 
@@ -470,7 +519,7 @@ def test_core_involutions_quote_a_failed_certificate(monkeypatch):
         return rows(blade_op)
 
     monkeypatch.setattr(verify, "geometric_row_op", twisted)
-    cells = {c.key: c for c in verify.verify_core(max_n=5).cells}
+    cells = {c.key: c for c in run_suite("core", 5).cells}
     assert cells["0,0:involutions"].ok
     for sig in signatures_up_to(5):
         if sig.n:
@@ -482,4 +531,25 @@ def test_core_involutions_quote_a_failed_certificate(monkeypatch):
             )
     assert cells["2,1:involutions"].detail == (
         "8 blades: no certificate: exhaustive triples, first violation (1, 1, e1)"
+    )
+
+
+def test_all_fails_each_cell_as_its_suite_alone(monkeypatch):
+    # e2 e1^e3 = -e1^e2^e3 made +e1^e2^e3 breaks the shared certificate
+    # of every signature with n >= 3: within all, the table1, table4 and
+    # core cells that read it fail with the details of their standalone
+    # runs, each table cell through its own pass
+    import cliffsig.verify as verify
+
+    def alter(sig):
+        return rows(_kernel_flipped_on((E2, E1 | E3))(geometric_blade_op(sig)))
+
+    monkeypatch.setattr(verify, "geometric_row_op", alter)
+    rep = run_suite("all", 4)
+    assert [(c.key, c.ok, c.detail) for c in rep.cells] == _joined(4)
+    failing = {c.key.split("/")[0] for c in rep.cells if not c.ok}
+    assert failing == {"table1", "table4", "core"}
+    details = {c.key: c.detail for c in rep.cells}
+    assert details["table1/3,0"] == (
+        "Cl(3,0) ~ M(2,C); not associative: exhaustive triples, first violation (e1, e2, e1^e3)"
     )
