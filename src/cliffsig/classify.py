@@ -11,7 +11,6 @@ produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable
 
@@ -19,18 +18,35 @@ DIVISION_RINGS = ("R", "C", "H")
 K_DIM = {"R": 1, "C": 2, "H": 4}
 
 
-@dataclass(frozen=True)
 class SimpleComponent:
-    """One simple factor M(m, K)."""
+    """One simple factor M(m, K); immutable, equal and hashed as (m, K)."""
 
-    m: int
-    K: str
+    __slots__ = ("m", "K")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, K: str):
+        if m < 1:
             raise ValueError("matrix size must be >= 1")
-        if self.K not in DIVISION_RINGS:
-            raise ValueError(f"unknown division ring {self.K!r}")
+        if K not in DIVISION_RINGS:
+            raise ValueError(f"unknown division ring {K!r}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "K", K)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SimpleComponent is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not SimpleComponent:
+            return NotImplemented
+        return self.m == other.m and self.K == other.K
+
+    def __hash__(self):
+        return hash((self.m, self.K))
+
+    def __reduce__(self):
+        return SimpleComponent, (self.m, self.K)
+
+    def __repr__(self) -> str:
+        return f"SimpleComponent(m={self.m!r}, K={self.K!r})"
 
     @property
     def real_dim(self) -> int:

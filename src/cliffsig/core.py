@@ -16,7 +16,6 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -38,23 +37,40 @@ class SignatureMismatch(ValueError):
     """Two multivectors from different Cl(p,q) were combined."""
 
 
-@dataclass(frozen=True)
 class Signature:
     """Metric signature (p,q) of the underlying quadratic space.
 
     Convention: the first p basis vectors square to +1, the last q to -1.
+    Immutable; equal and hashed as the pair (p, q), but never equal to a
+    plain tuple.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
+    def __init__(self, p: int, q: int):
+        if p < 0 or q < 0:
             raise ValueError("signature counts must be non-negative")
-        if self.p + self.q > MAX_DIMENSION:
-            raise ValueError(
-                f"p+q = {self.p + self.q} exceeds the dimension cap {MAX_DIMENSION}"
-            )
+        if p + q > MAX_DIMENSION:
+            raise ValueError(f"p+q = {p + q} exceeds the dimension cap {MAX_DIMENSION}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Signature is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Signature:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self):
+        return hash((self.p, self.q))
+
+    def __reduce__(self):
+        return Signature, (self.p, self.q)
+
+    def __repr__(self) -> str:
+        return f"Signature(p={self.p!r}, q={self.q!r})"
 
     @property
     def n(self) -> int:

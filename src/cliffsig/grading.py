@@ -10,9 +10,9 @@ handled by ``validate_involution``, which either reduces them to the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import kernels, linalg
 from .core import (
@@ -46,16 +46,34 @@ class EigenspaceViolation(ArithmeticError):
     two g-orthogonal nondegenerate subspaces, as the theory guarantees."""
 
 
-@dataclass(frozen=True)
 class Z2Grading:
     """Basis-aligned structure-preserving grading: ``odd_mask`` marks the
-    basis vectors spanning the odd 1-vector space."""
+    basis vectors spanning the odd 1-vector space.  Immutable; equal and
+    hashed as (sig, odd_mask)."""
 
-    sig: Signature
-    odd_mask: int = 0
+    __slots__ = ("sig", "odd_mask")
 
-    def __post_init__(self):
-        self.sig.check_mask(self.odd_mask)
+    def __init__(self, sig: Signature, odd_mask: int = 0):
+        sig.check_mask(odd_mask)
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "odd_mask", odd_mask)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Z2Grading is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Z2Grading:
+            return NotImplemented
+        return self.sig == other.sig and self.odd_mask == other.odd_mask
+
+    def __hash__(self):
+        return hash((self.sig, self.odd_mask))
+
+    def __reduce__(self):
+        return Z2Grading, (self.sig, self.odd_mask)
+
+    def __repr__(self) -> str:
+        return f"Z2Grading(sig={self.sig!r}, odd_mask={self.odd_mask!r})"
 
     @classmethod
     def from_odd_indices(cls, sig: Signature, indices) -> "Z2Grading":
@@ -150,8 +168,7 @@ def dimension_dichotomy_check(gr: Z2Grading) -> DimensionClass:
     return cls
 
 
-@dataclass
-class ClosureReport:
+class ClosureReport(NamedTuple):
     """Result of the exhaustive parity-closure sweep over blade pairs."""
 
     pairs_checked: int
@@ -178,8 +195,7 @@ def grading_closure_check(gr: Z2Grading) -> ClosureReport:
     return ClosureReport(pairs_checked=len(blades) ** 2, violations=violations)
 
 
-@dataclass(frozen=True)
-class InvolutionSplit:
+class InvolutionSplit(NamedTuple):
     """Outcome of validating a general involution: the signature data of
     g restricted to the +1/-1 eigenspaces, plus eigenbases (coordinate
     vectors over the standard basis)."""

@@ -63,7 +63,7 @@ references) as the references these shortcuts are compared with.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import AlgebraClass
 from .core import blade_indices
@@ -85,8 +85,7 @@ class NotTwisted(ValueError):
     """A product of two blades is not plus or minus their symmetric difference."""
 
 
-@dataclass(frozen=True)
-class StructuralInvariants:
+class StructuralInvariants(NamedTuple):
     """Isomorphism fingerprint.  For the semisimple algebras this package
     produces, the trace form is nondegenerate: pos + neg = dim."""
 
@@ -157,8 +156,7 @@ def _first_nonassociative_triple(masks, row_op):
     return None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """``oracle``'s result: whether the certificate proved associativity
     and its report, and ``problem``, the first failure ("" when there is
     none)."""
@@ -206,8 +204,7 @@ def _read_bicharacter(masks: list[int], row_op):
     return coords, table_b, table_sym, bad
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """What one ``certify`` pass found: its verdict and, when the pass is
     clean, the coordinates of every certified blade over B's GF(2) basis
     and B's two span tables, aᵀB and aᵀ(B+Bᵀ) indexed by the coordinate

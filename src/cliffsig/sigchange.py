@@ -31,9 +31,9 @@ they agree on all vectors exactly when they agree on every basis pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import kernels
 from .classify import classify_clifford
@@ -183,8 +183,7 @@ def weighted_antisymmetrization(x: Multivector, y: Multivector, gr: Z2Grading) -
     return total / 2
 
 
-@dataclass(frozen=True)
-class WedgeWitness:
+class WedgeWitness(NamedTuple):
     """Vectors where the naive antisymmetrization of ∨' fails to equal
     the exterior product."""
 
@@ -213,8 +212,7 @@ def find_wedge_counterexample(gr: Z2Grading) -> WedgeWitness | None:
     return None
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
@@ -228,8 +226,7 @@ class CheckResult:
         return cls(name, not bad, f"{head}, {len(bad)} violations{first}")
 
 
-@dataclass
-class CliffordMapReport:
+class CliffordMapReport(NamedTuple):
     """verify_clifford_map outcome: generator relations for the deformed
     metric, the defining identity, associativity, and fingerprint
     identity with Cl(r,s)."""
@@ -367,4 +364,4 @@ def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> Cliffor
     relations, associativity, fingerprint = product_checks
 
     checks = [relations, definition_check(sig, row_op, odd), associativity, fingerprint]
-    return CliffordMapReport(grading=gr, target=(r, s), checks=checks)
+    return CliffordMapReport(gr, (r, s), checks)

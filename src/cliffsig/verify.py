@@ -54,8 +54,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import kernels
 from .classify import (
@@ -80,18 +80,16 @@ from .oracle import Certificate, certify, format_blades, oracle
 from .sigchange import CheckResult, definition_check, generator_relations, verify_clifford_map
 
 
-@dataclass
-class Cell:
+class Cell(NamedTuple):
     key: str
     ok: bool
     detail: str
     seconds: float
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
-    cells: list[Cell] = field(default_factory=list)
+    cells: list[Cell]
 
     @property
     def violations(self) -> int:
@@ -326,11 +324,13 @@ def verify_core(sig: Signature, shared: dict):
         # anti-automorphism exactly when its signs are a quadratic
         # refinement of σ(a,b)σ(b,a), both decided off the certificate
         head, names = f"{len(blades)} blades: ", ("parity", "reversion")
+        xs = [Multivector.blade(sig, a) for a in blades]
+        negated = [-x for x in xs]
         signs = ({}, {})
         for name, law, sign in zip(names, (parity, reversion), signs):
-            for a in blades:
-                x = Multivector.blade(sig, a)
-                sign[a] = {x: 1, -x: -1}.get(law(x))
+            for a, x, minus_x in zip(blades, xs, negated):
+                y = law(x)
+                sign[a] = 1 if y == x else -1 if y == minus_x else None
                 if sign[a] is None:
                     return False, f"{head}{name} sends {format_blades([a])} off ± itself"
         certificate = whole_algebra(sig)
@@ -389,7 +389,7 @@ def run_suite(name: str, max_n: int | None = None, _seed=None) -> SuiteReport:
         raise ValueError(f"max_n must be between 0 and {MAX_DIMENSION}")
     names = list(_SUITE_FNS) if name == "all" else [name]
     limits = {sub: _SUITE_FNS[sub][1] if max_n is None else max_n for sub in names}
-    reports = {sub: SuiteReport(sub) for sub in names}
+    reports = {sub: SuiteReport(sub, []) for sub in names}
     whole_algebra.cache_clear()
     shared = {}
     for sig in signatures_up_to(max(limits.values())):

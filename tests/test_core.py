@@ -1,7 +1,9 @@
 """Core multivector arithmetic against the brute-force oracles."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,6 +15,8 @@ from cliffsig import (
     Multivector,
     Signature,
     SignatureMismatch,
+    SimpleComponent,
+    StructuralInvariants,
     Z2Grading,
     all_blades,
     alpha,
@@ -31,6 +35,7 @@ from cliffsig import (
     wedge,
 )
 from cliffsig.core import bilinear, even_grade_part, odd_grade_part
+from cliffsig.oracle import Verdict
 from cliffsig.sigchange import vee_alpha, vee_alpha_blade_op, vee_prime, vee_prime_blade_op
 from oracles import (
     from_multivector,
@@ -549,6 +554,57 @@ def test_signature_validation():
     with pytest.raises(ValueError):
         Signature(7, 6)  # beyond the cap
     assert Signature(6, 6).n == 12
+
+
+@pytest.mark.parametrize(
+    "cls, args, other, text, bad",
+    [
+        (Signature, (2, 1), (1, 2), "Signature(p=2, q=1)", [(-1, 0), (7, 6)]),
+        (
+            Z2Grading,
+            (Signature(2, 1), 0b101),
+            (Signature(2, 1), 0b100),
+            "Z2Grading(sig=Signature(p=2, q=1), odd_mask=5)",
+            [(Signature(2, 1), 0b1000)],
+        ),
+        (SimpleComponent, (2, "H"), (2, "C"), "SimpleComponent(m=2, K='H')", [(0, "R"), (1, "O")]),
+        (
+            StructuralInvariants,
+            (4, 1, (1, 3), (1, 0)),
+            (4, 1, (3, 1), (1, 0)),
+            "StructuralInvariants(dim=4, center_dim=1, trace_sig=(1, 3), center_trace_sig=(1, 0))",
+            [],
+        ),
+        (
+            Verdict,
+            (True, "ok", ""),
+            (True, "ok", "mismatch"),
+            "Verdict(associative=True, associativity='ok', problem='')",
+            [],
+        ),
+    ],
+    ids=["Signature", "Z2Grading", "SimpleComponent", "StructuralInvariants", "Verdict"],
+)
+def test_value_types_and_records(cls, args, other, text, bad):
+    # the three validated value types are __slots__ classes, equal only to
+    # their own kind; result records are NamedTuples, equal to the plain
+    # tuple of their fields.  Both are immutable, built positionally or by
+    # keyword, equal and hashed by their fields, copied and pickled, and
+    # shown as Name(field=value, ...)
+    fields = getattr(cls, "_fields", cls.__slots__)
+    x, y = cls(*args), cls(**dict(zip(fields, args)))
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y) == text
+    assert copy.deepcopy(x) == pickle.loads(pickle.dumps(x)) == x
+    assert x != cls(*other)
+    record = isinstance(x, tuple)
+    assert (x == args) is record and x.__eq__(args) is (True if record else NotImplemented)
+    with pytest.raises(AttributeError):
+        setattr(x, fields[0], args[0])
+    for wrong in bad:
+        with pytest.raises(ValueError):
+            cls(*wrong)
+        with pytest.raises(ValueError):
+            cls(**dict(zip(fields, wrong)))
 
 
 def test_all_blades_returns_a_new_list():

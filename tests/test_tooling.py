@@ -1,6 +1,9 @@
 """Source-level rules for the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cliffsig
@@ -161,7 +164,7 @@ def _calls(tree):
     return walk(tree, "<module>")
 
 
-def test_only_table4_shares_a_whole_algebra_certificate():
+def test_whole_algebra_is_the_one_shared_certificate():
     # verify.whole_algebra is the one owner of a shared whole-algebra
     # certificate: it certifies a signature once and keeps only the last,
     # and run_suite, the one walk over signatures, owns the cache's
@@ -276,16 +279,51 @@ def test_definition_rows_never_read_the_deformed_product():
     ], checks
 
 
+def _importers(module):
+    """Every place in the package that imports ``module`` or a name from it."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and module in {a.name for a in node.names} | {getattr(node, "module", None)}
+    ]
+
+
 def test_no_module_imports_random():
     # every law is decided exactly: the core suite's involutions and
     # decomposition cells read every blade pair and every (generator,
     # blade) pair, and the wedge witness search reads only basis pairs.  A
     # sampled law would need a draw, and this pin edited in the open
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        and "random" in {a.name for a in node.names} | {getattr(node, "module", None)}
-    ]
+    found = _importers("random")
     assert not found, f"random imported in the package: {found}"
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize, and
+    # each dataclass compiles its generated methods at import: together
+    # most of the package's import time, paid by every cliffsig process.
+    # Value types are __slots__ classes and result records NamedTuples
+    found = _importers("dataclasses")
+    assert not found, f"dataclasses imported in the package: {found}"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # the same rule at run time, for the whole import chain of the command
+    # line: a fresh interpreter importing cliffsig.cli loads neither module
+    # unless it had already (say, from a site hook) before the import
+    src = Path(cliffsig.__file__).resolve().parents[1]
+    code = (
+        "import sys; before = set(sys.modules); import cliffsig.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
