@@ -14,11 +14,13 @@ from __future__ import annotations
 from math import isqrt
 from typing import Iterable
 
+from .core import Frozen
+
 DIVISION_RINGS = ("R", "C", "H")
 K_DIM = {"R": 1, "C": 2, "H": 4}
 
 
-class SimpleComponent:
+class SimpleComponent(Frozen):
     """One simple factor M(m, K); immutable, equal and hashed as (m, K)."""
 
     __slots__ = ("m", "K")
@@ -31,23 +33,6 @@ class SimpleComponent:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "K", K)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SimpleComponent is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not SimpleComponent:
-            return NotImplemented
-        return self.m == other.m and self.K == other.K
-
-    def __hash__(self):
-        return hash((self.m, self.K))
-
-    def __reduce__(self):
-        return SimpleComponent, (self.m, self.K)
-
-    def __repr__(self) -> str:
-        return f"SimpleComponent(m={self.m!r}, K={self.K!r})"
-
     @property
     def real_dim(self) -> int:
         return self.m * self.m * K_DIM[self.K]
@@ -56,7 +41,7 @@ class SimpleComponent:
         return self.K if self.m == 1 else f"M({self.m},{self.K})"
 
 
-class AlgebraClass:
+class AlgebraClass(Frozen):
     """Multiset of simple components; equality is multiset equality."""
 
     __slots__ = ("components",)
@@ -68,9 +53,6 @@ class AlgebraClass:
         if not comps:
             raise ValueError("an algebra class needs at least one component")
         object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraClass is immutable")
 
     @classmethod
     def simple(cls, m: int, K: str) -> "AlgebraClass":
@@ -84,12 +66,6 @@ class AlgebraClass:
     @property
     def real_dim(self) -> int:
         return sum(c.real_dim for c in self.components)
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraClass) and self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
 
     def __str__(self) -> str:
         return " (+) ".join(str(c) for c in self.components)

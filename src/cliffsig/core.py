@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -37,7 +38,50 @@ class SignatureMismatch(ValueError):
     """Two multivectors from different Cl(p,q) were combined."""
 
 
-class Signature:
+class Frozen:
+    """Base of the value classes: immutable ``__slots__`` objects, equal,
+    hashed, pickled and shown by the tuple of their slot values.
+
+    A subclass sets each slot once, with ``object.__setattr__``; assigning
+    or deleting one afterwards raises ``AttributeError``.  A value equals
+    only a value of its own class, never a plain tuple.  ``__reduce__``
+    calls the class with the slot values, so a class whose constructor
+    takes other arguments defines its own.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self))
+        )
+        return f"{type(self).__name__}({fields})"
+
+
+class Signature(Frozen):
     """Metric signature (p,q) of the underlying quadratic space.
 
     Convention: the first p basis vectors square to +1, the last q to -1.
@@ -54,23 +98,6 @@ class Signature:
             raise ValueError(f"p+q = {p + q} exceeds the dimension cap {MAX_DIMENSION}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Signature is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not Signature:
-            return NotImplemented
-        return self.p == other.p and self.q == other.q
-
-    def __hash__(self):
-        return hash((self.p, self.q))
-
-    def __reduce__(self):
-        return Signature, (self.p, self.q)
-
-    def __repr__(self) -> str:
-        return f"Signature(p={self.p!r}, q={self.q!r})"
 
     @property
     def n(self) -> int:
@@ -158,7 +185,7 @@ def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
 # multivectors
 
 
-class Multivector:
+class Multivector(Frozen):
     """Element of Cl(p,q): integer numerators over one common denominator.
 
     Canonical form: ``_num`` maps blade masks to nonzero ints, ``_den`` is
@@ -196,9 +223,6 @@ class Multivector:
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "_num", {m: n * (den // d) for m, n, d in parts})
         object.__setattr__(self, "_den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
 
     # -- constructors
 
@@ -328,6 +352,9 @@ class Multivector:
             # equal to its scalar value, so it must hash like it
             return hash(self.scalar_part())
         return hash((self.sig, self._den, frozenset(self._num.items())))
+
+    def __reduce__(self):
+        return _new, (self.sig, self._num, self._den)
 
     def __bool__(self):
         return bool(self._num)

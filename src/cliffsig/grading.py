@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from . import kernels, linalg
 from .core import (
+    Frozen,
     Multivector,
     Signature,
     _check_same_sig,
@@ -46,7 +47,7 @@ class EigenspaceViolation(ArithmeticError):
     two g-orthogonal nondegenerate subspaces, as the theory guarantees."""
 
 
-class Z2Grading:
+class Z2Grading(Frozen):
     """Basis-aligned structure-preserving grading: ``odd_mask`` marks the
     basis vectors spanning the odd 1-vector space.  Immutable; equal and
     hashed as (sig, odd_mask)."""
@@ -57,23 +58,6 @@ class Z2Grading:
         sig.check_mask(odd_mask)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "odd_mask", odd_mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Z2Grading is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not Z2Grading:
-            return NotImplemented
-        return self.sig == other.sig and self.odd_mask == other.odd_mask
-
-    def __hash__(self):
-        return hash((self.sig, self.odd_mask))
-
-    def __reduce__(self):
-        return Z2Grading, (self.sig, self.odd_mask)
-
-    def __repr__(self) -> str:
-        return f"Z2Grading(sig={self.sig!r}, odd_mask={self.odd_mask!r})"
 
     @classmethod
     def from_odd_indices(cls, sig: Signature, indices) -> "Z2Grading":

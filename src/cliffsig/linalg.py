@@ -39,56 +39,43 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
+def _subtract(row: dict[int, Rational], f: Rational, piv: Mapping[int, Rational]) -> None:
+    """row -= f * piv in place, dropping the entries that cancel."""
+    for c, v in piv.items():
+        nv = row.get(c, 0) - f * v
+        if nv:
+            row[c] = nv
+        else:
+            row.pop(c, None)
+
+
 def nullspace(rows: Iterable[Mapping[int, Rational]], dim: int) -> list[list[Rational]]:
     """Basis of {x : row . x = 0 for every row} over ``dim`` coordinates.
 
     Each row is sparse, {column: nonzero value}.  Gauss-Jordan elimination
-    on dict rows gives the reduced row-echelon form; the basis has one
-    vector per free column f, with 1 at f and minus the pivot rows' f
-    entries at the pivot columns.  That basis is unique, whatever the row
-    order.  Entries are ints where integral (every 0 and every free-column
-    1) and Fractions otherwise.
+    on dict rows keeps the reduced row-echelon form as each row arrives:
+    the row is reduced by the pivot rows, normalised at its lowest column,
+    and that column is cleared from the other pivot rows.  A pivot row
+    keeps its entries beyond the pivot, whose 1 is implicit.  The basis
+    has one vector per free column f, with 1 at f and minus the pivot
+    rows' f entries at the pivot columns.  That basis is unique, whatever
+    the row order.  Entries are ints where integral (every 0 and every
+    free-column 1) and Fractions otherwise.
     """
     pivots: dict[int, dict[int, Rational]] = {}
     for row in rows:
         row = dict(row)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                d = row.pop(c)
-                norm = {cc: Fraction(vv, d) for cc, vv in row.items()}
-                norm[c] = 1
-                pivots[c] = norm
-                break
-            f = row.pop(c)
-            for cc, vv in piv.items():
-                if cc == c:
-                    continue
-                nv = row.get(cc, 0) - f * vv
-                if nv:
-                    row[cc] = nv
-                elif cc in row:
-                    del row[cc]
-    # back-substitute so each pivot column appears in its own row only
-    for c in sorted(pivots, reverse=True):
-        prow = pivots[c]
-        for c2 in pivots:
-            if c2 >= c:
-                continue
-            target = pivots[c2]
-            f = target.get(c)
-            if not f:
-                continue
-            del target[c]
-            for cc, vv in prow.items():
-                if cc == c:
-                    continue
-                nv = target.get(cc, 0) - f * vv
-                if nv:
-                    target[cc] = nv
-                elif cc in target:
-                    del target[cc]
+        for c in [c for c in row if c in pivots]:
+            _subtract(row, row.pop(c), pivots[c])
+        if not row:
+            continue
+        c = min(row)
+        d = row.pop(c)
+        new = {cc: Fraction(v, d) for cc, v in row.items()}
+        for piv in pivots.values():
+            if c in piv:
+                _subtract(piv, piv.pop(c), new)
+        pivots[c] = new
     basis = []
     for fcol in range(dim):
         if fcol in pivots:

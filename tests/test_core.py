@@ -1,6 +1,7 @@
 """Core multivector arithmetic against the brute-force oracles."""
 
 import copy
+import inspect
 import itertools
 import math
 import pickle
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffsig import (
+    AlgebraClass,
     Multivector,
     Signature,
     SignatureMismatch,
@@ -569,6 +571,20 @@ def test_signature_validation():
         ),
         (SimpleComponent, (2, "H"), (2, "C"), "SimpleComponent(m=2, K='H')", [(0, "R"), (1, "O")]),
         (
+            AlgebraClass,
+            ((SimpleComponent(1, "H"), SimpleComponent(2, "R")),),
+            ((SimpleComponent(1, "H"),),),
+            "AlgebraClass(M(2,R) (+) H)",
+            [((),)],
+        ),
+        (
+            Multivector,
+            (Signature(2, 1), {0b001: Fraction(1, 2), 0b110: -3}),
+            (Signature(2, 1), {0b001: Fraction(1, 2)}),
+            "<1/2*e1 - 3*e2^e3 :: Cl(2,1)>",
+            [(Signature(2, 1), {0b1000: 1})],
+        ),
+        (
             StructuralInvariants,
             (4, 1, (1, 3), (1, 0)),
             (4, 1, (3, 1), (1, 0)),
@@ -583,28 +599,43 @@ def test_signature_validation():
             [],
         ),
     ],
-    ids=["Signature", "Z2Grading", "SimpleComponent", "StructuralInvariants", "Verdict"],
+    ids=[
+        "Signature",
+        "Z2Grading",
+        "SimpleComponent",
+        "AlgebraClass",
+        "Multivector",
+        "StructuralInvariants",
+        "Verdict",
+    ],
 )
 def test_value_types_and_records(cls, args, other, text, bad):
-    # the three validated value types are __slots__ classes, equal only to
-    # their own kind; result records are NamedTuples, equal to the plain
-    # tuple of their fields.  Both are immutable, built positionally or by
-    # keyword, equal and hashed by their fields, copied and pickled, and
-    # shown as Name(field=value, ...)
-    fields = getattr(cls, "_fields", cls.__slots__)
-    x, y = cls(*args), cls(**dict(zip(fields, args)))
+    # the five value classes are __slots__ classes sharing one base,
+    # core.Frozen, and equal only to their own kind; result records are
+    # NamedTuples, equal to the plain tuple of their fields.  Both are
+    # immutable (no field can be assigned or deleted), built positionally
+    # or by keyword, equal and hashed by value, copied, deep-copied and
+    # pickled to an equal value, and shown by their repr text
+    record = issubclass(cls, tuple)
+    fields = cls._fields if record else cls.__slots__
+    names = list(inspect.signature(cls).parameters)[: len(args)]
+    x, y = cls(*args), cls(**dict(zip(names, args)))
     assert x == y and hash(x) == hash(y) and repr(x) == repr(y) == text
-    assert copy.deepcopy(x) == pickle.loads(pickle.dumps(x)) == x
+    for z in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert z == x and hash(z) == hash(x) and repr(z) == text
     assert x != cls(*other)
-    record = isinstance(x, tuple)
     assert (x == args) is record and x.__eq__(args) is (True if record else NotImplemented)
-    with pytest.raises(AttributeError):
-        setattr(x, fields[0], args[0])
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(x, field, getattr(x, field))
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    assert x == y and hash(x) == hash(y)
     for wrong in bad:
         with pytest.raises(ValueError):
             cls(*wrong)
         with pytest.raises(ValueError):
-            cls(**dict(zip(fields, wrong)))
+            cls(**dict(zip(names, wrong)))
 
 
 def test_all_blades_returns_a_new_list():

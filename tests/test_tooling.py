@@ -327,3 +327,36 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         check=True,
     )
     assert out.stdout.strip() == "[]", out.stdout + out.stderr
+
+
+def test_value_classes_share_one_frozen_base():
+    # immutability is written once, in core.Frozen: no other class refuses
+    # (or allows) assignment and deletion on its own, and every __slots__
+    # class that is not a NamedTuple record is a Frozen value, so it also
+    # copies, pickles and refuses del like the others
+    defines, unfrozen, bases = [], [], {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            where = f"{path.stem}.{node.name}"
+            names = {b.id for b in node.bases if isinstance(b, ast.Name)}
+            bases[where] = names
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name in {"__setattr__", "__delattr__"}:
+                    defines.append(f"{where}.{item.name}")
+                slots = isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+                )
+                if slots and ast.literal_eval(item.value) and not names & {"NamedTuple", "Frozen"}:
+                    unfrozen.append(where)
+    assert sorted(defines) == ["core.Frozen.__delattr__", "core.Frozen.__setattr__"], defines
+    assert not unfrozen, f"__slots__ classes outside Frozen: {unfrozen}"
+    values = sorted(w for w, names in bases.items() if "Frozen" in names)
+    assert values == [
+        "classify.AlgebraClass",
+        "classify.SimpleComponent",
+        "core.Multivector",
+        "core.Signature",
+        "grading.Z2Grading",
+    ], values
