@@ -453,10 +453,10 @@ def geometric_blade_op(sig: Signature):
 
 def geometric_row_op(sig: Signature):
     """Row sign function of the Clifford product of ``sig``: a blade and a
-    list of blades to ``geometric_blade_op``'s (sign, mask) for each, as
-    the oracle reads it."""
+    column view (``kernels.columns``) to the row ``(neg, zero)`` of
+    ``geometric_blade_op`` over it, as the oracle reads it."""
     neg = sig.neg_mask
-    return lambda ma, mbs: kernels.blade_mul_row(ma, mbs, neg)
+    return lambda ma, cols: (kernels.blade_mul_row(ma, cols, neg), 0)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:

@@ -9,10 +9,20 @@ the mask with the odd generators' squares flipped.
 Every sign is the parity of ``r & b`` for a mask ``r`` that depends on
 the left factor ``a`` alone: ``reorder_mask(a)`` for the merge
 permutation, XOR ``a & neg_mask`` for the squares of the common indices.
-``blade_mul_row`` computes ``r`` once for a whole row of right factors;
-``blade_mul`` is its one-pair form, and the wedge and both contractions
-are ``blade_mul`` where they do not vanish.  The test suite checks each
-against bubble-sort transposition counting.
+So over a list of right factors the signs are a GF(2) linear form in b.
+``columns`` slices a blade list into one bit plane per generator, and
+``blade_mul_row`` reads the row of ``a`` over it as one integer, the XOR
+of the planes of ``r``'s bits; ``blade_mul`` is its one-pair form, and
+the wedge and both contractions are ``blade_mul`` where they do not
+vanish.  The test suite checks each against bubble-sort transposition
+counting.
+
+A row of products is given as two bitmasks over the positions of a
+column view, ``(neg, zero)``: the products of sign -1, and those that
+vanish.  Each nonzero product of a and the blade at position j lies on
+their symmetric difference, so the row needs no masks; ``neg`` and
+``zero`` are disjoint.  Every row sign function of the package,
+``row_op(a, cols)``, returns such a row.
 """
 
 
@@ -49,11 +59,38 @@ def blade_mul(a, b, neg_mask):
     return -1 if (r & b).bit_count() & 1 else 1, a ^ b
 
 
-def blade_mul_row(a, bs, neg_mask):
-    """``[blade_mul(a, b, neg_mask) for b in bs]``, with the left factor's
-    sign mask computed once for the row."""
+def columns(bs):
+    """The column view of the blade list ``bs``: the list, and for each
+    generator e_{i+1} up to the highest one in ``bs`` the bit plane whose
+    bit j is set when ``bs[j]`` holds it."""
+    bs = list(bs)
+    planes = [0] * max(bs, default=0).bit_length()
+    for j, b in enumerate(bs):
+        bit = 1 << j
+        while b:
+            low = b & -b
+            planes[low.bit_length() - 1] |= bit
+            b ^= low
+    return bs, planes
+
+
+def blade_mul_row(a, cols, neg_mask):
+    """The positions j of the column view ``cols`` where
+    ``blade_mul(a, bs[j], neg_mask)`` has sign -1, as a bitmask: the XOR
+    of the planes of the bits of a's sign mask, at most n XORs."""
     r = reorder_mask(a) ^ (a & neg_mask)
-    return [(-1 if (r & b).bit_count() & 1 else 1, a ^ b) for b in bs]
+    row = 0
+    for plane in cols[1]:
+        if r & 1:
+            row ^= plane
+        r >>= 1
+    return row
+
+
+def row_sign(row, j):
+    """The sign, -1, 0 or 1, at position j of a row ``(neg, zero)``."""
+    neg, zero = row
+    return 0 if zero >> j & 1 else -1 if neg >> j & 1 else 1
 
 
 def blade_wedge(a, b):

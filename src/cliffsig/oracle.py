@@ -17,13 +17,20 @@ associative (Albuquerque and Majid, J. Pure Appl. Algebra 171 (2002)).
 ``certify`` is the one pass: it reads B and visits every pair of basis
 blades once, row by row, and its ``Certificate`` carries the verdict of
 every associativity check in the package, at every size.  The product is
-given as a row sign function ``row_op(a, bs)``, the (sign, mask) of a·b
-for every b in the list ``bs``, so a pass makes k + dim calls (k
-generator rows of B, then one per basis row) and still reads all dim²
-signs.  Before it compares them it builds two tables over the span, aᵀB
-and aᵀ(B+Bᵀ) for every coordinate bitmask a, one XOR per entry; a clean
-pass keeps them, and every fingerprint is then read off them, in Python
-ints with no division and no product:
+given as a row sign function ``row_op(a, cols)``, which returns the row
+of a over the column view ``cols`` of a blade list (``kernels.columns``)
+as two bitmasks over its positions, ``(neg, zero)``: the products of sign
+-1 and those that vanish, each nonzero one on the symmetric difference
+of its factors.  So a pass makes k + dim calls (k generator rows of B,
+then one per basis row), and each row of dim signs is compared as one
+integer.  Before it compares them it builds two tables over the span,
+aᵀB and aᵀ(B+Bᵀ) for every coordinate bitmask a, one XOR per entry, and
+the table of expected rows: for every coordinate bitmask v, the
+positions whose coordinates have odd overlap with v, doubled over
+coordinate planes read from the coordinates alone.  Row a is clean
+exactly when its ``neg`` is the expected row of aᵀB and no product
+vanishes.  A clean pass keeps B's tables, and every fingerprint is then
+read off them, in Python ints with no division and no product:
 
 * the certificate: every pair's sign equals (-1)^(aᵀBb), which proves
   associativity exactly, at every size;
@@ -52,12 +59,13 @@ form, they refine the commutation bicharacter σ(a,b)σ(b,a) =
 ``expected_invariants`` gives the fingerprint of a class in closed form.
 ``oracle`` reads the certificate's fingerprint and compares the two.
 The row sign functions are the row forms of the bit-reorder kernels of
-``kernels`` (``blade_mul_row``), which the test suite checks pair by pair
+``kernels`` (``blade_mul_row``), which the test suite checks bit by bit
 against ``blade_mul`` and bubble-sort transposition counting; none is
-computed from B, so the certificate is a check of those kernels.  The
-test suite keeps the sign-table route and the dense construction (dict
-tables, a center nullspace, congruence diagonalization, matrix-unit
-references) as the references these shortcuts are compared with.
+computed from B or from the expected rows, so the certificate is a check
+of those kernels.  The test suite keeps the sign-table route and the
+dense construction (dict tables, a center nullspace, congruence
+diagonalization, matrix-unit references) as the references these
+shortcuts are compared with.
 """
 
 from __future__ import annotations
@@ -67,6 +75,7 @@ from typing import NamedTuple
 
 from .classify import AlgebraClass
 from .core import blade_indices
+from .kernels import columns, row_sign
 
 #: dim**3 at or below which a failed certificate is followed by a search
 #: of every triple for an associativity witness.
@@ -82,7 +91,9 @@ class NotIndependent(ValueError):
 
 
 class NotTwisted(ValueError):
-    """A product of two blades is not plus or minus their symmetric difference."""
+    """A product of two blades is not plus or minus their symmetric
+    difference, which no row ``(neg, zero)`` can hold: raised by a row
+    sign function made from a product that is not a twist."""
 
 
 class StructuralInvariants(NamedTuple):
@@ -140,18 +151,20 @@ def _span_tables(rows: list[int]) -> tuple[list[int], list[int]]:
 
 def _first_nonassociative_triple(masks, row_op):
     """First blade triple (a, b, c) of ``masks`` with (ab)c != a(bc), read
-    through ``row_op`` one-element rows on a closed, twisted basis, or
-    None; None at once when dim**3 > _EXHAUSTIVE_TRIPLES."""
+    from one ``row_op`` row per blade on a closed, twisted basis, or None;
+    None at once when dim**3 > _EXHAUSTIVE_TRIPLES."""
     if not associativity_is_exhaustive(len(masks)):
         return None
+    cols = columns(masks)
+    position = {m: j for j, m in enumerate(masks)}
+    rows = {a: row_op(a, cols) for a in masks}
 
-    def blade_op(a, b):
-        return row_op(a, [b])[0]
+    def sign(a, b):
+        return row_sign(rows[a], position[b])
 
     for a, b, c in itertools.product(masks, repeat=3):
-        s, ab = blade_op(a, b)
-        t, bc = blade_op(b, c)
-        if (s and s * blade_op(ab, c)[0]) != (t and t * blade_op(a, bc)[0]):
+        s, t = sign(a, b), sign(b, c)
+        if (s and s * sign(a ^ b, c)) != (t and t * sign(a, b ^ c)):
             return a, b, c
     return None
 
@@ -170,37 +183,55 @@ class Verdict(NamedTuple):
         return not self.problem
 
 
+def _overlap_rows(column: list[int], k: int) -> list[int]:
+    """For every coordinate bitmask v < 2**k, the positions j whose
+    coordinates ``column[j]`` have odd overlap with v, as a bitmask: the
+    expected row of signs -1 of a row whose aᵀB is v.  Doubled over the k
+    coordinate planes, which are read from ``column`` alone, never from
+    the column view a row function reads, so no row is compared with a
+    table made from its own planes."""
+    planes = [0] * k
+    for j, c in enumerate(column):
+        bit = 1 << j
+        while c:
+            low = c & -c
+            planes[low.bit_length() - 1] |= bit
+            c ^= low
+    table = [0]
+    for plane in planes:
+        table += [x ^ plane for x in table]
+    return table
+
+
 def _read_bicharacter(masks: list[int], row_op):
     """The certificate pass over every pair of the blade basis ``masks``:
     each mask's coordinates over B's GF(2) basis, B's two span tables
     (``_span_tables``), and the first pair whose sign is not (-1)^(aᵀBb),
-    or None.  ``row_op`` is called once per generator row of B and once
-    per basis row.  An empty or repeated mask list raises NotIndependent,
-    a nonzero product landing on a blade outside the list raises
-    NotClosed, and one that is not plus or minus the symmetric difference
-    of its factors raises NotTwisted, at the first such pair in row-major
-    order."""
+    or None.  ``row_op`` is called once per generator row of B, whose
+    ``neg`` is B's row, and once per basis row, which is clean exactly
+    when its ``neg`` is the expected row of aᵀB (``_overlap_rows``) and no
+    product vanishes; the first pair off the bicharacter is the lowest
+    bit where the first unclean row differs.  An empty or repeated mask
+    list raises NotIndependent, and a nonzero product landing on a blade
+    outside the list raises NotClosed, at the first such pair in
+    row-major order."""
     generators, coords, span = _coordinates(masks)
     unclosed = len(masks) < span  # else a ^ b is always a basis blade
-    table_b, table_sym = _span_tables([
-        sum((s < 0) << j for j, (s, _) in enumerate(row_op(g, generators)))
-        for g in generators
-    ])
+    gen_cols = columns(generators)
+    table_b, table_sym = _span_tables([row_op(g, gen_cols)[0] for g in generators])
+    column = [coords[m] for m in masks]
+    expected = _overlap_rows(column, len(generators))
+    cols = columns(masks)
     bad = None
-    column = list(coords.values())
-    for a, ca in zip(masks, column):
-        row = table_b[ca]
-        for (s, mask), b, cb in zip(row_op(a, masks), masks, column, strict=True):
-            if s and (mask != a ^ b or unclosed and mask not in coords):
-                i, j = masks.index(a), masks.index(b)
-                if mask not in coords:
+    for i, (a, ca) in enumerate(zip(masks, column)):
+        neg, zero = row_op(a, cols)
+        if unclosed:
+            for j, b in enumerate(masks):
+                if not zero >> j & 1 and a ^ b not in coords:
                     raise NotClosed(f"product of basis elements {i} and {j} leaves the span")
-                raise NotTwisted(
-                    f"product of basis elements {i} and {j} is not "
-                    f"plus or minus the blade {a ^ b:#b}"
-                )
-            if s != (-1 if (row & cb).bit_count() & 1 else 1) and bad is None:
-                bad = a, b
+        off = (neg ^ expected[table_b[ca]]) | zero
+        if off and bad is None:
+            bad = a, masks[(off & -off).bit_length() - 1]
     return coords, table_b, table_sym, bad
 
 
@@ -284,17 +315,17 @@ def certify(masks, row_op) -> Certificate:
     associativity, and every blade's coordinates with B's tables when it
     is clean.
 
-    ``row_op(a, bs)`` gives the (sign, mask) of a·b for every b in the list
-    ``bs``.  B is read from ``row_op`` on a GF(2) basis of the span chosen
-    among ``masks``, one call per generator row, then one call per basis
-    row reads every pair, whose sign is compared with (-1)^(aᵀBb).  The
-    verdict fails on an empty or repeated mask list (the NotIndependent
-    message), a nonzero product landing on a blade outside the list
-    (NotClosed) or one that is not plus or minus the symmetric difference
-    of its factors (NotTwisted), at the first such pair in row-major
-    order.  On a failed comparison every triple is searched while
-    dim**3 <= 4096; the verdict names the first non-associative triple,
-    else the first failing pair."""
+    ``row_op(a, cols)`` gives the row ``(neg, zero)`` of a over the column
+    view ``cols`` (``kernels.columns``).  B is read from ``row_op`` on a
+    GF(2) basis of the span chosen among ``masks``, one call per generator
+    row, then one call per basis row reads every pair, and each row is
+    compared with the signs (-1)^(aᵀBb) as one integer.  The verdict fails
+    on an empty or repeated mask list (the NotIndependent message), a
+    nonzero product landing on a blade outside the list (NotClosed), at
+    the first such pair in row-major order, or a NotClosed or NotTwisted
+    that ``row_op`` raises.  On a failed comparison every triple is
+    searched while dim**3 <= 4096; the verdict names the first
+    non-associative triple, else the first failing pair."""
     masks = list(masks)
     try:
         coords, table_b, table_sym, bad = _read_bicharacter(masks, row_op)

@@ -84,10 +84,10 @@ def vee_alpha_blade_op(gr: Z2Grading):
 
 
 def vee_alpha_row_op(gr: Z2Grading):
-    """Row sign function of ∨, ``vee_alpha_blade_op`` over a list of right
-    factors at once, as the oracle reads it."""
+    """Row sign function of ∨, ``vee_alpha_blade_op`` over a column view
+    of right factors at once, as the oracle reads it."""
     neg = gr.sig.neg_mask ^ gr.odd_mask
-    return lambda x, ys: kernels.blade_mul_row(x, ys, neg)
+    return lambda x, cols: (kernels.blade_mul_row(x, cols, neg), 0)
 
 
 def vee_alpha_key(gr: Z2Grading) -> tuple[int, int]:
@@ -244,73 +244,95 @@ class CliffordMapReport(NamedTuple):
         return sum(not c.ok for c in self.checks)
 
 
-def _signed_sum(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int] | None:
-    """The signed blades x + y, each a (sign, mask) pair with sign 0 for
-    zero, as one such pair, (0, 0) for zero; None when they are two
-    different blades, a sum that no pair stands for."""
+def _signed_sum(x: tuple[int, int], y: tuple[int, int], target: int) -> int | None:
+    """The sign s in (-1, 0, 1) with x + y = s e_target, for signed blades
+    x and y, each a (sign, mask) pair with sign 0 for zero; None when the
+    sum is no such multiple of e_target."""
     (sx, mx), (sy, my) = x, y
     if sx and sy and mx != my:
         return None
     total = sx + sy
-    return (total, mx if sx else my) if total else (0, 0)
+    if total and (abs(total) > 1 or (mx if sx else my) != target):
+        return None
+    return total
+
+
+#: The (neg, zero) bits of a row position holding each ``_signed_sum``:
+#: None sets both, which no row of a product has.
+_ROW_BITS = {1: (0, 0), -1: (1, 0), 0: (0, 1), None: (1, 1)}
 
 
 def generator_relations(row_op, n: int, neg: int) -> CheckResult:
     """e_i e_j + e_j e_i = 2 g(e_i, e_j) on the n generators, for the
     product whose row sign function is ``row_op`` and the metric whose
     generators in the mask ``neg`` square to -1, the rest to +1.  Read
-    from the n rows e_i (e_1, ..., e_n), over the n(n+1)/2 pairs i <= j;
-    a failing check names its first pair."""
+    from the n rows e_i (e_1, ..., e_n), over the n(n+1)/2 pairs i <= j:
+    both products of a pair lie on e_i ^ e_j, so their sum is the sum of
+    their signs on it.  A failing check names its first pair."""
     generators = [1 << k for k in range(n)]
-    rows = [row_op(a, generators) for a in generators]
+    cols = kernels.columns(generators)
+    rows = [row_op(a, cols) for a in generators]
     bad = []
     for i, a in enumerate(generators):
         for j in range(i, n):
-            want = (-2 if a & neg else 2, 0) if i == j else (0, 0)
-            if _signed_sum(rows[i][j], rows[j][i]) != want:
+            want = (-2 if a & neg else 2) if i == j else 0
+            if kernels.row_sign(rows[i], j) + kernels.row_sign(rows[j], i) != want:
                 bad.append((a, generators[j]))
     return CheckResult.counted("generator-relations", f"{n * (n + 1) // 2} pairs", bad)
 
 
-def _expected_rows(e: int, blades: list[int], neg: int) -> tuple[list, list]:
+def _expected_rows(e: int, blades: list[int], neg: int) -> tuple[tuple, tuple]:
     """The rows e^A + e⌟A and e^A - e⌟A over ``blades`` for the generator
-    ``e``, under the metric whose generators in ``neg`` square to -1."""
+    ``e``, under the metric whose generators in ``neg`` square to -1, as
+    rows ``(neg, zero)``; a sum that is not one signed blade on e ^ A sets
+    both bits of its position (``_ROW_BITS``)."""
     pairs = [(kernels.blade_wedge(e, a), kernels.blade_left_contract(e, a, neg)) for a in blades]
-    return tuple([_signed_sum(w, (alpha * c, m)) for w, (c, m) in pairs] for alpha in (1, -1))
+    rows = []
+    for alpha in (1, -1):
+        negs = zeros = 0
+        for j, (a, (w, (c, m))) in enumerate(zip(blades, pairs)):
+            neg_bit, zero_bit = _ROW_BITS[_signed_sum(w, (alpha * c, m), e ^ a)]
+            negs |= neg_bit << j
+            zeros |= zero_bit << j
+        rows.append((negs, zeros))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=1)
-def _definition_rows(sig: Signature) -> list[tuple[list, list]]:
-    """For each generator e of ``sig``, the rows e^A + e⌟A and e^A - e⌟A
-    over ``all_blades(sig)``: what e ∨ A must be for even and for odd e.
+def _definition_rows(sig: Signature) -> tuple[tuple, list[tuple[tuple, tuple]]]:
+    """The column view of ``all_blades(sig)`` and, for each generator e of
+    ``sig``, the rows e^A + e⌟A and e^A - e⌟A over it: what e ∨ A must be
+    for even and for odd e.
 
     Each entry is summed from the original metric's wedge and contraction
-    kernels, never from ∨, so comparing it with a ∨ row is no tautology;
-    a sum that is not one signed blade is None, which equals no entry of a
-    row.  The rows depend on the signature alone, and a sweep visits one
+    kernels, never from ∨, so comparing it with a ∨ row is no tautology.
+    The rows depend on the signature alone, and a sweep visits one
     signature's gradings, or its core cells, in a row, so only the last
     signature's are kept."""
     blades = all_blades(sig)
-    return [_expected_rows(1 << k, blades, sig.neg_mask) for k in range(sig.n)]
+    rows = [_expected_rows(1 << k, blades, sig.neg_mask) for k in range(sig.n)]
+    return kernels.columns(blades), rows
 
 
 def definition_check(sig: Signature, row_op, odd: int) -> CheckResult:
     """e ∨ A = e^A + alpha(e)⌟A on every generator e and blade A of
     ``sig``, for the product whose row sign function is ``row_op`` and the
     grading whose generators in the mask ``odd`` are alpha-odd.  One row
-    e ∨ (every blade) per generator is compared, as a whole list, with
+    e ∨ (every blade) per generator is compared, as two integers, with
     the row e^A ± e⌟A of ``_definition_rows``, the sign picked by
-    alpha(e) = ±e; a row that differs is read pair by pair to count and
-    name its violations.  Both sides are bilinear, so the identity then
-    holds for every 1-vector and multivector.  With ``odd`` = 0 it is
-    v a = v^a + v⌟a for the geometric product."""
-    blades = all_blades(sig)
+    alpha(e) = ±e; the bits where a row differs name its violations.
+    Both sides are bilinear, so the identity then holds for every 1-vector
+    and multivector.  With ``odd`` = 0 it is v a = v^a + v⌟a for the
+    geometric product."""
+    cols, rows = _definition_rows(sig)
+    blades = cols[0]
     bad = []
-    for k, (plus, minus) in enumerate(_definition_rows(sig)):
+    for k, (plus, minus) in enumerate(rows):
         e = 1 << k
-        want, got = (minus if e & odd else plus), row_op(e, blades)
+        want, got = (minus if e & odd else plus), row_op(e, cols)
         if got != want:
-            bad += [(e, a) for a, w, z in zip(blades, want, got) if w != z]
+            off = (got[0] ^ want[0]) | (got[1] ^ want[1])
+            bad += [(e, a) for j, a in enumerate(blades) if off >> j & 1]
     pairs = f"{sig.n * len(blades)} (generator, blade) pairs"
     return CheckResult.counted("definition", pairs, bad)
 

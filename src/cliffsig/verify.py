@@ -40,14 +40,16 @@ Suites:
 
 No cell samples: every law is decided exactly, at every size, and no
 suite draws at random.  Every associativity verdict is the oracle's
-``certify`` pass over all blade pairs.  The core suite's generator
-relations read the generator rows; its adjointness cell decides all
-dim**3 blade triples from the kernel rows by pairs; its involutions cell
-reads ``core.parity`` and ``core.reversion`` on every blade and decides
-their laws on every blade pair off the certificate; and its
-decomposition cell is ``sigchange``'s definition check for the trivial
-grading, on every (generator, blade) pair, which decides the bilinear
-identity for all vectors and multivectors.
+``certify`` pass over all blade pairs, which reads the product one row
+per blade, as the two integers ``(neg, zero)`` of ``kernels``, and
+compares each row with the bicharacter's as one integer.  The core
+suite's generator relations read the n generator rows; its adjointness
+cell decides all dim**3 blade triples from the pair kernels; its
+involutions cell reads ``core.parity`` and ``core.reversion`` on every
+blade and decides their laws on every blade pair off the certificate;
+and its decomposition cell is ``sigchange``'s definition check for the
+trivial grading, on every (generator, blade) pair, which decides the
+bilinear identity for all vectors and multivectors.
 """
 
 from __future__ import annotations

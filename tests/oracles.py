@@ -282,10 +282,33 @@ def ref_extended_metric(a: MaskTerms, b: MaskTerms, metric_sign) -> Fraction:
 
 
 def rows(pair_op):
-    """The row sign function the oracle reads, ``row_op(a, bs)``, made from
-    a blade sign function one pair at a time: how the tests hand the
-    oracle a product they have altered or tabulated pair by pair."""
-    return lambda a, bs: [pair_op(a, b) for b in bs]
+    """The row sign function the oracle reads, ``row_op(a, cols)``, made
+    from a blade sign function one pair at a time: how the tests hand the
+    oracle a product they have altered or tabulated pair by pair.  Both
+    ints of the row ``(neg, zero)`` are built pair by pair over the column
+    list.  At the first nonzero pair whose mask is not a ^ b, which no row
+    can hold, it raises NotClosed if the mask lies outside the column
+    list, else NotTwisted."""
+    from cliffsig import NotClosed, NotTwisted
+    from cliffsig.oracle import format_blades
+
+    def row_op(a, cols):
+        bs = cols[0]
+        neg = zero = 0
+        for j, b in enumerate(bs):
+            sign, mask = pair_op(a, b)
+            if not sign:
+                zero |= 1 << j
+            elif mask != a ^ b:
+                pair = format_blades((a, b))
+                if mask not in bs:
+                    raise NotClosed(f"product {pair} leaves the span")
+                raise NotTwisted(f"product {pair} is not plus or minus the blade {a ^ b:#b}")
+            elif sign < 0:
+                neg |= 1 << j
+        return neg, zero
+
+    return row_op
 
 
 class StructureConstants:
@@ -664,10 +687,11 @@ def definition_reference(gr, row_op):
     for k in range(sig.n):
         e = 1 << k
         alpha_e = -1 if e & gr.odd_mask else 1
-        for a, got in zip(blades, row_op(e, blades)):
+        row = row_op(e, kernels.columns(blades))
+        for j, a in enumerate(blades):
             sign, mask = kernels.blade_left_contract(e, a, sig.neg_mask)
             want = _signed_blades(kernels.blade_wedge(e, a), (alpha_e * sign, mask))
-            if _signed_blades(got) != want:
+            if _signed_blades((kernels.row_sign(row, j), e ^ a)) != want:
                 bad.append((e, a))
     pairs = f"{sig.n * len(blades)} (generator, blade) pairs"
     return CheckResult.counted("definition", pairs, bad)

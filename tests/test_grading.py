@@ -224,28 +224,41 @@ def test_closure_examples():
 
 
 def test_closure_names_a_product_of_the_wrong_parity(monkeypatch, capsys):
-    # a row sign function that sends e1 e2 to e2 instead of e1^e2 puts an
-    # odd·even product in the even part under odd = {e1}: the sweep names
-    # exactly that pair, and the CLI exits 1
-    row_op = grading.geometric_row_op
+    # e1 e2 lands on e1^e2; a blade parity that calls e1^e2 even under
+    # odd = {e1} (and e2^e3 odd, so the even part keeps its dimension)
+    # puts that odd·even product in the even part, so the blade parities
+    # are no character: the sweep names every pair whose product lands on
+    # the wrong side, the first (e1, e2), and the CLI exits 1
+    honest = Z2Grading.blade_parity
 
-    def broken(sig):
-        op = row_op(sig)
+    def broken(self, mask):
+        return honest(self, mask) ^ (mask in (0b011, 0b110))
 
-        def row(a, bs):
-            out = op(a, bs)
-            if a == 0b001:
-                out = [(s, 0b010) if b == 0b010 else (s, m) for (s, m), b in zip(out, bs)]
-            return out
-
-        return row
-
-    monkeypatch.setattr(grading, "geometric_row_op", broken)
-    rep = grading_closure_check(Z2Grading.from_odd_indices(Signature(2, 1), [1]))
-    assert rep.violations == [(0b001, 0b010)] and not rep.ok
+    monkeypatch.setattr(Z2Grading, "blade_parity", broken)
+    gr = Z2Grading.from_odd_indices(Signature(2, 1), [1])
+    rep = grading_closure_check(gr)
+    blades = all_blades(gr.sig)
+    parity = {m: gr.blade_parity(m) for m in blades}
+    assert rep.violations == [
+        (a, b) for a in blades for b in blades if parity[a ^ b] != parity[a] ^ parity[b]
+    ]
+    assert rep.violations[:2] == [(0b001, 0b010), (0b001, 0b011)] and not rep.ok
+    assert len(rep.violations) == 24
     assert rep.pairs_checked == 64
     assert main(["grading", "--sig", "2,1", "--odd", "e1"]) == 1
     assert "closure: VIOLATED (64 blade pairs)" in capsys.readouterr().out
+
+
+def test_closure_reads_no_product(monkeypatch):
+    # the check decides the parity law on the masks every product lands
+    # on, a ^ b, and calls no sign function: with every kernel gone it
+    # still passes on every grading of Cl(2,1)
+    import cliffsig.kernels as kernels
+
+    for name in ("blade_mul", "blade_mul_row", "columns"):
+        monkeypatch.delattr(kernels, name)
+    for odd in range(8):
+        assert grading_closure_check(Z2Grading(Signature(2, 1), odd)).ok
 
 
 # -- involution validation ----------------------------------------------------

@@ -2,6 +2,7 @@
 under the package's (p, q) metrics and under any set of negative squares."""
 
 import itertools
+import random
 
 from cliffsig import blade_indices, kernels
 from oracles import naive_blade_product
@@ -66,9 +67,10 @@ def test_reorder_mask_against_its_definition():
 
 
 def test_row_kernel_against_pairs_and_naive_oracle():
-    # each row equals blade_mul pair by pair and the transposition count:
-    # every pair for four signatures with n <= 6, and every negative set
-    # with n <= 4
+    # every bit of each row equals blade_mul pair by pair and the
+    # transposition count: every pair for four signatures with n <= 6, and
+    # every negative set with n <= 4, over every blade in order and over a
+    # shuffled proper subset, where no position holds its own mask
     cases = [
         (p + q, ((1 << q) - 1) << p, p, q, None)
         for p, q in [(6, 0), (3, 3), (0, 6), (2, 3)]
@@ -79,13 +81,34 @@ def test_row_kernel_against_pairs_and_naive_oracle():
     ]
     rows = 0
     for n, neg, p, q, neg_indices in cases:
-        bs = list(range(1 << n))
-        for a in bs:
-            row = kernels.blade_mul_row(a, bs, neg)
-            assert row == [kernels.blade_mul(a, b, neg) for b in bs], (n, neg, a)
-            for b, (sign, mask) in zip(bs, row):
-                want = naive_blade_product(blade_indices(a), blade_indices(b), p, q, neg_indices)
-                assert (sign, blade_indices(mask)) == want, (n, neg, a, b)
-            rows += 1
-    assert rows == 3 * 64 + 32 + sum(4**n for n in range(5))
-    assert kernels.blade_mul_row(0b101, [], 0) == []
+        every = list(range(1 << n))
+        subset, rng = every[1:], random.Random(n)
+        while any(b == j for j, b in enumerate(subset)):
+            rng.shuffle(subset)
+        for bs in (every, subset):
+            cols = kernels.columns(bs)
+            assert cols[0] == bs
+            for a in every:
+                row = kernels.blade_mul_row(a, cols, neg)
+                assert row >> len(bs) == 0, (n, neg, a)
+                for j, b in enumerate(bs):
+                    sign, mask = kernels.blade_mul(a, b, neg)
+                    assert (-1 if row >> j & 1 else 1, a ^ b) == (sign, mask), (n, neg, a, b)
+                    assert kernels.row_sign((row, 0), j) == sign
+                    want = naive_blade_product(blade_indices(a), blade_indices(b), p, q, neg_indices)
+                    assert (sign, blade_indices(a ^ b)) == want, (n, neg, a, b)
+                rows += 1
+    assert rows == 2 * (3 * 64 + 32 + sum(4**n for n in range(5)))
+    empty = kernels.columns([])
+    assert empty == ([], [])
+    assert kernels.blade_mul_row(0b101, empty, 0) == 0
+
+
+def test_column_planes_hold_each_generator():
+    # bit j of plane i is set exactly when bs[j] holds e_{i+1}, up to the
+    # highest generator in the list
+    bs = [0b10110, 0b1, 0, 0b100, 0b11111]
+    _, planes = kernels.columns(iter(bs))
+    assert len(planes) == 5
+    for i, plane in enumerate(planes):
+        assert plane == sum(1 << j for j, b in enumerate(bs) if b >> i & 1), i

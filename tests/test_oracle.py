@@ -119,14 +119,13 @@ def test_not_independent():
 def test_product_off_the_symmetric_difference_rejected():
     # every shortcut of the oracle rests on e_a e_b = ±e_{a^b}: e1 e1 = e1
     # is inside the span but not on the blade 0, so it is refused
+    # by the table, and by the row function, which names the pair as blades
     def op(a, b):
         return 1, a | b
 
     with pytest.raises(NotTwisted, match="basis elements 1 and 1"):
         regular_representation([0, 1], op)
-    assert refused([0, 1], op) == (
-        "product of basis elements 1 and 1 is not plus or minus the blade 0b0"
-    )
+    assert refused([0, 1], op) == "product (e1, e1) is not plus or minus the blade 0b0"
 
 
 def test_zero_sign_gives_empty_cell():
@@ -155,9 +154,9 @@ def test_a_pass_reads_one_row_per_call():
         honest = geometric_row_op(sig)
         calls = []
 
-        def spy(a, bs):
-            calls.append((a, list(bs)))
-            return honest(a, bs)
+        def spy(a, cols):
+            calls.append((a, list(cols[0])))
+            return honest(a, cols)
 
         assert certify(masks, spy).verdict.ok
         k, dim = sig.n, len(masks)
@@ -290,11 +289,14 @@ def test_not_associative_carries_first_triple():
 
 
 def flipped_in_row(row_op, a, b):
-    """``row_op`` with the sign of a·b negated in the row of ``a``."""
+    """``row_op`` with the sign of a·b negated in the row of ``a``: its
+    bit in ``neg`` flipped wherever ``b`` is a column."""
 
-    def flipped_row_op(x, bs):
-        got = row_op(x, bs)
-        return [(-s, m) if (x, y) == (a, b) else (s, m) for (s, m), y in zip(got, bs)]
+    def flipped_row_op(x, cols):
+        neg, zero = row_op(x, cols)
+        if x == a and b in cols[0]:
+            neg ^= 1 << cols[0].index(b)
+        return neg, zero
 
     return flipped_row_op
 
@@ -626,7 +628,7 @@ def test_certify_refuses_a_failing_pass():
         ([0b00, 0b01, 0b10], geometric_blade_op(sig),
          "product of basis elements 1 and 2 leaves the span"),
         ([0, 1], lambda a, b: (1, a | b),
-         "product of basis elements 1 and 1 is not plus or minus the blade 0b0"),
+         "product (e1, e1) is not plus or minus the blade 0b0"),
         ([], geometric_blade_op(sig), "empty basis"),
     ]
     for masks, op, problem in cases:
@@ -634,6 +636,40 @@ def test_certify_refuses_a_failing_pass():
         assert not cert.verdict.ok and cert.verdict.problem == problem, masks
         with pytest.raises(NotClosed, match="0b0 is not among the certified blades"):
             cert.invariants([0b0])
+
+
+def first_pair_off_the_bicharacter(masks, op, n):
+    """The first pair (x, y) of ``masks`` in row-major order whose sign
+    under the blade sign function ``op`` is not (-1)^(xᵀBy), with B read
+    from ``op`` on the n unit generators, which are the coordinates of
+    every blade list holding them: the pass's witness, scanned pair by
+    pair."""
+    b = [[op(1 << i, 1 << j)[0] < 0 for j in range(n)] for i in range(n)]
+    for x, y in itertools.product(masks, repeat=2):
+        odd = sum(b[i][j] for i in range(n) for j in range(n) if x >> i & 1 and y >> j & 1)
+        if op(x, y)[0] != (-1) ** odd:
+            return x, y
+    return None
+
+
+def test_every_flipped_bit_fails_as_its_flipped_pair():
+    # the bit path's witness order: on Cl(2,1) each of the 64 pairs flipped
+    # in turn in its bit row fails the pass, with the verdict the same flip
+    # gives when the rows are built pair by pair, and the pass's first pair
+    # off the bicharacter is the first a scan of every pair finds
+    from cliffsig.oracle import _read_bicharacter
+
+    sig = Signature(2, 1)
+    masks = all_blades(sig)
+    for a, b in itertools.product(masks, repeat=2):
+        row_op = flipped_in_row(geometric_row_op(sig), a, b)
+        op = flipped(geometric_blade_op(sig), (a, b))
+        got = certify(masks, row_op).verdict
+        want = certify(masks, rows(op)).verdict
+        assert not got.ok and not got.associative, (a, b)
+        assert got == want, (a, b)
+        witness = first_pair_off_the_bicharacter(masks, op, sig.n)
+        assert witness is not None and _read_bicharacter(masks, row_op)[3] == witness, (a, b)
 
 
 @pytest.mark.parametrize("p, q", [(2, 1), (0, 3)])

@@ -8,6 +8,7 @@ import pytest
 
 from cliffsig import (
     Multivector,
+    NotTwisted,
     Signature,
     Z2Grading,
     all_blades,
@@ -34,6 +35,7 @@ from cliffsig import (
     wedge,
     weighted_antisymmetrization,
 )
+from cliffsig import kernels
 from cliffsig.verify import (
     _cell_result,
     all_gradings,
@@ -619,32 +621,35 @@ def test_definition_equals_the_pair_by_pair_reference(cold_rows):
 
 
 @pytest.mark.parametrize(
-    "fault",
-    [lambda sign, mask: (-sign, mask), lambda sign, mask: (sign, mask ^ 0b10)],
+    "fault, refused",
+    [(lambda sign, mask: (-sign, mask), False), (lambda sign, mask: (sign, mask ^ 0b10), True)],
     ids=["flipped-sign", "wrong-mask"],
 )
-def test_definition_catches_one_bad_vee_entry_on_warm_rows(monkeypatch, cold_rows, fault):
+def test_definition_catches_one_bad_vee_entry_on_warm_rows(
+    monkeypatch, cold_rows, fault, refused
+):
     # the trivial grading of Cl(2,1) makes the signature's rows; on the next
     # one, with e1 odd, one ∨ entry, e1 ∨ e1^e3 = -e1⌟(e1^e3) = -e3, is
     # altered, and the cached rows must catch it with the reference's count
-    # and first witness
+    # and first witness.  A wrong mask is no row at all: the row function,
+    # built pair by pair, refuses it and names the pair
     import cliffsig.sigchange as sigchange
 
     first, second, *_ = all_gradings(Signature(2, 1))
     assert (first.odd_mask, second.odd_mask) == (0, 0b1)
     assert definition(first).ok
-    honest = sigchange.vee_alpha_row_op
+    honest = sigchange.vee_alpha_blade_op
 
     def twisted(gr):
         op = honest(gr)
-
-        def row_op(a, bs):
-            row = op(a, bs)
-            return [fault(*z) if (a, b) == (0b1, 0b101) else z for b, z in zip(bs, row)]
-
-        return row_op
+        return rows(lambda a, b: fault(*op(a, b)) if (a, b) == (0b1, 0b101) else op(a, b))
 
     monkeypatch.setattr(sigchange, "vee_alpha_row_op", twisted)
+    if refused:
+        with pytest.raises(NotTwisted, match=r"^product \(e1, e1\^e3\) is not plus or minus"):
+            definition(second)
+        assert cold_rows.cache_info().misses == 1 and cold_rows.cache_info().hits == 1
+        return
     got = definition(second)
     assert cold_rows.cache_info().misses == 1 and cold_rows.cache_info().hits == 1
     assert got == definition_reference(second, twisted(second))
@@ -775,9 +780,10 @@ def test_vee_alpha_rows_depend_only_on_the_key():
     seen = {}
     for sig in signatures_up_to(4):
         blades = all_blades(sig)
+        cols = kernels.columns(blades)
         for gr in all_gradings(sig):
             row_op = vee_alpha_row_op(gr)
-            table = [row_op(a, blades) for a in blades]
+            table = [row_op(a, cols) for a in blades]
             assert seen.setdefault(vee_alpha_key(gr), table) == table, gr
     assert len(seen) == 31
 
@@ -795,9 +801,11 @@ def test_a_fault_in_one_deformed_metric_fails_exactly_its_cells(monkeypatch):
         if vee_alpha_key(gr) != bad_key:
             return op
 
-        def row_op(a, bs):
-            row = op(a, bs)
-            return [(-s, m) if a == b == 0b1 else (s, m) for b, (s, m) in zip(bs, row)]
+        def row_op(a, cols):
+            neg, zero = op(a, cols)
+            if a == 0b1 and a in cols[0]:
+                neg ^= 1 << cols[0].index(a)
+            return neg, zero
 
         return row_op
 

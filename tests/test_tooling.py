@@ -101,6 +101,36 @@ def test_no_product_is_computed_from_the_bicharacter():
     assert not found, f"B's tables read outside oracle.py: {found}"
 
 
+def test_expected_rows_of_the_certificate_read_no_product():
+    # each row of the pass is clean when its neg equals the expected row
+    # of aᵀB; a table built from the kernel's planes, a kernel or a row
+    # function would compare a product with itself, so the one helper that
+    # builds it reads the coordinates alone, and only the pass calls it
+    from cliffsig import kernels
+
+    tree = ast.parse((SOURCES[0].parent / "oracle.py").read_text())
+    helper = next(top for top in tree.body if getattr(top, "name", None) == "_overlap_rows")
+    named = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(helper)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+    kernel_names = {n for n in vars(kernels) if not n.startswith("__")}
+    assert kernel_names >= {"blade_mul", "blade_mul_row", "columns", "row_sign"}
+    found = sorted(
+        n for n in named
+        if n in kernel_names or n == "kernels" or "row_op" in n or n.endswith("_blade_op")
+    )
+    assert not found, f"the expected rows read {found}"
+    callers = [
+        (path.name, owner)
+        for path in SOURCES
+        for owner, node in _calls(ast.parse(path.read_text(), filename=str(path)))
+        if getattr(node.func, "id", None) == "_overlap_rows"
+    ]
+    assert callers == [("oracle.py", "_read_bicharacter")], callers
+
+
 def test_signs_come_only_from_the_kernel_functions():
     # every product and the oracle read their signs through the kernel
     # functions the tests cross-check (blade_mul, blade_mul_row, ...); a
@@ -245,7 +275,7 @@ def test_definition_rows_never_read_the_deformed_product():
     }
     products = sorted(
         n for n in named
-        if n in ("blade_mul", "blade_mul_row", "geometric_product")
+        if n in ("blade_mul", "blade_mul_row", "row_sign", "geometric_product")
         or n.startswith("vee_")
         or n.endswith(("_row_op", "_blade_op"))
     )

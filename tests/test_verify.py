@@ -274,7 +274,7 @@ def test_table4_product_leaving_the_span_fails_its_cell(monkeypatch):
     report = run_suite("table4", 1)
     assert len(report.cells) == 5 and report.violations == 5
     for c in report.cells:
-        assert c.detail.endswith("; product of basis elements 0 and 0 leaves the span")
+        assert c.detail.endswith("; product (1, 1) leaves the span")
 
 
 def test_table4_failure_is_attributed_to_its_cells(monkeypatch):
