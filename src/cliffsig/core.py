@@ -418,6 +418,19 @@ def _check_same_sig(a, b) -> None:
         raise SignatureMismatch(f"{a.sig} vs {b.sig}")
 
 
+def kept(shared: dict | None, key, make):
+    """``make()`` with no dict ``shared``; with one, the value it keeps
+    under ``key``, made by ``make()`` and kept there on first use.  Every
+    result one check shares with another lives in such a dict, which its
+    caller owns, so nothing outlives the caller's run."""
+    if shared is None:
+        return make()
+    value = shared.get(key)
+    if value is None:
+        value = shared[key] = make()
+    return value
+
+
 def bilinear(a: Multivector, b: Multivector, blade_op) -> Multivector:
     """Extend a (sign, mask)-valued blade operation bilinearly.
 

@@ -14,7 +14,7 @@ generators' squares flipped, extended bilinearly by ``core.bilinear``.
 That is checked, not assumed: ``verify_clifford_map`` compares that sign
 function with the definition v ∨ a = v^a + alpha(v)⌟a, summed from the
 original metric's blade kernels, on every (generator, blade) pair (a
-whole row per generator, against rows made once per signature) and
+whole row per generator, against rows a sweep makes once per signature) and
 certifies its associativity, which together pin it to the product the
 definition generates.  Two further routes are kept, for the tests, as
 independent cross-checks: the split form against the original product
@@ -32,7 +32,6 @@ they agree on all vectors exactly when they agree on every basis pair
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import kernels
@@ -46,6 +45,7 @@ from .core import (
     even_grade_part,
     extended_metric,
     geometric_product,
+    kept,
     odd_grade_part,
     parity,
     wedge,
@@ -298,7 +298,6 @@ def _expected_rows(e: int, blades: list[int], neg: int) -> tuple[tuple, tuple]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=1)
 def _definition_rows(sig: Signature) -> tuple[tuple, list[tuple[tuple, tuple]]]:
     """The column view of ``all_blades(sig)`` and, for each generator e of
     ``sig``, the rows e^A + e⌟A and e^A - e⌟A over it: what e ∨ A must be
@@ -306,15 +305,14 @@ def _definition_rows(sig: Signature) -> tuple[tuple, list[tuple[tuple, tuple]]]:
 
     Each entry is summed from the original metric's wedge and contraction
     kernels, never from ∨, so comparing it with a ∨ row is no tautology.
-    The rows depend on the signature alone, and a sweep visits one
-    signature's gradings, or its core cells, in a row, so only the last
-    signature's are kept."""
+    The rows depend on the signature alone, so a caller's dict may keep
+    them for every grading of it (``definition_check``)."""
     blades = all_blades(sig)
     rows = [_expected_rows(1 << k, blades, sig.neg_mask) for k in range(sig.n)]
     return kernels.columns(blades), rows
 
 
-def definition_check(sig: Signature, row_op, odd: int) -> CheckResult:
+def definition_check(sig: Signature, row_op, odd: int, shared: dict | None = None) -> CheckResult:
     """e ∨ A = e^A + alpha(e)⌟A on every generator e and blade A of
     ``sig``, for the product whose row sign function is ``row_op`` and the
     grading whose generators in the mask ``odd`` are alpha-odd.  One row
@@ -323,8 +321,10 @@ def definition_check(sig: Signature, row_op, odd: int) -> CheckResult:
     alpha(e) = ±e; the bits where a row differs name its violations.
     Both sides are bilinear, so the identity then holds for every 1-vector
     and multivector.  With ``odd`` = 0 it is v a = v^a + v⌟a for the
-    geometric product."""
-    cols, rows = _definition_rows(sig)
+    geometric product.  The rows are made by this call, or, with a dict
+    ``shared``, kept there under ("rows", p, q) by the first call for the
+    signature."""
+    cols, rows = kept(shared, ("rows", sig.p, sig.q), lambda: _definition_rows(sig))
     blades = cols[0]
     bad = []
     for k, (plus, minus) in enumerate(rows):
@@ -346,7 +346,7 @@ def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> Cliffor
     (ii) the definition e ∨ A = e^A + alpha(e)⌟A on every generator and
     blade (``definition_check``): each generator's whole ∨ row against the
     row e^A ± e⌟A summed from the original metric's wedge and contraction
-    kernels, made once per signature;
+    kernels;
     (iii) associativity, by the oracle's bicharacter certificate over
     every blade pair (``oracle.certify``);
     (iv) the fingerprint of the blade basis under ∨ equals that of Cl(r,s).
@@ -357,33 +357,31 @@ def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> Cliffor
     (i), (iii) and (iv) read ∨ alone, and (r, s) = (n - |m|, |m|), so they
     are functions of ``vee_alpha_key(gr)`` = (n, m = neg ^ odd); only (ii)
     reads alpha and the original metric apart.  Its expected rows depend
-    on the signature alone and are cached by it, never by that key; each
-    grading picks its rows by alpha and reads its own ∨ rows against them.
-    ``shared``, a dict the caller owns, keeps the three ``CheckResult``s
-    of (i), (iii) and (iv) by the key: a grading whose key is there reuses
-    them, exactly as if it had run them, and one whose key is not stores
-    its own.  It holds no certificate.
+    on the signature alone, never on that key; each grading picks its rows
+    by alpha and reads its own ∨ rows against them.  With no ``shared``
+    the call makes everything it reads.  ``shared``, a dict the caller
+    owns, keeps (``kept``) the three ``CheckResult``s of (i), (iii) and
+    (iv) by the key, and the expected rows by the signature: a grading
+    whose entries are there reuses them, exactly as if it had made them,
+    and one whose entries are not stores its own.  It holds no
+    certificate.
     """
     sig = gr.sig
     neg, odd = sig.neg_mask, gr.odd_mask
     row_op = vee_alpha_row_op(gr)
     r, s = target_signature(gr)
 
-    key = vee_alpha_key(gr)
-    product_checks = None if shared is None else shared.get(key)
-    if product_checks is None:
+    def product_checks():
         cls = classify_clifford(r, s)
         verdict = oracle(all_blades(sig), row_op, cls)
         found = verdict.problem or "fingerprints agree"
-        product_checks = (
+        return (
             # g_a(e, e) is -g(e, e) for odd e
             generator_relations(row_op, sig.n, neg ^ odd),
             CheckResult("associativity", verdict.associative, verdict.associativity),
             CheckResult("fingerprint", verdict.ok, f"target Cl({r},{s}) ~ {cls}; {found}"),
         )
-        if shared is not None:
-            shared[key] = product_checks
-    relations, associativity, fingerprint = product_checks
 
-    checks = [relations, definition_check(sig, row_op, odd), associativity, fingerprint]
-    return CliffordMapReport(gr, (r, s), checks)
+    relations, associativity, fingerprint = kept(shared, vee_alpha_key(gr), product_checks)
+    definition = definition_check(sig, row_op, odd, shared)
+    return CliffordMapReport(gr, (r, s), [relations, definition, associativity, fingerprint])

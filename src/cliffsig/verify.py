@@ -6,19 +6,25 @@ against their defining laws), timing each cell.  A suite is a function
 that yields the cells of one signature; ``run_suite`` is the one walk
 over signatures, and at each it runs the cells of every suite it was
 asked for, so ``all`` visits each Cl(p,q) once.  Cells are pure
-computations, except that ``table1``'s and ``table4``'s cells, and
-``core``'s associativity and involutions cells, read one certificate of
-the whole algebra (``whole_algebra``), made in the first cell of the
-signature that needs it, so within ``all`` those three suites certify
-each Cl(p,q) once; and ``sigchange`` cells with the same deformed
-metric, keyed (n, neg ^ odd), share the three checks that read ∨ alone,
-made in the first such cell.  Both sharings are exact: a shared result is
-the one the cell would compute alone.  ``sigchange`` cells of one
-signature, and its ``core`` decomposition cell, also read the same
-expected definition rows, summed from the original metric's kernels in
-the first cell that needs them; each cell compares its own rows with
-them.  A sweep could fan out to workers one n each, but stays sequential
-to keep report ordering deterministic.
+computations, except that they share results through ``run_suite``'s one
+dict, read by ``core.kept``, the only place a shared result lives:
+
+* per signature, one certificate of the whole algebra
+  (``whole_algebra``), read by ``table1``'s and ``table4``'s cells and
+  ``core``'s associativity and involutions cells, so within ``all`` those
+  three suites certify each Cl(p,q) once; and one set of expected
+  definition rows, summed from the original metric's kernels, against
+  which every ``sigchange`` cell and ``core``'s decomposition cell compare
+  their own rows.  Each is made in the first cell of the signature that
+  needs it and dropped when the walk leaves the signature;
+* for the whole run, the three checks that read ∨ alone, shared by
+  ``sigchange`` cells with the same deformed metric, keyed (n, neg ^ odd),
+  made in the first such cell.
+
+Every sharing is exact: a shared result is the one the cell would compute
+alone, and a call with no dict computes its own, so no result outlives
+the run that made it.  A sweep could fan out to workers one n each, but
+stays sequential to keep report ordering deterministic.
 
 Every table cell fingerprints through ``even_subalgebra_problem``: the
 even subalgebra of the grading whose even 1-vectors have signature
@@ -56,7 +62,6 @@ from __future__ import annotations
 
 import json
 import time
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import kernels
@@ -74,6 +79,7 @@ from .core import (
     blade_from_indices,
     blade_sort_key,
     geometric_row_op,
+    kept,
     parity,
     reversion,
 )
@@ -151,15 +157,15 @@ def canonical_odd_mask(sig: Signature, p1: int, q1: int) -> int:
     )
 
 
-@lru_cache(maxsize=1)
-def whole_algebra(sig: Signature) -> Certificate:
+def whole_algebra(sig: Signature, shared: dict | None = None) -> Certificate:
     """The one certificate of every blade of ``sig`` under the geometric
     product that a run's cells share: table1's and table4's cells and
-    core's associativity and involutions cells.  ``run_suite`` visits all
-    of one signature's cells in a row, so only the last signature's is
-    kept, and it clears the cache at the start of each run, so a run never
-    reads another run's pass."""
-    return certify(all_blades(sig), geometric_row_op(sig))
+    core's associativity and involutions cells.  Made by this call, or,
+    with the run's dict ``shared``, kept there under ("whole", p, q) by the
+    first cell of the signature that needs it; ``run_suite`` drops it when
+    its walk leaves the signature."""
+    key = "whole", sig.p, sig.q
+    return kept(shared, key, lambda: certify(all_blades(sig), geometric_row_op(sig)))
 
 
 def even_subalgebra_problem(
@@ -183,7 +189,7 @@ def even_subalgebra_problem(
 
 # ---------------------------------------------------------------------------
 # suites: each yields the (key, cell) pairs of one signature, given the
-# run's dict of the checks that read ∨ alone, which only sigchange reads
+# run's dict of shared results, which its cells read through ``kept``
 
 
 def verify_table1(sig: Signature, shared: dict):
@@ -195,7 +201,7 @@ def verify_table1(sig: Signature, shared: dict):
     def cell():
         cls = classify_clifford(sig.p, sig.q)
         problem = even_subalgebra_problem(
-            sig, sig.p, sig.q, cls, certificate=whole_algebra(sig)
+            sig, sig.p, sig.q, cls, certificate=whole_algebra(sig, shared)
         )
         return _cell_result(f"{sig} ~ {cls}", problem)
 
@@ -237,7 +243,7 @@ def verify_table4(sig: Signature, shared: dict):
             def cell(p0=p0, q0=q0):
                 cls = classify_even_subalgebra(sig.p, sig.q, p0, q0)
                 problem = even_subalgebra_problem(
-                    sig, p0, q0, cls, certificate=whole_algebra(sig)
+                    sig, p0, q0, cls, certificate=whole_algebra(sig, shared)
                 )
                 return _cell_result(f"Cl0 ~ {cls}", problem)
 
@@ -285,7 +291,7 @@ def verify_core(sig: Signature, shared: dict):
         return res.ok, res.detail
 
     def assoc_cell():
-        verdict = whole_algebra(sig).verdict
+        verdict = whole_algebra(sig, shared).verdict
         return verdict.associative, verdict.associativity
 
     def adjoint_cell():
@@ -335,7 +341,7 @@ def verify_core(sig: Signature, shared: dict):
                 sign[a] = 1 if y == x else -1 if y == minus_x else None
                 if sign[a] is None:
                     return False, f"{head}{name} sends {format_blades([a])} off ± itself"
-        certificate = whole_algebra(sig)
+        certificate = whole_algebra(sig, shared)
         if not certificate.verdict.ok:
             return False, f"{head}no certificate: {certificate.verdict.associativity}"
         pairs = certificate.involution_witnesses(*signs)
@@ -348,7 +354,7 @@ def verify_core(sig: Signature, shared: dict):
         return pairs == (None, None), head + ", ".join(laws)
 
     def decomposition_cell():
-        res = definition_check(sig, geometric_row_op(sig), 0)
+        res = definition_check(sig, geometric_row_op(sig), 0, shared)
         return res.ok, res.detail
 
     key = f"{sig.p},{sig.q}"
@@ -377,14 +383,16 @@ def run_suite(name: str, max_n: int | None = None, _seed=None) -> SuiteReport:
     the third argument is ignored; it is accepted only because the
     benchmark's sweep script still passes a seed.
 
-    This is the one walk over signatures.  It clears ``whole_algebra``,
-    so a run never reads another run's pass, and makes the one dict of
-    sigchange's shared ∨ checks.  At each signature it runs the cells of
-    every requested suite whose max_n covers it, in ``SUITES`` order,
-    timing each into that suite's report; 'all' then joins the reports,
-    each key prefixed with its suite.  Within 'all', table1, table4 and
-    core thus read one certificate per signature, and the first cell of a
-    signature, table1's, pays for its pass."""
+    This is the one walk over signatures.  It makes the run's one dict of
+    shared results, which every suite's cells read through ``core.kept``.
+    At each signature it runs the cells of every requested suite whose
+    max_n covers it, in ``SUITES`` order, timing each into that suite's
+    report, then drops the signature's certificate (``whole_algebra``) and
+    definition rows, so the dict keeps only sigchange's ∨ checks between
+    signatures; 'all' then joins the reports, each key prefixed with its
+    suite.  Within 'all', table1, table4 and core thus read one certificate
+    per signature, and the first cell of a signature, table1's, pays for
+    its pass.  Nothing the dict holds outlives the run."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if max_n is not None and not 0 <= max_n <= MAX_DIMENSION:
@@ -392,18 +400,15 @@ def run_suite(name: str, max_n: int | None = None, _seed=None) -> SuiteReport:
     names = list(_SUITE_FNS) if name == "all" else [name]
     limits = {sub: _SUITE_FNS[sub][1] if max_n is None else max_n for sub in names}
     reports = {sub: SuiteReport(sub, []) for sub in names}
-    whole_algebra.cache_clear()
     shared = {}
     for sig in signatures_up_to(max(limits.values())):
         for sub, n in limits.items():
             if sig.n <= n:
                 for key, cell in _SUITE_FNS[sub][0](sig, shared):
                     _timed(reports[sub], key, cell)
+        shared.pop(("whole", sig.p, sig.q), None)
+        shared.pop(("rows", sig.p, sig.q), None)
     if name != "all":
         return reports[name]
-    cells = [
-        Cell(f"{sub}/{c.key}", c.ok, c.detail, c.seconds)
-        for sub, rep in reports.items()
-        for c in rep.cells
-    ]
+    cells = [c._replace(key=f"{sub}/{c.key}") for sub, rep in reports.items() for c in rep.cells]
     return SuiteReport("all", cells)

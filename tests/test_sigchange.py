@@ -57,21 +57,39 @@ def basis(sig, i):
     return Multivector.basis_vector(sig, i)
 
 
-@pytest.fixture
-def cold_rows():
-    """Clear the cache of expected definition rows before and after the
-    test, so rows made from altered kernels neither come from nor reach
-    another test."""
-    from cliffsig.sigchange import _definition_rows
-
-    _definition_rows.cache_clear()
-    yield _definition_rows
-    _definition_rows.cache_clear()
+def definition(gr, shared=None):
+    """The ``definition`` CheckResult of ``verify_clifford_map(gr)``, which
+    reads the expected rows kept in ``shared``, or makes its own."""
+    checks = verify_clifford_map(gr, shared=shared).checks
+    return next(c for c in checks if c.name == "definition")
 
 
-def definition(gr):
-    """The ``definition`` CheckResult of ``verify_clifford_map(gr)``."""
-    return next(c for c in verify_clifford_map(gr).checks if c.name == "definition")
+def counting_rows(monkeypatch):
+    """Count the calls of ``sigchange._definition_rows``: one per set of
+    expected rows made, none for rows read from a dict."""
+    import cliffsig.sigchange as sigchange
+
+    made = []
+    honest = sigchange._definition_rows
+
+    def rows_of(sig):
+        made.append((sig.p, sig.q))
+        return honest(sig)
+
+    monkeypatch.setattr(sigchange, "_definition_rows", rows_of)
+    return made
+
+
+def flipped_left_contract(pair):
+    """``kernels.blade_left_contract`` with the sign of one (a, b) pair
+    flipped, for every metric."""
+    honest = kernels.blade_left_contract
+
+    def flipped(a, b, neg):
+        sign, mask = honest(a, b, neg)
+        return (-sign, mask) if (a, b) == pair else (sign, mask)
+
+    return flipped
 
 
 def fold_vee_alpha(a, b, gr):
@@ -579,7 +597,7 @@ def test_definition_rejects_the_original_metric_product(monkeypatch):
                     assert not failing, gr
 
 
-def test_definition_sums_wedge_and_contraction(monkeypatch, cold_rows):
+def test_definition_sums_wedge_and_contraction(monkeypatch):
     # a contraction that also fires when e is not in A adds a second copy of
     # e^A; the check sums both kernels instead of choosing one, so it fails
     import cliffsig.kernels as kernels
@@ -591,7 +609,7 @@ def test_definition_sums_wedge_and_contraction(monkeypatch, cold_rows):
     assert details["definition"].endswith("4 violations; first (e1, 1)")
 
 
-def test_definition_rejects_a_wedge_that_fires_on_overlap(monkeypatch, cold_rows):
+def test_definition_rejects_a_wedge_that_fires_on_overlap(monkeypatch):
     # on a blade holding e, a wedge that fires adds to the contraction's
     # blade: e1 ∨ e1 = 1 against 1 + 1 (a sum of 2) and e2 ∨ e2 = -1
     # against 1 - 1 (a sum of 0) must both fail, as every overlapping pair
@@ -603,19 +621,22 @@ def test_definition_rejects_a_wedge_that_fires_on_overlap(monkeypatch, cold_rows
     assert details == {"definition": "8 (generator, blade) pairs, 4 violations; first (e1, e1)"}
 
 
-def test_definition_equals_the_pair_by_pair_reference(cold_rows):
-    # whole-row comparison against the cached rows decides exactly what the
-    # pair-by-pair check did, whether the signature's rows are made by this
-    # call or were made by an earlier one
+def test_definition_equals_the_pair_by_pair_reference(monkeypatch):
+    # whole-row comparison against the expected rows decides exactly what
+    # the pair-by-pair check did, whether the signature's rows are made by
+    # this call or were kept in a dict by an earlier one
+    made = counting_rows(monkeypatch)
     count = 0
     for sig in signatures_up_to(5):
+        shared = {}
+        definition(Z2Grading(sig, 0), shared)
         for gr in all_gradings(sig):
             want = definition_reference(gr, vee_alpha_row_op(gr))
-            cold_rows.cache_clear()
+            made.clear()
             assert definition(gr) == want, gr
-            assert cold_rows.cache_info().misses == 1
-            assert definition(gr) == want, gr
-            assert cold_rows.cache_info().hits == 1
+            assert made == [(sig.p, sig.q)]
+            assert definition(gr, shared) == want, gr
+            assert made == [(sig.p, sig.q)]
             count += 1
     assert count == 321
 
@@ -625,19 +646,20 @@ def test_definition_equals_the_pair_by_pair_reference(cold_rows):
     [(lambda sign, mask: (-sign, mask), False), (lambda sign, mask: (sign, mask ^ 0b10), True)],
     ids=["flipped-sign", "wrong-mask"],
 )
-def test_definition_catches_one_bad_vee_entry_on_warm_rows(
-    monkeypatch, cold_rows, fault, refused
-):
-    # the trivial grading of Cl(2,1) makes the signature's rows; on the next
-    # one, with e1 odd, one ∨ entry, e1 ∨ e1^e3 = -e1⌟(e1^e3) = -e3, is
-    # altered, and the cached rows must catch it with the reference's count
-    # and first witness.  A wrong mask is no row at all: the row function,
-    # built pair by pair, refuses it and names the pair
+def test_definition_catches_one_bad_vee_entry_on_warm_rows(monkeypatch, fault, refused):
+    # the trivial grading of Cl(2,1) makes the signature's rows in a dict;
+    # on the next one, with e1 odd, one ∨ entry, e1 ∨ e1^e3 =
+    # -e1⌟(e1^e3) = -e3, is altered, and the kept rows must catch it with
+    # the reference's count and first witness.  A wrong mask is no row at
+    # all: the row function, built pair by pair, refuses it and names the
+    # pair
     import cliffsig.sigchange as sigchange
 
+    made = counting_rows(monkeypatch)
+    shared = {}
     first, second, *_ = all_gradings(Signature(2, 1))
     assert (first.odd_mask, second.odd_mask) == (0, 0b1)
-    assert definition(first).ok
+    assert definition(first, shared).ok
     honest = sigchange.vee_alpha_blade_op
 
     def twisted(gr):
@@ -647,37 +669,31 @@ def test_definition_catches_one_bad_vee_entry_on_warm_rows(
     monkeypatch.setattr(sigchange, "vee_alpha_row_op", twisted)
     if refused:
         with pytest.raises(NotTwisted, match=r"^product \(e1, e1\^e3\) is not plus or minus"):
-            definition(second)
-        assert cold_rows.cache_info().misses == 1 and cold_rows.cache_info().hits == 1
+            definition(second, shared)
+        assert made == [(2, 1)]
         return
-    got = definition(second)
-    assert cold_rows.cache_info().misses == 1 and cold_rows.cache_info().hits == 1
+    got = definition(second, shared)
+    assert made == [(2, 1)]
     assert got == definition_reference(second, twisted(second))
     assert got.detail == "24 (generator, blade) pairs, 1 violations; first (e1, e1^e3)"
 
 
-def test_definition_rows_come_from_the_original_kernels(monkeypatch, cold_rows):
+def test_definition_rows_come_from_the_original_kernels(monkeypatch):
     # ∨ is honest; one left contraction of the original metric is flipped,
     # so e1 ∨ e1^e2 = e2 no longer equals e1⌟(e1^e2) = -e2 for every grading
     # with e1 odd, nor +e2 for every grading with e1 even.  Expected rows
-    # made from ∨ would still agree with it
-    import cliffsig.kernels as kernels
-
-    honest = kernels.blade_left_contract
-
-    def flipped(a, b, neg):
-        sign, mask = honest(a, b, neg)
-        return (-sign, mask) if (a, b) == (0b1, 0b11) else (sign, mask)
-
-    monkeypatch.setattr(kernels, "blade_left_contract", flipped)
+    # made from ∨ would still agree with it, whether kept or made per call
+    monkeypatch.setattr(kernels, "blade_left_contract", flipped_left_contract((0b1, 0b11)))
+    made = counting_rows(monkeypatch)
+    shared = {}
     for gr in all_gradings(Signature(1, 1)):
-        got = definition(gr)
-        assert got == definition_reference(gr, vee_alpha_row_op(gr))
+        got = definition(gr, shared)
+        assert got == definition(gr) == definition_reference(gr, vee_alpha_row_op(gr))
         assert got.detail == "8 (generator, blade) pairs, 1 violations; first (e1, e1^e2)", gr
-    assert cold_rows.cache_info().misses == 1
+    assert made == [(1, 1)] * 5  # once for the dict, once per call without it
 
 
-def test_definition_rows_read_the_kernels_once_per_signature(monkeypatch, cold_rows):
+def test_definition_rows_read_the_kernels_once_per_signature(monkeypatch):
     # n generators by 2^n blades for each of the n+1 signatures of each n:
     # sum (n+1)·n·2^n = 444 calls of each kernel at n <= 4, where reading
     # them per grading made 5,992
@@ -699,6 +715,32 @@ def test_definition_rows_read_the_kernels_once_per_signature(monkeypatch, cold_r
     assert run_suite("sigchange", 4).ok
     assert sum((n + 1) * n * 2**n for n in range(5)) == 444
     assert calls == {"blade_wedge": 444, "blade_left_contract": 444}
+
+
+def test_a_kernel_fault_after_a_sweep_fails_the_next_check(monkeypatch):
+    # a clean sweep ends on Cl(3,0); a left contraction flipped after it
+    # must fail Cl(3,0)'s trivial grading as it fails Cl(2,1)'s.  Rows the
+    # sweep kept past its run, made from the honest kernel, would pass it
+    assert run_suite("sigchange", 3).ok
+    monkeypatch.setattr(kernels, "blade_left_contract", flipped_left_contract((0b10, 0b11)))
+    for sig in Signature(3, 0), Signature(2, 1):
+        got = definition(Z2Grading(sig, 0))
+        assert got.detail == "24 (generator, blade) pairs, 1 violations; first (e2, e1^e2)", sig
+
+
+def test_a_kernel_fault_in_a_sweep_dies_with_it(monkeypatch):
+    # a core sweep under a flipped left contraction fails Cl(5,0)'s
+    # decomposition cell; once the kernel is restored, the definition
+    # check of Cl(5,0)'s trivial grading passes.  Rows the sweep kept past
+    # its run, made from the faulty kernel, would still fail it
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "blade_left_contract", flipped_left_contract((0b10, 0b11)))
+        cells = {c.key: c for c in run_suite("core", 5).cells}
+    decomposition = cells["5,0:decomposition"]
+    assert not decomposition.ok
+    assert decomposition.detail == "160 (generator, blade) pairs, 1 violations; first (e2, e1^e2)"
+    got = definition(Z2Grading(Signature(5, 0), 0))
+    assert got.ok and got.detail == "160 (generator, blade) pairs, 0 violations"
 
 
 def test_one_associativity_pass_per_clifford_map(monkeypatch):
@@ -748,7 +790,8 @@ def test_sigchange_sweep_equals_each_map_alone():
 def test_one_certify_pass_per_deformed_metric(monkeypatch):
     # the (n+1)·2^n gradings of one n have 2^n masks neg ^ odd, so a sweep
     # certifies sum 2^k products, not sum (k+1)·2^k gradings (129 at n <= 4);
-    # the shared dict keeps CheckResults only, never a certificate
+    # the shared dict keeps CheckResults by each key and the signature's
+    # definition rows, never a certificate
     import cliffsig.oracle as oracle
     from cliffsig.sigchange import CheckResult
 
@@ -768,8 +811,11 @@ def test_one_certify_pass_per_deformed_metric(monkeypatch):
     shared = {}
     for gr in all_gradings(Signature(1, 2)):
         assert verify_clifford_map(gr, shared=shared).ok
-    assert len(calls) == 8 and len(shared) == 8
-    assert all(len(v) == 3 and all(type(c) is CheckResult for c in v) for v in shared.values())
+    keys = {vee_alpha_key(gr) for gr in all_gradings(Signature(1, 2))}
+    assert len(calls) == 8 and len(keys) == 8
+    assert shared.keys() == keys | {("rows", 1, 2)}
+    assert all(len(shared[k]) == 3 and all(type(c) is CheckResult for c in shared[k]) for k in keys)
+    assert not any(isinstance(v, oracle.Certificate) for v in shared.values())
     calls.clear()
     assert verify_clifford_map(Z2Grading.from_odd_indices(Signature(3, 0), [1])).ok
     assert calls == [8]

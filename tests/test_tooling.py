@@ -196,22 +196,20 @@ def _calls(tree):
 
 def test_whole_algebra_is_the_one_shared_certificate():
     # verify.whole_algebra is the one owner of a shared whole-algebra
-    # certificate: it certifies a signature once and keeps only the last,
-    # and run_suite, the one walk over signatures, owns the cache's
-    # lifetime, clearing it once per run.  Its readers are verify_table1's
-    # and verify_table4's cells, which read their fingerprints off it
-    # (even_subalgebra_problem only hands it on to the oracle), and
-    # verify_core's associativity and involutions cells, which read its
-    # verdict and its commutation bicharacter.  A second owner would be a
-    # second sharing policy, with its own rule for when a failing pass
-    # fails a cell.  The one other sharing is exact and shares no
-    # certificate: run_suite's one dict, which verify_sigchange's cells
-    # hand verify_clifford_map, of the CheckResults that read ∨ alone,
-    # keyed (n, neg ^ odd), so a failing pass fails every cell of that key
-    # as it would fail alone.  The only other cache is definition_check's
-    # expected rows, summed from the original metric's kernels and keyed
-    # by the signature; each sigchange cell and core decomposition cell
-    # compares its own rows with them
+    # certificate: it certifies a signature once into run_suite's one dict
+    # (core.kept), which drops it when the walk leaves the signature.  Its
+    # readers are verify_table1's and verify_table4's cells, which read
+    # their fingerprints off it (even_subalgebra_problem only hands it on
+    # to the oracle), and verify_core's associativity and involutions
+    # cells, which read its verdict and its commutation bicharacter.  A
+    # second owner would be a second sharing policy, with its own rule for
+    # when a failing pass fails a cell.  The other entries of that dict are
+    # exact and share no certificate: the CheckResults that read ∨ alone,
+    # which verify_sigchange's cells hand verify_clifford_map, keyed
+    # (n, neg ^ odd), so a failing pass fails every cell of that key as it
+    # would fail alone; and definition_check's expected rows, summed from
+    # the original metric's kernels and kept per signature, with which each
+    # sigchange cell and core decomposition cell compares its own rows
     allowed = {
         "certify": {("verify.py", "whole_algebra")},
         "certificate": {
@@ -220,7 +218,11 @@ def test_whole_algebra_is_the_one_shared_certificate():
             ("verify.py", "even_subalgebra_problem"),
         },
         "shared": {("verify.py", "verify_sigchange.cell")},
-        "lru_cache": {("verify.py", "whole_algebra"), ("sigchange.py", "_definition_rows")},
+        "kept": {
+            ("verify.py", "whole_algebra"),
+            ("sigchange.py", "definition_check"),
+            ("sigchange.py", "verify_clifford_map"),
+        },
         "whole_algebra": {
             ("verify.py", "verify_table1.cell"),
             ("verify.py", "verify_table4.cell"),
@@ -244,18 +246,35 @@ def test_whole_algebra_is_the_one_shared_certificate():
     assert seen == {(what, *spot) for what, spots in allowed.items() for spot in spots}, seen
 
 
+def test_no_cache_outlives_a_run():
+    # every result one check shares with another lives in a dict its caller
+    # owns, run_suite's for a sweep, so no verdict can read a result made
+    # under another run's kernels.  The one functools cache is
+    # core.blade_order, a pure function of n; a new cache must be as pure
+    # and listed here.  Nothing needs clearing, so nothing calls cache_clear
+    caches = ("cache", "lru_cache", "cached_property")
+    found, clears = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorated = {
+            id(d): f"{path.name}:{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            for d in node.decorator_list
+            for d in (d, getattr(d, "func", d))
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names} & set(caches)
+                found += [f"{path.name}:import {name}" for name in sorted(names)]
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in caches:
+                found.append(decorated.get(id(node), f"{path.name}:{node.lineno}"))
+            if isinstance(node, ast.Attribute) and node.attr == "cache_clear":
+                clears.append(f"{path.name}:{node.lineno}")
+    assert found == ["core.py:import cache", "core.py:blade_order"], found
+    assert not clears, f"cache_clear in the package: {clears}"
 
-def test_only_run_suite_clears_the_shared_certificate():
-    # run_suite clears whole_algebra once per run, before its one walk
-    # over the signatures; a suite clearing it too would drop the pass
-    # that table1, table4 and core share within all
-    clears = [
-        (path.name, owner, getattr(node.func.value, "id", None))
-        for path in SOURCES
-        for owner, node in _calls(ast.parse(path.read_text(), filename=str(path)))
-        if getattr(node.func, "attr", None) == "cache_clear"
-    ]
-    assert clears == [("verify.py", "run_suite", "whole_algebra")], clears
 
 def test_definition_rows_never_read_the_deformed_product():
     # definition_check compares each row of the product under test (∨ in

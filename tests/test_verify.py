@@ -28,18 +28,6 @@ import random
 from oracles import random_multivector, random_vector, rows
 
 
-@pytest.fixture(autouse=True)
-def cold_rows():
-    """Clear the cached expected definition rows before and after each
-    test: a core sweep under an altered kernel makes them, and they must
-    reach no other test."""
-    from cliffsig.sigchange import _definition_rows
-
-    _definition_rows.cache_clear()
-    yield
-    _definition_rows.cache_clear()
-
-
 def test_signature_enumeration():
     sigs = list(signatures_up_to(2))
     assert [(s.p, s.q) for s in sigs] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
@@ -194,6 +182,33 @@ def test_all_certifies_each_signature_once(monkeypatch):
         ("all", 4): 60,
         ("all", None): 118,
     }
+
+
+def test_shared_results_of_a_signature_go_when_the_walk_leaves_it(monkeypatch):
+    # run_suite's dict keeps a signature's certificate and definition rows,
+    # keyed (tag, p, q), only while its cells run; the rest of the dict is
+    # sigchange's ∨ checks, keyed (n, neg ^ odd), kept for the whole run
+    import cliffsig.verify as verify
+
+    tags = set()
+
+    def watched(suite):
+        def cells(sig, shared):
+            for key, cell in suite(sig, shared):
+                for k in shared:
+                    if isinstance(k[0], str):
+                        assert k[1:] == (sig.p, sig.q), (k, sig)
+                        tags.add(k[0])
+                    else:
+                        assert len(k) == 2 and k[0] <= sig.n, (k, sig)
+                yield key, cell
+
+        return cells
+
+    fns = {name: (watched(fn), n) for name, (fn, n) in verify._SUITE_FNS.items()}
+    monkeypatch.setattr(verify, "_SUITE_FNS", fns)
+    assert run_suite("all", 4).ok
+    assert tags == {"whole", "rows"}
 
 
 def test_unknown_suite_and_bad_max_n():
