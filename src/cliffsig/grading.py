@@ -26,6 +26,7 @@ from .core import (
     blade_indices,
     blade_order,
 )
+from .oracle import span
 
 
 class NotInvolution(ValueError):
@@ -175,9 +176,7 @@ def grading_closure_check(gr: Z2Grading) -> ClosureReport:
     only when the two differ."""
     blades = all_blades(gr.sig)
     parity = [gr.blade_parity(m) for m in range(1 << gr.sig.n)]
-    character = [0]
-    for k in range(gr.sig.n):
-        character += [x ^ parity[1 << k] for x in character]
+    character = span(parity[1 << k] for k in range(gr.sig.n))
     violations = [] if character == parity else [
         (a, b) for a in blades for b in blades if parity[a ^ b] != parity[a] ^ parity[b]
     ]

@@ -9,13 +9,18 @@ the mask with the odd generators' squares flipped.
 Every sign is the parity of ``r & b`` for a mask ``r`` that depends on
 the left factor ``a`` alone: ``reorder_mask(a)`` for the merge
 permutation, XOR ``a & neg_mask`` for the squares of the common indices.
-So over a list of right factors the signs are a GF(2) linear form in b.
-``columns`` slices a blade list into one bit plane per generator, and
-``blade_mul_row`` reads the row of ``a`` over it as one integer, the XOR
-of the planes of ``r``'s bits; ``blade_mul`` is its one-pair form, and
-the wedge and both contractions are ``blade_mul`` where they do not
-vanish.  The test suite checks each against bubble-sort transposition
-counting.
+So over a list of right factors the signs are a GF(2) linear form in b,
+and over a list of left factors, with a on the right, a linear form in
+them too.  ``columns`` slices a blade list into one bit plane per
+generator, and ``blade_mul_row`` reads the row of ``a`` over it as one
+integer, the XOR of the planes of ``r``'s bits; ``blade_mul_col`` reads
+the products with a on the right.  ``blade_mul`` is their one-pair form,
+and the wedge and both contractions are ``blade_mul`` where they do not
+vanish.  Their row forms, ``wedge_rows`` and ``contraction_rows``, give
+the rows with a on either side, and read where a row vanishes off the
+planes too: the OR of a's planes for the wedge, the complement of their
+AND for the contractions.  The test suite checks each against
+bubble-sort transposition counting.
 
 A row of products is given as two bitmasks over the positions of a
 column view, ``(neg, zero)``: the products of sign -1, and those that
@@ -24,6 +29,9 @@ their symmetric difference, so the row needs no masks; ``neg`` and
 ``zero`` are disjoint.  Every row sign function of the package,
 ``row_op(a, cols)``, returns such a row.
 """
+
+from functools import reduce
+from operator import and_, or_, xor
 
 
 def grade(mask):
@@ -87,6 +95,17 @@ def blade_mul_row(a, cols, neg_mask):
     return row
 
 
+def blade_mul_col(a, cols, neg_mask):
+    """The positions j of the column view ``cols`` where
+    ``blade_mul(bs[j], a, neg_mask)`` has sign -1, as a bitmask.  The
+    merge sign reads, for each bit i of bs[j], the parity of a's bits below
+    i: reorder_mask(a) ^ a, XOR every bit when a's grade is odd.  So this
+    is a's row under the negative set ~neg_mask, XOR the positions of odd
+    grade (every plane) when a's grade is odd."""
+    row = blade_mul_row(a, cols, ~neg_mask)
+    return row ^ reduce(xor, cols[1], 0) if a.bit_count() & 1 else row
+
+
 def row_sign(row, j):
     """The sign, -1, 0 or 1, at position j of a row ``(neg, zero)``."""
     neg, zero = row
@@ -114,3 +133,23 @@ def blade_right_contract(a, b, neg_mask):
     if b & ~a:
         return 0, 0
     return blade_mul(a, b, neg_mask)
+
+
+def wedge_rows(a, cols):
+    """The rows ``(neg, zero)`` of a∧x and of x∧a over the positions x of
+    the column view ``cols``: both vanish where x meets a, the OR of a's
+    planes.  Reads the planes alone."""
+    zero = reduce(or_, (p for i, p in enumerate(cols[1]) if a >> i & 1), 0)
+    return (blade_mul_row(a, cols, 0) & ~zero, zero), (blade_mul_col(a, cols, 0) & ~zero, zero)
+
+
+def contraction_rows(a, cols, neg_mask):
+    """The rows ``(neg, zero)`` of a⌟x and of x⌞a over the positions x of
+    the column view ``cols``: both vanish where x lacks a bit of a, the
+    complement of the AND of a's planes, and everywhere when a holds a
+    generator beyond the view."""
+    full = (1 << len(cols[0])) - 1
+    keep = reduce(and_, (p for i, p in enumerate(cols[1]) if a >> i & 1), full)
+    keep = 0 if a >> len(cols[1]) else keep
+    left, right = blade_mul_row(a, cols, neg_mask), blade_mul_col(a, cols, neg_mask)
+    return (left & keep, full ^ keep), (right & keep, full ^ keep)

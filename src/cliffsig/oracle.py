@@ -137,16 +137,21 @@ def _coordinates(masks) -> tuple[list[int], dict[int, int], int]:
     return generators, coords, len(span)
 
 
+def span(vectors) -> list[int]:
+    """Every GF(2) combination of the bitmasks ``vectors``, indexed by its
+    coordinate bitmask: entry a is the XOR of the vectors at a's bits,
+    one XOR per entry, doubling once per vector."""
+    table = [0]
+    for v in vectors:
+        table += [x ^ v for x in table]
+    return table
+
+
 def _span_tables(rows: list[int]) -> tuple[list[int], list[int]]:
     """aᵀB and aᵀ(B+Bᵀ) for every coordinate bitmask a < 2**len(rows),
-    indexed by a, with B given by its rows: one XOR per entry, doubling
-    over the span as ``_coordinates`` does."""
+    indexed by a, with B given by its rows."""
     sym = [r ^ sum((s >> i & 1) << j for j, s in enumerate(rows)) for i, r in enumerate(rows)]
-    table_b, table_sym = [0], [0]
-    for row, sym_row in zip(rows, sym):
-        table_b += [x ^ row for x in table_b]
-        table_sym += [x ^ sym_row for x in table_sym]
-    return table_b, table_sym
+    return span(rows), span(sym)
 
 
 def _first_nonassociative_triple(masks, row_op):
@@ -197,10 +202,7 @@ def _overlap_rows(column: list[int], k: int) -> list[int]:
             low = c & -c
             planes[low.bit_length() - 1] |= bit
             c ^= low
-    table = [0]
-    for plane in planes:
-        table += [x ^ plane for x in table]
-    return table
+    return span(planes)
 
 
 def _read_bicharacter(masks: list[int], row_op):

@@ -50,8 +50,9 @@ suite draws at random.  Every associativity verdict is the oracle's
 per blade, as the two integers ``(neg, zero)`` of ``kernels``, and
 compares each row with the bicharacter's as one integer.  The core
 suite's generator relations read the n generator rows; its adjointness
-cell decides all dim**3 blade triples from the pair kernels; its
-involutions cell reads ``core.parity`` and ``core.reversion`` on every
+cell decides all dim**3 blade triples with two row comparisons per blade,
+the rows of the contractions against those of the wedge (``kernels``'
+row forms); its involutions cell reads ``core.parity`` and ``core.reversion`` on every
 blade and decides their laws on every blade pair off the certificate;
 and its decomposition cell is ``sigchange``'s definition check for the
 trivial grading, on every (generator, blade) pair, which decides the
@@ -77,7 +78,6 @@ from .core import (
     Signature,
     all_blades,
     blade_from_indices,
-    blade_sort_key,
     geometric_row_op,
     kept,
     parity,
@@ -278,8 +278,9 @@ def verify_sigchange(sig: Signature, shared: dict):
 def verify_core(sig: Signature, shared: dict):
     """Base-product laws, all exact at every n: generator relations,
     associativity (the certificate over every blade pair), contraction
-    adjointness on every blade triple, the involution laws on every blade
-    pair, and v a = v^a + v⌟a on every (generator, blade) pair.
+    adjointness on every blade triple (two row comparisons per blade), the
+    involution laws on every blade pair, and v a = v^a + v⌟a on every
+    (generator, blade) pair.
 
     The associativity and involutions cells read the signature's one
     certificate (``whole_algebra``).  Where it is not clean, the
@@ -296,32 +297,25 @@ def verify_core(sig: Signature, shared: dict):
 
     def adjoint_cell():
         # For each a, every side of g(a⌟b, c) = g(b, ã∧c) and of
-        # g(b⌞a, c) = g(b, c∧ã) is nonzero at most at one c per b (the
-        # contraction's mask) or one b per c (the wedge's mask): a map
-        # (b, c) -> value read from one kernel row.  An identity holds on
-        # all dim**2 pairs (b, c) exactly when its two maps are equal.
-        neg, g, wg = sig.neg_mask, kernels.blade_metric_sign, kernels.blade_wedge
-        lc, rc = kernels.blade_left_contract, kernels.blade_right_contract
+        # g(b⌞a, c) = g(b, c∧ã) is nonzero only at c = a ^ b, so each
+        # identity compares two rows over b: the contraction's over the
+        # view where position b holds b, the wedge's over the view with a's
+        # planes flipped, where it holds a ^ b.  The zeros must agree, and
+        # elsewhere the signs differ by rev(a) g(a), as g(a ^ b) g(b) = g(a).
+        # The flipped view has no blade list: wedge_rows reads planes alone.
+        cols = kernels.columns(range(len(blades)))
+        full = (1 << len(blades)) - 1
         bad = []
         for a in blades:
-            rev = -1 if kernels.grade(a) // 2 & 1 else 1
-            contracted = (  # g(a⌟b, c) and g(b⌞a, c)
-                {(b, m): s * g(m, neg) for b in blades for s, m in [lc(a, b, neg)] if s},
-                {(b, m): s * g(m, neg) for b in blades for s, m in [rc(b, a, neg)] if s},
-            )
-            wedged = (  # g(b, ã∧c) and g(b, c∧ã)
-                {(m, c): rev * s * g(m, neg) for c in blades for s, m in [wg(a, c)] if s},
-                {(m, c): rev * s * g(m, neg) for c in blades for s, m in [wg(c, a)] if s},
-            )
-            if contracted == wedged:
-                continue
-            off = {
-                k
-                for x, y in zip(contracted, wedged)
-                for k in x.keys() | y.keys()
-                if x.get(k) != y.get(k)
-            }
-            bad += sorted(((a, *k) for k in off), key=lambda t: [*map(blade_sort_key, t)])
+            flipped = None, [p ^ full if a >> i & 1 else p for i, p in enumerate(cols[1])]
+            flip = (kernels.grade(a) // 2 ^ (a & sig.neg_mask).bit_count()) & 1
+            off = 0
+            for (nc, zc), (nw, zw) in zip(
+                kernels.contraction_rows(a, cols, sig.neg_mask), kernels.wedge_rows(a, flipped)
+            ):
+                off |= (zc ^ zw) | (nc ^ nw ^ -flip) & (full ^ (zc | zw))
+            if off:
+                bad += [(a, b, a ^ b) for b in blades if off >> b & 1]
         res = CheckResult.counted("adjointness", f"{len(blades) ** 3} triples", bad)
         return res.ok, res.detail
 

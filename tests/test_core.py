@@ -413,6 +413,23 @@ def test_distributivity_property(a, b):
     assert wedge(a, b + b) == wedge(a, b) + wedge(a, b)
 
 
+def test_operators_equal_their_named_functions():
+    # each operator is a short way to call a named product or sum; an
+    # operand that is no multivector or exact scalar is refused
+    sig = Signature(2, 1)
+    a, b = mv("1/2 + e1 - 3*e2^e3", sig), mv("-2*e1 + e3 + e1^e2^e3", sig)
+    two, one = Multivector.scalar(sig, 2), Multivector.scalar(sig, 1)
+    assert a * b == geometric_product(a, b) != geometric_product(b, a)
+    assert a ^ b == wedge(a, b) != wedge(b, a)
+    assert 2 ^ a == wedge(two, a) == a * 2
+    assert 1 - a == one - a == -(a - 1)
+    assert bool(a) is True and bool(a - a) is False and bool(Multivector(sig)) is False
+    with pytest.raises(TypeError):
+        a / b
+    with pytest.raises(TypeError):
+        a + "x"
+
+
 def test_multivector_immutability_and_canonical_form():
     sig = Signature(1, 1)
     a = Multivector(sig, {0: Fraction(1), 1: Fraction(0)})

@@ -66,11 +66,11 @@ def test_reorder_mask_against_its_definition():
         assert r >> 12 == 0, a
 
 
-def test_row_kernel_against_pairs_and_naive_oracle():
-    # every bit of each row equals blade_mul pair by pair and the
-    # transposition count: every pair for four signatures with n <= 6, and
-    # every negative set with n <= 4, over every blade in order and over a
-    # shuffled proper subset, where no position holds its own mask
+def _row_cases():
+    """(n, neg, p, q, neg indices or None, blade lists): four signatures
+    with n = 6, then every negative set with n <= 4, each over every blade
+    in order and over a shuffled proper subset, where no position holds
+    its own mask."""
     cases = [
         (p + q, ((1 << q) - 1) << p, p, q, None)
         for p, q in [(6, 0), (3, 3), (0, 6), (2, 3)]
@@ -79,16 +79,25 @@ def test_row_kernel_against_pairs_and_naive_oracle():
         for n in range(5)
         for neg in range(1 << n)
     ]
-    rows = 0
     for n, neg, p, q, neg_indices in cases:
         every = list(range(1 << n))
         subset, rng = every[1:], random.Random(n)
         while any(b == j for j, b in enumerate(subset)):
             rng.shuffle(subset)
-        for bs in (every, subset):
+        yield n, neg, p, q, neg_indices, (every, subset)
+
+
+def test_row_kernel_against_pairs_and_naive_oracle():
+    # every bit of each row equals blade_mul pair by pair and the
+    # transposition count: every pair for four signatures with n <= 6, and
+    # every negative set with n <= 4, over every blade in order and over a
+    # shuffled proper subset, where no position holds its own mask
+    rows = 0
+    for n, neg, p, q, neg_indices, views in _row_cases():
+        for bs in views:
             cols = kernels.columns(bs)
             assert cols[0] == bs
-            for a in every:
+            for a in range(1 << n):
                 row = kernels.blade_mul_row(a, cols, neg)
                 assert row >> len(bs) == 0, (n, neg, a)
                 for j, b in enumerate(bs):
@@ -102,6 +111,55 @@ def test_row_kernel_against_pairs_and_naive_oracle():
     empty = kernels.columns([])
     assert empty == ([], [])
     assert kernels.blade_mul_row(0b101, empty, 0) == 0
+
+
+def test_row_forms_against_pairs_and_naive_oracle():
+    # every bit of blade_mul_col (a on the right), wedge_rows and
+    # contraction_rows equals its pair kernel and the transposition count,
+    # on the cases of the row kernel, and on a view of the blades without
+    # the last generator, which some a holds beyond the view
+    def naive(x, y, vanish, p, q, neg_indices):
+        if vanish:
+            return 0
+        sign, idx = naive_blade_product(blade_indices(x), blade_indices(y), p, q, neg_indices)
+        assert idx == blade_indices(x ^ y)
+        return sign
+
+    def signs(row, width):
+        assert row[0] & row[1] == 0 and (row[0] | row[1]) >> width == 0
+        return [kernels.row_sign(row, j) for j in range(width)]
+
+    views = 0
+    for n, neg, p, q, neg_indices, (every, subset) in _row_cases():
+        for bs in (every, subset, every[: len(every) // 2][::-1]):
+            cols, width = kernels.columns(bs), len(bs)
+            for a in every:
+                rows = [(kernels.blade_mul_col(a, cols, neg), 0), *kernels.wedge_rows(a, cols)]
+                rows += kernels.contraction_rows(a, cols, neg)
+                got = [signs(row, width) for row in rows]
+                for j, x in enumerate(bs):
+                    pairs = [
+                        kernels.blade_mul(x, a, neg),
+                        kernels.blade_wedge(a, x),
+                        kernels.blade_wedge(x, a),
+                        kernels.blade_left_contract(a, x, neg),
+                        kernels.blade_right_contract(x, a, neg),
+                    ]
+                    assert all(not s or m == a ^ x for s, m in pairs), (n, neg, a, x)
+                    assert [g[j] for g in got] == [s for s, _ in pairs], (n, neg, a, x)
+                    assert [s for s, _ in pairs] == [
+                        naive(x, a, False, p, q, neg_indices),
+                        naive(a, x, a & x, 0, 0, ()),
+                        naive(x, a, a & x, 0, 0, ()),
+                        naive(a, x, a & ~x, p, q, neg_indices),
+                        naive(x, a, a & ~x, p, q, neg_indices),
+                    ], (n, neg, a, x)
+            views += 1
+    assert views == 3 * (4 + sum(2**n for n in range(5)))
+    beyond = kernels.columns([0, 0b1, 0b10, 0b11])
+    assert kernels.contraction_rows(0b100, beyond, 0) == ((0, 0b1111), (0, 0b1111))
+    assert kernels.contraction_rows(0, beyond, 0) == ((0, 0), (0, 0))
+    assert kernels.wedge_rows(0b100, beyond) == ((0b0110, 0), (0, 0))
 
 
 def test_column_planes_hold_each_generator():

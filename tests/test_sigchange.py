@@ -621,6 +621,22 @@ def test_definition_rejects_a_wedge_that_fires_on_overlap(monkeypatch):
     assert details == {"definition": "8 (generator, blade) pairs, 4 violations; first (e1, e1)"}
 
 
+def test_definition_rejects_a_wedge_and_contraction_on_different_blades(monkeypatch):
+    # a wedge that fires on overlap onto the union a | b puts e1 ∧ e1 on e1
+    # while e1 ⌟ e1 lies on 1: two blades, so no signed e_target is their
+    # sum, and each overlapping pair fails
+    import cliffsig.kernels as kernels
+    from cliffsig.sigchange import _signed_sum
+
+    assert _signed_sum((1, 0b1), (1, 0), 0) is None
+    assert _signed_sum((1, 0b1), (-1, 0b10), 0b1) is None
+    honest = kernels.blade_mul
+    monkeypatch.setattr(kernels, "blade_wedge", lambda a, b: (honest(a, b, 0)[0], a | b))
+    rep = verify_clifford_map(Z2Grading.from_odd_indices(Signature(2, 0), [2]))
+    details = {c.name: c.detail for c in rep.checks if not c.ok}
+    assert details == {"definition": "8 (generator, blade) pairs, 4 violations; first (e1, e1)"}
+
+
 def test_definition_equals_the_pair_by_pair_reference(monkeypatch):
     # whole-row comparison against the expected rows decides exactly what
     # the pair-by-pair check did, whether the signature's rows are made by

@@ -139,6 +139,19 @@ def test_signs_come_only_from_the_kernel_functions():
     assert not found, f"reorder_mask named outside kernels.py: {found}"
 
 
+def test_verify_reads_no_pair_kernel():
+    # every sweep check of verify.py reads rows (neg, zero) of kernels'
+    # row functions; a pair kernel there would be a second, pair-by-pair
+    # protocol beside them
+    others = [path.name for path in SOURCES if path.name != "verify.py"]
+    found = [
+        (name, spot)
+        for name in ("blade_mul", "blade_wedge", "blade_left_contract", "blade_right_contract")
+        for spot in _named_outside(name, *others)
+    ]
+    assert not found, f"verify.py names pair kernels: {found}"
+
+
 def test_closed_forms_are_only_cross_checks():
     # every product the package evaluates, the CLI's included, is ∨ or ∨′
     # of a grading; the tilt and split closed forms are defined in

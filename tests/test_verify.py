@@ -18,6 +18,7 @@ from cliffsig import (
     Signature,
     Z2Grading,
     blade_from_indices,
+    classify_clifford,
     classify_even_subalgebra,
     even_subalgebra_basis,
     geometric_blade_op,
@@ -320,17 +321,27 @@ def test_table4_failure_is_attributed_to_its_cells(monkeypatch):
     assert shared.violations == 3
 
 
-def _core_detail(monkeypatch, key, name=None, pair=None, fault=None):
-    """The detail of the core cell ``key`` at n <= 5, with the kernel
-    ``name`` altered by ``fault(sign, mask)`` on the one pair ``pair``."""
+def _core_detail(monkeypatch, key, name=None, a=None, side=0, b=None, fault=None):
+    """The detail of the core cell ``key`` at n <= 5, with the row kernel
+    ``name`` altered on row ``side`` of blade ``a``: at the position of
+    blade ``b`` the product's sign s, -1, 0 or 1, becomes ``fault(s)``.
+    The position is read from the view's planes, so that a view with its
+    planes flipped finds it too."""
     from cliffsig import kernels
 
     if name is not None:
         base = getattr(kernels, name)
 
-        def kernel(x, y, *neg):
-            sign, mask = base(x, y, *neg)
-            return fault(sign, mask) if (x, y) == pair else (sign, mask)
+        def kernel(x, cols, *neg):
+            pair = list(base(x, cols, *neg))
+            planes = cols[1]
+            for j in range(1 << len(planes)) if x == a else ():
+                if sum((plane >> j & 1) << i for i, plane in enumerate(planes)) == b:
+                    sign, bit = fault(kernels.row_sign(pair[side], j)), 1 << j
+                    row_neg, zero = pair[side]
+                    row_neg, zero = row_neg & ~bit, zero & ~bit
+                    pair[side] = (row_neg | bit * (sign < 0), zero | bit * (sign == 0))
+            return tuple(pair)
 
         monkeypatch.setattr(kernels, name, kernel)
     cells = {c.key: c for c in run_suite("core", 5).cells}
@@ -339,13 +350,14 @@ def _core_detail(monkeypatch, key, name=None, pair=None, fault=None):
 
 
 def test_core_adjointness_reads_every_triple(monkeypatch):
-    # the identities are decided by pairs, so the cell covers all
-    # 32**3 blade triples of Cl(3,2) at once
+    # the identities are decided by rows, so the cell covers all 32**3
+    # blade triples of Cl(3,2) at once
     assert _core_detail(monkeypatch, "3,2:adjointness") == "32768 triples, 0 violations"
 
 
-# Each fault below sits on a pair that the 300 triples once sampled by this
-# cell at seed 0 never read; the exact check names its triple.
+# Each fault below is on one row position, and the cell names its triple.
+# A row carries no masks: a nonzero product at the position of b lies on
+# a ^ b.
 E1, E2, E3, E4, E5 = 0b1, 0b10, 0b100, 0b1000, 0b10000
 
 
@@ -353,36 +365,53 @@ def test_core_adjointness_catches_a_leaking_left_contraction(monkeypatch):
     # e1 ⌟ e2^e4 is 0; made e1^e2^e4, g(e1 ⌟ e2^e4, e1^e2^e4) = 1 while
     # e1 ∧ e1^e2^e4 = 0
     detail = _core_detail(
-        monkeypatch, "3,2:adjointness", "blade_left_contract", (E1, E2 | E4),
-        lambda sign, mask: (1, E1 | E2 | E4),
+        monkeypatch, "3,2:adjointness", "contraction_rows", E1, 0, E2 | E4,
+        lambda sign: 1,
     )
     assert detail == "32768 triples, 1 violations; first (e1, e2^e4, e1^e2^e4)"
 
 
 def test_core_adjointness_catches_a_flipped_left_contraction(monkeypatch):
     detail = _core_detail(
-        monkeypatch, "3,2:adjointness", "blade_left_contract", (E1, E1 | E4),
-        lambda sign, mask: (-sign, mask),
+        monkeypatch, "3,2:adjointness", "contraction_rows", E1, 0, E1 | E4,
+        lambda sign: -sign,
     )
     assert detail == "32768 triples, 1 violations; first (e1, e1^e4, e4)"
 
 
-def test_core_adjointness_catches_a_wedge_on_the_wrong_blade(monkeypatch):
-    # e1 ∧ e2^e3 sent to e1^e2 breaks g(b, ã∧c) for a = e1 and g(b, c∧ã)
-    # for a = e2^e3, each at b = e1^e2^e3 and at b = e1^e2
-    detail = _core_detail(
-        monkeypatch, "3,2:adjointness", "blade_wedge", (E1, E2 | E3),
-        lambda sign, mask: (sign, mask ^ E3),
-    )
-    assert detail == "32768 triples, 4 violations; first (e1, e1^e2, e2^e3)"
-
-
 def test_core_adjointness_catches_a_flipped_right_contraction(monkeypatch):
+    # row 1 of a = e2^e5 is x ⌞ a; flipped at x = e1^e2^e5
     detail = _core_detail(
-        monkeypatch, "3,2:adjointness", "blade_right_contract", (E1 | E2 | E5, E2 | E5),
-        lambda sign, mask: (-sign, mask),
+        monkeypatch, "3,2:adjointness", "contraction_rows", E2 | E5, 1, E1 | E2 | E5,
+        lambda sign: -sign,
     )
     assert detail == "32768 triples, 1 violations; first (e2^e5, e1^e2^e5, e1)"
+
+
+def test_core_adjointness_catches_a_wedge_that_fires_on_overlap(monkeypatch):
+    # e1 ∧ e1^e3 is 0; made +e3, it breaks g(b, ã∧c) at c = e1^e3, which
+    # the cell reads at b = e1 ^ c = e3
+    detail = _core_detail(
+        monkeypatch, "3,2:adjointness", "wedge_rows", E1, 0, E1 | E3,
+        lambda sign: 1,
+    )
+    assert detail == "32768 triples, 1 violations; first (e1, e3, e1^e3)"
+
+
+def test_table2_names_each_identity_it_breaks(monkeypatch):
+    # Cl+(p,q) ~ Cl(q,p-1) ~ Cl(p,q-1): an even-part class that answers
+    # Cl(p,q) breaks each identity whose side exists, and the fingerprint
+    import cliffsig.verify as verify
+
+    monkeypatch.setattr(verify, "classify_even_part", classify_clifford)
+    cells = {c.key: c.detail for c in run_suite("table2", 3).cells if not c.ok}
+    assert len(cells) == 9
+    head, *problems = cells["2,1"].split("; ")
+    assert head == f"Cl+(2,1) ~ {classify_clifford(2, 1)}"
+    assert problems[:2] == ["!= Cl(1,1)", "!= Cl(2,0)"]
+    assert problems[2].startswith("oracle ") and len(problems) == 3
+    assert cells["0,3"].split("; ")[1:2] == ["!= Cl(0,2)"]
+    assert cells["3,0"].split("; ")[1:2] == ["!= Cl(0,2)"]
 
 
 def test_core_generators_name_the_first_pair(monkeypatch):
@@ -488,15 +517,15 @@ def test_core_involutions_require_each_blade_to_map_to_itself(monkeypatch):
 
 
 def test_core_decomposition_catches_a_flipped_left_contraction(monkeypatch):
-    # e2 ⌟ e1^e2 = -e1 made +e1: the adjointness cell, which reads the same
-    # kernel, fails with it, and nothing else does
+    # e2 ⌟ e1^e2 = -e1 made +e1: the decomposition cell reads the pair
+    # kernel and fails; the adjointness cell reads the row forms, so
+    # nothing else does
     from cliffsig import kernels
 
     failing = _failing_core_cells(
         monkeypatch, kernels, "blade_left_contract", _kernel_flipped_on((E2, E1 | E2))
     )
     assert failing == {
-        "adjointness": "32768 triples, 1 violations; first (e2, e1^e2, e1)",
         "decomposition": "160 (generator, blade) pairs, 1 violations; first (e2, e1^e2)",
     }
 
