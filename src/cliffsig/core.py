@@ -431,43 +431,36 @@ def kept(shared: dict | None, key, make):
     return value
 
 
-def bilinear(a: Multivector, b: Multivector, blade_op) -> Multivector:
-    """Extend a (sign, mask)-valued blade operation bilinearly.
+def bilinear(a: Multivector, b: Multivector, row_op) -> Multivector:
+    """Extend a row sign function bilinearly.
 
     The one driver behind every product in the package: each product is
-    only a choice of ``blade_op``, which sends a pair of blade masks to a
-    sign in {-1, 0, 1} and a result mask.  Numerators multiply as ints
-    over the product of the denominators, reduced by one gcd at the end;
-    every result mask is range-checked.  The caller checks signatures.
+    only a choice of ``row_op``, which sends a blade mask and a column
+    view (``kernels.columns``) to the row ``(neg, zero)`` of its products
+    with the blades there, as the oracle reads it.  One row per term of
+    ``a`` is read over the view of ``b``'s blades, and each nonzero
+    product lies on ``ma ^ mb``.  Numerators multiply as ints over the
+    product of the denominators, reduced by one gcd at the end.  The
+    caller checks signatures.
     """
     out: dict[int, int] = {}
     get = out.get
-    b_terms = b._num.items()
+    cols = kernels.columns(b._num)
+    b_terms = [(1 << j, mb, cb) for j, (mb, cb) in enumerate(b._num.items())]
     for ma, ca in a._num.items():
-        for mb, cb in b_terms:
-            sign, mask = blade_op(ma, mb)
-            if sign:
-                out[mask] = get(mask, 0) + sign * ca * cb
-    num = {m: n for m, n in out.items() if n}
-    sig = a.sig
-    if num:
-        sig.check_mask(min(num))
-        sig.check_mask(max(num))
-    return _reduced(sig, num, a._den * b._den)
-
-
-def geometric_blade_op(sig: Signature):
-    """Blade sign function of the Clifford product of ``sig``: the one
-    definition behind ``geometric_product``; ``geometric_row_op`` is the
-    same kernel by rows, for the oracle."""
-    neg = sig.neg_mask
-    return lambda ma, mb: kernels.blade_mul(ma, mb, neg)
+        neg, zero = row_op(ma, cols)
+        for bit, mb, cb in b_terms:
+            if not zero & bit:
+                mask = ma ^ mb
+                out[mask] = get(mask, 0) + (-ca if neg & bit else ca) * cb
+    return _reduced(a.sig, {m: n for m, n in out.items() if n}, a._den * b._den)
 
 
 def geometric_row_op(sig: Signature):
     """Row sign function of the Clifford product of ``sig``: a blade and a
-    column view (``kernels.columns``) to the row ``(neg, zero)`` of
-    ``geometric_blade_op`` over it, as the oracle reads it."""
+    column view (``kernels.columns``) to the row ``(neg, zero)`` of its
+    products over it.  ``geometric_product`` reads it, and so does the
+    oracle that certifies it."""
     neg = sig.neg_mask
     return lambda ma, cols: (kernels.blade_mul_row(ma, cols, neg), 0)
 
@@ -475,13 +468,13 @@ def geometric_row_op(sig: Signature):
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Clifford product of Cl(p,q); associative, unit = scalar 1."""
     _check_same_sig(a, b)
-    return bilinear(a, b, geometric_blade_op(a.sig))
+    return bilinear(a, b, geometric_row_op(a.sig))
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product (graded-anticommutative, metric-independent)."""
     _check_same_sig(a, b)
-    return bilinear(a, b, kernels.blade_wedge)
+    return bilinear(a, b, lambda ma, cols: kernels.wedge_rows(ma, cols)[0])
 
 
 def left_contraction(a: Multivector, b: Multivector) -> Multivector:
@@ -489,14 +482,16 @@ def left_contraction(a: Multivector, b: Multivector) -> Multivector:
     g(a ⌟ b, c) = g(b, reversion(a) ^ c) for all c."""
     _check_same_sig(a, b)
     neg = a.sig.neg_mask
-    return bilinear(a, b, lambda ma, mb: kernels.blade_left_contract(ma, mb, neg))
+    return bilinear(a, b, lambda ma, cols: kernels.contraction_rows(ma, cols, neg)[0])
 
 
 def right_contraction(a: Multivector, b: Multivector) -> Multivector:
-    """a right-contracted by b: g(a ⌞ b, c) = g(a, c ^ reversion(b))."""
+    """a right-contracted by b: g(a ⌞ b, c) = g(a, c ^ reversion(b)).
+    Read with the factors swapped: per term of b, the row x ⌞ mb over
+    the view of a's blades."""
     _check_same_sig(a, b)
     neg = a.sig.neg_mask
-    return bilinear(a, b, lambda ma, mb: kernels.blade_right_contract(ma, mb, neg))
+    return bilinear(b, a, lambda mb, cols: kernels.contraction_rows(mb, cols, neg)[1])
 
 
 def grade_projection(a: Multivector, k: int) -> Multivector:

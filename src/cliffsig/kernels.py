@@ -3,8 +3,9 @@
 A blade is an index bitmask: bit i-1 stands for the basis vector e_i, so
 e1^e3 is 0b101.  ``neg_mask`` marks the generators squaring to -1.  It
 may be any subset of the generators, not only the trailing q of a
-``Signature``: the deformed product of a grading is ``blade_mul`` under
-the mask with the odd generators' squares flipped.
+``Signature``: the deformed product of a grading is the geometric
+product's kernel under the mask with the odd generators' squares
+flipped.
 
 Every sign is the parity of ``r & b`` for a mask ``r`` that depends on
 the left factor ``a`` alone: ``reorder_mask(a)`` for the merge
@@ -19,15 +20,19 @@ and the wedge and both contractions are ``blade_mul`` where they do not
 vanish.  Their row forms, ``wedge_rows`` and ``contraction_rows``, give
 the rows with a on either side, and read where a row vanishes off the
 planes too: the OR of a's planes for the wedge, the complement of their
-AND for the contractions.  The test suite checks each against
-bubble-sort transposition counting.
+AND for the contractions.  The products read the row forms alone; the
+pair forms are the references the test suite checks each row against,
+and it checks both against bubble-sort transposition counting.
+``blade_wedge`` and ``blade_left_contract`` also sum the definition
+check's expected rows, which must not come from a product's rows.
 
 A row of products is given as two bitmasks over the positions of a
 column view, ``(neg, zero)``: the products of sign -1, and those that
 vanish.  Each nonzero product of a and the blade at position j lies on
 their symmetric difference, so the row needs no masks; ``neg`` and
 ``zero`` are disjoint.  Every row sign function of the package,
-``row_op(a, cols)``, returns such a row.
+``row_op(a, cols)``, returns such a row, and ``core.bilinear`` extends
+one to multivectors, one row per term of the left factor.
 """
 
 from functools import reduce
@@ -129,7 +134,9 @@ def blade_left_contract(a, b, neg_mask):
 
 
 def blade_right_contract(a, b, neg_mask):
-    """a right-contracted by b: nonzero only when b's indices lie in a's."""
+    """a right-contracted by b: nonzero only when b's indices lie in a's.
+    No product calls it: it is the pair reference the tests check the
+    right side of ``contraction_rows`` against."""
     if b & ~a:
         return 0, 0
     return blade_mul(a, b, neg_mask)

@@ -9,19 +9,21 @@ squares flipped, so the grading parametrizes every signature change
 Cl(p,q) -> Cl(r,s) with r = p0+q1, s = q0+p1.
 
 ``vee_alpha`` computes the deformed product as what the paper shows it
-to be: the Clifford product of g_a, i.e. the blade kernel with the odd
-generators' squares flipped, extended bilinearly by ``core.bilinear``.
-That is checked, not assumed: ``verify_clifford_map`` compares that sign
-function with the definition v ∨ a = v^a + alpha(v)⌟a, summed from the
-original metric's blade kernels, on every (generator, blade) pair (a
-whole row per generator, against rows a sweep makes once per signature) and
-certifies its associativity, which together pin it to the product the
-definition generates.  Two further routes are kept, for the tests, as
-independent cross-checks: the split form against the original product
-(``vee_alpha_via_split``) and, for the all-odd grading, Lounesto's tilt
-closed form (``tilt_product``).  The alternative bilinear product
-``vee_prime`` flips products of odd components instead; it respects the
-grading but relates to the exterior product only through
+to be: the Clifford product of g_a, i.e. the row kernel with the odd
+generators' squares flipped (``vee_alpha_row_op``), extended bilinearly
+by ``core.bilinear``.  That is checked, not assumed:
+``verify_clifford_map`` reads the same row function, compares it with
+the definition v ∨ a = v^a + alpha(v)⌟a, summed from the original
+metric's blade kernels, on every (generator, blade) pair (a whole row
+per generator, against rows a sweep makes once per signature) and
+certifies its associativity, which together pin the product users
+compute to the product the definition generates.  Two further routes are
+kept, for the tests, as independent cross-checks: the split form against
+the original product (``vee_alpha_via_split``) and, for the all-odd
+grading, Lounesto's tilt closed form (``tilt_product``).  The
+alternative bilinear product ``vee_prime``, read through
+``vee_prime_row_op``, flips products of odd components instead; it
+respects the grading but relates to the exterior product only through
 parity-weighted antisymmetrization.  Where the naive antisymmetrization
 (x ∨' y - y ∨' x)/2 differs from x^y, ``find_wedge_counterexample``
 names a witness: both sides are antisymmetric and bilinear in (x, y), so
@@ -32,6 +34,8 @@ they agree on all vectors exactly when they agree on every basis pair
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 from typing import NamedTuple
 
 from . import kernels
@@ -76,16 +80,10 @@ def target_signature(gr: Z2Grading) -> tuple[int, int]:
     return p0 + q1, q0 + p1
 
 
-def vee_alpha_blade_op(gr: Z2Grading):
-    """Blade sign function of ∨: the geometric-product kernel under the
-    negative-square mask neg ^ odd, i.e. the Clifford product of g_a."""
-    neg = gr.sig.neg_mask ^ gr.odd_mask
-    return lambda x, y: kernels.blade_mul(x, y, neg)
-
-
 def vee_alpha_row_op(gr: Z2Grading):
-    """Row sign function of ∨, ``vee_alpha_blade_op`` over a column view
-    of right factors at once, as the oracle reads it."""
+    """Row sign function of ∨: the geometric-product row under the
+    negative-square mask neg ^ odd, i.e. the Clifford product of g_a.
+    ``vee_alpha`` reads it, and so do the checks that certify it."""
     neg = gr.sig.neg_mask ^ gr.odd_mask
     return lambda x, cols: (kernels.blade_mul_row(x, cols, neg), 0)
 
@@ -103,13 +101,13 @@ def vee_alpha(a: Multivector, b: Multivector, gr: Z2Grading) -> Multivector:
     Defined on vectors by v ∨ b = v^b + alpha(v)⌟b.  The product it
     generates is the Clifford product of the deformed metric g_a, whose
     odd generators square to minus their original squares, so on blades
-    it is ``vee_alpha_blade_op``.  verify_clifford_map checks this against
-    the definition, and checks associativity and the g_a generator
-    relations.
+    it is ``vee_alpha_row_op``, the row function verify_clifford_map
+    checks against the definition and certifies associative and true to
+    the g_a generator relations.
     """
     _check_same_sig(a, gr)
     _check_same_sig(b, gr)
-    return bilinear(a, b, vee_alpha_blade_op(gr))
+    return bilinear(a, b, vee_alpha_row_op(gr))
 
 
 def vee_alpha_via_split(v: Multivector, a: Multivector, gr: Z2Grading) -> Multivector:
@@ -138,18 +136,20 @@ def tilt_product(a: Multivector, b: Multivector) -> Multivector:
     )
 
 
-def vee_prime_blade_op(gr: Z2Grading):
-    """Blade sign function of ∨': x ∨' y = (-1)^(π(x)π(y)) y x, with π
-    the alpha-parity of a blade."""
+def vee_prime_row_op(gr: Z2Grading):
+    """Row sign function of ∨': x ∨' y = (-1)^(π(x)π(y)) y x, with π
+    the alpha-parity of a blade.  The row of y x is ``blade_mul_col``;
+    when x is alpha-odd, the positions of odd π(y), the XOR of the planes
+    of the odd generators, change sign."""
     neg, odd = gr.sig.neg_mask, gr.odd_mask
 
-    def blade_op(x: int, y: int) -> tuple[int, int]:
-        sign, mask = kernels.blade_mul(y, x, neg)
-        if (x & odd).bit_count() & (y & odd).bit_count() & 1:
-            sign = -sign
-        return sign, mask
+    def row_op(x: int, cols) -> tuple[int, int]:
+        row = kernels.blade_mul_col(x, cols, neg)
+        if (x & odd).bit_count() & 1:
+            row ^= reduce(xor, (p for i, p in enumerate(cols[1]) if odd >> i & 1), 0)
+        return row, 0
 
-    return blade_op
+    return row_op
 
 
 def vee_prime(a: Multivector, b: Multivector, gr: Z2Grading) -> Multivector:
@@ -159,7 +159,7 @@ def vee_prime(a: Multivector, b: Multivector, gr: Z2Grading) -> Multivector:
     """
     _check_same_sig(a, gr)
     _check_same_sig(b, gr)
-    return bilinear(a, b, vee_prime_blade_op(gr))
+    return bilinear(a, b, vee_prime_row_op(gr))
 
 
 def naive_antisymmetrization(x: Multivector, y: Multivector, gr: Z2Grading) -> Multivector:

@@ -6,9 +6,12 @@ extended metric by cofactor-expansion Gram determinants, contractions by
 solving the adjointness relation coefficient by coefficient.  No code is
 shared with the package, so agreement is meaningful.
 
-Three sections are exceptions.  The Fraction-dict reference for the
-multivector arithmetic takes the package's blade sign functions, so it
-checks only the integer-numerator representation, not the blade signs.
+Four sections are exceptions.  The pair references are the package's
+products one blade pair at a time, built on ``kernels.blade_mul``, so
+they check the package's row functions, not its kernel.  The
+Fraction-dict reference for the multivector arithmetic takes such pair
+functions, so it checks how a product reads rows and the
+integer-numerator representation, not the blade signs.
 The sign-table reference stores a product's dim**2 signs and reads its
 fingerprint and associativity off the table; the package's oracle reads
 the same numbers off a certified bicharacter and keeps no table.  The
@@ -220,13 +223,56 @@ def multivector_structure_constants(sig, masks, product):
     ]
 
 
+# -- pair references -----------------------------------------------------------
+#
+# The package reads each product through a row sign function, one row
+# (neg, zero) per left factor.  These are the same products one pair of
+# blades at a time, each a (sign, mask) from ``kernels.blade_mul``: the
+# references the row functions and the products are checked against, and
+# what a test alters pair by pair before ``rows`` hands it to the oracle.
+
+
+def geometric_pair_op(sig):
+    """The Clifford product of ``sig`` on one blade pair."""
+    from cliffsig import kernels
+
+    neg = sig.neg_mask
+    return lambda a, b: kernels.blade_mul(a, b, neg)
+
+
+def vee_alpha_pair_op(gr):
+    """∨ of the grading ``gr`` on one blade pair: the Clifford product of
+    g_a, the odd generators' squares flipped."""
+    from cliffsig import kernels
+
+    neg = gr.sig.neg_mask ^ gr.odd_mask
+    return lambda a, b: kernels.blade_mul(a, b, neg)
+
+
+def vee_prime_pair_op(gr):
+    """∨' of the grading ``gr`` on one blade pair:
+    x ∨' y = (-1)^(π(x)π(y)) y x, with π the alpha-parity of a blade."""
+    from cliffsig import kernels
+
+    neg, odd = gr.sig.neg_mask, gr.odd_mask
+
+    def pair_op(x, y):
+        sign, mask = kernels.blade_mul(y, x, neg)
+        if (x & odd).bit_count() & (y & odd).bit_count() & 1:
+            sign = -sign
+        return sign, mask
+
+    return pair_op
+
+
 # -- Fraction-dict reference for the multivector arithmetic -------------------
 #
 # ``Multivector`` stores integer numerators over one common denominator.
 # These are its operations as they were written before that, on plain
 # {mask: Fraction} dicts with zero coefficients dropped, one Fraction
-# operation per term.  They take the same blade sign functions and blade
-# predicates as the package, so the tests compare the arithmetic alone.
+# operation per term.  ``ref_bilinear`` reads a pair function (the pair
+# references above, or a pair kernel) where the package reads rows, so the
+# tests compare both the row reading and the arithmetic.
 
 MaskTerms = dict[int, Fraction]  # blade mask -> nonzero coefficient
 

@@ -27,7 +27,7 @@ from cliffsig import (
     vee_alpha,
     vee_alpha_via_split,
     vee_prime,
-    vee_prime_blade_op,
+    vee_prime_row_op,
     verify_clifford_map,
     wedge,
     weighted_antisymmetrization,
@@ -40,7 +40,7 @@ from cliffsig.verify import (
     signatures_up_to,
 )
 
-from oracles import random_vector, rows
+from oracles import random_vector
 
 
 def _five_term_multivector(rng, sig):
@@ -218,7 +218,7 @@ def test_criterion_09_vee_prime_suite():
                 pa = gr.blade_parity(next(iter(a.terms)))
                 pb = gr.blade_parity(next(iter(b.terms)))
                 assert all(gr.blade_parity(m) == (pa + pb) & 1 for m in ab.terms)
-            verdict = certify(blades, rows(vee_prime_blade_op(gr))).verdict
+            verdict = certify(blades, vee_prime_row_op(gr)).verdict
             assert verdict.associative, (gr, verdict.associativity)
             pairs += len(blades) ** 2
     # the parity-weighted wedge identity holds for all tested vectors

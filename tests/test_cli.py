@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from cliffsig import (
     Signature,
     format_multivector,
-    geometric_blade_op,
     geometric_product,
     parse_multivector,
     tilt_product,
@@ -22,7 +21,7 @@ from cliffsig import (
 from cliffsig.cli import main
 from cliffsig.verify import all_gradings, signatures_up_to
 
-from oracles import rows
+from oracles import geometric_pair_op, rows
 
 
 def run(capsys, *argv):
@@ -142,7 +141,7 @@ def one_times_e1_flipped(monkeypatch):
     import cliffsig.verify as verify
 
     def twisted(sig):
-        op = geometric_blade_op(sig)
+        op = geometric_pair_op(sig)
 
         def blade_op(x, y):
             sign, mask = op(x, y)

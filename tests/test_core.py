@@ -24,7 +24,6 @@ from cliffsig import (
     alpha,
     blade_product,
     extended_metric,
-    geometric_blade_op,
     geometric_product,
     grade_projection,
     kernels,
@@ -36,11 +35,12 @@ from cliffsig import (
     right_contraction,
     wedge,
 )
-from cliffsig.core import bilinear, even_grade_part, odd_grade_part
+from cliffsig.core import even_grade_part, odd_grade_part
 from cliffsig.oracle import Verdict
-from cliffsig.sigchange import vee_alpha, vee_alpha_blade_op, vee_prime, vee_prime_blade_op
+from cliffsig.sigchange import vee_alpha, vee_prime
 from oracles import (
     from_multivector,
+    geometric_pair_op,
     naive_blade_product,
     naive_gp,
     naive_left_contraction,
@@ -51,6 +51,8 @@ from oracles import (
     ref_reweight,
     ref_scale,
     to_multivector,
+    vee_alpha_pair_op,
+    vee_prime_pair_op,
 )
 
 
@@ -512,7 +514,7 @@ def test_operations_match_the_fraction_reference(data):
 
     cases = [
         (a, A),
-        (geometric_product(a, b), ref_bilinear(A, B, geometric_blade_op(sig))),
+        (geometric_product(a, b), ref_bilinear(A, B, geometric_pair_op(sig))),
         (wedge(a, b), ref_bilinear(A, B, kernels.blade_wedge)),
         (
             left_contraction(a, b),
@@ -522,8 +524,8 @@ def test_operations_match_the_fraction_reference(data):
             right_contraction(a, b),
             ref_bilinear(A, B, lambda x, y: kernels.blade_right_contract(x, y, neg)),
         ),
-        (vee_alpha(a, b, gr), ref_bilinear(A, B, vee_alpha_blade_op(gr))),
-        (vee_prime(a, b, gr), ref_bilinear(A, B, vee_prime_blade_op(gr))),
+        (vee_alpha(a, b, gr), ref_bilinear(A, B, vee_alpha_pair_op(gr))),
+        (vee_prime(a, b, gr), ref_bilinear(A, B, vee_prime_pair_op(gr))),
         (a + b, ref_add(A, B)),
         (a - b, ref_add(A, ref_scale(B, -1))),
         (a - a, {}),
@@ -555,14 +557,9 @@ def test_operations_match_the_fraction_reference(data):
 
 
 def test_product_result_masks_are_range_checked():
-    # a sign function landing outside the algebra is refused, as the
-    # constructor refuses an out-of-range mask
+    # the constructor refuses an out-of-range mask; a product cannot make
+    # one, since it reads rows and puts each term on ma ^ mb
     sig = Signature(2, 0)
-    a = Multivector.basis_vector(sig, 1)
-    with pytest.raises(ValueError, match="out of range"):
-        bilinear(a, a, lambda x, y: (1, 0b100))
-    with pytest.raises(ValueError, match="out of range"):
-        bilinear(a, a, lambda x, y: (1, -1))
     with pytest.raises(ValueError, match="out of range"):
         Multivector(sig, {0b100: 1})
 

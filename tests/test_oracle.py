@@ -21,13 +21,10 @@ from cliffsig import (
     classify_even_subalgebra,
     even_subalgebra_basis,
     expected_invariants,
-    geometric_blade_op,
     geometric_product,
     geometric_row_op,
     vee_alpha,
-    vee_alpha_blade_op,
     vee_prime,
-    vee_prime_blade_op,
 )
 from cliffsig import kernels
 from cliffsig.core import MAX_DIMENSION
@@ -41,12 +38,15 @@ from oracles import (
     dense_invariants,
     dense_regular_representation,
     first_nonassociative_triple,
+    geometric_pair_op,
     multivector_structure_constants,
     reference_constants,
     regular_representation,
     rows,
     structural_invariants,
     table_check_associativity,
+    vee_alpha_pair_op,
+    vee_prime_pair_op,
 )
 
 
@@ -77,7 +77,7 @@ def test_two_element_basis_of_cl10():
     assert cert.verdict.ok and cert.verdict.associative
     assert cert.verdict.associativity == "bicharacter certificate, 4 pairs, 0 violations"
     assert cert.invariants() == StructuralInvariants(2, 2, (2, 0), (2, 0))
-    sc = regular_representation([0b0, 0b1], geometric_blade_op(sig))
+    sc = regular_representation([0b0, 0b1], geometric_pair_op(sig))
     assert sc.dim == 2
     assert (sc.sign[1][1], sc.prod[1][1]) == (1, 0)  # e1*e1 = 1
     assert (sc.sign[0][1], sc.prod[0][1]) == (1, 1)
@@ -89,7 +89,7 @@ def test_even_subalgebra_is_closed():
     masks = even_subalgebra_basis(gr)
     cert = certify(masks, geometric_row_op(sig))
     assert cert.verdict.ok and cert.invariants().dim == 4
-    sc = regular_representation(masks, geometric_blade_op(sig))
+    sc = regular_representation(masks, geometric_pair_op(sig))
     for i, j in itertools.product(range(4), repeat=2):
         assert abs(sc.sign[i][j]) == 1 and 0 <= sc.prod[i][j] < 4
 
@@ -101,15 +101,15 @@ def test_not_closed():
     masks = [0b00, 0b01, 0b10]
     message = "product of basis elements 1 and 2 leaves the span"
     with pytest.raises(NotClosed, match=message):
-        regular_representation(masks, geometric_blade_op(sig))
-    assert refused(masks, geometric_blade_op(sig)) == message
+        regular_representation(masks, geometric_pair_op(sig))
+    assert refused(masks, geometric_pair_op(sig)) == message
     verdict = oracle(masks, geometric_row_op(sig), classify_clifford(2, 0))
     assert not verdict.ok and verdict.problem == message
 
 
 def test_not_independent():
     sig = Signature(1, 0)
-    op = geometric_blade_op(sig)
+    op = geometric_pair_op(sig)
     for masks, message in [([1, 1], "a blade appears twice in the basis"), ([], "empty basis")]:
         with pytest.raises(NotIndependent, match=message):
             regular_representation(masks, op)
@@ -169,18 +169,18 @@ def test_a_pass_reads_one_row_per_call():
 
 def test_blade_ops_match_the_multivector_products():
     # the slow construction (each constant read off the Multivector
-    # product of two unit blades) agrees with the sign function, for the
+    # product of two unit blades) agrees with the pair reference, for the
     # three products the package fingerprints, over every grading n <= 4
     for sig in signatures_up_to(4):
         masks = all_blades(sig)
-        assert cells(regular_representation(masks, geometric_blade_op(sig))) == (
+        assert cells(regular_representation(masks, geometric_pair_op(sig))) == (
             multivector_structure_constants(sig, masks, geometric_product)
         )
         for odd_mask in range(1 << sig.n):
             gr = Z2Grading(sig, odd_mask)
             for op, product in [
-                (vee_alpha_blade_op, vee_alpha),
-                (vee_prime_blade_op, vee_prime),
+                (vee_alpha_pair_op, vee_alpha),
+                (vee_prime_pair_op, vee_prime),
             ]:
                 want = multivector_structure_constants(
                     sig, masks, lambda a, b: product(a, b, gr)
@@ -203,19 +203,19 @@ def fingerprints(masks, op):
 
 def test_quaternion_fingerprint():
     sig = Signature(0, 2)  # Cl(0,2) is the quaternions
-    got, ref = fingerprints([0b00, 0b01, 0b10, 0b11], geometric_blade_op(sig))
+    got, ref = fingerprints([0b00, 0b01, 0b10, 0b11], geometric_pair_op(sig))
     assert got == ref == StructuralInvariants(4, 1, (1, 3), (1, 0))
 
 
 def test_split_fingerprint():
     # R (+) R realized as Cl(1,0)
-    got, ref = fingerprints([0, 1], geometric_blade_op(Signature(1, 0)))
+    got, ref = fingerprints([0, 1], geometric_pair_op(Signature(1, 0)))
     assert got == ref == StructuralInvariants(2, 2, (2, 0), (2, 0))
 
 
 def test_matrix_algebra_fingerprint():
     # M(2,R) realized as Cl(2,0)
-    got, ref = fingerprints([0, 1, 2, 3], geometric_blade_op(Signature(2, 0)))
+    got, ref = fingerprints([0, 1, 2, 3], geometric_pair_op(Signature(2, 0)))
     assert got == ref == StructuralInvariants(4, 1, (3, 1), (1, 0))
 
 
@@ -243,7 +243,7 @@ def test_non_associative_detected():
         masks = all_blades(sig)
         for pair in itertools.product(masks, repeat=2):
             cases += 1
-            op = flipped(geometric_blade_op(sig), pair)
+            op = flipped(geometric_pair_op(sig), pair)
             sc = regular_representation(masks, op)
             want = dense_first_nonassociative_triple(
                 dense_regular_representation(masks, op), 0, 200
@@ -264,7 +264,7 @@ def test_non_associative_detected():
     assert failing == cases - 2
     sig = Signature(3, 2)
     masks = all_blades(sig)
-    op = flipped(geometric_blade_op(sig), *((0b1, b) for b in masks))
+    op = flipped(geometric_pair_op(sig), *((0b1, b) for b in masks))
     assert dense_first_nonassociative_triple(
         dense_regular_representation(masks, op), 0, 200
     ) is not None
@@ -279,7 +279,7 @@ def test_not_associative_carries_first_triple():
     # b0 b0 = b0 and b1 b1 = b0 as in Cl(1,0), but b1 b0 = -b1: the first
     # failing triple in order is (1, 0, 0), with (b1 b0) b0 = b1 but
     # b1 (b0 b0) = -b1, which the verdict names as blades
-    op = flipped(geometric_blade_op(Signature(1, 0)), (1, 0))
+    op = flipped(geometric_pair_op(Signature(1, 0)), (1, 0))
     verdict = oracle([0, 1], rows(op), classify_clifford(1, 0))
     assert not verdict.associative and not verdict.ok
     assert verdict.associativity == "exhaustive triples, first violation (e1, 1, 1)"
@@ -311,7 +311,7 @@ def test_one_flipped_sign_in_a_row_fails_with_its_pair():
     cls = classify_clifford(3, 2)
     for a, b in [(0b1, 0b11), (0b111, 0b11000), (0, 0b11111), (0b10101, 0b10101), (0b1, 0b10)]:
         verdict = oracle(masks, flipped_in_row(geometric_row_op(sig), a, b), cls)
-        pairwise = oracle(masks, rows(flipped(geometric_blade_op(sig), (a, b))), cls)
+        pairwise = oracle(masks, rows(flipped(geometric_pair_op(sig), (a, b))), cls)
         assert not verdict.associative and not verdict.ok
         assert verdict == pairwise, (a, b)
         if (a & (a - 1)) or (b & (b - 1)) or not (a and b):
@@ -345,7 +345,7 @@ def test_coboundary_twist_fails_the_certificate():
         masks = all_blades(sig)
         cls = classify_clifford(sig.p, sig.q)
         for blade in masks:
-            op = coboundary_twisted(geometric_blade_op(sig), blade)
+            op = coboundary_twisted(geometric_pair_op(sig), blade)
             dense = dense_regular_representation(masks, op)
             assert dense_first_nonassociative_triple(dense, 0, 200) is None
             assert dense_fingerprint(dense) == expected_invariants(cls)
@@ -379,7 +379,7 @@ def test_fingerprint_checks_no_associativity():
     for sig in signatures_up_to(3):
         masks = all_blades(sig)
         for pair in itertools.product(masks, repeat=2):
-            op = flipped(geometric_blade_op(sig), pair)
+            op = flipped(geometric_pair_op(sig), pair)
             sc = regular_representation(masks, op)
             if first_nonassociative_triple(sc, 0, 200) is None:
                 continue
@@ -476,7 +476,7 @@ def fingerprinted_blade_bases():
     fingerprint: table1, table2 and table4 with n <= 6, and the full
     basis under vee_alpha and vee_prime for every grading with n <= 4."""
     for sig in signatures_up_to(6):
-        op = geometric_blade_op(sig)
+        op = geometric_pair_op(sig)
         yield all_blades(sig), op
         if sig.n:
             yield [m for m in all_blades(sig) if not m.bit_count() & 1], op
@@ -487,8 +487,8 @@ def fingerprinted_blade_bases():
     for sig in signatures_up_to(4):
         for odd_mask in range(1 << sig.n):
             gr = Z2Grading(sig, odd_mask)
-            yield all_blades(sig), vee_alpha_blade_op(gr)
-            yield all_blades(sig), vee_prime_blade_op(gr)
+            yield all_blades(sig), vee_alpha_pair_op(gr)
+            yield all_blades(sig), vee_prime_pair_op(gr)
 
 
 def test_sign_table_fingerprints_match_the_dense_reference():
@@ -515,7 +515,7 @@ def test_certificate_fingerprints_match_the_sign_table_reference():
     # a third way too, off the certificate of its whole algebra
     bases = []
     for sig in signatures_up_to(7):
-        op = tabulated(sig, geometric_blade_op(sig))
+        op = tabulated(sig, geometric_pair_op(sig))
         whole = certify(all_blades(sig), rows(op))
         bases += [
             (even_subalgebra_basis(Z2Grading(sig, odd)), op, whole)
@@ -525,8 +525,8 @@ def test_certificate_fingerprints_match_the_sign_table_reference():
         for odd in range(1 << sig.n):
             gr = Z2Grading(sig, odd)
             bases += [
-                (all_blades(sig), vee_alpha_blade_op(gr), None),
-                (all_blades(sig), vee_prime_blade_op(gr), None),
+                (all_blades(sig), vee_alpha_pair_op(gr), None),
+                (all_blades(sig), vee_prime_pair_op(gr), None),
             ]
     assert len(bases) == 1793 + 2 * 321
     subgroups = 0
@@ -556,7 +556,7 @@ def test_every_subgroup_is_read_as_its_own_pass_reads_it():
     # every subgroup of the blade group (16 for n = 3, 67 for n = 4)
     assert [len(subgroups(n)) for n in range(5)] == [1, 2, 5, 16, 67]
     for sig in (Signature(3, 0), Signature(2, 1), Signature(2, 2), Signature(1, 3)):
-        op = geometric_blade_op(sig)
+        op = geometric_pair_op(sig)
         whole = certify(all_blades(sig), rows(op))
         for masks in subgroups(sig.n):
             got = whole.invariants(masks)
@@ -623,13 +623,13 @@ def test_certify_refuses_a_failing_pass():
     # any subgroup off it raises NotClosed, so the oracle runs its own pass
     sig = Signature(2, 0)
     cases = [
-        (all_blades(sig), flipped(geometric_blade_op(sig), (0b01, 0b10)),
+        (all_blades(sig), flipped(geometric_pair_op(sig), (0b01, 0b10)),
          "not associative: exhaustive triples, first violation (e1, e1, e2)"),
-        ([0b00, 0b01, 0b10], geometric_blade_op(sig),
+        ([0b00, 0b01, 0b10], geometric_pair_op(sig),
          "product of basis elements 1 and 2 leaves the span"),
         ([0, 1], lambda a, b: (1, a | b),
          "product (e1, e1) is not plus or minus the blade 0b0"),
-        ([], geometric_blade_op(sig), "empty basis"),
+        ([], geometric_pair_op(sig), "empty basis"),
     ]
     for masks, op, problem in cases:
         cert = certify(masks, rows(op))
@@ -663,7 +663,7 @@ def test_every_flipped_bit_fails_as_its_flipped_pair():
     masks = all_blades(sig)
     for a, b in itertools.product(masks, repeat=2):
         row_op = flipped_in_row(geometric_row_op(sig), a, b)
-        op = flipped(geometric_blade_op(sig), (a, b))
+        op = flipped(geometric_pair_op(sig), (a, b))
         got = certify(masks, row_op).verdict
         want = certify(masks, rows(op)).verdict
         assert not got.ok and not got.associative, (a, b)
@@ -681,7 +681,7 @@ def test_involution_witnesses_match_a_scan_of_every_pair(p, q):
     sig = Signature(p, q)
     blades = all_blades(sig)
     cert = certify(blades, geometric_row_op(sig))
-    sign = geometric_blade_op(sig)
+    sign = geometric_pair_op(sig)
     holds = [0, 0]
     for bits in range(1 << len(blades)):
         s = {m: -1 if bits >> i & 1 else 1 for i, m in enumerate(blades)}

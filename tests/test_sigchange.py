@@ -30,7 +30,7 @@ from cliffsig import (
     vee_alpha_row_op,
     vee_alpha_via_split,
     vee_prime,
-    vee_prime_blade_op,
+    vee_prime_row_op,
     verify_clifford_map,
     wedge,
     weighted_antisymmetrization,
@@ -50,6 +50,8 @@ from oracles import (
     regular_representation,
     rows,
     structural_invariants,
+    vee_alpha_pair_op,
+    vee_prime_pair_op,
 )
 
 
@@ -434,9 +436,45 @@ def test_vee_prime_fingerprint_is_reported():
     # no closed form is asserted; the fingerprint is just well-defined
     gr = Z2Grading.from_odd_indices(Signature(1, 1), [1])
     fp = structural_invariants(
-        regular_representation(all_blades(gr.sig), vee_prime_blade_op(gr))
+        regular_representation(all_blades(gr.sig), vee_prime_pair_op(gr))
     )
     assert fp.dim == 4
+
+
+def test_vee_prime_row_against_pairs_and_naive_oracle():
+    # every bit of each ∨' row equals the pair rule
+    # (-1)^(π(x)π(y)) blade_mul(y, x, neg) and the transposition count of
+    # y x, for every grading with n <= 4, over every blade in order, over a
+    # shuffled proper subset where no position holds its own mask, and over
+    # half the blades reversed, where some x holds odd generators beyond
+    # the view
+    from oracles import naive_blade_product
+
+    views = 0
+    for sig in signatures_up_to(4):
+        every = all_blades(sig)
+        subset, rng = every[1:], random.Random(sig.n)
+        while any(b == j for j, b in enumerate(subset)):
+            rng.shuffle(subset)
+        for gr in all_gradings(sig):
+            row_op, odd = vee_prime_row_op(gr), set(blade_indices(gr.odd_mask))
+            for bs in (every, subset, every[: len(every) // 2][::-1]):
+                cols = kernels.columns(bs)
+                for x in every:
+                    neg, zero = row_op(x, cols)
+                    assert zero == 0 and neg >> len(bs) == 0, (gr, x)
+                    for j, y in enumerate(bs):
+                        sign, mask = kernels.blade_mul(y, x, sig.neg_mask)
+                        if (x & gr.odd_mask).bit_count() & (y & gr.odd_mask).bit_count() & 1:
+                            sign = -sign
+                        assert (kernels.row_sign((neg, zero), j), x ^ y) == (sign, mask), (gr, x, y)
+                        ix, iy = blade_indices(x), blade_indices(y)
+                        want, idx = naive_blade_product(iy, ix, sig.p, sig.q)
+                        if len(odd.intersection(ix)) * len(odd.intersection(iy)) & 1:
+                            want = -want
+                        assert (sign, idx) == (want, blade_indices(x ^ y)), (gr, x, y)
+                views += 1
+    assert views == 3 * sum((n + 1) * 2**n for n in range(5))
 
 
 # -- wedge relation ------------------------------------------------------------------
@@ -534,7 +572,7 @@ def test_verify_clifford_map_names_first_witnesses(monkeypatch):
     # a closed but non-associative product: flip the sign of e1 ∨ e1 only
     import cliffsig.sigchange as sigchange
 
-    honest = sigchange.vee_alpha_blade_op
+    honest = vee_alpha_pair_op
     sig = Signature(2, 0)
 
     def twisted(gr):
@@ -676,7 +714,7 @@ def test_definition_catches_one_bad_vee_entry_on_warm_rows(monkeypatch, fault, r
     first, second, *_ = all_gradings(Signature(2, 1))
     assert (first.odd_mask, second.odd_mask) == (0, 0b1)
     assert definition(first, shared).ok
-    honest = sigchange.vee_alpha_blade_op
+    honest = vee_alpha_pair_op
 
     def twisted(gr):
         op = honest(gr)

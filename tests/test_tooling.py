@@ -152,6 +152,35 @@ def test_verify_reads_no_pair_kernel():
     assert not found, f"verify.py names pair kernels: {found}"
 
 
+def test_every_product_reads_its_row_function():
+    # the six products evaluate through core.bilinear, which reads the row
+    # function the sweeps certify; a pair sign function (``*_blade_op``) or
+    # a seventh caller of bilinear would compute a product on a path no
+    # sweep checks
+    names = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for field in ("name", "id", "attr")
+        if str(getattr(node, field, "")).endswith("_blade_op")
+    ]
+    assert not names, f"pair sign functions in the package: {names}"
+    callers = sorted(
+        (path.name, owner)
+        for path in SOURCES
+        for owner, node in _calls(ast.parse(path.read_text(), filename=str(path)))
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) == "bilinear"
+    )
+    assert callers == [
+        ("core.py", "geometric_product"),
+        ("core.py", "left_contraction"),
+        ("core.py", "right_contraction"),
+        ("core.py", "wedge"),
+        ("sigchange.py", "vee_alpha"),
+        ("sigchange.py", "vee_prime"),
+    ], callers
+
+
 def test_closed_forms_are_only_cross_checks():
     # every product the package evaluates, the CLI's included, is ∨ or ∨′
     # of a grading; the tilt and split closed forms are defined in

@@ -21,12 +21,11 @@ from cliffsig import (
     classify_clifford,
     classify_even_subalgebra,
     even_subalgebra_basis,
-    geometric_blade_op,
     geometric_row_op,
 )
 import random
 
-from oracles import random_multivector, random_vector, rows
+from oracles import geometric_pair_op, random_multivector, random_vector, rows
 
 
 def test_signature_enumeration():
@@ -250,7 +249,7 @@ def test_core_associativity_names_first_blade_triple(monkeypatch):
     import cliffsig.verify as verify
 
     def twisted(sig):
-        op = geometric_blade_op(sig)
+        op = geometric_pair_op(sig)
 
         def blade_op(x, y):
             sign, mask = op(x, y)
@@ -278,7 +277,7 @@ def test_table4_product_leaving_the_span_fails_its_cell(monkeypatch):
     import cliffsig.verify as verify
 
     def leaky(sig):
-        op = geometric_blade_op(sig)
+        op = geometric_pair_op(sig)
 
         def blade_op(x, y):
             sign, mask = op(x, y)
@@ -301,7 +300,7 @@ def test_table4_failure_is_attributed_to_its_cells(monkeypatch):
     import cliffsig.verify as verify
 
     def twisted(sig):
-        op = geometric_blade_op(sig)
+        op = geometric_pair_op(sig)
 
         def blade_op(x, y):
             sign, mask = op(x, y)
@@ -420,7 +419,7 @@ def test_core_generators_name_the_first_pair(monkeypatch):
     import cliffsig.verify as verify
 
     def commuting(sig):
-        op = geometric_blade_op(sig)
+        op = geometric_pair_op(sig)
 
         def blade_op(x, y):
             sign, mask = op(x, y)
@@ -537,7 +536,7 @@ def test_core_decomposition_catches_a_flipped_geometric_row(monkeypatch):
     import cliffsig.verify as verify
 
     def alter(honest):
-        return lambda sig: rows(_kernel_flipped_on((E2, E1 | E3))(geometric_blade_op(sig)))
+        return lambda sig: rows(_kernel_flipped_on((E2, E1 | E3))(geometric_pair_op(sig)))
 
     failing = _failing_core_cells(monkeypatch, verify, "geometric_row_op", alter)
     assert failing == {
@@ -554,7 +553,7 @@ def test_core_involutions_quote_a_failed_certificate(monkeypatch):
     import cliffsig.verify as verify
 
     def twisted(sig):
-        op = geometric_blade_op(sig)
+        op = geometric_pair_op(sig)
 
         def blade_op(x, y):
             sign, mask = op(x, y)
@@ -586,7 +585,7 @@ def test_all_fails_each_cell_as_its_suite_alone(monkeypatch):
     import cliffsig.verify as verify
 
     def alter(sig):
-        return rows(_kernel_flipped_on((E2, E1 | E3))(geometric_blade_op(sig)))
+        return rows(_kernel_flipped_on((E2, E1 | E3))(geometric_pair_op(sig)))
 
     monkeypatch.setattr(verify, "geometric_row_op", alter)
     rep = run_suite("all", 4)
@@ -596,4 +595,29 @@ def test_all_fails_each_cell_as_its_suite_alone(monkeypatch):
     details = {c.key: c.detail for c in rep.cells}
     assert details["table1/3,0"] == (
         "Cl(3,0) ~ M(2,C); not associative: exhaustive triples, first violation (e1, e2, e1^e3)"
+    )
+
+
+def test_the_computed_product_is_the_certified_one(monkeypatch):
+    # geometric_product and whole_algebra's certificate read one row
+    # function: one bit flipped in kernels.blade_mul_row, e1 e2 = -e1^e2,
+    # changes both the product the package computes and the certificate
+    from cliffsig import geometric_product, kernels
+    from cliffsig.verify import whole_algebra
+
+    sig = Signature(2, 0)
+    e1, e2 = (Multivector.basis_vector(sig, i) for i in (1, 2))
+    assert geometric_product(e1, e2) == Multivector.blade(sig, E1 | E2)
+    assert whole_algebra(sig).verdict.ok
+    honest = kernels.blade_mul_row
+
+    def flipped(a, cols, neg):
+        bs = cols[0]
+        return honest(a, cols, neg) ^ (1 << bs.index(E2) if a == E1 and E2 in bs else 0)
+
+    monkeypatch.setattr(kernels, "blade_mul_row", flipped)
+    assert geometric_product(e1, e2) == Multivector.blade(sig, E1 | E2, -1)
+    assert geometric_product(e2, e1) == Multivector.blade(sig, E1 | E2, -1)
+    assert whole_algebra(sig).verdict.problem == (
+        "not associative: exhaustive triples, first violation (e1, e1, e2)"
     )
