@@ -28,7 +28,7 @@ from .grading import (
     validate_involution,
 )
 from .sigchange import target_signature, vee_alpha, vee_prime
-from .verify import SUITES, canonical_odd_mask, even_subalgebra_problem, run_suite
+from .verify import DEFAULT_MAX_N, SUITES, canonical_odd_mask, even_subalgebra_problem, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification sweep; every cell is exact")
     p_ver.add_argument("--suite", choices=SUITES, required=True)
-    p_ver.add_argument("--max-n", type=int, default=None, dest="max_n", help="largest p+q swept")
+    p_ver.add_argument("--max-n", type=int, help=f"largest p+q swept (default: {DEFAULT_MAX_N})")
     p_ver.set_defaults(handler=lambda args: _cmd_verify(args, parser.error))
     for p_cmd in sub.choices.values():  # last, where every usage line lists it
         p_cmd.add_argument("--json", action="store_true")
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, out, lines: list[str], code: int) -> int:
     """Print ``out`` as JSON under --json, else ``lines``; return ``code``.
-    ``out`` is a dict, or for verify the report's own indented JSON text."""
+    ``out`` is a dict, or for verify the report as indented JSON text."""
     if args.json:
         print(out if isinstance(out, str) else json.dumps(out))
     else:
@@ -286,7 +286,8 @@ def _cmd_verify(args, usage_error) -> int:
         f"suite {report.suite}: {len(report.cells)} cells, "
         f"{report.violations} violations ({total:.2f}s)"
     )
-    return _emit(args, report.to_json(), lines, EXIT_OK if report.ok else EXIT_VIOLATION)
+    out = json.dumps(report.to_json_dict(), indent=2)
+    return _emit(args, out, lines, EXIT_OK if report.ok else EXIT_VIOLATION)
 
 
 def main(argv=None) -> int:

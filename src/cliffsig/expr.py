@@ -58,7 +58,6 @@ class _Parser:
         self.text = text
         self.sig = sig
         self.star = star
-        self.pos = 0
         self.depth = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._tokenize()

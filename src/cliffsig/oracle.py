@@ -90,12 +90,6 @@ class NotIndependent(ValueError):
     """The proposed basis is linearly dependent."""
 
 
-class NotTwisted(ValueError):
-    """A product of two blades is not plus or minus their symmetric
-    difference, which no row ``(neg, zero)`` can hold: raised by a row
-    sign function made from a product that is not a twist."""
-
-
 class StructuralInvariants(NamedTuple):
     """Isomorphism fingerprint.  For the semisimple algebras this package
     produces, the trace form is nondegenerate: pos + neg = dim."""
@@ -117,11 +111,14 @@ def format_blades(masks) -> str:
     return f"({', '.join(names)})"
 
 
-def _coordinates(masks) -> tuple[list[int], dict[int, int], int]:
-    """A GF(2) basis of the span of ``masks``, chosen greedily among them,
-    each mask's coordinates over it as a bitmask, in the order of
-    ``masks``, and the span's size.  An empty or repeated mask list
-    raises NotIndependent."""
+def _coordinates(masks) -> tuple[list[int], dict[int, int]]:
+    """The one judge of a blade list: a GF(2) basis of the span of
+    ``masks``, chosen greedily among them, and each mask's coordinates
+    over it as a bitmask, in the order of ``masks``.  An empty or repeated
+    mask list raises NotIndependent, and one that is not closed under the
+    symmetric difference, which every product here puts its nonzero
+    products on, raises NotClosed at its first pair in row-major order
+    whose symmetric difference is not in the list."""
     if not masks:
         raise NotIndependent("empty basis")
     span = {0: 0}  # blade -> coordinates
@@ -134,7 +131,11 @@ def _coordinates(masks) -> tuple[list[int], dict[int, int], int]:
     coords = {mask: span[mask] for mask in masks}
     if len(coords) < len(masks):
         raise NotIndependent("a blade appears twice in the basis")
-    return generators, coords, len(span)
+    if len(span) > len(masks):
+        for (i, a), (j, b) in itertools.product(enumerate(masks), repeat=2):
+            if a ^ b not in coords:
+                raise NotClosed(f"product of basis elements {i} and {j} leaves the span")
+    return generators, coords
 
 
 def span(vectors) -> list[int]:
@@ -209,28 +210,22 @@ def _read_bicharacter(masks: list[int], row_op):
     """The certificate pass over every pair of the blade basis ``masks``:
     each mask's coordinates over B's GF(2) basis, B's two span tables
     (``_span_tables``), and the first pair whose sign is not (-1)^(aᵀBb),
-    or None.  ``row_op`` is called once per generator row of B, whose
-    ``neg`` is B's row, and once per basis row, which is clean exactly
-    when its ``neg`` is the expected row of aᵀB (``_overlap_rows``) and no
-    product vanishes; the first pair off the bicharacter is the lowest
-    bit where the first unclean row differs.  An empty or repeated mask
-    list raises NotIndependent, and a nonzero product landing on a blade
-    outside the list raises NotClosed, at the first such pair in
-    row-major order."""
-    generators, coords, span = _coordinates(masks)
-    unclosed = len(masks) < span  # else a ^ b is always a basis blade
+    or None.  ``_coordinates`` judges the list first, so an empty,
+    repeated or unclosed list raises before any ``row_op`` call, and the
+    pass reads signs alone.  ``row_op`` is called once per generator row
+    of B, whose ``neg`` is B's row, and once per basis row, which is clean
+    exactly when its ``neg`` is the expected row of aᵀB (``_overlap_rows``)
+    and no product vanishes; the first pair off the bicharacter is the
+    lowest bit where the first unclean row differs."""
+    generators, coords = _coordinates(masks)
     gen_cols = columns(generators)
     table_b, table_sym = _span_tables([row_op(g, gen_cols)[0] for g in generators])
     column = [coords[m] for m in masks]
     expected = _overlap_rows(column, len(generators))
     cols = columns(masks)
     bad = None
-    for i, (a, ca) in enumerate(zip(masks, column)):
+    for a, ca in zip(masks, column):
         neg, zero = row_op(a, cols)
-        if unclosed:
-            for j, b in enumerate(masks):
-                if not zero >> j & 1 and a ^ b not in coords:
-                    raise NotClosed(f"product of basis elements {i} and {j} leaves the span")
         off = (neg ^ expected[table_b[ca]]) | zero
         if off and bad is None:
             bad = a, masks[(off & -off).bit_length() - 1]
@@ -254,21 +249,20 @@ class Certificate(NamedTuple):
         certified ones, read off B's tables with no product; it equals the
         fingerprint of a pass over ``masks``.  ``masks`` defaults to every
         certified blade, and a list of every certified blade, once each,
-        spans every coordinate, whose basis is the unit bitmasks.  An
-        empty or repeated mask list raises NotIndependent; a blade outside
-        the certified ones, or a list not closed under the symmetric
-        difference, raises NotClosed."""
+        spans every coordinate, whose basis is the unit bitmasks.  Any
+        other list is judged by ``_coordinates``, as a pass judges it
+        (NotIndependent, or NotClosed at its first unclosed pair), and a
+        closed list holding a blade outside the certified ones raises
+        NotClosed."""
         masks = list(self.coords if masks is None else masks)
         if masks and len(masks) == len(self.coords) and self.coords.keys() == set(masks):
             coords = self.coords.values()
             basis = [1 << i for i in range(len(self.table_b).bit_length() - 1)]
         else:
-            generators, _, span = _coordinates(masks)
+            generators, _ = _coordinates(masks)
             outside = next((m for m in masks if m not in self.coords), None)
             if outside is not None:
                 raise NotClosed(f"blade {outside:#b} is not among the certified blades")
-            if span > len(masks):
-                raise NotClosed("the basis is not closed under the symmetric difference")
             coords = [self.coords[m] for m in masks]
             basis = [self.coords[g] for g in generators]
         table_b, table_sym = self.table_b, self.table_sym
@@ -322,16 +316,16 @@ def certify(masks, row_op) -> Certificate:
     GF(2) basis of the span chosen among ``masks``, one call per generator
     row, then one call per basis row reads every pair, and each row is
     compared with the signs (-1)^(aᵀBb) as one integer.  The verdict fails
-    on an empty or repeated mask list (the NotIndependent message), a
-    nonzero product landing on a blade outside the list (NotClosed), at
-    the first such pair in row-major order, or a NotClosed or NotTwisted
-    that ``row_op`` raises.  On a failed comparison every triple is
-    searched while dim**3 <= 4096; the verdict names the first
+    on an empty or repeated mask list (the NotIndependent message), a list
+    not closed under the symmetric difference (NotClosed), at its first
+    such pair in row-major order, before any ``row_op`` call, or a
+    NotClosed that ``row_op`` raises.  On a failed comparison every
+    triple is searched while dim**3 <= 4096; the verdict names the first
     non-associative triple, else the first failing pair."""
     masks = list(masks)
     try:
         coords, table_b, table_sym, bad = _read_bicharacter(masks, row_op)
-    except (NotClosed, NotIndependent, NotTwisted) as exc:
+    except (NotClosed, NotIndependent) as exc:
         return Certificate(Verdict(False, str(exc), str(exc)), {}, [], [])
     how = f"bicharacter certificate, {len(masks) ** 2} pairs"
     if bad is None:
@@ -380,7 +374,7 @@ def oracle(
     is not bilinear, σ(a,b) f(a) f(b) f(a^b), fails.  A violation is a
     failing verdict, not an exception: it names the first non-associative
     blade triple (searched while dim**3 <= 4096), else the first pair off
-    the bicharacter, the NotClosed, NotIndependent or NotTwisted message,
+    the bicharacter, the NotClosed or NotIndependent message,
     or the oracle-vs-reference mismatch."""
     masks = list(masks)
     got = None

@@ -218,12 +218,13 @@ class CheckResult(NamedTuple):
     detail: str
 
     @classmethod
-    def counted(cls, name: str, head: str, bad: list) -> CheckResult:
-        """A check whose detail is ``head``, the number of witnesses in
-        ``bad`` and the first of them as blades; it passes when there is
-        none."""
-        first = f"; first {format_blades(bad[0])}" if bad else ""
-        return cls(name, not bad, f"{head}, {len(bad)} violations{first}")
+    def counted(cls, name: str, head: str, count: int, first: tuple | None) -> CheckResult:
+        """A check whose detail is ``head``, its ``count`` witnesses and,
+        when there are any, the first of them, ``first``, as blades; it
+        passes when there is none.  A caller counts its witnesses and keeps
+        the first, so no list of them is built."""
+        named = f"; first {format_blades(first)}" if count else ""
+        return cls(name, not count, f"{head}, {count} violations{named}")
 
 
 class CliffordMapReport(NamedTuple):
@@ -272,13 +273,14 @@ def generator_relations(row_op, n: int, neg: int) -> CheckResult:
     generators = [1 << k for k in range(n)]
     cols = kernels.columns(generators)
     rows = [row_op(a, cols) for a in generators]
-    bad = []
+    count, first = 0, None
     for i, a in enumerate(generators):
         for j in range(i, n):
             want = (-2 if a & neg else 2) if i == j else 0
             if kernels.row_sign(rows[i], j) + kernels.row_sign(rows[j], i) != want:
-                bad.append((a, generators[j]))
-    return CheckResult.counted("generator-relations", f"{n * (n + 1) // 2} pairs", bad)
+                count += 1
+                first = first or (a, generators[j])
+    return CheckResult.counted("generator-relations", f"{n * (n + 1) // 2} pairs", count, first)
 
 
 def _expected_rows(e: int, blades: list[int], neg: int) -> tuple[tuple, tuple]:
@@ -326,15 +328,16 @@ def definition_check(sig: Signature, row_op, odd: int, shared: dict | None = Non
     signature."""
     cols, rows = kept(shared, ("rows", sig.p, sig.q), lambda: _definition_rows(sig))
     blades = cols[0]
-    bad = []
+    count, first = 0, None
     for k, (plus, minus) in enumerate(rows):
         e = 1 << k
         want, got = (minus if e & odd else plus), row_op(e, cols)
         if got != want:
             off = (got[0] ^ want[0]) | (got[1] ^ want[1])
-            bad += [(e, a) for j, a in enumerate(blades) if off >> j & 1]
+            count += off.bit_count()
+            first = first or (e, blades[(off & -off).bit_length() - 1])
     pairs = f"{sig.n * len(blades)} (generator, blade) pairs"
-    return CheckResult.counted("definition", pairs, bad)
+    return CheckResult.counted("definition", pairs, count, first)
 
 
 def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> CliffordMapReport:

@@ -61,7 +61,6 @@ bilinear identity for all vectors and multivectors.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import NamedTuple
 
@@ -121,9 +120,6 @@ class SuiteReport(NamedTuple):
             ],
             "violations": self.violations,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _timed(report: SuiteReport, key: str, fn) -> None:
@@ -305,7 +301,7 @@ def verify_core(sig: Signature, shared: dict):
         # The flipped view has no blade list: wedge_rows reads planes alone.
         cols = kernels.columns(range(len(blades)))
         full = (1 << len(blades)) - 1
-        bad = []
+        count, first = 0, None
         for a in blades:
             flipped = None, [p ^ full if a >> i & 1 else p for i, p in enumerate(cols[1])]
             flip = (kernels.grade(a) // 2 ^ (a & sig.neg_mask).bit_count()) & 1
@@ -315,8 +311,9 @@ def verify_core(sig: Signature, shared: dict):
             ):
                 off |= (zc ^ zw) | (nc ^ nw ^ -flip) & (full ^ (zc | zw))
             if off:
-                bad += [(a, b, a ^ b) for b in blades if off >> b & 1]
-        res = CheckResult.counted("adjointness", f"{len(blades) ** 3} triples", bad)
+                count += off.bit_count()
+                first = first or next((a, b, a ^ b) for b in blades if off >> b & 1)
+        res = CheckResult.counted("adjointness", f"{len(blades) ** 3} triples", count, first)
         return res.ok, res.detail
 
     def involution_cell():
@@ -359,47 +356,49 @@ def verify_core(sig: Signature, shared: dict):
     yield f"{key}:decomposition", decomposition_cell
 
 
-#: Each suite's cells of one signature and its default max_n.
+#: Each suite's cells of one signature.
 _SUITE_FNS = {
-    "table1": (verify_table1, 6),
-    "table2": (verify_table2, 6),
-    "table4": (verify_table4, 6),
-    "sigchange": (verify_sigchange, 5),
-    "core": (verify_core, 6),
+    "table1": verify_table1,
+    "table2": verify_table2,
+    "table4": verify_table4,
+    "sigchange": verify_sigchange,
+    "core": verify_core,
 }
+
+#: The largest p+q a suite sweeps when no max_n is given.
+DEFAULT_MAX_N = 6
 
 SUITES = tuple(_SUITE_FNS) + ("all",)
 
 
 def run_suite(name: str, max_n: int | None = None, _seed=None) -> SuiteReport:
-    """Run one suite, or 'all' of them; max_n defaults per suite and is
-    capped at the package dimension limit.  No cell draws at random, so
-    the third argument is ignored; it is accepted only because the
-    benchmark's sweep script still passes a seed.
+    """Run one suite, or 'all' of them, over every p+q <= max_n; max_n
+    defaults to ``DEFAULT_MAX_N`` and is capped at the package dimension
+    limit.  No cell draws at random, so the third argument is ignored; it
+    is accepted only because the benchmark's sweep script still passes a
+    seed.
 
     This is the one walk over signatures.  It makes the run's one dict of
     shared results, which every suite's cells read through ``core.kept``.
-    At each signature it runs the cells of every requested suite whose
-    max_n covers it, in ``SUITES`` order, timing each into that suite's
-    report, then drops the signature's certificate (``whole_algebra``) and
-    definition rows, so the dict keeps only sigchange's ∨ checks between
-    signatures; 'all' then joins the reports, each key prefixed with its
-    suite.  Within 'all', table1, table4 and core thus read one certificate
-    per signature, and the first cell of a signature, table1's, pays for
-    its pass.  Nothing the dict holds outlives the run."""
+    At each signature it runs the cells of every requested suite, in
+    ``SUITES`` order, timing each into that suite's report, then drops the
+    signature's certificate (``whole_algebra``) and definition rows, so
+    the dict keeps only sigchange's ∨ checks between signatures; 'all'
+    then joins the reports, each key prefixed with its suite.  Within
+    'all', table1, table4 and core thus read one certificate per
+    signature, and the first cell of a signature, table1's, pays for its
+    pass.  Nothing the dict holds outlives the run."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if max_n is not None and not 0 <= max_n <= MAX_DIMENSION:
         raise ValueError(f"max_n must be between 0 and {MAX_DIMENSION}")
     names = list(_SUITE_FNS) if name == "all" else [name]
-    limits = {sub: _SUITE_FNS[sub][1] if max_n is None else max_n for sub in names}
     reports = {sub: SuiteReport(sub, []) for sub in names}
     shared = {}
-    for sig in signatures_up_to(max(limits.values())):
-        for sub, n in limits.items():
-            if sig.n <= n:
-                for key, cell in _SUITE_FNS[sub][0](sig, shared):
-                    _timed(reports[sub], key, cell)
+    for sig in signatures_up_to(DEFAULT_MAX_N if max_n is None else max_n):
+        for sub in names:
+            for key, cell in _SUITE_FNS[sub](sig, shared):
+                _timed(reports[sub], key, cell)
         shared.pop(("whole", sig.p, sig.q), None)
         shared.pop(("rows", sig.p, sig.q), None)
     if name != "all":

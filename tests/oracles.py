@@ -16,7 +16,7 @@ The sign-table reference stores a product's dim**2 signs and reads its
 fingerprint and associativity off the table; the package's oracle reads
 the same numbers off a certified bicharacter and keeps no table.  The
 dense fingerprint reference at the end calls ``cliffsig.linalg`` for its
-center nullspace and its congruence signature; the package uses neither.
+center nullspace and its congruence signature; the oracle uses neither.
 The definition reference reads the package's wedge and contraction
 kernels pair by pair, so it checks how ``verify_clifford_map`` caches and
 compares whole rows, not the kernels.  The seeded draws
@@ -28,6 +28,8 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+
+from cliffsig import NotClosed
 
 Terms = dict[tuple[int, ...], Fraction]  # index tuple -> coefficient
 
@@ -327,6 +329,13 @@ def ref_extended_metric(a: MaskTerms, b: MaskTerms, metric_sign) -> Fraction:
 # the tests compare the certificate's fingerprints and wordings with it.
 
 
+class NotTwisted(NotClosed):
+    """A product of two blades is not plus or minus their symmetric
+    difference, which no row ``(neg, zero)`` can hold: raised by the rows
+    and tables built here from pair data.  A NotClosed, so the oracle's
+    verdict carries its message."""
+
+
 def rows(pair_op):
     """The row sign function the oracle reads, ``row_op(a, cols)``, made
     from a blade sign function one pair at a time: how the tests hand the
@@ -335,7 +344,6 @@ def rows(pair_op):
     list.  At the first nonzero pair whose mask is not a ^ b, which no row
     can hold, it raises NotClosed if the mask lies outside the column
     list, else NotTwisted."""
-    from cliffsig import NotClosed, NotTwisted
     from cliffsig.oracle import format_blades
 
     def row_op(a, cols):
@@ -373,9 +381,10 @@ class StructureConstants:
 
 def regular_representation(masks, blade_op) -> StructureConstants:
     """Cell (i, j) is read from ``sign, mask = blade_op(masks[i], masks[j])``;
-    a sign of 0 is no term.  NotIndependent, NotClosed and NotTwisted as
-    the oracle raises them."""
-    from cliffsig import NotClosed, NotIndependent, NotTwisted
+    a sign of 0 is no term.  NotIndependent and NotClosed as the oracle
+    raises them on a twisted product, and NotTwisted at the first nonzero
+    product off the symmetric difference."""
+    from cliffsig import NotIndependent
 
     masks = list(masks)
     if not masks:
@@ -740,4 +749,4 @@ def definition_reference(gr, row_op):
             if _signed_blades((kernels.row_sign(row, j), e ^ a)) != want:
                 bad.append((e, a))
     pairs = f"{sig.n * len(blades)} (generator, blade) pairs"
-    return CheckResult.counted("definition", pairs, bad)
+    return CheckResult.counted("definition", pairs, len(bad), bad[0] if bad else None)

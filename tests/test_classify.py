@@ -12,6 +12,7 @@ from cliffsig import (
     even_subalgebra_lookup,
     tensor_simplify,
 )
+from cliffsig.classify import _expand
 from cliffsig.core import MAX_DIMENSION
 
 
@@ -226,3 +227,21 @@ def test_component_validation():
         SimpleComponent(1, "Q")
     with pytest.raises(ValueError):
         AlgebraClass([])
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (_expand, (("R", "R"), 4), r"dimension 4 is not m\^2 \* 2 for any integer m"),
+        (classify_clifford, (-1, 2), "must be non-negative"),
+        (classify_clifford, (2, -1), "must be non-negative"),
+        (classify_even_part, (-1, 2), "must be non-negative"),
+        (classify_even_part, (2, -1), "must be non-negative"),
+        (even_subalgebra_lookup, (2, 1, 3, 0), r"\(p0,q0\)=\(3,0\) out of range for \(2,1\)"),
+        (even_subalgebra_lookup, (2, 1, 0, -1), r"\(p0,q0\)=\(0,-1\) out of range"),
+    ],
+)
+def test_input_checks(fn, args, message):
+    # each refusal names what is wrong with its input
+    with pytest.raises(ValueError, match=message):
+        fn(*args)

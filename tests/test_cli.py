@@ -553,3 +553,19 @@ def test_cli_exit_code_contract_fuzz(command, p, q, tokens):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), argv
+
+
+@pytest.mark.parametrize(
+    "sig, reason",
+    [
+        ("1", "not enough values to unpack"),
+        ("a,b", "invalid literal for int"),
+        ("1,2,3", "too many values to unpack"),
+        ("-1,2", "signature counts must be non-negative"),
+    ],
+)
+def test_bad_sig_text_is_a_usage_error(capsys, sig, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", f"--sig={sig}", "e1"])
+    assert exc.value.code == 2
+    assert f"expected --sig p,q — {reason}" in capsys.readouterr().err

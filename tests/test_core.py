@@ -22,6 +22,7 @@ from cliffsig import (
     Z2Grading,
     all_blades,
     alpha,
+    blade_from_indices,
     blade_product,
     extended_metric,
     geometric_product,
@@ -661,3 +662,27 @@ def test_all_blades_returns_a_new_list():
     first.reverse()
     first.append(99)
     assert all_blades(sig) == want == [0, 1, 2, 4, 3, 5, 6, 7]
+
+
+E1 = Multivector.basis_vector(Signature(2, 0), 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Signature(2, 1).check_index(4), ValueError, r"e4 out of range for Cl\(2,1\)"),
+        (lambda: Signature(2, 1).check_index(0), ValueError, "e0 out of range"),
+        (lambda: blade_from_indices([0]), ValueError, "basis index e0 must be positive"),
+        (lambda: blade_from_indices([2, 1, 2]), ValueError, "repeated basis index e2"),
+        # a foreign operand, on either side, is handed back to Python
+        (lambda: E1 - 0.5, TypeError, "for -: 'Multivector' and 'float'"),
+        (lambda: 0.5 - E1, TypeError, "for -: 'float' and 'Multivector'"),
+        (lambda: E1 * 0.5, TypeError, r"for \*: 'Multivector' and 'float'"),
+        (lambda: 0.5 * E1, TypeError, r"for \*: 'float' and 'Multivector'"),
+        (lambda: E1 ^ 0.5, TypeError, r"for \^: 'Multivector' and 'float'"),
+        (lambda: 0.5 ^ E1, TypeError, r"for \^: 'float' and 'Multivector'"),
+    ],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

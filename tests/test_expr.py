@@ -124,3 +124,15 @@ def multivectors(draw):
 @given(multivectors())
 def test_format_parse_roundtrip(a):
     assert parse_multivector(format_multivector(a), a.sig) == a
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("1/", 2), ("1/e1", 2), ("1/(2)", 2), ("2 + 3/ * e1", 7)],
+)
+def test_slash_needs_denominator_digits(text, position):
+    # a rational coefficient is digits / digits: anything else after the
+    # slash is refused where it stands
+    with pytest.raises(ParseError, match="expected denominator digits after '/'") as err:
+        parse_multivector(text, Signature(2, 0))
+    assert err.value.position == position

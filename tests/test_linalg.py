@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from cliffsig import linalg
 
 
@@ -64,3 +66,9 @@ def test_random_rows_of_known_rank():
             for row in rows:
                 assert sum(x * v[c] for c, x in row.items()) == 0
         assert linalg.nullspace(rows[::-1], dim) == basis
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2]], [[1, 0], [0]], [[1], [2]]])
+def test_symmetric_signature_needs_a_square_matrix(matrix):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        linalg.symmetric_signature(matrix)

@@ -10,7 +10,6 @@ from cliffsig import (
     AlgebraClass,
     NotClosed,
     NotIndependent,
-    NotTwisted,
     Signature,
     StructuralInvariants,
     Z2Grading,
@@ -33,6 +32,7 @@ from cliffsig.verify import canonical_odd_mask, signatures_up_to
 
 from oracles import (
     DenseConstants,
+    NotTwisted,
     dense_first_nonassociative_triple,
     dense_fingerprint,
     dense_invariants,
@@ -105,6 +105,38 @@ def test_not_closed():
     assert refused(masks, geometric_pair_op(sig)) == message
     verdict = oracle(masks, geometric_row_op(sig), classify_clifford(2, 0))
     assert not verdict.ok and verdict.problem == message
+
+
+def test_an_unclosed_list_fails_before_any_row_is_read():
+    # every product here puts a nonzero product on a ^ b, so closure is a
+    # property of the masks alone: the list is judged before the pass
+    # calls row_op, at its first pair in row-major order whose symmetric
+    # difference is missing, even where the product there vanishes, and
+    # the subgroup read of a certificate words it the same way
+    calls = []
+
+    def watched(row_op):
+        def counting(a, cols):
+            calls.append(a)
+            return row_op(a, cols)
+
+        return counting
+
+    sig = Signature(3, 0)
+    whole = certify(all_blades(sig), geometric_row_op(sig))
+    cases = [
+        ([0b000, 0b001, 0b010], geometric_row_op(sig), "1 and 2"),
+        ([0b011, 0b101], geometric_row_op(sig), "0 and 0"),
+        ([0b000, 0b001, 0b011, 0b110], geometric_row_op(sig), "1 and 2"),
+        ([0b001, 0b011], rows(kernels.blade_wedge), "0 and 0"),  # e1 ∧ e1 = 0
+    ]
+    for masks, row_op, pair in cases:
+        message = f"product of basis elements {pair} leaves the span"
+        cert = certify(masks, watched(row_op))
+        assert cert.verdict.problem == message and not cert.verdict.associative, masks
+        assert calls == [], masks
+        with pytest.raises(NotClosed, match=message):
+            whole.invariants(masks)
 
 
 def test_not_independent():
@@ -577,7 +609,7 @@ def test_subgroup_read_rejects_what_the_pass_rejects():
     for masks in ([0b01, 0b01], []):
         with pytest.raises(NotIndependent):
             whole.invariants(masks)
-    with pytest.raises(NotClosed, match="not closed under the symmetric difference"):
+    with pytest.raises(NotClosed, match="product of basis elements 1 and 2 leaves the span"):
         whole.invariants([0b00, 0b01, 0b10])
     with pytest.raises(NotClosed, match="0b100 is not among the certified blades"):
         whole.invariants([0b000, 0b100])

@@ -8,7 +8,6 @@ import pytest
 
 from cliffsig import (
     Multivector,
-    NotTwisted,
     Signature,
     Z2Grading,
     all_blades,
@@ -44,6 +43,7 @@ from cliffsig.verify import (
 )
 
 from oracles import (
+    NotTwisted,
     definition_reference,
     random_multivector,
     random_vector,

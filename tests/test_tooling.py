@@ -399,14 +399,14 @@ def test_no_module_imports_dataclasses():
     assert not found, f"dataclasses imported in the package: {found}"
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # the same rule at run time, for the whole import chain of the command
-    # line: a fresh interpreter importing cliffsig.cli loads neither module
-    # unless it had already (say, from a site hook) before the import
+def _newly_imported(module, names):
+    """The modules among ``names`` that a fresh interpreter loads by
+    importing ``module`` and had not loaded before it (say, from a site
+    hook), sorted."""
     src = Path(cliffsig.__file__).resolve().parents[1]
     code = (
-        "import sys; before = set(sys.modules); import cliffsig.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        f"import sys; before = set(sys.modules); import {module}; "
+        f"print(sorted({set(names)!r} & (set(sys.modules) - before)))"
     )
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run(
@@ -417,7 +417,20 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         timeout=60,
         check=True,
     )
-    assert out.stdout.strip() == "[]", out.stdout + out.stderr
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # the same rule at run time, for the whole import chain of the command
+    # line: a fresh interpreter importing cliffsig.cli loads neither module
+    # unless it had already (say, from a site hook) before the import
+    assert _newly_imported("cliffsig.cli", ["dataclasses", "inspect"]) == "[]"
+
+
+def test_package_import_leaves_out_json():
+    # only the command line renders JSON, and it imports json itself: the
+    # package's own import chain loads no json
+    assert _newly_imported("cliffsig", ["json"]) == "[]"
 
 
 def test_value_classes_share_one_frozen_base():

@@ -78,7 +78,7 @@ def test_random_draws_are_frozen():
 
 def test_report_json_schema():
     rep = run_suite("table4", 2)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_json_dict()))
     assert data["suite"] == "table4"
     assert data["violations"] == 0
     assert isinstance(data["cells"], list) and data["cells"]
@@ -156,8 +156,8 @@ def test_all_certifies_each_signature_once(monkeypatch):
     # signature when run alone (15 signatures at n <= 4), table2 certifies
     # the even part (14, none at n = 0) and sigchange one ∨ per (n, mask)
     # (31).  Within all, the first three share one pass per signature:
-    # 90 -> 60 passes at n <= 4, 174 -> 118 at the defaults (28 signatures
-    # at n <= 6, sigchange 63 at n <= 5)
+    # 90 -> 60 passes at n <= 4, 238 -> 182 at the default n <= 6 (28
+    # signatures, sigchange 127)
     import cliffsig.oracle as oracle
 
     calls = []
@@ -180,7 +180,7 @@ def test_all_certifies_each_signature_once(monkeypatch):
         ("sigchange", 4): 31,
         ("core", 4): 15,
         ("all", 4): 60,
-        ("all", None): 118,
+        ("all", None): 182,
     }
 
 
@@ -205,7 +205,7 @@ def test_shared_results_of_a_signature_go_when_the_walk_leaves_it(monkeypatch):
 
         return cells
 
-    fns = {name: (watched(fn), n) for name, (fn, n) in verify._SUITE_FNS.items()}
+    fns = {name: watched(fn) for name, fn in verify._SUITE_FNS.items()}
     monkeypatch.setattr(verify, "_SUITE_FNS", fns)
     assert run_suite("all", 4).ok
     assert tags == {"whole", "rows"}
@@ -395,6 +395,34 @@ def test_core_adjointness_catches_a_wedge_that_fires_on_overlap(monkeypatch):
         lambda sign: 1,
     )
     assert detail == "32768 triples, 1 violations; first (e1, e3, e1^e3)"
+
+
+def test_core_adjointness_counts_its_witnesses_in_flat_memory(monkeypatch):
+    # the fault above on every pair: a wedge that never vanishes breaks
+    # the identities at 58975 of Cl(4,4)'s triples.  The cell counts them
+    # off its rows and decodes only the first failing row, so it keeps no
+    # list of witnesses, whose size grows with the fault, not the algebra
+    import tracemalloc
+
+    from cliffsig import kernels
+    import cliffsig.verify as verify
+
+    honest = kernels.wedge_rows
+
+    def never_vanishing(a, cols):
+        (neg, _), right = honest(a, cols)
+        return (neg, 0), right
+
+    monkeypatch.setattr(kernels, "wedge_rows", never_vanishing)
+    cell = dict(verify.verify_core(Signature(4, 4), {}))["4,4:adjointness"]
+    tracemalloc.start()
+    try:
+        ok, detail = cell()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not ok and detail == "16777216 triples, 58975 violations; first (e1, 1, e1)"
+    assert peak < 1 << 20, peak
 
 
 def test_table2_names_each_identity_it_breaks(monkeypatch):
