@@ -163,8 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification sweep; every cell is exact")
     p_ver.add_argument("--suite", choices=SUITES, required=True)
-    p_ver.add_argument("--max-n", type=int, help=f"largest p+q swept (default: {DEFAULT_MAX_N})")
-    p_ver.set_defaults(handler=lambda args: _cmd_verify(args, parser.error))
+    p_ver.add_argument("--max-n", type=int, choices=range(MAX_DIMENSION + 1), metavar="MAX_N",
+                       help=f"largest p+q swept (default: {DEFAULT_MAX_N})")
+    p_ver.set_defaults(handler=_cmd_verify)
     for p_cmd in sub.choices.values():  # last, where every usage line lists it
         p_cmd.add_argument("--json", action="store_true")
     return parser
@@ -180,12 +181,19 @@ def _emit(args, out, lines: list[str], code: int) -> int:
     return code
 
 
+def _evaluate(args, texts: list[str]):
+    """The --odd grading, the target (r, s) of --product on it, and
+    ``texts`` parsed and combined left to right under that product,
+    formatted."""
+    gr = Z2Grading.from_odd_indices(args.sig, args.odd)
+    star, target = _product(args.product, gr)
+    result = reduce(star, [parse_multivector(text, args.sig, star=star) for text in texts])
+    return gr, target, format_multivector(result)
+
+
 def _cmd_eval(args) -> int:
     sig = args.sig
-    gr = Z2Grading.from_odd_indices(sig, args.odd)
-    star, target = _product(args.product, gr)
-    result = reduce(star, [parse_multivector(text, sig, star=star) for text in args.exprs])
-    text = format_multivector(result)
+    gr, target, text = _evaluate(args, args.exprs)
     out = {"sig": [sig.p, sig.q], "product": args.product, "result": text}
     if args.product in ("vee", "veeprime"):
         out["odd"] = list(gr.odd_indices)
@@ -263,9 +271,7 @@ def _cmd_grading(args) -> int:
 
 def _cmd_sigchange(args) -> int:
     sig = args.sig
-    gr = Z2Grading.from_odd_indices(sig, args.odd)
-    star, (r, s) = _product(args.product, gr)
-    text = format_multivector(parse_multivector(args.expr, sig, star=star))
+    gr, (r, s), text = _evaluate(args, [args.expr])
     out = {
         "sig": [sig.p, sig.q],
         "odd": list(gr.odd_indices),
@@ -276,9 +282,7 @@ def _cmd_sigchange(args) -> int:
     return _emit(args, out, [f"target: Cl({r},{s})", text], EXIT_OK)
 
 
-def _cmd_verify(args, usage_error) -> int:
-    if args.max_n is not None and not 0 <= args.max_n <= MAX_DIMENSION:
-        usage_error(f"--max-n must be between 0 and {MAX_DIMENSION}")
+def _cmd_verify(args) -> int:
     report = run_suite(args.suite, args.max_n)
     total = sum(c.seconds for c in report.cells)
     lines = [f"FAIL {c.key}: {c.detail}" for c in report.cells if not c.ok]

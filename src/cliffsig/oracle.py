@@ -16,21 +16,23 @@ the basis blades.  Such a twist is a 2-cocycle, so the algebra is
 associative (Albuquerque and Majid, J. Pure Appl. Algebra 171 (2002)).
 ``certify`` is the one pass: it reads B and visits every pair of basis
 blades once, row by row, and its ``Certificate`` carries the verdict of
-every associativity check in the package, at every size.  The product is
-given as a row sign function ``row_op(a, cols)``, which returns the row
-of a over the column view ``cols`` of a blade list (``kernels.columns``)
-as two bitmasks over its positions, ``(neg, zero)``: the products of sign
--1 and those that vanish, each nonzero one on the symmetric difference
-of its factors.  So a pass makes k + dim calls (k generator rows of B,
-then one per basis row), and each row of dim signs is compared as one
-integer.  Before it compares them it builds two tables over the span,
-aᵀB and aᵀ(B+Bᵀ) for every coordinate bitmask a, one XOR per entry, and
-the table of expected rows: for every coordinate bitmask v, the
-positions whose coordinates have odd overlap with v, doubled over
-coordinate planes read from the coordinates alone.  Row a is clean
-exactly when its ``neg`` is the expected row of aᵀB and no product
-vanishes.  A clean pass keeps B's tables, and every fingerprint is then
-read off them, in Python ints with no division and no product:
+every associativity check in the package, at every size, as the
+``associativity`` check of ``CheckResult``, the package's one check
+record.  The product is given as a row sign function
+``row_op(a, cols)``, which returns the row of a over the column view
+``cols`` of a blade list (``kernels.columns``) as two bitmasks over its
+positions, ``(neg, zero)``: the products of sign -1 and those that
+vanish, each nonzero one on the symmetric difference of its factors.
+So a pass makes k + dim calls (k generator rows of B, then one per basis
+row), and each row of dim signs is compared as one integer.  Before it
+compares them it builds two tables over the span, aᵀB and aᵀ(B+Bᵀ) for
+every coordinate bitmask a, one XOR per entry, and the table of expected
+rows: for every coordinate bitmask v, the positions whose coordinates
+have odd overlap with v, doubled over coordinate planes read from the
+coordinates alone.  Row a is clean exactly when its ``neg`` is the
+expected row of aᵀB and no product vanishes.  A clean pass keeps B's
+tables, and every fingerprint is then read off them, in Python ints with
+no division and no product:
 
 * the certificate: every pair's sign equals (-1)^(aᵀBb), which proves
   associativity exactly, at every size;
@@ -57,7 +59,8 @@ form, they refine the commutation bicharacter σ(a,b)σ(b,a) =
 (-1)^(aᵀ(B+Bᵀ)b).
 
 ``expected_invariants`` gives the fingerprint of a class in closed form.
-``oracle`` reads the certificate's fingerprint and compares the two.
+``oracle`` reads the certificate's fingerprint and compares the two; it
+returns the certificate's verdict unchanged beside the first problem.
 The row sign functions are the row forms of the bit-reorder kernels of
 ``kernels`` (``blade_mul_row``), which the test suite checks bit by bit
 against ``blade_mul`` and bubble-sort transposition counting; none is
@@ -109,6 +112,25 @@ def format_blades(masks) -> str:
     """A blade witness as text, e.g. ``(1, e1, e1^e2)``."""
     names = ("^".join(f"e{i}" for i in blade_indices(m)) or "1" for m in masks)
     return f"({', '.join(names)})"
+
+
+class CheckResult(NamedTuple):
+    """The package's one check record: a check's ``name``, whether it
+    passed, and its report.  ``certify``'s verdict is the
+    ``associativity`` check, and every ``verify`` cell returns one."""
+
+    name: str
+    ok: bool
+    detail: str
+
+    @classmethod
+    def counted(cls, name: str, head: str, count: int, first: tuple | None) -> CheckResult:
+        """A check whose detail is ``head``, its ``count`` witnesses and,
+        when there are any, the first of them, ``first``, as blades; it
+        passes when there is none.  A caller counts its witnesses and keeps
+        the first, so no list of them is built."""
+        named = f"; first {format_blades(first)}" if count else ""
+        return cls(name, not count, f"{head}, {count} violations{named}")
 
 
 def _coordinates(masks) -> tuple[list[int], dict[int, int]]:
@@ -175,20 +197,6 @@ def _first_nonassociative_triple(masks, row_op):
     return None
 
 
-class Verdict(NamedTuple):
-    """``oracle``'s result: whether the certificate proved associativity
-    and its report, and ``problem``, the first failure ("" when there is
-    none)."""
-
-    associative: bool
-    associativity: str
-    problem: str
-
-    @property
-    def ok(self) -> bool:
-        return not self.problem
-
-
 def _overlap_rows(column: list[int], k: int) -> list[int]:
     """For every coordinate bitmask v < 2**k, the positions j whose
     coordinates ``column[j]`` have odd overlap with v, as a bitmask: the
@@ -233,12 +241,16 @@ def _read_bicharacter(masks: list[int], row_op):
 
 
 class Certificate(NamedTuple):
-    """What one ``certify`` pass found: its verdict and, when the pass is
-    clean, the coordinates of every certified blade over B's GF(2) basis
+    """What one ``certify`` pass found: its verdict, the ``associativity``
+    check; ``problem``, the failure a fingerprint check quotes, its report
+    after "not associative: " or "not a bicharacter twist: " (the message
+    alone for a list judged unfit), "" when the pass is clean; and, when
+    it is, the coordinates of every certified blade over B's GF(2) basis
     and B's two span tables, aᵀB and aᵀ(B+Bᵀ) indexed by the coordinate
     bitmask a.  A failing pass certifies no blade."""
 
-    verdict: Verdict
+    verdict: CheckResult
+    problem: str
     coords: dict[int, int]
     table_b: list[int]
     table_sym: list[int]
@@ -307,9 +319,9 @@ class Certificate(NamedTuple):
 
 def certify(masks, row_op) -> Certificate:
     """The one pass over every pair of the blade basis ``masks`` under the
-    product whose row sign function is ``row_op``: its verdict on
-    associativity, and every blade's coordinates with B's tables when it
-    is clean.
+    product whose row sign function is ``row_op``: its verdict, the
+    ``associativity`` check, and every blade's coordinates with B's tables
+    when it is clean.
 
     ``row_op(a, cols)`` gives the row ``(neg, zero)`` of a over the column
     view ``cols`` (``kernels.columns``).  B is read from ``row_op`` on a
@@ -321,23 +333,26 @@ def certify(masks, row_op) -> Certificate:
     such pair in row-major order, before any ``row_op`` call, or a
     NotClosed that ``row_op`` raises.  On a failed comparison every
     triple is searched while dim**3 <= 4096; the verdict names the first
-    non-associative triple, else the first failing pair."""
+    non-associative triple, else the first failing pair, and ``problem``
+    says which of the two it is."""
     masks = list(masks)
     try:
         coords, table_b, table_sym, bad = _read_bicharacter(masks, row_op)
     except (NotClosed, NotIndependent) as exc:
-        return Certificate(Verdict(False, str(exc), str(exc)), {}, [], [])
-    how = f"bicharacter certificate, {len(masks) ** 2} pairs"
-    if bad is None:
-        return Certificate(Verdict(True, f"{how}, 0 violations", ""), coords, table_b, table_sym)
-    triple = _first_nonassociative_triple(masks, row_op)
-    if triple is not None:
-        report = f"exhaustive triples, first violation {format_blades(triple)}"
-        verdict = Verdict(False, report, f"not associative: {report}")
+        report = problem = str(exc)
     else:
-        report = f"{how}, first violation {format_blades(bad)}"
-        verdict = Verdict(False, report, f"not a bicharacter twist: {report}")
-    return Certificate(verdict, {}, [], [])
+        how = f"bicharacter certificate, {len(masks) ** 2} pairs"
+        if bad is None:
+            verdict = CheckResult("associativity", True, f"{how}, 0 violations")
+            return Certificate(verdict, "", coords, table_b, table_sym)
+        triple = _first_nonassociative_triple(masks, row_op)
+        if triple is not None:
+            report = f"exhaustive triples, first violation {format_blades(triple)}"
+            problem = f"not associative: {report}"
+        else:
+            report = f"{how}, first violation {format_blades(bad)}"
+            problem = f"not a bicharacter twist: {report}"
+    return Certificate(CheckResult("associativity", False, report), problem, {}, [], [])
 
 
 #: M(m, K) as a real algebra: dim, center_dim, trace_sig, center_trace_sig.
@@ -359,9 +374,11 @@ def expected_invariants(cls: AlgebraClass) -> StructuralInvariants:
 
 def oracle(
     masks, row_op, cls: AlgebraClass, *, certificate: Certificate | None = None
-) -> Verdict:
+) -> tuple[CheckResult, str]:
     """Fingerprint of the blade basis ``masks`` under the row sign function
-    ``row_op`` against the reference of ``cls``, from one ``certify`` pass.
+    ``row_op`` against the reference of ``cls``, from one ``certify`` pass:
+    the verdict of the certificate it read, that ``associativity`` check
+    itself, and the first problem, "" when there is none.
 
     With a ``certificate`` of a group of blades holding ``masks``, made
     under the same ``row_op``, the fingerprint is read off its tables with
@@ -372,10 +389,11 @@ def oracle(
     The contract is stricter than associativity: the twist must be a
     bicharacter, so an associative product twisted by a coboundary that
     is not bilinear, σ(a,b) f(a) f(b) f(a^b), fails.  A violation is a
-    failing verdict, not an exception: it names the first non-associative
-    blade triple (searched while dim**3 <= 4096), else the first pair off
-    the bicharacter, the NotClosed or NotIndependent message,
-    or the oracle-vs-reference mismatch."""
+    problem, not an exception: the failing pass's ``problem``, which names
+    the first non-associative blade triple (searched while dim**3 <= 4096),
+    else the first pair off the bicharacter, or the NotClosed or
+    NotIndependent message; or, after a clean pass, the
+    oracle-vs-reference mismatch."""
     masks = list(masks)
     got = None
     if certificate is not None:
@@ -386,8 +404,7 @@ def oracle(
     if got is None:
         certificate = certify(masks, row_op)
         if not certificate.verdict.ok:
-            return certificate.verdict
+            return certificate.verdict, certificate.problem
         got = certificate.invariants()
     want = expected_invariants(cls)
-    problem = "" if got == want else f"oracle {got} != reference {want}"
-    return Verdict(True, certificate.verdict.associativity, problem)
+    return certificate.verdict, "" if got == want else f"oracle {got} != reference {want}"

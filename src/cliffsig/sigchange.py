@@ -55,7 +55,7 @@ from .core import (
     wedge,
 )
 from .grading import Z2Grading, project_even, project_odd
-from .oracle import format_blades, oracle
+from .oracle import CheckResult, oracle
 
 
 def _require_vector(v: Multivector, what: str) -> None:
@@ -212,21 +212,6 @@ def find_wedge_counterexample(gr: Z2Grading) -> WedgeWitness | None:
     return None
 
 
-class CheckResult(NamedTuple):
-    name: str
-    ok: bool
-    detail: str
-
-    @classmethod
-    def counted(cls, name: str, head: str, count: int, first: tuple | None) -> CheckResult:
-        """A check whose detail is ``head``, its ``count`` witnesses and,
-        when there are any, the first of them, ``first``, as blades; it
-        passes when there is none.  A caller counts its witnesses and keeps
-        the first, so no list of them is built."""
-        named = f"; first {format_blades(first)}" if count else ""
-        return cls(name, not count, f"{head}, {count} violations{named}")
-
-
 class CliffordMapReport(NamedTuple):
     """verify_clifford_map outcome: generator relations for the deformed
     metric, the defining identity, associativity, and fingerprint
@@ -351,7 +336,8 @@ def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> Cliffor
     row e^A ± e⌟A summed from the original metric's wedge and contraction
     kernels;
     (iii) associativity, by the oracle's bicharacter certificate over
-    every blade pair (``oracle.certify``);
+    every blade pair (``oracle.certify``), whose verdict is reported
+    unchanged;
     (iv) the fingerprint of the blade basis under ∨ equals that of Cl(r,s).
     All four read ``vee_alpha_row_op``.  (ii) and (iii) together make ∨ the
     product that folding generators by the definition produces.  Each
@@ -376,13 +362,13 @@ def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> Cliffor
 
     def product_checks():
         cls = classify_clifford(r, s)
-        verdict = oracle(all_blades(sig), row_op, cls)
-        found = verdict.problem or "fingerprints agree"
+        associativity, problem = oracle(all_blades(sig), row_op, cls)
+        found = problem or "fingerprints agree"
         return (
             # g_a(e, e) is -g(e, e) for odd e
             generator_relations(row_op, sig.n, neg ^ odd),
-            CheckResult("associativity", verdict.associative, verdict.associativity),
-            CheckResult("fingerprint", verdict.ok, f"target Cl({r},{s}) ~ {cls}; {found}"),
+            associativity,
+            CheckResult("fingerprint", not problem, f"target Cl({r},{s}) ~ {cls}; {found}"),
         )
 
     relations, associativity, fingerprint = kept(shared, vee_alpha_key(gr), product_checks)

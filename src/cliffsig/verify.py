@@ -5,9 +5,14 @@ closed-form classification against the structural oracle (or products
 against their defining laws), timing each cell.  A suite is a function
 that yields the cells of one signature; ``run_suite`` is the one walk
 over signatures, and at each it runs the cells of every suite it was
-asked for, so ``all`` visits each Cl(p,q) once.  Cells are pure
-computations, except that they share results through ``run_suite``'s one
-dict, read by ``core.kept``, the only place a shared result lives:
+asked for, so ``all`` visits each Cl(p,q) once.  Every cell returns one
+``oracle.CheckResult``, the package's one check record, whose pass and
+detail the report keeps: ``core``'s associativity cell returns the
+certificate's own verdict, and its other cells the checks they run;
+table and ``sigchange`` cells join a head with their problems
+(``_cell_result``).  Cells are pure computations, except that they share
+results through ``run_suite``'s one dict, read by ``core.kept``, the only
+place a shared result lives:
 
 * per signature, one certificate of the whole algebra
   (``whole_algebra``), read by ``table1``'s and ``table4``'s cells and
@@ -83,8 +88,8 @@ from .core import (
     reversion,
 )
 from .grading import Z2Grading, even_subalgebra_basis
-from .oracle import Certificate, certify, format_blades, oracle
-from .sigchange import CheckResult, definition_check, generator_relations, verify_clifford_map
+from .oracle import Certificate, CheckResult, certify, format_blades, oracle
+from .sigchange import definition_check, generator_relations, verify_clifford_map
 
 
 class Cell(NamedTuple):
@@ -124,14 +129,15 @@ class SuiteReport(NamedTuple):
 
 def _timed(report: SuiteReport, key: str, fn) -> None:
     start = time.perf_counter()
-    ok, detail = fn()
-    report.cells.append(Cell(key, ok, detail, time.perf_counter() - start))
+    check = fn()
+    report.cells.append(Cell(key, check.ok, check.detail, time.perf_counter() - start))
 
 
-def _cell_result(head: str, *problems: str) -> tuple[bool, str]:
-    """A cell's result: ``head``, then each nonempty problem after "; "."""
+def _cell_result(name: str, head: str, *problems: str) -> CheckResult:
+    """A cell's check ``name``: ``head``, then each nonempty problem after
+    "; "; it passes when there is none."""
     problems = [p for p in problems if p]
-    return not problems, "; ".join([head, *problems])
+    return CheckResult(name, not problems, "; ".join([head, *problems]))
 
 
 def signatures_up_to(max_n: int):
@@ -171,16 +177,17 @@ def even_subalgebra_problem(
     the even subalgebra of the canonical grading of ``sig`` whose even
     1-vectors have signature (p0, q0), under the geometric product,
     against ``cls``.  "" when it agrees, else the first problem: wrong
-    grading counts, or the oracle's verdict.  ``certificate``, of every
-    blade of ``sig`` under the geometric product, lets the oracle read
-    the fingerprint off it."""
+    grading counts, or the problem ``oracle`` returns beside its verdict, a
+    failing pass's ``Certificate.problem`` or a fingerprint mismatch.
+    ``certificate``, of every blade of ``sig`` under the geometric
+    product, lets the oracle read the fingerprint off it."""
     p1, q1 = sig.p - p0, sig.q - q0
     mask = canonical_odd_mask(sig, p1, q1)
     gr = Z2Grading(sig, mask)
     if gr.counts() != (p0, q0, p1, q1):
         return f"odd mask {mask:#b} has counts {gr.counts()}, expected {(p0, q0, p1, q1)}"
     basis = even_subalgebra_basis(gr)
-    return oracle(basis, geometric_row_op(sig), cls, certificate=certificate).problem
+    return oracle(basis, geometric_row_op(sig), cls, certificate=certificate)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +206,7 @@ def verify_table1(sig: Signature, shared: dict):
         problem = even_subalgebra_problem(
             sig, sig.p, sig.q, cls, certificate=whole_algebra(sig, shared)
         )
-        return _cell_result(f"{sig} ~ {cls}", problem)
+        return _cell_result("fingerprint", f"{sig} ~ {cls}", problem)
 
     yield f"{sig.p},{sig.q}", cell
 
@@ -220,7 +227,7 @@ def verify_table2(sig: Signature, shared: dict):
         if sig.q >= 1 and cls != classify_clifford(sig.p, sig.q - 1):
             problems.append(f"!= Cl({sig.p},{sig.q - 1})")
         problem = even_subalgebra_problem(sig, 0, 0, cls)
-        return _cell_result(f"Cl+({sig.p},{sig.q}) ~ {cls}", *problems, problem)
+        return _cell_result("fingerprint", f"Cl+({sig.p},{sig.q}) ~ {cls}", *problems, problem)
 
     yield f"{sig.p},{sig.q}", cell
 
@@ -241,7 +248,7 @@ def verify_table4(sig: Signature, shared: dict):
                 problem = even_subalgebra_problem(
                     sig, p0, q0, cls, certificate=whole_algebra(sig, shared)
                 )
-                return _cell_result(f"Cl0 ~ {cls}", problem)
+                return _cell_result("fingerprint", f"Cl0 ~ {cls}", problem)
 
             yield f"{sig.p},{sig.q},{p0},{q0}", cell
 
@@ -263,6 +270,7 @@ def verify_sigchange(sig: Signature, shared: dict):
             res = verify_clifford_map(gr, shared=shared)
             r, s = res.target
             return _cell_result(
+                "clifford-map",
                 f"-> Cl({r},{s})",
                 *(f"{c.name}: {c.detail}" for c in res.checks if not c.ok),
             )
@@ -284,12 +292,10 @@ def verify_core(sig: Signature, shared: dict):
     blades = all_blades(sig)
 
     def gen_cell():
-        res = generator_relations(geometric_row_op(sig), sig.n, sig.neg_mask)
-        return res.ok, res.detail
+        return generator_relations(geometric_row_op(sig), sig.n, sig.neg_mask)
 
     def assoc_cell():
-        verdict = whole_algebra(sig, shared).verdict
-        return verdict.associative, verdict.associativity
+        return whole_algebra(sig, shared).verdict
 
     def adjoint_cell():
         # For each a, every side of g(a⌟b, c) = g(b, ã∧c) and of
@@ -313,8 +319,7 @@ def verify_core(sig: Signature, shared: dict):
             if off:
                 count += off.bit_count()
                 first = first or next((a, b, a ^ b) for b in blades if off >> b & 1)
-        res = CheckResult.counted("adjointness", f"{len(blades) ** 3} triples", count, first)
-        return res.ok, res.detail
+        return CheckResult.counted("adjointness", f"{len(blades) ** 3} triples", count, first)
 
     def involution_cell():
         # each involution must send every blade to ± itself; a blade
@@ -331,10 +336,12 @@ def verify_core(sig: Signature, shared: dict):
                 y = law(x)
                 sign[a] = 1 if y == x else -1 if y == minus_x else None
                 if sign[a] is None:
-                    return False, f"{head}{name} sends {format_blades([a])} off ± itself"
+                    off = f"{name} sends {format_blades([a])} off ± itself"
+                    return CheckResult("involutions", False, head + off)
         certificate = whole_algebra(sig, shared)
         if not certificate.verdict.ok:
-            return False, f"{head}no certificate: {certificate.verdict.associativity}"
+            off = f"no certificate: {certificate.verdict.detail}"
+            return CheckResult("involutions", False, head + off)
         pairs = certificate.involution_witnesses(*signs)
         forms = ("a character", "a quadratic refinement of the commutation bicharacter")
         laws = [
@@ -342,11 +349,10 @@ def verify_core(sig: Signature, shared: dict):
             else f"{name} not {form}, first {format_blades(pair)}"
             for name, form, pair in zip(names, forms, pairs)
         ]
-        return pairs == (None, None), head + ", ".join(laws)
+        return CheckResult("involutions", pairs == (None, None), head + ", ".join(laws))
 
     def decomposition_cell():
-        res = definition_check(sig, geometric_row_op(sig), 0, shared)
-        return res.ok, res.detail
+        return definition_check(sig, geometric_row_op(sig), 0, shared)
 
     key = f"{sig.p},{sig.q}"
     yield f"{key}:generators", gen_cell

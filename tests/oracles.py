@@ -381,9 +381,12 @@ class StructureConstants:
 
 def regular_representation(masks, blade_op) -> StructureConstants:
     """Cell (i, j) is read from ``sign, mask = blade_op(masks[i], masks[j])``;
-    a sign of 0 is no term.  NotIndependent and NotClosed as the oracle
-    raises them on a twisted product, and NotTwisted at the first nonzero
-    product off the symmetric difference."""
+    a sign of 0 is no term.  The mask list is judged first, as the oracle
+    judges it, before ``blade_op`` is called: NotIndependent on an empty or
+    repeated list, and NotClosed at the first pair in row-major order whose
+    symmetric difference is not in the list, even where the product there
+    vanishes.  Then NotClosed at the first nonzero product outside the
+    list, and NotTwisted at the first one off the symmetric difference."""
     from cliffsig import NotIndependent
 
     masks = list(masks)
@@ -392,6 +395,9 @@ def regular_representation(masks, blade_op) -> StructureConstants:
     index = {mask: i for i, mask in enumerate(masks)}
     if len(index) < len(masks):
         raise NotIndependent("a blade appears twice in the basis")
+    for (i, a), (j, b) in itertools.product(enumerate(masks), repeat=2):
+        if a ^ b not in index:
+            raise NotClosed(f"product of basis elements {i} and {j} leaves the span")
     sign, prod = [], []
     for i, a in enumerate(masks):
         sign_row, prod_row = [], []

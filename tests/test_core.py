@@ -37,7 +37,7 @@ from cliffsig import (
     wedge,
 )
 from cliffsig.core import even_grade_part, odd_grade_part
-from cliffsig.oracle import Verdict
+from cliffsig.oracle import CheckResult
 from cliffsig.sigchange import vee_alpha, vee_prime
 from oracles import (
     from_multivector,
@@ -607,10 +607,10 @@ def test_signature_validation():
             [],
         ),
         (
-            Verdict,
-            (True, "ok", ""),
-            (True, "ok", "mismatch"),
-            "Verdict(associative=True, associativity='ok', problem='')",
+            CheckResult,
+            ("associativity", True, "ok"),
+            ("associativity", False, "ok"),
+            "CheckResult(name='associativity', ok=True, detail='ok')",
             [],
         ),
     ],
@@ -621,7 +621,7 @@ def test_signature_validation():
         "AlgebraClass",
         "Multivector",
         "StructuralInvariants",
-        "Verdict",
+        "CheckResult",
     ],
 )
 def test_value_types_and_records(cls, args, other, text, bad):

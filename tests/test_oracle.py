@@ -65,17 +65,17 @@ def refused(masks, op):
     """The certificate's problem on the blade sign function ``op``, read by
     rows, after checking that its verdict fails and certifies no blade."""
     cert = certify(masks, rows(op))
-    assert not cert.verdict.ok and not cert.verdict.associative
-    assert cert.verdict.associativity == cert.verdict.problem
+    assert not cert.verdict.ok
+    assert cert.verdict.detail == cert.problem
     assert cert.coords == {} and cert.table_b == cert.table_sym == []
-    return cert.verdict.problem
+    return cert.problem
 
 
 def test_two_element_basis_of_cl10():
     sig = Signature(1, 0)
     cert = certify([0b0, 0b1], geometric_row_op(sig))
-    assert cert.verdict.ok and cert.verdict.associative
-    assert cert.verdict.associativity == "bicharacter certificate, 4 pairs, 0 violations"
+    assert cert.verdict.ok
+    assert cert.verdict.detail == "bicharacter certificate, 4 pairs, 0 violations"
     assert cert.invariants() == StructuralInvariants(2, 2, (2, 0), (2, 0))
     sc = regular_representation([0b0, 0b1], geometric_pair_op(sig))
     assert sc.dim == 2
@@ -103,8 +103,8 @@ def test_not_closed():
     with pytest.raises(NotClosed, match=message):
         regular_representation(masks, geometric_pair_op(sig))
     assert refused(masks, geometric_pair_op(sig)) == message
-    verdict = oracle(masks, geometric_row_op(sig), classify_clifford(2, 0))
-    assert not verdict.ok and verdict.problem == message
+    check, problem = oracle(masks, geometric_row_op(sig), classify_clifford(2, 0))
+    assert not check.ok and problem == message
 
 
 def test_an_unclosed_list_fails_before_any_row_is_read():
@@ -133,10 +133,47 @@ def test_an_unclosed_list_fails_before_any_row_is_read():
     for masks, row_op, pair in cases:
         message = f"product of basis elements {pair} leaves the span"
         cert = certify(masks, watched(row_op))
-        assert cert.verdict.problem == message and not cert.verdict.associative, masks
+        assert cert.problem == message and not cert.verdict.ok, masks
         assert calls == [], masks
         with pytest.raises(NotClosed, match=message):
             whole.invariants(masks)
+
+
+def test_the_table_reference_judges_a_list_as_the_pass_does():
+    # the sign-table reference judges the mask list before it reads a
+    # product, as the pass does: on every list of Cl(2,1)'s blades that is
+    # no subgroup, in canonical and reversed order, empty and repeated
+    # lists among them, it raises the message the pass's verdict carries,
+    # under the geometric product and under the wedge, whose vanishing
+    # products once let an unclosed list build an all-zero table
+    sig = Signature(2, 1)
+    blades = all_blades(sig)
+    lists = [[], [0b001, 0b001], [0b000, 0b011, 0b000]]
+    lists += [[m for k, m in enumerate(blades) if bits >> k & 1] for bits in range(1, 256)]
+    lists += [masks[::-1] for masks in lists]
+    calls = []
+
+    def watched(op):
+        def counting(a, b):
+            calls.append((a, b))
+            return op(a, b)
+
+        return counting
+
+    checked = 0
+    for masks in lists:
+        closed = {a ^ b for a in masks for b in masks} <= set(masks)
+        if masks and len(set(masks)) == len(masks) and closed:
+            continue  # a subgroup
+        for op in (geometric_pair_op(sig), kernels.blade_wedge):
+            with pytest.raises((NotClosed, NotIndependent)) as raised:
+                regular_representation(masks, watched(op))
+            assert str(raised.value) == certify(masks, rows(op)).verdict.detail, masks
+            checked += 1
+    assert calls == [] and checked == 2 * (len(lists) - 2 * 16)
+    assert certify([0b001, 0b011], rows(kernels.blade_wedge)).verdict.detail == (
+        "product of basis elements 0 and 0 leaves the span"
+    )
 
 
 def test_not_independent():
@@ -171,11 +208,11 @@ def test_zero_sign_gives_empty_cell():
     assert first_nonassociative_triple(sc, 0, 200) is None
     cert = certify([0b0, 0b1], rows(kernels.blade_wedge))
     verdict = cert.verdict
-    assert not verdict.associative and cert.coords == {}
-    assert verdict.associativity == (
+    assert not verdict.ok and cert.coords == {}
+    assert verdict.detail == (
         "bicharacter certificate, 4 pairs, first violation (e1, e1)"
     )
-    assert verdict.problem == f"not a bicharacter twist: {verdict.associativity}"
+    assert cert.problem == f"not a bicharacter twist: {verdict.detail}"
 
 
 def test_a_pass_reads_one_row_per_call():
@@ -281,18 +318,18 @@ def test_non_associative_detected():
                 dense_regular_representation(masks, op), 0, 200
             )
             assert first_nonassociative_triple(sc, 0, 200) == want, (sig, pair)
-            verdict = oracle(masks, rows(op), AlgebraClass.of("R"))
+            check, problem = oracle(masks, rows(op), AlgebraClass.of("R"))
             if want is not None:
                 _, report = table_check_associativity(masks, sc, 0, 200)
-                assert verdict.associativity == report, (sig, pair)
-                assert verdict.problem == f"not associative: {report}"
-            elif not verdict.associative:
+                assert check.detail == report, (sig, pair)
+                assert problem == f"not associative: {report}"
+            elif not check.ok:
                 assert (sig, pair) == (Signature(0, 0), (0, 0))
-                assert verdict.problem == (
+                assert problem == (
                     "not a bicharacter twist: bicharacter certificate, "
                     "1 pairs, first violation (1, 1)"
                 )
-            failing += not verdict.associative
+            failing += not check.ok
     assert failing == cases - 2
     sig = Signature(3, 2)
     masks = all_blades(sig)
@@ -300,11 +337,11 @@ def test_non_associative_detected():
     assert dense_first_nonassociative_triple(
         dense_regular_representation(masks, op), 0, 200
     ) is not None
-    verdict = oracle(masks, rows(op), classify_clifford(3, 2))
-    assert verdict.associativity == (
+    check, problem = oracle(masks, rows(op), classify_clifford(3, 2))
+    assert check.detail == (
         "bicharacter certificate, 1024 pairs, first violation (e1, 1)"
     )
-    assert verdict.problem == f"not a bicharacter twist: {verdict.associativity}"
+    assert problem == f"not a bicharacter twist: {check.detail}"
 
 
 def test_not_associative_carries_first_triple():
@@ -312,10 +349,10 @@ def test_not_associative_carries_first_triple():
     # failing triple in order is (1, 0, 0), with (b1 b0) b0 = b1 but
     # b1 (b0 b0) = -b1, which the verdict names as blades
     op = flipped(geometric_pair_op(Signature(1, 0)), (1, 0))
-    verdict = oracle([0, 1], rows(op), classify_clifford(1, 0))
-    assert not verdict.associative and not verdict.ok
-    assert verdict.associativity == "exhaustive triples, first violation (e1, 1, 1)"
-    assert verdict.problem == f"not associative: {verdict.associativity}"
+    check, problem = oracle([0, 1], rows(op), classify_clifford(1, 0))
+    assert not check.ok and problem
+    assert check.detail == "exhaustive triples, first violation (e1, 1, 1)"
+    assert problem == f"not associative: {check.detail}"
     dense = dense_regular_representation([0, 1], op)
     assert dense_first_nonassociative_triple(dense, 0, 200) == (1, 0, 0)
 
@@ -342,12 +379,12 @@ def test_one_flipped_sign_in_a_row_fails_with_its_pair():
     masks = all_blades(sig)
     cls = classify_clifford(3, 2)
     for a, b in [(0b1, 0b11), (0b111, 0b11000), (0, 0b11111), (0b10101, 0b10101), (0b1, 0b10)]:
-        verdict = oracle(masks, flipped_in_row(geometric_row_op(sig), a, b), cls)
+        check, problem = oracle(masks, flipped_in_row(geometric_row_op(sig), a, b), cls)
         pairwise = oracle(masks, rows(flipped(geometric_pair_op(sig), (a, b))), cls)
-        assert not verdict.associative and not verdict.ok
-        assert verdict == pairwise, (a, b)
+        assert not check.ok and problem
+        assert (check, problem) == pairwise, (a, b)
         if (a & (a - 1)) or (b & (b - 1)) or not (a and b):
-            assert verdict.associativity == (
+            assert check.detail == (
                 f"bicharacter certificate, 1024 pairs, first violation {format_blades((a, b))}"
             )
 
@@ -394,9 +431,9 @@ def test_coboundary_twist_fails_the_certificate():
                 for a, b in itertools.product(masks, repeat=2)
                 if op(a, b)[0] != generator_product(a, b)
             )
-            verdict = oracle(masks, rows(op), cls)
-            assert not verdict.associative and not verdict.ok
-            assert verdict.problem == (
+            check, problem = oracle(masks, rows(op), cls)
+            assert not check.ok and problem
+            assert problem == (
                 "not a bicharacter twist: bicharacter certificate, 64 pairs, "
                 f"first violation {format_blades(first)}"
             ), (sig, blade)
@@ -616,8 +653,61 @@ def test_subgroup_read_rejects_what_the_pass_rejects():
     cls = classify_clifford(2, 0)
     for masks in ([0b01, 0b01], [0b00, 0b01, 0b10]):
         assert oracle(masks, op, cls, certificate=whole) == oracle(masks, op, cls)
-    assert not oracle([0b00, 0b01, 0b10], op, cls, certificate=whole).ok
+    assert oracle([0b00, 0b01, 0b10], op, cls, certificate=whole)[1]
 
+
+
+def test_the_oracle_returns_the_certificates_verdict_itself(monkeypatch):
+    # one record: oracle() hands on the certificate's own verdict, the
+    # associativity check, built by certify and by no one else; from a
+    # pass of its own, clean or failing, and from a subgroup read of a
+    # given certificate, where no pass runs
+    import cliffsig.oracle as oracle_module
+
+    made = []
+    honest = oracle_module.certify
+
+    def keeping(masks, row_op):
+        made.append(honest(masks, row_op))
+        return made[-1]
+
+    monkeypatch.setattr(oracle_module, "certify", keeping)
+    sig = Signature(2, 1)
+    op = geometric_row_op(sig)
+    check, problem = oracle(all_blades(sig), op, classify_clifford(2, 1))
+    assert len(made) == 1 and check is made[0].verdict and problem == ""
+    assert check.name == "associativity" and check.ok
+
+    whole = made.pop()
+    even = [m for m in all_blades(sig) if len(blade_indices(m)) % 2 == 0]
+    check, problem = oracle(even, op, classify_even_part(2, 1), certificate=whole)
+    assert made == [] and check is whole.verdict and problem == ""
+    check, problem = oracle(even, op, classify_clifford(2, 1), certificate=whole)
+    assert made == [] and check is whole.verdict and problem.startswith("oracle ")
+
+    bad = rows(flipped(geometric_pair_op(sig), (0b001, 0b010)))
+    check, problem = oracle(all_blades(sig), bad, classify_clifford(2, 1))
+    assert len(made) == 1 and check is made[0].verdict and problem is made[0].problem
+    assert not check.ok and problem
+
+
+def test_a_failing_pass_keeps_its_prefix():
+    # a failing pass's verdict is the bare report and its problem says
+    # which contract broke: "not associative: " before a failing triple,
+    # "not a bicharacter twist: " before a pair off the bicharacter, and
+    # no prefix before the message of a list judged unfit
+    sig = Signature(2, 0)
+    cases = [
+        (all_blades(sig), flipped(geometric_pair_op(sig), (0b01, 0b10)), "not associative: "),
+        ([0b0], flipped(geometric_pair_op(Signature(0, 0)), (0, 0)), "not a bicharacter twist: "),
+        ([0b00, 0b01, 0b10], geometric_pair_op(sig), ""),
+    ]
+    for masks, op, prefix in cases:
+        cert = certify(masks, rows(op))
+        assert cert.verdict.name == "associativity" and not cert.verdict.ok, masks
+        assert cert.problem == prefix + cert.verdict.detail, masks
+    clean = certify(all_blades(sig), geometric_row_op(sig))
+    assert clean.verdict.ok and clean.problem == ""
 
 
 def test_every_certified_blade_is_read_as_the_whole_algebra(monkeypatch):
@@ -665,7 +755,7 @@ def test_certify_refuses_a_failing_pass():
     ]
     for masks, op, problem in cases:
         cert = certify(masks, rows(op))
-        assert not cert.verdict.ok and cert.verdict.problem == problem, masks
+        assert not cert.verdict.ok and cert.problem == problem, masks
         with pytest.raises(NotClosed, match="0b0 is not among the certified blades"):
             cert.invariants([0b0])
 
@@ -696,10 +786,10 @@ def test_every_flipped_bit_fails_as_its_flipped_pair():
     for a, b in itertools.product(masks, repeat=2):
         row_op = flipped_in_row(geometric_row_op(sig), a, b)
         op = flipped(geometric_pair_op(sig), (a, b))
-        got = certify(masks, row_op).verdict
-        want = certify(masks, rows(op)).verdict
-        assert not got.ok and not got.associative, (a, b)
-        assert got == want, (a, b)
+        got = certify(masks, row_op)
+        want = certify(masks, rows(op))
+        assert not got.verdict.ok, (a, b)
+        assert (got.verdict, got.problem) == (want.verdict, want.problem), (a, b)
         witness = first_pair_off_the_bicharacter(masks, op, sig.n)
         assert witness is not None and _read_bicharacter(masks, row_op)[3] == witness, (a, b)
 

@@ -826,7 +826,8 @@ def _alone(gr):
     r, s = res.target
     failing = (f"{c.name}: {c.detail}" for c in res.checks if not c.ok)
     odd = ",".join(str(i) for i in gr.odd_indices)
-    return (f"{gr.sig.p},{gr.sig.q},odd={odd}", *_cell_result(f"-> Cl({r},{s})", *failing))
+    _, ok, detail = _cell_result("clifford-map", f"-> Cl({r},{s})", *failing)
+    return f"{gr.sig.p},{gr.sig.q},odd={odd}", ok, detail
 
 
 def test_sigchange_sweep_equals_each_map_alone():

@@ -464,3 +464,27 @@ def test_value_classes_share_one_frozen_base():
         "core.Signature",
         "grading.Z2Grading",
     ], values
+
+
+def test_one_check_record():
+    # a named pass or fail with its report has one shape in the package,
+    # oracle.CheckResult: the certificate's verdict, each check of
+    # verify_clifford_map and every verify cell.  A second class with the
+    # same fields, or a Verdict beside it, would give one outcome two shapes
+    # and make a caller copy one into the other
+    records, verdicts = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                fields = {
+                    item.target.id
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                }
+                if fields >= {"name", "ok", "detail"}:
+                    records.append(f"{path.stem}.{node.name}")
+            name = getattr(node, "name", getattr(node, "id", getattr(node, "attr", None)))
+            if name == "Verdict":
+                verdicts.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert records == ["oracle.CheckResult"], records
+    assert not verdicts, f"Verdict named in the package: {verdicts}"

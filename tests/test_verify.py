@@ -100,8 +100,8 @@ def test_table4_randomized_subsets_agree():
                 gr = Z2Grading(sig, random_odd_mask(rng, sig, p1, q1))
                 assert gr.counts() == (p0, q0, p1, q1)
                 cls = classify_even_subalgebra(sig.p, sig.q, p0, q0)
-                verdict = oracle(even_subalgebra_basis(gr), geometric_row_op(sig), cls)
-                assert verdict.ok, (gr, verdict.problem)
+                _, problem = oracle(even_subalgebra_basis(gr), geometric_row_op(sig), cls)
+                assert not problem, (gr, problem)
 
 
 def test_suite_determinism():
@@ -123,6 +123,25 @@ def test_core_suite_small():
         "involutions",
         "decomposition",
     }
+
+
+def test_every_cell_returns_one_check_record():
+    # a cell's outcome has one shape, oracle.CheckResult, which run_suite
+    # reads into its report; the core suite's associativity cell returns
+    # the shared certificate's own verdict, built by certify alone
+    import cliffsig.verify as verify
+    from cliffsig.oracle import CheckResult
+
+    shared, count = {}, 0
+    for sig in signatures_up_to(3):
+        for name, suite in verify._SUITE_FNS.items():
+            for key, cell in suite(sig, shared):
+                check = cell()
+                assert type(check) is CheckResult, (name, key, check)
+                if name == "core" and key.endswith(":associativity"):
+                    assert check is verify.whole_algebra(sig, shared).verdict, key
+                count += 1
+    assert count == len(run_suite("all", 3).cells) == 153
 
 
 def test_all_suite_prefixes_keys():
@@ -417,7 +436,7 @@ def test_core_adjointness_counts_its_witnesses_in_flat_memory(monkeypatch):
     cell = dict(verify.verify_core(Signature(4, 4), {}))["4,4:adjointness"]
     tracemalloc.start()
     try:
-        ok, detail = cell()
+        _, ok, detail = cell()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -646,6 +665,6 @@ def test_the_computed_product_is_the_certified_one(monkeypatch):
     monkeypatch.setattr(kernels, "blade_mul_row", flipped)
     assert geometric_product(e1, e2) == Multivector.blade(sig, E1 | E2, -1)
     assert geometric_product(e2, e1) == Multivector.blade(sig, E1 | E2, -1)
-    assert whole_algebra(sig).verdict.problem == (
+    assert whole_algebra(sig).problem == (
         "not associative: exhaustive triples, first violation (e1, e1, e2)"
     )
