@@ -263,9 +263,9 @@ def _cmd_grading(args) -> int:
     ]
     if args.involution:
         return _emit(args, out, lines, EXIT_OK)
-    rep = grading_closure_check(gr)
-    out.update(closure_ok=rep.ok, closure_pairs=rep.pairs_checked)
-    lines.append(f"closure: {'ok' if rep.ok else 'VIOLATED'} ({rep.pairs_checked} blade pairs)")
+    rep, pairs = grading_closure_check(gr), 4 ** sig.n
+    out.update(closure_ok=rep.ok, closure_pairs=pairs)
+    lines.append(f"closure: {'ok' if rep.ok else 'VIOLATED'} ({pairs} blade pairs)")
     return _emit(args, out, lines, EXIT_OK if rep.ok else EXIT_VIOLATION)
 
 

@@ -21,14 +21,16 @@ Canonical output: terms ordered by grade then by index set, coefficient
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Callable
 
 from .core import Multivector, Signature, blade_indices, blade_sort_key, geometric_product, wedge
 
+#: One token per match; ``bad`` takes any character no token starts with.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<blade>(?:e\d+)+)|(?P<op>[-+*^/()]))"
+    r"\s*(?:(?P<num>\d+)|(?P<blade>(?:e\d+)+)|(?P<op>[-+*^/()])|(?P<bad>\S))"
 )
 
 ProductFn = Callable[[Multivector, Multivector], Multivector]
@@ -55,109 +57,74 @@ def _int(digits: str, pos: int) -> int:
 
 class _Parser:
     def __init__(self, text: str, sig: Signature, star: ProductFn):
-        self.text = text
         self.sig = sig
-        self.star = star
-        self.depth = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        self._tokenize()
-        self.idx = 0
+        self.ops = {"+": operator.add, "-": operator.sub, "*": star, "^": wedge}
+        self.depth = self.idx = 0
+        matches = _TOKEN.finditer(text)
+        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in matches]
+        for kind, val, pos in self.tokens:
+            if kind == "bad":
+                raise ParseError(f"unexpected character {val!r}", pos)
+        self.tokens.append(("end", "", len(text)))
 
-    def _tokenize(self):
-        pos = 0
-        text = self.text
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                where = len(text) - len(stripped)
-                raise ParseError(f"unexpected character {text[where]!r}", where)
-            for kind in ("num", "blade", "op"):
-                val = m.group(kind)
-                if val is not None:
-                    self.tokens.append((kind, val, m.start(kind)))
-                    break
-            pos = m.end()
-
-    def _peek(self):
-        if self.idx < len(self.tokens):
-            return self.tokens[self.idx]
-        return ("end", "", len(self.text))
-
-    def _next(self):
-        tok = self._peek()
+    def _take(self, *ops: str):
+        """The next token, consumed; with ``ops``, only an operator among
+        them, else None and nothing consumed."""
+        token = self.tokens[self.idx]
+        if ops and token[1] not in ops:
+            return None
         self.idx += 1
-        return tok
+        return token
+
+    def _fold(self, value: Multivector, operand, *ops: str) -> Multivector:
+        """``value`` and each following operand, joined left to right by
+        the operators ``ops``."""
+        while token := self._take(*ops):
+            value = self.ops[token[1]](value, operand())
+        return value
 
     def parse(self) -> Multivector:
         value = self.expr()
-        kind, val, pos = self._peek()
+        kind, val, pos = self._take()
         if kind != "end":
             raise ParseError(f"unexpected {val!r}", pos)
         return value
 
     def expr(self) -> Multivector:
-        negate = False
-        kind, val, _ = self._peek()
-        if kind == "op" and val in "+-":
-            self._next()
-            negate = val == "-"
+        sign = self._take("+", "-")
         value = self.term()
-        if negate:
-            value = -value
-        while True:
-            kind, val, _ = self._peek()
-            if kind == "op" and val in "+-":
-                self._next()
-                rhs = self.term()
-                value = value - rhs if val == "-" else value + rhs
-            else:
-                return value
+        return self._fold(-value if sign and sign[1] == "-" else value, self.term, "+", "-")
 
     def term(self) -> Multivector:
-        value = self.factor()
-        while True:
-            kind, val, _ = self._peek()
-            if kind == "op" and val in "*^":
-                self._next()
-                rhs = self.factor()
-                value = self.star(value, rhs) if val == "*" else wedge(value, rhs)
-            else:
-                return value
+        return self._fold(self.factor(), self.factor, "*", "^")
 
     def factor(self) -> Multivector:
-        kind, val, pos = self._next()
+        kind, val, pos = self._take()
         if kind == "num":
             coeff = Fraction(_int(val, pos))
-            k2, v2, _ = self._peek()
-            if k2 == "op" and v2 == "/":
-                self._next()
-                k3, v3, p3 = self._next()
-                if k3 != "num":
-                    raise ParseError("expected denominator digits after '/'", p3)
-                den = _int(v3, p3)
+            if self._take("/"):
+                kind, val, pos = self._take()
+                if kind != "num":
+                    raise ParseError("expected denominator digits after '/'", pos)
+                den = _int(val, pos)
                 if den == 0:
-                    raise ParseError("zero denominator", p3)
+                    raise ParseError("zero denominator", pos)
                 coeff /= den
             return Multivector.scalar(self.sig, coeff)
         if kind == "blade":
             return self._blade(val, pos)
-        if kind == "op" and val == "(":
+        if val == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.depth += 1
             inner = self.expr()
             self.depth -= 1
-            k2, v2, p2 = self._next()
-            if not (k2 == "op" and v2 == ")"):
-                raise ParseError("expected ')'", p2)
+            if not self._take(")"):
+                raise ParseError("expected ')'", self.tokens[self.idx][2])
             return inner
-        raise ParseError(
-            "expected a rational, a blade like e1e2, or '('" if kind != "end" else "unexpected end of expression",
-            pos,
-        )
+        if kind == "end":
+            raise ParseError("unexpected end of expression", pos)
+        raise ParseError("expected a rational, a blade like e1e2, or '('", pos)
 
     def _blade(self, literal: str, pos: int) -> Multivector:
         value = Multivector.scalar(self.sig, 1)

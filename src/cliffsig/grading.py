@@ -10,6 +10,7 @@ handled by ``validate_involution``, which either reduces them to the same
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -26,7 +27,7 @@ from .core import (
     blade_indices,
     blade_order,
 )
-from .oracle import span
+from .oracle import CheckResult, span
 
 
 class NotInvolution(ValueError):
@@ -152,18 +153,7 @@ def dimension_dichotomy_check(gr: Z2Grading) -> DimensionClass:
     return cls
 
 
-class ClosureReport(NamedTuple):
-    """Result of the exhaustive parity-closure sweep over blade pairs."""
-
-    pairs_checked: int
-    violations: list[tuple[int, int]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def grading_closure_check(gr: Z2Grading) -> ClosureReport:
+def grading_closure_check(gr: Z2Grading) -> CheckResult:
     """Whether every product of two blades lands in the parity component
     the grading predicts.  Each product of the package sends blades a and
     b to plus or minus a ^ b or to 0 (the row protocol of ``kernels``,
@@ -173,14 +163,16 @@ def grading_closure_check(gr: Z2Grading) -> ClosureReport:
     blade group.  A character is fixed by its values on the generators, so
     the parities are compared with the one they fix there, built by
     doubling in O(dim), and the pairs are scanned, in row-major order,
-    only when the two differ."""
+    only when the two differ.  The ``closure`` check counts the failing
+    pairs and names the first, so its memory does not grow with them."""
     blades = all_blades(gr.sig)
     parity = [gr.blade_parity(m) for m in range(1 << gr.sig.n)]
     character = span(parity[1 << k] for k in range(gr.sig.n))
-    violations = [] if character == parity else [
-        (a, b) for a in blades for b in blades if parity[a ^ b] != parity[a] ^ parity[b]
-    ]
-    return ClosureReport(pairs_checked=len(blades) ** 2, violations=violations)
+    count, first = 0, None
+    for a, b in [] if character == parity else itertools.product(blades, repeat=2):
+        if parity[a ^ b] != parity[a] ^ parity[b]:
+            count, first = count + 1, first or (a, b)
+    return CheckResult.counted("closure", f"{len(blades) ** 2} blade pairs", count, first)
 
 
 class InvolutionSplit(NamedTuple):

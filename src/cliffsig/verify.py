@@ -10,9 +10,12 @@ asked for, so ``all`` visits each Cl(p,q) once.  Every cell returns one
 detail the report keeps: ``core``'s associativity cell returns the
 certificate's own verdict, and its other cells the checks they run;
 table and ``sigchange`` cells join a head with their problems
-(``_cell_result``).  Cells are pure computations, except that they share
-results through ``run_suite``'s one dict, read by ``core.kept``, the only
-place a shared result lives:
+(``_cell_result``).  A cell that raises fails, its detail the exception's
+type and message (``_timed``), so a fault in the program is a failing
+cell of a report that still holds every cell, never a crash of the run.
+Cells are pure computations, except that they share results through
+``run_suite``'s one dict, read by ``core.kept``, the only place a shared
+result lives:
 
 * per signature, one certificate of the whole algebra
   (``whole_algebra``), read by ``table1``'s and ``table4``'s cells and
@@ -128,8 +131,15 @@ class SuiteReport(NamedTuple):
 
 
 def _timed(report: SuiteReport, key: str, fn) -> None:
+    """Run the cell ``fn`` and append its check, timed, to ``report``.  A
+    cell that raises fails, its detail the exception's type and message,
+    so a fault in the program is a failing cell of the report, never a
+    crash of the run; this is the package's one catch-all."""
     start = time.perf_counter()
-    check = fn()
+    try:
+        check = fn()
+    except Exception as exc:
+        check = CheckResult("raised", False, f"raised {type(exc).__name__}: {exc}")
     report.cells.append(Cell(key, check.ok, check.detail, time.perf_counter() - start))
 
 
@@ -317,8 +327,11 @@ def verify_core(sig: Signature, shared: dict):
             ):
                 off |= (zc ^ zw) | (nc ^ nw ^ -flip) & (full ^ (zc | zw))
             if off:
+                # position b of the view holds blade b; a bit past the last
+                # blade is a violation too, named by its position
+                b = (off & -off).bit_length() - 1
                 count += off.bit_count()
-                first = first or next((a, b, a ^ b) for b in blades if off >> b & 1)
+                first = first or (a, b, a ^ b)
         return CheckResult.counted("adjointness", f"{len(blades) ** 3} triples", count, first)
 
     def involution_cell():

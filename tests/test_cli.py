@@ -569,3 +569,23 @@ def test_bad_sig_text_is_a_usage_error(capsys, sig, reason):
         main(["eval", f"--sig={sig}", "e1"])
     assert exc.value.code == 2
     assert f"expected --sig p,q — {reason}" in capsys.readouterr().err
+
+
+def test_verify_cell_that_raises_fails_with_its_exception(monkeypatch, capsys):
+    # a fault that makes a cell raise is a failing cell of the report, not
+    # a crash of the run: a target signature with p0 - q1 goes negative,
+    # so Signature refuses it inside the cell; the run still reports every
+    # cell and exits 1, not 2 as for a usage error
+    from cliffsig import sigchange
+
+    def faulted(gr):
+        p0, q0, p1, q1 = gr.counts()
+        return p0 - q1, q0 + p1
+
+    monkeypatch.setattr(sigchange, "target_signature", faulted)
+    code, out, err = run(capsys, "verify", "--suite", "sigchange", "--max-n", "3")
+    assert code == 1 and not err
+    raised = [line for line in out.splitlines() if "raised ValueError" in line]
+    assert raised[0] == "FAIL 0,1,odd=1: raised ValueError: p and q must be non-negative"
+    assert len(raised) == 17
+    assert out.splitlines()[-1].startswith("suite sigchange: 49 cells, 29 violations")

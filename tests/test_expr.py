@@ -136,3 +136,43 @@ def test_slash_needs_denominator_digits(text, position):
     with pytest.raises(ParseError, match="expected denominator digits after '/'") as err:
         parse_multivector(text, Signature(2, 0))
     assert err.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("e1\t+\te2  ", "e1 + e2"), ("\te1 ^ e2\t\n", "e1^e2"), ("1 + e2  \t", "1 + e2")],
+)
+def test_tabs_and_trailing_whitespace_are_skipped(text, expected):
+    assert format_multivector(parse_multivector(text, Signature(2, 1))) == expected
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        # empty, blank, or cut short after an operator: the end is where
+        # the text ends, trailing whitespace included
+        ("", "unexpected end of expression", 0),
+        ("   ", "unexpected end of expression", 3),
+        ("\t\n", "unexpected end of expression", 2),
+        ("1 +\t", "unexpected end of expression", 4),
+        # 'e' with no digits starts no token
+        ("e", "unexpected character 'e'", 0),
+        ("e1 + e", "unexpected character 'e'", 5),
+        ("e1e", "unexpected character 'e'", 2),
+        # a bad character is named where it stands, not where the
+        # whitespace before it starts, and before any later parse error
+        ("1 +   $", "unexpected character '$'", 6),
+        ("\t\t@", "unexpected character '@'", 2),
+        ("1/0 $", "unexpected character '$'", 4),
+        ("e9 $", "unexpected character '$'", 3),
+        # a ')' with no '('
+        (")", "expected a rational, a blade like e1e2, or '('", 0),
+        ("e1 )", "unexpected ')'", 3),
+        ("(e1))", "unexpected ')'", 4),
+    ],
+)
+def test_parse_error_messages_and_positions(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_multivector(text, Signature(2, 1))
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position

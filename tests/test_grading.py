@@ -219,16 +219,15 @@ def test_closure_examples():
         (Signature(2, 2), [1, 2, 3, 4]),
     ]:
         rep = grading_closure_check(Z2Grading.from_odd_indices(sig, odd))
-        assert rep.ok
-        assert rep.pairs_checked == (1 << sig.n) ** 2
+        assert rep == ("closure", True, f"{(1 << sig.n) ** 2} blade pairs, 0 violations")
 
 
 def test_closure_names_a_product_of_the_wrong_parity(monkeypatch, capsys):
     # e1 e2 lands on e1^e2; a blade parity that calls e1^e2 even under
     # odd = {e1} (and e2^e3 odd, so the even part keeps its dimension)
     # puts that odd·even product in the even part, so the blade parities
-    # are no character: the sweep names every pair whose product lands on
-    # the wrong side, the first (e1, e2), and the CLI exits 1
+    # are no character: the sweep counts every pair whose product lands on
+    # the wrong side and names the first, (e1, e2), and the CLI exits 1
     honest = Z2Grading.blade_parity
 
     def broken(self, mask):
@@ -239,14 +238,30 @@ def test_closure_names_a_product_of_the_wrong_parity(monkeypatch, capsys):
     rep = grading_closure_check(gr)
     blades = all_blades(gr.sig)
     parity = {m: gr.blade_parity(m) for m in blades}
-    assert rep.violations == [
-        (a, b) for a in blades for b in blades if parity[a ^ b] != parity[a] ^ parity[b]
-    ]
-    assert rep.violations[:2] == [(0b001, 0b010), (0b001, 0b011)] and not rep.ok
-    assert len(rep.violations) == 24
-    assert rep.pairs_checked == 64
+    wrong = [(a, b) for a in blades for b in blades if parity[a ^ b] != parity[a] ^ parity[b]]
+    assert len(wrong) == 24 and wrong[0] == (0b001, 0b010)
+    assert rep == ("closure", False, "64 blade pairs, 24 violations; first (e1, e2)")
     assert main(["grading", "--sig", "2,1", "--odd", "e1"]) == 1
     assert "closure: VIOLATED (64 blade pairs)" in capsys.readouterr().out
+
+
+def test_closure_counts_its_witnesses_in_flat_memory(monkeypatch):
+    # a parity that calls every blade odd, the scalar too, breaks the law
+    # at each of Cl(4,4)'s 65536 pairs; the check counts them and keeps
+    # the first, so its memory does not grow with the fault
+    import tracemalloc
+
+    honest = Z2Grading.blade_parity
+    monkeypatch.setattr(Z2Grading, "blade_parity", lambda self, mask: honest(self, mask) | 1)
+    gr = Z2Grading.from_odd_indices(Signature(4, 4), [1])
+    tracemalloc.start()
+    try:
+        rep = grading_closure_check(gr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == ("closure", False, "65536 blade pairs, 65536 violations; first (1, 1)")
+    assert peak < 1 << 20, peak
 
 
 def test_closure_reads_no_product(monkeypatch):

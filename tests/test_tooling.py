@@ -488,3 +488,30 @@ def test_one_check_record():
                 verdicts.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert records == ["oracle.CheckResult"], records
     assert not verdicts, f"Verdict named in the package: {verdicts}"
+
+
+def test_the_one_catch_all_is_the_verify_cell():
+    # a cell that raises is a failing cell, so verify._timed catches
+    # Exception; anywhere else a catch-all would turn a fault into a pass
+    # or a wrong message, and a bare except or BaseException would also
+    # swallow KeyboardInterrupt
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {
+            id(node): top.name
+            for top in tree.body
+            if isinstance(top, ast.FunctionDef)
+            for node in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            names = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node.type or ast.Name("BaseException"))
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            if names & {"Exception", "BaseException"}:
+                found.append(f"{path.stem}.{owner.get(id(node), '?')}:{' '.join(sorted(names))}")
+    assert found == ["verify._timed:Exception"], found

@@ -444,6 +444,29 @@ def test_core_adjointness_counts_its_witnesses_in_flat_memory(monkeypatch):
     assert peak < 1 << 20, peak
 
 
+def test_core_adjointness_names_a_witness_past_the_last_blade(monkeypatch):
+    # a contraction row that vanishes at a position past the last blade
+    # fails where the wedge's row does not.  That bit is a violation too:
+    # the witness is the lowest set bit of the failing row, position b
+    # holds blade b, and position 4 of Cl(1,1)'s view reads as e3.  The
+    # witness is read off the bit, not searched for among the blades, so
+    # the run reports every cell
+    from cliffsig import kernels
+
+    honest = kernels.contraction_rows
+
+    def leaky(a, cols, neg):
+        bit = 1 << len(cols[0])
+        return tuple((row_neg, zero | bit) for row_neg, zero in honest(a, cols, neg))
+
+    monkeypatch.setattr(kernels, "contraction_rows", leaky)
+    failing = [c for c in run_suite("core", 3).cells if not c.ok]
+    assert len(failing) == 10, [c.key for c in failing]
+    cells = {c.key: c.detail for c in failing}
+    assert all(key.endswith(":adjointness") for key in cells), cells
+    assert cells["1,1:adjointness"] == "64 triples, 4 violations; first (1, e3, e3)"
+
+
 def test_table2_names_each_identity_it_breaks(monkeypatch):
     # Cl+(p,q) ~ Cl(q,p-1) ~ Cl(p,q-1): an even-part class that answers
     # Cl(p,q) breaks each identity whose side exists, and the fingerprint
@@ -668,3 +691,22 @@ def test_the_computed_product_is_the_certified_one(monkeypatch):
     assert whole_algebra(sig).problem == (
         "not associative: exhaustive triples, first violation (e1, e1, e2)"
     )
+
+
+def test_a_cell_that_raises_fails_and_an_interrupt_stops_the_run():
+    from cliffsig.verify import SuiteReport, _timed
+
+    def broken():
+        raise ZeroDivisionError("fault")
+
+    def interrupted():
+        raise KeyboardInterrupt
+
+    report = SuiteReport("core", [])
+    _timed(report, "0,0:broken", broken)
+    (cell,) = report.cells
+    assert (cell.key, cell.ok, cell.detail) == ("0,0:broken", False, "raised ZeroDivisionError: fault")
+    assert cell.seconds >= 0 and report.violations == 1
+    with pytest.raises(KeyboardInterrupt):
+        _timed(report, "0,0:interrupted", interrupted)
+    assert len(report.cells) == 1
