@@ -230,24 +230,6 @@ class CliffordMapReport(NamedTuple):
         return sum(not c.ok for c in self.checks)
 
 
-def _signed_sum(x: tuple[int, int], y: tuple[int, int], target: int) -> int | None:
-    """The sign s in (-1, 0, 1) with x + y = s e_target, for signed blades
-    x and y, each a (sign, mask) pair with sign 0 for zero; None when the
-    sum is no such multiple of e_target."""
-    (sx, mx), (sy, my) = x, y
-    if sx and sy and mx != my:
-        return None
-    total = sx + sy
-    if total and (abs(total) > 1 or (mx if sx else my) != target):
-        return None
-    return total
-
-
-#: The (neg, zero) bits of a row position holding each ``_signed_sum``:
-#: None sets both, which no row of a product has.
-_ROW_BITS = {1: (0, 0), -1: (1, 0), 0: (0, 1), None: (1, 1)}
-
-
 def generator_relations(row_op, n: int, neg: int) -> CheckResult:
     """e_i e_j + e_j e_i = 2 g(e_i, e_j) on the n generators, for the
     product whose row sign function is ``row_op`` and the metric whose
@@ -271,18 +253,20 @@ def generator_relations(row_op, n: int, neg: int) -> CheckResult:
 def _expected_rows(e: int, blades: list[int], neg: int) -> tuple[tuple, tuple]:
     """The rows e^A + e⌟A and e^A - e⌟A over ``blades`` for the generator
     ``e``, under the metric whose generators in ``neg`` square to -1, as
-    rows ``(neg, zero)``; a sum that is not one signed blade on e ^ A sets
-    both bits of its position (``_ROW_BITS``)."""
-    pairs = [(kernels.blade_wedge(e, a), kernels.blade_left_contract(e, a, neg)) for a in blades]
-    rows = []
-    for alpha in (1, -1):
-        negs = zeros = 0
-        for j, (a, (w, (c, m))) in enumerate(zip(blades, pairs)):
-            neg_bit, zero_bit = _ROW_BITS[_signed_sum(w, (alpha * c, m), e ^ a)]
-            negs |= neg_bit << j
-            zeros |= zero_bit << j
-        rows.append((negs, zeros))
-    return tuple(rows)
+    rows ``(neg, zero)``, from one call of each pair kernel per blade A.
+    Where both terms lie on e ^ A, or vanish, a position holds their sum's
+    sign: the ``neg`` bit for -1, the ``zero`` bit for 0.  Any other sum,
+    a term off e ^ A or a total of ±2, sets both bits, which no row of a
+    product has."""
+    negs, zeros = [0, 0], [0, 0]
+    for j, a in enumerate(blades):
+        (w, wm), (c, cm) = kernels.blade_wedge(e, a), kernels.blade_left_contract(e, a, neg)
+        off = (w and wm != e ^ a) or (c and cm != e ^ a)
+        for k, total in enumerate((w + c, w - c)):
+            bad = off or abs(total) > 1
+            negs[k] |= (bad or total < 0) << j
+            zeros[k] |= (bad or not total) << j
+    return (negs[0], zeros[0]), (negs[1], zeros[1])
 
 
 def _definition_rows(sig: Signature) -> tuple[tuple, list[tuple[tuple, tuple]]]:
@@ -291,7 +275,9 @@ def _definition_rows(sig: Signature) -> tuple[tuple, list[tuple[tuple, tuple]]]:
     for even and for odd e.
 
     Each entry is summed from the original metric's wedge and contraction
-    kernels, never from ∨, so comparing it with a ∨ row is no tautology.
+    kernels, one call of each per (generator, blade) pair
+    (``_expected_rows``), never from ∨, so comparing it with a ∨ row is no
+    tautology.
     The rows depend on the signature alone, so a caller's dict may keep
     them for every grading of it (``definition_check``)."""
     blades = all_blades(sig)

@@ -13,7 +13,9 @@ table and ``sigchange`` cells join a head with their problems
 (``_cell_result``).  A cell that raises fails, its detail the exception's
 type and message (``_timed``), so a fault in the program is a failing
 cell of a report that still holds every cell, never a crash of the run.
-Cells are pure computations, except that they share results through
+A suite's generator yields only keys and cells, and each cell builds
+what it reads (a grading, a blade list) inside ``_timed``, so no fault
+can raise outside a cell.  Cells are pure computations, except that they share results through
 ``run_suite``'s one dict, read by ``core.kept``, the only place a shared
 result lives:
 
@@ -85,6 +87,7 @@ from .core import (
     Signature,
     all_blades,
     blade_from_indices,
+    blade_indices,
     geometric_row_op,
     kept,
     parity,
@@ -274,10 +277,10 @@ def verify_sigchange(sig: Signature, shared: dict):
     e^A ± e⌟A, which depend on the signature alone and are made in its
     first cell.  The report equals one whose cells each run
     verify_clifford_map alone."""
-    for gr in all_gradings(sig):
+    for odd in range(1 << sig.n):
 
-        def cell(gr=gr):
-            res = verify_clifford_map(gr, shared=shared)
+        def cell(odd=odd):
+            res = verify_clifford_map(Z2Grading(sig, odd), shared=shared)
             r, s = res.target
             return _cell_result(
                 "clifford-map",
@@ -285,8 +288,7 @@ def verify_sigchange(sig: Signature, shared: dict):
                 *(f"{c.name}: {c.detail}" for c in res.checks if not c.ok),
             )
 
-        odd = ",".join(str(i) for i in gr.odd_indices)
-        yield f"{sig.p},{sig.q},odd={odd}", cell
+        yield f"{sig.p},{sig.q},odd={','.join(map(str, blade_indices(odd)))}", cell
 
 
 def verify_core(sig: Signature, shared: dict):
@@ -299,7 +301,6 @@ def verify_core(sig: Signature, shared: dict):
     The associativity and involutions cells read the signature's one
     certificate (``whole_algebra``).  Where it is not clean, the
     involutions cell fails and quotes the associativity verdict."""
-    blades = all_blades(sig)
 
     def gen_cell():
         return generator_relations(geometric_row_op(sig), sig.n, sig.neg_mask)
@@ -315,6 +316,7 @@ def verify_core(sig: Signature, shared: dict):
         # planes flipped, where it holds a ^ b.  The zeros must agree, and
         # elsewhere the signs differ by rev(a) g(a), as g(a ^ b) g(b) = g(a).
         # The flipped view has no blade list: wedge_rows reads planes alone.
+        blades = all_blades(sig)
         cols = kernels.columns(range(len(blades)))
         full = (1 << len(blades)) - 1
         count, first = 0, None
@@ -340,6 +342,7 @@ def verify_core(sig: Signature, shared: dict):
         # when its signs are a character, and reversion an
         # anti-automorphism exactly when its signs are a quadratic
         # refinement of σ(a,b)σ(b,a), both decided off the certificate
+        blades = all_blades(sig)
         head, names = f"{len(blades)} blades: ", ("parity", "reversion")
         xs = [Multivector.blade(sig, a) for a in blades]
         negated = [-x for x in xs]

@@ -589,3 +589,25 @@ def test_verify_cell_that_raises_fails_with_its_exception(monkeypatch, capsys):
     assert raised[0] == "FAIL 0,1,odd=1: raised ValueError: p and q must be non-negative"
     assert len(raised) == 17
     assert out.splitlines()[-1].startswith("suite sigchange: 49 cells, 29 violations")
+
+
+def test_verify_grading_that_raises_fails_its_cell(monkeypatch, capsys):
+    # each sigchange cell builds its own grading: a Z2Grading that refuses
+    # the odd mask 0b11 fails the seven cells with that mask, and the run
+    # still reports all 49 cells and exits 1
+    from cliffsig import Z2Grading
+
+    honest = Z2Grading.__init__
+
+    def faulted(self, sig, odd_mask=0):
+        if odd_mask == 0b11:
+            raise ValueError("fault: odd mask 0b11")
+        honest(self, sig, odd_mask)
+
+    monkeypatch.setattr(Z2Grading, "__init__", faulted)
+    code, out, err = run(capsys, "verify", "--suite", "sigchange", "--max-n", "3")
+    assert code == 1 and not err
+    raised = [line for line in out.splitlines() if "raised ValueError" in line]
+    assert raised[0] == "FAIL 0,2,odd=1,2: raised ValueError: fault: odd mask 0b11"
+    assert len(raised) == 7
+    assert out.splitlines()[-1].startswith("suite sigchange: 49 cells, 7 violations")

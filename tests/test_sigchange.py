@@ -647,6 +647,18 @@ def test_definition_sums_wedge_and_contraction(monkeypatch):
     assert details["definition"].endswith("4 violations; first (e1, 1)")
 
 
+def expected_rows_at(e):
+    """The bits (neg, zero) at position e of the two expected rows, e^A +
+    e⌟A and e^A - e⌟A, of the generator e of Cl(2,0)."""
+    from cliffsig.sigchange import _expected_rows
+
+    blades = all_blades(Signature(2, 0))
+    j = blades.index(e)
+    return tuple(
+        (neg >> j & 1, zero >> j & 1) for neg, zero in _expected_rows(e, blades, 0)
+    )
+
+
 def test_definition_rejects_a_wedge_that_fires_on_overlap(monkeypatch):
     # on a blade holding e, a wedge that fires adds to the contraction's
     # blade: e1 ∨ e1 = 1 against 1 + 1 (a sum of 2) and e2 ∨ e2 = -1
@@ -654,6 +666,9 @@ def test_definition_rejects_a_wedge_that_fires_on_overlap(monkeypatch):
     import cliffsig.kernels as kernels
 
     monkeypatch.setattr(kernels, "blade_wedge", lambda a, b: kernels.blade_mul(a, b, 0))
+    plus, _ = expected_rows_at(0b01)
+    _, minus = expected_rows_at(0b10)
+    assert plus == (1, 1) and minus == (0, 1)
     rep = verify_clifford_map(Z2Grading.from_odd_indices(Signature(2, 0), [2]))
     details = {c.name: c.detail for c in rep.checks if not c.ok}
     assert details == {"definition": "8 (generator, blade) pairs, 4 violations; first (e1, e1)"}
@@ -664,12 +679,10 @@ def test_definition_rejects_a_wedge_and_contraction_on_different_blades(monkeypa
     # while e1 ⌟ e1 lies on 1: two blades, so no signed e_target is their
     # sum, and each overlapping pair fails
     import cliffsig.kernels as kernels
-    from cliffsig.sigchange import _signed_sum
 
-    assert _signed_sum((1, 0b1), (1, 0), 0) is None
-    assert _signed_sum((1, 0b1), (-1, 0b10), 0b1) is None
     honest = kernels.blade_mul
     monkeypatch.setattr(kernels, "blade_wedge", lambda a, b: (honest(a, b, 0)[0], a | b))
+    assert expected_rows_at(0b01) == ((1, 1), (1, 1))
     rep = verify_clifford_map(Z2Grading.from_odd_indices(Signature(2, 0), [2]))
     details = {c.name: c.detail for c in rep.checks if not c.ok}
     assert details == {"definition": "8 (generator, blade) pairs, 4 violations; first (e1, e1)"}
@@ -769,6 +782,42 @@ def test_definition_rows_read_the_kernels_once_per_signature(monkeypatch):
     assert run_suite("sigchange", 4).ok
     assert sum((n + 1) * n * 2**n for n in range(5)) == 444
     assert calls == {"blade_wedge": 444, "blade_left_contract": 444}
+
+
+def test_definition_rows_equal_the_products_they_define():
+    # the expected rows, summed from the pair kernels, against the same sums
+    # e^A ± e⌟A of multivectors, whose products read the row kernels: on
+    # every generator e and blade A of every signature with n <= 5, a
+    # position holds the sum's sign on e ^ A, and both bits for any other sum
+    import cliffsig.sigchange as sigchange
+
+    def position(x, target):
+        if not x.terms:
+            return 0, 1
+        if x.terms.keys() == {target} and abs(x.terms[target]) == 1:
+            return int(x.terms[target] < 0), 0
+        return 1, 1
+
+    count = 0
+    for sig in signatures_up_to(5):
+        blades = all_blades(sig)
+        cols, got = sigchange._definition_rows(sig)
+        assert cols == kernels.columns(blades)
+        for k, row_pair in enumerate(got):
+            e = basis(sig, k + 1)
+            sums = [[], []]
+            for a in blades:
+                blade = Multivector.blade(sig, a)
+                x, y = wedge(e, blade), left_contraction(e, blade)
+                sums[0].append(position(x + y, (1 << k) ^ a))
+                sums[1].append(position(x - y, (1 << k) ^ a))
+            want = tuple(
+                tuple(sum(bits[i] << j for j, bits in enumerate(side)) for i in (0, 1))
+                for side in sums
+            )
+            assert row_pair == want, (sig, k + 1)
+            count += len(blades)
+    assert count == sum((n + 1) * n * 2**n for n in range(6))
 
 
 def test_a_kernel_fault_after_a_sweep_fails_the_next_check(monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cliffsig import kernels
 from cliffsig.oracle import oracle
 from cliffsig.verify import (
     SUITES,
@@ -710,3 +711,115 @@ def test_a_cell_that_raises_fails_and_an_interrupt_stops_the_run():
     with pytest.raises(KeyboardInterrupt):
         _timed(report, "0,0:interrupted", interrupted)
     assert len(report.cells) == 1
+
+
+def test_a_blade_list_that_raises_fails_its_cells_not_the_run(monkeypatch):
+    # the core cells build their own blade lists: all_blades raising at
+    # n == 2 fails the three cells of each such signature that read it,
+    # and the run still reports every cell of every signature
+    import cliffsig.verify as verify
+
+    honest = verify.all_blades
+
+    def faulted(sig):
+        if sig.n == 2:
+            raise ValueError(f"fault: {sig}")
+        return honest(sig)
+
+    monkeypatch.setattr(verify, "all_blades", faulted)
+    rep = run_suite("core", 3)
+    assert len(rep.cells) == 5 * len(list(signatures_up_to(3)))
+    failing = {c.key: c.detail for c in rep.cells if not c.ok}
+    cells = ("associativity", "adjointness", "involutions")
+    assert set(failing) == {f"{p},{2 - p}:{cell}" for p in range(3) for cell in cells}
+    assert all(d.startswith("raised ValueError: fault: Cl(") for d in failing.values()), failing
+
+
+def _columns_without_the_last_bit_of_plane_0(honest):
+    def columns(bs):
+        bs, planes = honest(bs)
+        if planes:
+            planes[0] &= ~(1 << (len(bs) - 1))
+        return bs, planes
+
+    return columns
+
+
+def _contraction_rows_past_the_view(honest):
+    def contraction_rows(a, cols, neg):
+        extra = 1 << len(cols[0])
+        (nl, zl), (nr, zr) = honest(a, cols, neg)
+        return (nl, zl | extra), (nr, zr | extra)
+
+    return contraction_rows
+
+
+ALL_SUITES = {"table1", "table2", "table4", "sigchange", "core"}
+
+#: Each curated kernel fault: the (module, name) pairs it patches, every
+#: place the sweeps read that name from, and the fault given the honest
+#: function; then the suites it fails and the first failing key of
+#: ``run_suite("all", 4)``.
+KERNEL_FAULTS = {
+    "reorder-mask-shift": (
+        [("kernels", "reorder_mask")], lambda honest: lambda a: a >> 1,
+        ALL_SUITES, "table1/2,1",
+    ),
+    "row-ignores-neg": (
+        [("kernels", "blade_mul_row")], lambda honest: lambda a, cols, neg: honest(a, cols, 0),
+        ALL_SUITES, "table1/0,1",
+    ),
+    "columns-drop-a-bit": (
+        [("kernels", "columns"), ("oracle", "columns")], _columns_without_the_last_bit_of_plane_0,
+        ALL_SUITES, "table1/0,1",
+    ),
+    "contraction-zero-past-view": (
+        [("kernels", "contraction_rows")], _contraction_rows_past_the_view,
+        {"core"}, "core/0,0:adjointness",
+    ),
+    "wedge-fires-on-overlap": (
+        [("kernels", "blade_wedge")], lambda honest: lambda a, b: kernels.blade_mul(a, b, 0),
+        {"sigchange", "core"}, "sigchange/0,1,odd=",
+    ),
+    "target-swapped": (
+        [("sigchange", "target_signature")], lambda honest: lambda gr: honest(gr)[::-1],
+        {"sigchange"}, "sigchange/0,1,odd=",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(KERNEL_FAULTS))
+def test_each_curated_kernel_fault_fails_named_cells(monkeypatch, fault):
+    # a fault in a kernel, or in what the sweeps read off one, is a
+    # verdict: the run returns, fails in exactly the suites that read the
+    # faulted function, and names its first failing cell
+    import importlib
+
+    patches, make, suites, first = KERNEL_FAULTS[fault]
+    modules = {name: importlib.import_module(f"cliffsig.{name}") for name, _ in patches}
+    honest = getattr(modules[patches[0][0]], patches[0][1])
+    faulted = make(honest)
+    for module, name in patches:
+        assert getattr(modules[module], name) is honest
+        monkeypatch.setattr(modules[module], name, faulted)
+    rep = run_suite("all", 4)
+    failing = [c.key for c in rep.cells if not c.ok]
+    assert {key.split("/")[0] for key in failing} == suites
+    assert failing[0] == first
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+def test_the_sweeps_catch_a_fault_in_the_right_hand_rows(monkeypatch):
+    # blade_mul_col with a.bit_count() | 1 for & 1 flips the rows x a of
+    # every even a; no sweep compares those rows with the certified left
+    # rows yet, so the run reads 0 violations
+    from functools import reduce
+    from operator import xor
+
+    honest = kernels.blade_mul_col
+
+    def faulted(a, cols, neg):
+        return honest(a, cols, neg) ^ (0 if a.bit_count() & 1 else reduce(xor, cols[1], 0))
+
+    monkeypatch.setattr(kernels, "blade_mul_col", faulted)
+    assert not run_suite("all", 4).ok
