@@ -24,15 +24,20 @@ record.  The product is given as a row sign function
 positions, ``(neg, zero)``: the products of sign -1 and those that
 vanish, each nonzero one on the symmetric difference of its factors.
 So a pass makes k + dim calls (k generator rows of B, then one per basis
-row), and each row of dim signs is compared as one integer.  Before it
-compares them it builds two tables over the span, aᵀB and aᵀ(B+Bᵀ) for
-every coordinate bitmask a, one XOR per entry, and the table of expected
+row), and each row of dim signs is compared as one integer.  What a pass
+reads of its blade list before any product is the list's frame
+(``blade_frame``): the GF(2) basis and every blade's coordinates, the
+column views of the basis and of the list, and the table of expected
 rows: for every coordinate bitmask v, the positions whose coordinates
 have odd overlap with v, doubled over coordinate planes read from the
-coordinates alone.  Row a is clean exactly when its ``neg`` is the
-expected row of aᵀB and no product vanishes.  A clean pass keeps B's
-tables, and every fingerprint is then read off them, in Python ints with
-no division and no product:
+coordinates alone.  The frame is pure in the masks and holds no row of
+any product, so the passes over one list, one per product, may share
+one, built once by their caller; a pass given none builds its own.  The
+pass itself builds two tables over the span, aᵀB and aᵀ(B+Bᵀ) for every
+coordinate bitmask a, one XOR per entry.  Row a is clean exactly when
+its ``neg`` is the expected row of aᵀB and no product vanishes.  A clean
+pass keeps B's tables, and every fingerprint is then read off them, in
+Python ints with no division and no product:
 
 * the certificate: every pair's sign equals (-1)^(aᵀBb), which proves
   associativity exactly, at every size;
@@ -214,23 +219,50 @@ def _overlap_rows(column: list[int], k: int) -> list[int]:
     return span(planes)
 
 
-def _read_bicharacter(masks: list[int], row_op):
+class BladeFrame(NamedTuple):
+    """What a pass reads of its blade list before any product: the
+    ``_coordinates`` judgement, a GF(2) basis of the span (``generators``)
+    and every mask's coordinates over it (``coords``); the coordinates as
+    a column over the list's positions (``column``); the expected rows of
+    ``_overlap_rows`` over it (``expected``); and the column views of the
+    generators and of the list (``gen_cols``, ``cols``).  Pure in the
+    masks and holding no row of any product, so every pass over one list
+    may read one frame (``blade_frame``)."""
+
+    generators: list[int]
+    coords: dict[int, int]
+    column: list[int]
+    expected: list[int]
+    gen_cols: tuple
+    cols: tuple
+
+
+def blade_frame(masks) -> BladeFrame:
+    """The frame of the blade list ``masks``; raises as ``_coordinates``
+    does on an empty, repeated or unclosed list."""
+    masks = list(masks)
+    generators, coords = _coordinates(masks)
+    column = [coords[m] for m in masks]
+    expected = _overlap_rows(column, len(generators))
+    return BladeFrame(generators, coords, column, expected, columns(generators), columns(masks))
+
+
+def _read_bicharacter(masks: list[int], row_op, frame: BladeFrame | None = None):
     """The certificate pass over every pair of the blade basis ``masks``:
     each mask's coordinates over B's GF(2) basis, B's two span tables
     (``_span_tables``), and the first pair whose sign is not (-1)^(aᵀBb),
-    or None.  ``_coordinates`` judges the list first, so an empty,
-    repeated or unclosed list raises before any ``row_op`` call, and the
-    pass reads signs alone.  ``row_op`` is called once per generator row
-    of B, whose ``neg`` is B's row, and once per basis row, which is clean
-    exactly when its ``neg`` is the expected row of aᵀB (``_overlap_rows``)
-    and no product vanishes; the first pair off the bicharacter is the
-    lowest bit where the first unclean row differs."""
-    generators, coords = _coordinates(masks)
-    gen_cols = columns(generators)
+    or None.  It reads the list's ``frame`` (``blade_frame``), built here
+    when none is given, so an empty, repeated or unclosed list raises
+    before any ``row_op`` call, and the pass reads signs alone.
+    ``row_op`` is called once per generator row of B, whose ``neg`` is
+    B's row, and once per basis row, which is clean exactly when its
+    ``neg`` is the expected row of aᵀB and no product vanishes; the first
+    pair off the bicharacter is the lowest bit where the first unclean row
+    differs."""
+    if frame is None:
+        frame = blade_frame(masks)
+    generators, coords, column, expected, gen_cols, cols = frame
     table_b, table_sym = _span_tables([row_op(g, gen_cols)[0] for g in generators])
-    column = [coords[m] for m in masks]
-    expected = _overlap_rows(column, len(generators))
-    cols = columns(masks)
     bad = None
     for a, ca in zip(masks, column):
         neg, zero = row_op(a, cols)
@@ -261,15 +293,15 @@ class Certificate(NamedTuple):
         certified ones, read off B's tables with no product; it equals the
         fingerprint of a pass over ``masks``.  ``masks`` defaults to every
         certified blade, and a list of every certified blade, once each,
-        spans every coordinate, whose basis is the unit bitmasks.  Any
+        spans every coordinate, whose basis is the unit bitmasks, so a
+        blade of it is central exactly when its aᵀ(B+Bᵀ) is 0.  Any
         other list is judged by ``_coordinates``, as a pass judges it
         (NotIndependent, or NotClosed at its first unclosed pair), and a
         closed list holding a blade outside the certified ones raises
         NotClosed."""
         masks = list(self.coords if masks is None else masks)
         if masks and len(masks) == len(self.coords) and self.coords.keys() == set(masks):
-            coords = self.coords.values()
-            basis = [1 << i for i in range(len(self.table_b).bit_length() - 1)]
+            coords, basis = self.coords.values(), None
         else:
             generators, _ = _coordinates(masks)
             outside = next((m for m in masks if m not in self.coords), None)
@@ -279,13 +311,17 @@ class Certificate(NamedTuple):
             basis = [self.coords[g] for g in generators]
         table_b, table_sym = self.table_b, self.table_sym
         negative = [(table_b[c] & c).bit_count() & 1 for c in coords]
-        central = []
-        for neg, c in zip(negative, coords):
-            for h in basis:
-                if (table_sym[c] & h).bit_count() & 1:
-                    break
-            else:
-                central.append(neg)
+        if basis is None:
+            # the unit basis: a blade is central when its aᵀ(B+Bᵀ) is 0
+            central = [neg for neg, c in zip(negative, coords) if not table_sym[c]]
+        else:
+            central = []
+            for neg, c in zip(negative, coords):
+                for h in basis:
+                    if (table_sym[c] & h).bit_count() & 1:
+                        break
+                else:
+                    central.append(neg)
         dim, neg, cdim, cneg = len(negative), sum(negative), len(central), sum(central)
         return StructuralInvariants(dim, cdim, (dim - neg, neg), (cdim - cneg, cneg))
 
@@ -317,7 +353,7 @@ class Certificate(NamedTuple):
         return tuple(witnesses)
 
 
-def certify(masks, row_op) -> Certificate:
+def certify(masks, row_op, frame: BladeFrame | None = None) -> Certificate:
     """The one pass over every pair of the blade basis ``masks`` under the
     product whose row sign function is ``row_op``: its verdict, the
     ``associativity`` check, and every blade's coordinates with B's tables
@@ -334,10 +370,14 @@ def certify(masks, row_op) -> Certificate:
     NotClosed that ``row_op`` raises.  On a failed comparison every
     triple is searched while dim**3 <= 4096; the verdict names the first
     non-associative triple, else the first failing pair, and ``problem``
-    says which of the two it is."""
+    says which of the two it is.
+
+    ``frame``, the list's ``blade_frame``, lets passes over one list
+    share what they read of it before any product; with none, the pass
+    builds its own, inside the same judgement."""
     masks = list(masks)
     try:
-        coords, table_b, table_sym, bad = _read_bicharacter(masks, row_op)
+        coords, table_b, table_sym, bad = _read_bicharacter(masks, row_op, frame)
     except (NotClosed, NotIndependent) as exc:
         report = problem = str(exc)
     else:
@@ -373,7 +413,8 @@ def expected_invariants(cls: AlgebraClass) -> StructuralInvariants:
 
 
 def oracle(
-    masks, row_op, cls: AlgebraClass, *, certificate: Certificate | None = None
+    masks, row_op, cls: AlgebraClass, *, certificate: Certificate | None = None,
+    frame: BladeFrame | None = None,
 ) -> tuple[CheckResult, str]:
     """Fingerprint of the blade basis ``masks`` under the row sign function
     ``row_op`` against the reference of ``cls``, from one ``certify`` pass:
@@ -384,7 +425,8 @@ def oracle(
     under the same ``row_op``, the fingerprint is read off its tables with
     no product.  Where ``masks`` is no subgroup of it, which holds for every
     list when that pass failed, ``masks`` gets a pass of its own, so a
-    failing verdict is worded the same either way.
+    failing verdict is worded the same either way.  That pass reads
+    ``frame``, the list's ``blade_frame``, when one is given.
 
     The contract is stricter than associativity: the twist must be a
     bicharacter, so an associative product twisted by a coboundary that
@@ -402,7 +444,7 @@ def oracle(
         except (NotClosed, NotIndependent):
             pass  # the pass below words the failure
     if got is None:
-        certificate = certify(masks, row_op)
+        certificate = certify(masks, row_op, frame)
         if not certificate.verdict.ok:
             return certificate.verdict, certificate.problem
         got = certificate.invariants()

@@ -55,7 +55,7 @@ from .core import (
     wedge,
 )
 from .grading import Z2Grading, project_even, project_odd
-from .oracle import CheckResult, oracle
+from .oracle import CheckResult, blade_frame, oracle
 
 
 def _require_vector(v: Multivector, what: str) -> None:
@@ -336,10 +336,11 @@ def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> Cliffor
     by alpha and reads its own ∨ rows against them.  With no ``shared``
     the call makes everything it reads.  ``shared``, a dict the caller
     owns, keeps (``kept``) the three ``CheckResult``s of (i), (iii) and
-    (iv) by the key, and the expected rows by the signature: a grading
-    whose entries are there reuses them, exactly as if it had made them,
-    and one whose entries are not stores its own.  It holds no
-    certificate.
+    (iv) by the key, the expected rows by the signature, and the frame of
+    the 2^n blades (``oracle.blade_frame``), which the pass of (iii)
+    reads, by ("frame", n): a grading whose entries are there reuses them,
+    exactly as if it had made them, and one whose entries are not stores
+    its own.  It holds no certificate.
     """
     sig = gr.sig
     neg, odd = sig.neg_mask, gr.odd_mask
@@ -348,7 +349,9 @@ def verify_clifford_map(gr: Z2Grading, *, shared: dict | None = None) -> Cliffor
 
     def product_checks():
         cls = classify_clifford(r, s)
-        associativity, problem = oracle(all_blades(sig), row_op, cls)
+        blades = all_blades(sig)
+        frame = kept(shared, ("frame", sig.n), lambda: blade_frame(blades))
+        associativity, problem = oracle(blades, row_op, cls, frame=frame)
         found = problem or "fingerprints agree"
         return (
             # g_a(e, e) is -g(e, e) for odd e

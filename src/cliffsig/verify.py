@@ -27,6 +27,11 @@ result lives:
   which every ``sigchange`` cell and ``core``'s decomposition cell compare
   their own rows.  Each is made in the first cell of the signature that
   needs it and dropped when the walk leaves the signature;
+* per n, the frame of the 2^n blades (``oracle.blade_frame``): their
+  coordinates, expected rows and column views, which hold no product and
+  which every certificate pass over them reads, the whole algebra's of
+  each signature and ``sigchange``'s of each ∨.  It is made in the first
+  such pass of n and dropped when the walk leaves n, after Cl(n,0);
 * for the whole run, the three checks that read ∨ alone, shared by
   ``sigchange`` cells with the same deformed metric, keyed (n, neg ^ odd),
   made in the first such cell.
@@ -94,7 +99,7 @@ from .core import (
     reversion,
 )
 from .grading import Z2Grading, even_subalgebra_basis
-from .oracle import Certificate, CheckResult, certify, format_blades, oracle
+from .oracle import Certificate, CheckResult, blade_frame, certify, format_blades, oracle
 from .sigchange import definition_check, generator_relations, verify_clifford_map
 
 
@@ -159,11 +164,6 @@ def signatures_up_to(max_n: int):
             yield Signature(p, n - p)
 
 
-def all_gradings(sig: Signature):
-    for odd_mask in range(1 << sig.n):
-        yield Z2Grading(sig, odd_mask)
-
-
 def canonical_odd_mask(sig: Signature, p1: int, q1: int) -> int:
     """Odd set used in sweeps: the last p1 positive and last q1 negative
     generators.  Any other choice with the same counts is isometric."""
@@ -178,9 +178,16 @@ def whole_algebra(sig: Signature, shared: dict | None = None) -> Certificate:
     core's associativity and involutions cells.  Made by this call, or,
     with the run's dict ``shared``, kept there under ("whole", p, q) by the
     first cell of the signature that needs it; ``run_suite`` drops it when
-    its walk leaves the signature."""
-    key = "whole", sig.p, sig.q
-    return kept(shared, key, lambda: certify(all_blades(sig), geometric_row_op(sig)))
+    its walk leaves the signature.  Its pass reads the blade list's frame,
+    kept in ``shared`` under ("frame", n) for every pass over the 2^n
+    blades until the walk leaves n."""
+
+    def make():
+        blades = all_blades(sig)
+        frame = kept(shared, ("frame", sig.n), lambda: blade_frame(blades))
+        return certify(blades, geometric_row_op(sig), frame=frame)
+
+    return kept(shared, ("whole", sig.p, sig.q), make)
 
 
 def even_subalgebra_problem(
@@ -404,12 +411,13 @@ def run_suite(name: str, max_n: int | None = None, _seed=None) -> SuiteReport:
     shared results, which every suite's cells read through ``core.kept``.
     At each signature it runs the cells of every requested suite, in
     ``SUITES`` order, timing each into that suite's report, then drops the
-    signature's certificate (``whole_algebra``) and definition rows, so
-    the dict keeps only sigchange's ∨ checks between signatures; 'all'
-    then joins the reports, each key prefixed with its suite.  Within
-    'all', table1, table4 and core thus read one certificate per
-    signature, and the first cell of a signature, table1's, pays for its
-    pass.  Nothing the dict holds outlives the run."""
+    signature's certificate (``whole_algebra``) and definition rows, and
+    after Cl(n,0) the frame of the 2^n blades, so the dict keeps only that
+    frame and sigchange's ∨ checks between signatures; 'all' then joins
+    the reports, each key prefixed with its suite.  Within 'all', table1,
+    table4 and core thus read one certificate per signature, and the
+    first cell of a signature, table1's, pays for its pass.  Nothing the
+    dict holds outlives the run."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if max_n is not None and not 0 <= max_n <= MAX_DIMENSION:
@@ -423,6 +431,8 @@ def run_suite(name: str, max_n: int | None = None, _seed=None) -> SuiteReport:
                 _timed(reports[sub], key, cell)
         shared.pop(("whole", sig.p, sig.q), None)
         shared.pop(("rows", sig.p, sig.q), None)
+        if sig.p == sig.n:  # the walk leaves n after Cl(n,0)
+            shared.pop(("frame", sig.n), None)
     if name != "all":
         return reports[name]
     cells = [c._replace(key=f"{sub}/{c.key}") for sub, rep in reports.items() for c in rep.cells]

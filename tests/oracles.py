@@ -21,7 +21,8 @@ The definition reference reads the package's wedge and contraction
 kernels pair by pair, so it checks how ``verify_clifford_map`` caches and
 compares whole rows, not the kernels.  The seeded draws
 ``random_multivector`` and ``random_vector`` are inputs to the randomized
-tests, not references, and return package multivectors.
+tests, not references, and return package multivectors; ``all_gradings``
+enumerates the package's gradings of a signature as inputs too.
 """
 
 import functools
@@ -200,6 +201,14 @@ def random_vector(rng: random.Random, sig):
     return Multivector(
         sig, {1 << k: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for k in range(sig.n)}
     )
+
+
+def all_gradings(sig):
+    """Every grading of ``sig``, one per odd mask, as package Z2Gradings."""
+    from cliffsig import Z2Grading
+
+    for odd_mask in range(1 << sig.n):
+        yield Z2Grading(sig, odd_mask)
 
 
 def multivector_structure_constants(sig, masks, product):

@@ -35,12 +35,11 @@ from cliffsig import (
 from cliffsig.grading import DimensionClass
 from cliffsig.oracle import certify, oracle
 from cliffsig.verify import (
-    all_gradings,
     run_suite,
     signatures_up_to,
 )
 
-from oracles import random_vector
+from oracles import all_gradings, random_vector
 
 
 def _five_term_multivector(rng, sig):

@@ -19,9 +19,9 @@ from cliffsig import (
     vee_prime,
 )
 from cliffsig.cli import main
-from cliffsig.verify import all_gradings, signatures_up_to
+from cliffsig.verify import signatures_up_to
 
-from oracles import geometric_pair_op, rows
+from oracles import all_gradings, geometric_pair_op, rows
 
 
 def run(capsys, *argv):

@@ -561,11 +561,14 @@ def fingerprinted_blade_bases():
 
 
 def test_sign_table_fingerprints_match_the_dense_reference():
+    # and so does the certificate's read of every blade it certified, which
+    # takes a blade as central exactly when its aᵀ(B+Bᵀ) is 0: among these
+    # bases, the whole algebra of every signature with n <= 6
     for masks, op in fingerprinted_blade_bases():
+        dense = dense_invariants(dense_regular_representation(masks, op))
         got = structural_invariants(regular_representation(masks, op))
-        assert got == dense_invariants(dense_regular_representation(masks, op)), (
-            masks, op
-        )
+        assert got == dense, (masks, op)
+        assert certify(masks, rows(op)).invariants() == dense, (masks, op)
 
 
 def tabulated(sig, op):
@@ -667,8 +670,8 @@ def test_the_oracle_returns_the_certificates_verdict_itself(monkeypatch):
     made = []
     honest = oracle_module.certify
 
-    def keeping(masks, row_op):
-        made.append(honest(masks, row_op))
+    def keeping(masks, row_op, frame=None):
+        made.append(honest(masks, row_op, frame))
         return made[-1]
 
     monkeypatch.setattr(oracle_module, "certify", keeping)
@@ -792,6 +795,35 @@ def test_every_flipped_bit_fails_as_its_flipped_pair():
         assert (got.verdict, got.problem) == (want.verdict, want.problem), (a, b)
         witness = first_pair_off_the_bicharacter(masks, op, sig.n)
         assert witness is not None and _read_bicharacter(masks, row_op)[3] == witness, (a, b)
+
+
+def test_a_kept_frame_certifies_as_a_fresh_pass():
+    # every pass over one blade list may read one frame (blade_frame), which
+    # holds no product: with it, certify returns what a pass building its
+    # own returns, field by field, for the geometric product of every
+    # signature with n <= 6, ∨ of every key (n, neg ^ odd) with n <= 5, and
+    # each of the 64 flipped pairs of Cl(2,1), whose passes fail
+    from cliffsig import Z2Grading, vee_alpha_row_op
+    from cliffsig.oracle import blade_frame
+
+    ops = {n: [] for n in range(7)}
+    for sig in signatures_up_to(6):
+        ops[sig.n].append(geometric_row_op(sig))
+    for n in range(6):
+        ops[n] += [vee_alpha_row_op(Z2Grading(Signature(n, 0), m)) for m in range(1 << n)]
+    sig = Signature(2, 1)
+    pairs = itertools.product(all_blades(sig), repeat=2)
+    ops[3] += [flipped_in_row(geometric_row_op(sig), a, b) for a, b in pairs]
+    verdicts = []
+    for n, row_ops in ops.items():
+        blades = all_blades(Signature(n, 0))
+        frame = blade_frame(blades)
+        for op in row_ops:
+            kept, fresh = certify(blades, op, frame), certify(blades, op)
+            for field, got, want in zip(fresh._fields, kept, fresh):
+                assert got == want, (n, field)
+            verdicts.append(fresh.verdict.ok)
+    assert len(verdicts) == 28 + 63 + 64 and verdicts.count(False) == 64
 
 
 @pytest.mark.parametrize("p, q", [(2, 1), (0, 3)])

@@ -37,13 +37,13 @@ from cliffsig import (
 from cliffsig import kernels
 from cliffsig.verify import (
     _cell_result,
-    all_gradings,
     run_suite,
     signatures_up_to,
 )
 
 from oracles import (
     NotTwisted,
+    all_gradings,
     definition_reference,
     random_multivector,
     random_vector,
@@ -858,9 +858,9 @@ def test_one_associativity_pass_per_clifford_map(monkeypatch):
     calls = []
     honest = oracle.certify
 
-    def counting(masks, row_op):
+    def counting(masks, row_op, frame=None):
         calls.append(len(masks))
-        return honest(masks, row_op)
+        return honest(masks, row_op, frame)
 
     monkeypatch.setattr(oracle, "certify", counting)
     for gr in gradings:
@@ -894,17 +894,17 @@ def test_sigchange_sweep_equals_each_map_alone():
 def test_one_certify_pass_per_deformed_metric(monkeypatch):
     # the (n+1)·2^n gradings of one n have 2^n masks neg ^ odd, so a sweep
     # certifies sum 2^k products, not sum (k+1)·2^k gradings (129 at n <= 4);
-    # the shared dict keeps CheckResults by each key and the signature's
-    # definition rows, never a certificate
+    # the shared dict keeps CheckResults by each key, the signature's
+    # definition rows and the frame of its blade list, never a certificate
     import cliffsig.oracle as oracle
     from cliffsig.sigchange import CheckResult
 
     calls = []
     honest = oracle.certify
 
-    def counting(masks, row_op):
+    def counting(masks, row_op, frame=None):
         calls.append(len(masks))
-        return honest(masks, row_op)
+        return honest(masks, row_op, frame)
 
     monkeypatch.setattr(oracle, "certify", counting)
     assert run_suite("sigchange", 4).ok
@@ -917,7 +917,7 @@ def test_one_certify_pass_per_deformed_metric(monkeypatch):
         assert verify_clifford_map(gr, shared=shared).ok
     keys = {vee_alpha_key(gr) for gr in all_gradings(Signature(1, 2))}
     assert len(calls) == 8 and len(keys) == 8
-    assert shared.keys() == keys | {("rows", 1, 2)}
+    assert shared.keys() == keys | {("rows", 1, 2), ("frame", 3)}
     assert all(len(shared[k]) == 3 and all(type(c) is CheckResult for c in shared[k]) for k in keys)
     assert not any(isinstance(v, oracle.Certificate) for v in shared.values())
     calls.clear()

@@ -105,7 +105,8 @@ def test_expected_rows_of_the_certificate_read_no_product():
     # each row of the pass is clean when its neg equals the expected row
     # of aᵀB; a table built from the kernel's planes, a kernel or a row
     # function would compare a product with itself, so the one helper that
-    # builds it reads the coordinates alone, and only the pass calls it
+    # builds it reads the coordinates alone, and only the blade list's
+    # frame, which every pass over the list reads, calls it
     from cliffsig import kernels
 
     tree = ast.parse((SOURCES[0].parent / "oracle.py").read_text())
@@ -128,7 +129,7 @@ def test_expected_rows_of_the_certificate_read_no_product():
         for owner, node in _calls(ast.parse(path.read_text(), filename=str(path)))
         if getattr(node.func, "id", None) == "_overlap_rows"
     ]
-    assert callers == [("oracle.py", "_read_bicharacter")], callers
+    assert callers == [("oracle.py", "blade_frame")], callers
 
 
 def test_signs_come_only_from_the_kernel_functions():
@@ -251,9 +252,12 @@ def test_whole_algebra_is_the_one_shared_certificate():
     # (n, neg ^ odd), so a failing pass fails every cell of that key as it
     # would fail alone; and definition_check's expected rows, summed from
     # the original metric's kernels and kept per signature, with which each
-    # sigchange cell and core decomposition cell compares its own rows
+    # sigchange cell and core decomposition cell compares its own rows; and
+    # the frame of the 2^n blades (oracle.blade_frame), which holds no
+    # product and is kept per n by the two owners of a pass over them,
+    # whole_algebra and verify_clifford_map's product checks
     allowed = {
-        "certify": {("verify.py", "whole_algebra")},
+        "certify": {("verify.py", "whole_algebra.make")},
         "certificate": {
             ("verify.py", "verify_table1.cell"),
             ("verify.py", "verify_table4.cell"),
@@ -262,8 +266,18 @@ def test_whole_algebra_is_the_one_shared_certificate():
         "shared": {("verify.py", "verify_sigchange.cell")},
         "kept": {
             ("verify.py", "whole_algebra"),
+            ("verify.py", "whole_algebra.make"),
             ("sigchange.py", "definition_check"),
             ("sigchange.py", "verify_clifford_map"),
+            ("sigchange.py", "verify_clifford_map.product_checks"),
+        },
+        "blade_frame": {
+            ("verify.py", "whole_algebra.make"),
+            ("sigchange.py", "verify_clifford_map.product_checks"),
+        },
+        "frame": {
+            ("verify.py", "whole_algebra.make"),
+            ("sigchange.py", "verify_clifford_map.product_checks"),
         },
         "whole_algebra": {
             ("verify.py", "verify_table1.cell"),

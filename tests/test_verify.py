@@ -183,9 +183,9 @@ def test_all_certifies_each_signature_once(monkeypatch):
     calls = []
     honest = oracle._read_bicharacter
 
-    def counting(masks, row_op):
+    def counting(masks, row_op, frame=None):
         calls.append(len(masks))
-        return honest(masks, row_op)
+        return honest(masks, row_op, frame)
 
     monkeypatch.setattr(oracle, "_read_bicharacter", counting)
     passes = {}
@@ -206,8 +206,10 @@ def test_all_certifies_each_signature_once(monkeypatch):
 
 def test_shared_results_of_a_signature_go_when_the_walk_leaves_it(monkeypatch):
     # run_suite's dict keeps a signature's certificate and definition rows,
-    # keyed (tag, p, q), only while its cells run; the rest of the dict is
-    # sigchange's ∨ checks, keyed (n, neg ^ odd), kept for the whole run
+    # keyed (tag, p, q), only while its cells run, and the frame of the 2^n
+    # blades, keyed ("frame", n), until the walk leaves n; the rest of the
+    # dict is sigchange's ∨ checks, keyed (n, neg ^ odd), kept for the
+    # whole run
     import cliffsig.verify as verify
 
     tags = set()
@@ -216,7 +218,10 @@ def test_shared_results_of_a_signature_go_when_the_walk_leaves_it(monkeypatch):
         def cells(sig, shared):
             for key, cell in suite(sig, shared):
                 for k in shared:
-                    if isinstance(k[0], str):
+                    if k[0] == "frame":
+                        assert k[1:] == (sig.n,), (k, sig)
+                        tags.add(k[0])
+                    elif isinstance(k[0], str):
                         assert k[1:] == (sig.p, sig.q), (k, sig)
                         tags.add(k[0])
                     else:
@@ -228,7 +233,7 @@ def test_shared_results_of_a_signature_go_when_the_walk_leaves_it(monkeypatch):
     fns = {name: watched(fn) for name, fn in verify._SUITE_FNS.items()}
     monkeypatch.setattr(verify, "_SUITE_FNS", fns)
     assert run_suite("all", 4).ok
-    assert tags == {"whole", "rows"}
+    assert tags == {"whole", "rows", "frame"}
 
 
 def test_unknown_suite_and_bad_max_n():
@@ -330,7 +335,7 @@ def test_table4_failure_is_attributed_to_its_cells(monkeypatch):
 
     monkeypatch.setattr(verify, "geometric_row_op", twisted)
     shared = run_suite("table4", 2)
-    monkeypatch.setattr(verify, "certify", lambda masks, row_op: None)
+    monkeypatch.setattr(verify, "certify", lambda masks, row_op, frame=None: None)
     per_basis = run_suite("table4", 2)
     assert [(c.key, c.ok, c.detail) for c in shared.cells] == [
         (c.key, c.ok, c.detail) for c in per_basis.cells
@@ -806,6 +811,22 @@ def test_each_curated_kernel_fault_fails_named_cells(monkeypatch, fault):
     failing = [c.key for c in rep.cells if not c.ok]
     assert {key.split("/")[0] for key in failing} == suites
     assert failing[0] == first
+
+
+def test_a_kernel_fault_after_a_run_fails_every_suite_of_the_next(monkeypatch):
+    # a run keeps the frame of each n's blades (oracle.blade_frame) only
+    # while its walk is at n; column views that drop a bit, patched in after
+    # a clean run, must fail every suite of the next.  A frame kept past its
+    # run, made from the honest views, would pass table1's and table4's
+    # cells, which read columns only through it
+    import cliffsig.oracle as oracle
+
+    assert run_suite("all", 3).ok
+    faulted = _columns_without_the_last_bit_of_plane_0(kernels.columns)
+    monkeypatch.setattr(kernels, "columns", faulted)
+    monkeypatch.setattr(oracle, "columns", faulted)
+    failing = {c.key.split("/")[0] for c in run_suite("all", 3).cells if not c.ok}
+    assert failing == ALL_SUITES
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
