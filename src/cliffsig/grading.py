@@ -127,9 +127,11 @@ def even_subalgebra_basis(gr: Z2Grading) -> list[int]:
     """All blades with an even number of odd generators, canonically ordered.
 
     This is a vector-space basis of the even subalgebra: 2^n blades for
-    the trivial grading, 2^(n-1) otherwise.
+    the trivial grading, 2^(n-1) otherwise.  Each blade's parity is read
+    inline, as ``Z2Grading.blade_parity`` reads it.
     """
-    return [m for m in blade_order(gr.sig.n) if not gr.blade_parity(m)]
+    odd = gr.odd_mask
+    return [m for m in blade_order(gr.sig.n) if not (m & odd).bit_count() & 1]
 
 
 class DimensionClass(Enum):

@@ -26,6 +26,18 @@ and it checks both against bubble-sort transposition counting.
 ``blade_wedge`` and ``blade_left_contract`` also sum the definition
 check's expected rows, which must not come from a product's rows.
 
+A view read by many rows may carry tables (``row_tables``): for each
+chunk of w = min(6, n) planes, the XOR of the chunk's planes at every
+w-bit index, and ``reorder_mask`` of every w-bit index, all built from
+the view's own planes.  ``blade_mul_row`` then reads a row in a few
+lookups, one entry per chunk, instead of a loop over n planes.  Tables
+cost 2^w entries per chunk, so only the oracle's frame of a blade list,
+which every certificate pass over the list reads, builds them, once per
+frame; every other view is plain.  Nothing is built at import, and this
+module imports nothing of the package, so a kernel patched at run time
+reaches every table built after it, and no table comes from anything
+but a view's planes.
+
 A row of products is given as two bitmasks over the positions of a
 column view, ``(neg, zero)``: the products of sign -1, and those that
 vanish.  Each nonzero product of a and the blade at position j lies on
@@ -87,10 +99,47 @@ def columns(bs):
     return bs, planes
 
 
+def row_tables(cols):
+    """The column view ``cols`` with the tables that read its rows in a few
+    lookups: for each chunk of w = min(6, #planes) consecutive planes, the
+    table whose entry i is the XOR of that chunk's planes at i's bits, and
+    ``reorder_mask`` of every w-bit index.  Built from the view's own
+    planes alone, 2^w entries per chunk; ``blade_mul_row`` reads a view
+    that carries them, ``(bs, planes, tables, reorder)``, by lookups."""
+    bs, planes = cols[0], cols[1]
+    w = min(6, len(planes))
+    tables = []
+    for low in range(0, len(planes), 6):
+        table = [0]
+        for plane in planes[low:low + w]:
+            table += [x ^ plane for x in table]
+        tables.append(table)
+    return bs, planes, tables, [reorder_mask(i) for i in range(1 << w)]
+
+
 def blade_mul_row(a, cols, neg_mask):
     """The positions j of the column view ``cols`` where
     ``blade_mul(a, bs[j], neg_mask)`` has sign -1, as a bitmask: the XOR
-    of the planes of the bits of a's sign mask, at most n XORs."""
+    of the planes of the bits of a's sign mask, at most n XORs.
+
+    On a view with ``row_tables``, the XOR of one table entry per chunk
+    of the sign mask, whose merge part is one reorder lookup at n <= 6,
+    and at n <= 12 the rule for two chunks of 6 bits, lo and hi:
+    R[lo] ^ R[hi] << 6, its six low bits flipped when hi's grade is odd.  A
+    sign mask past the tables' ends (an a beyond the view) and a view of
+    no chunk or of more than two read the planes."""
+    if len(cols) > 2:
+        tables, reorder = cols[2], cols[3]
+        r = a & neg_mask
+        try:
+            if len(tables) == 1:
+                return tables[0][reorder[a] ^ r]
+            if len(tables) == 2:
+                hi = a >> 6
+                r ^= reorder[a & 63] ^ reorder[hi] << 6 ^ -(hi.bit_count() & 1) & 63
+                return tables[0][r & 63] ^ tables[1][r >> 6]
+        except IndexError:
+            pass
     r = reorder_mask(a) ^ (a & neg_mask)
     row = 0
     for plane in cols[1]:

@@ -27,12 +27,14 @@ So a pass makes k + dim calls (k generator rows of B, then one per basis
 row), and each row of dim signs is compared as one integer.  What a pass
 reads of its blade list before any product is the list's frame
 (``blade_frame``): the GF(2) basis and every blade's coordinates, the
-column views of the basis and of the list, and the table of expected
-rows: for every coordinate bitmask v, the positions whose coordinates
-have odd overlap with v, doubled over coordinate planes read from the
-coordinates alone.  The frame is pure in the masks and holds no row of
-any product, so the passes over one list, one per product, may share
-one, built once by their caller; a pass given none builds its own.  The
+column views of the basis and of the list, the list's with the row
+tables of ``kernels.row_tables``, which turn each of its dim rows into a
+few lookups, and the table of expected rows: for every coordinate
+bitmask v, the positions whose coordinates have odd overlap with v,
+doubled over coordinate planes read from the coordinates alone.  The
+frame is pure in the masks and holds no row of any product, so the
+passes over one list, one per product, may share one, built once by
+their caller; a pass given none builds its own.  The
 pass itself builds two tables over the span, aᵀB and aᵀ(B+Bᵀ) for every
 coordinate bitmask a, one XOR per entry.  Row a is clean exactly when
 its ``neg`` is the expected row of aᵀB and no product vanishes.  A clean
@@ -70,7 +72,10 @@ The row sign functions are the row forms of the bit-reorder kernels of
 ``kernels`` (``blade_mul_row``), which the test suite checks bit by bit
 against ``blade_mul`` and bubble-sort transposition counting; none is
 computed from B or from the expected rows, so the certificate is a check
-of those kernels.  The test suite keeps the sign-table route and the
+of those kernels.  The row tables are built in ``kernels`` from the list's
+planes, never through ``span`` or from the coordinates that the expected
+rows read, so no fault in a shared table can move a row and its expected
+row together.  The test suite keeps the sign-table route and the
 dense construction (dict tables, a center nullspace, congruence
 diagonalization, matrix-unit references) as the references these
 shortcuts are compared with.
@@ -83,7 +88,7 @@ from typing import NamedTuple
 
 from .classify import AlgebraClass
 from .core import blade_indices
-from .kernels import columns, row_sign
+from .kernels import columns, row_sign, row_tables
 
 #: dim**3 at or below which a failed certificate is followed by a search
 #: of every triple for an associativity witness.
@@ -177,8 +182,16 @@ def span(vectors) -> list[int]:
 
 def _span_tables(rows: list[int]) -> tuple[list[int], list[int]]:
     """aᵀB and aᵀ(B+Bᵀ) for every coordinate bitmask a < 2**len(rows),
-    indexed by a, with B given by its rows."""
-    sym = [r ^ sum((s >> i & 1) << j for j, s in enumerate(rows)) for i, r in enumerate(rows)]
+    indexed by a, with B given by its rows.  Bᵀ is read in one pass over
+    B's set bits below k = len(rows)."""
+    full, sym, bit = (1 << len(rows)) - 1, rows[:], 1
+    for row in rows:
+        row &= full
+        while row:
+            low = row & -row
+            sym[low.bit_length() - 1] ^= bit
+            row ^= low
+        bit <<= 1
     return span(rows), span(sym)
 
 
@@ -225,9 +238,11 @@ class BladeFrame(NamedTuple):
     and every mask's coordinates over it (``coords``); the coordinates as
     a column over the list's positions (``column``); the expected rows of
     ``_overlap_rows`` over it (``expected``); and the column views of the
-    generators and of the list (``gen_cols``, ``cols``).  Pure in the
-    masks and holding no row of any product, so every pass over one list
-    may read one frame (``blade_frame``)."""
+    generators and of the list (``gen_cols``, ``cols``), the list's, which
+    every basis row of a pass reads, with its ``kernels.row_tables``.  Pure
+    in the masks and holding no row of any product, so every pass over one
+    list may read one frame (``blade_frame``), and the tables live as long
+    as it does."""
 
     generators: list[int]
     coords: dict[int, int]
@@ -244,7 +259,8 @@ def blade_frame(masks) -> BladeFrame:
     generators, coords = _coordinates(masks)
     column = [coords[m] for m in masks]
     expected = _overlap_rows(column, len(generators))
-    return BladeFrame(generators, coords, column, expected, columns(generators), columns(masks))
+    cols = row_tables(columns(masks))
+    return BladeFrame(generators, coords, column, expected, columns(generators), cols)
 
 
 def _read_bicharacter(masks: list[int], row_op, frame: BladeFrame | None = None):

@@ -170,3 +170,57 @@ def test_column_planes_hold_each_generator():
     assert len(planes) == 5
     for i, plane in enumerate(planes):
         assert plane == sum(1 << j for j, b in enumerate(bs) if b >> i & 1), i
+
+
+def test_tabled_rows_equal_plain_rows():
+    # a view with row_tables reads each row by lookups, one table entry per
+    # chunk of up to six planes; every row equals the plain view's loop over the
+    # planes: every blade and three negative masks for n <= 8, over every
+    # blade in order and over a shuffled proper subset, where the planes
+    # are no unit rows, and blades beyond the view; a sample at n = 12,
+    # where two chunks are read
+    rng = random.Random(12)
+    for n in [*range(9), 12]:
+        every = list(range(1 << n))
+        subset = every[1:]
+        rng.shuffle(subset)
+        full = (1 << n) - 1
+        lefts = every if n <= 8 else rng.sample(every, 300)
+        lefts = [*lefts, full + 1, (full + 1) | 0b101, 1 << 12, (1 << 13) | 0b11]
+        for bs in (every, subset) if n <= 8 else (every,):
+            plain = kernels.columns(bs)
+            tabled = kernels.row_tables(plain)
+            w = min(6, n)
+            assert tabled[:2] == plain and len(tabled[3]) == 1 << w
+            assert len(tabled[2]) == -(-n // 6), n
+            for neg in (0, full, 0b0110_1101_1010 & full):
+                for a in lefts:
+                    want = kernels.blade_mul_row(a, plain, neg)
+                    assert kernels.blade_mul_row(a, tabled, neg) == want, (n, neg, a)
+
+
+def test_the_reorder_chunk_rule_is_reorder_mask():
+    # over the view of the generators themselves, plane i is the unit row
+    # 1 << i, so a row is its sign mask: reorder_mask(a) ^ (a & neg).  The
+    # tabled read, one reorder lookup at n <= 6 and the rule for two
+    # chunks, R[lo] ^ R[hi] << 6 with lo's bits flipped when hi is odd,
+    # at n <= 12, gives it for every a < 2^n
+    for n in range(13):
+        full = (1 << n) - 1
+        cols = kernels.row_tables(kernels.columns([1 << i for i in range(n)]))
+        assert cols[1] == [1 << i for i in range(n)]
+        for a in range(1 << n):
+            r = kernels.reorder_mask(a)
+            assert kernels.blade_mul_row(a, cols, 0) == r, (n, a)
+            assert kernels.blade_mul_row(a, cols, full) == r ^ a, (n, a)
+
+
+def test_row_tables_read_the_kernel_of_their_call(monkeypatch):
+    # nothing is tabled at import: a view tabled after reorder_mask is
+    # patched reads the patched kernel, as a plain row does (one chunk,
+    # where the tabled read is one reorder lookup)
+    monkeypatch.setattr(kernels, "reorder_mask", lambda a: a >> 1)
+    cols = kernels.row_tables(kernels.columns(range(1 << 6)))
+    assert cols[3] == [a >> 1 for a in range(64)]
+    for a in range(1 << 6):
+        assert kernels.blade_mul_row(a, cols, 0) == kernels.blade_mul_row(a, cols[:2], 0), a

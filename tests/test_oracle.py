@@ -826,6 +826,102 @@ def test_a_kept_frame_certifies_as_a_fresh_pass():
     assert len(verdicts) == 28 + 63 + 64 and verdicts.count(False) == 64
 
 
+def test_span_tables_transpose_b_as_the_entrywise_sum():
+    # _span_tables reads Bᵀ in one pass over B's set bits; it must give
+    # the span tables of the entrywise formula, row i of B+Bᵀ being
+    # B's row i XOR the sum over j of bit i of row j at bit j, on random
+    # k×k matrices for every k <= 12, the empty one included
+    import random
+
+    from cliffsig.oracle import _span_tables, span
+
+    rng = random.Random(7)
+    for k in range(13):
+        for _ in range(40 if k else 1):
+            rows = [rng.getrandbits(k) for _ in range(k)]
+            sym = [
+                r ^ sum((s >> i & 1) << j for j, s in enumerate(rows)) for i, r in enumerate(rows)
+            ]
+            assert _span_tables(rows) == (span(rows), span(sym)), (k, rows)
+
+
+def _table_readers(blades, op, cols):
+    """For each (chunk, entry) of the row tables of the tabled view
+    ``cols``, the blades of ``blades`` whose row under ``op`` reads that
+    entry, in order, as recorded by the tables themselves."""
+    reads, readers = [], {}
+
+    class Recording(list):
+        def __getitem__(self, i):
+            reads.append((self.chunk, i))
+            return super().__getitem__(i)
+
+    tables = cols[2]
+    for chunk in range(len(tables)):
+        tables[chunk] = Recording(tables[chunk])
+        tables[chunk].chunk = chunk
+    for a in blades:
+        reads.clear()
+        op(a, cols)
+        for entry in reads:
+            readers.setdefault(entry, []).append(a)
+    for chunk in range(len(tables)):
+        tables[chunk] = list(tables[chunk])
+    return readers
+
+
+@pytest.mark.parametrize("p, q, sample", [(2, 2, None), (4, 4, 40)])
+def test_a_fault_in_a_row_table_fails_the_pass_at_its_row(p, q, sample):
+    # the frame's row tables (kernels.row_tables) are built from the
+    # list's planes alone, never from the coordinates the expected rows
+    # read, so one bit flipped in an entry that some row reads fails the
+    # pass at the first such row, named with the blade at the flipped
+    # position; an entry that no row reads changes nothing.  Every bit of
+    # every entry of Cl(2,2)'s one table (8 of its 16 entries are read, 128
+    # faults), and a sample of Cl(4,4)'s two tables, the high one's 4
+    # entries each read by 64 rows
+    import random
+
+    from cliffsig.oracle import blade_frame
+
+    sig = Signature(p, q)
+    blades, op = all_blades(sig), geometric_row_op(sig)
+    frame = blade_frame(blades)
+    clean = certify(blades, op, frame)
+    assert clean.verdict.ok
+    readers = _table_readers(blades, op, frame.cols)
+    faults = [
+        (chunk, entry, j)
+        for chunk, table in enumerate(frame.cols[2])
+        for entry in range(len(table))
+        for j in range(len(blades))
+    ]
+    if sample is not None:
+        faults = random.Random(sample).sample(faults, sample)
+        faults += [(1, entry, 7) for entry in range(4)]
+    failed = 0
+    for chunk, entry, j in faults:
+        table = frame.cols[2][chunk]
+        table[entry] ^= 1 << j
+        got = certify(blades, op, frame)
+        table[entry] ^= 1 << j
+        first = readers.get((chunk, entry))
+        if first is None:
+            assert got == clean, (chunk, entry, j)
+            continue
+        failed += 1
+        pair = format_blades((first[0], blades[j]))
+        assert got.verdict == (
+            "associativity", False,
+            f"bicharacter certificate, {len(blades) ** 2} pairs, first violation {pair}",
+        ), (chunk, entry, j)
+    assert certify(blades, op, frame) == clean
+    if sample is None:
+        assert len(readers) == 8 and failed == 128
+    else:
+        assert {len(readers[1, entry]) for entry in range(4)} == {64}
+
+
 @pytest.mark.parametrize("p, q", [(2, 1), (0, 3)])
 def test_involution_witnesses_match_a_scan_of_every_pair(p, q):
     # the doubling over B's generators decides both laws exactly: for every

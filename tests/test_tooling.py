@@ -132,6 +132,30 @@ def test_expected_rows_of_the_certificate_read_no_product():
     assert callers == [("oracle.py", "blade_frame")], callers
 
 
+def test_row_tables_come_from_the_planes_alone():
+    # a view's row tables turn each row into lookups; built from anything
+    # but the view's planes (oracle.span, the coordinates the expected rows
+    # read) one fault could move a row and its expected row together.  So
+    # kernels.py imports nothing of the package, and only the blade list's
+    # frame, which lives one run at most, builds them: every other view
+    # stays plain
+    tree = ast.parse((SOURCES[0].parent / "kernels.py").read_text())
+    imports = [
+        f"{node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and (node.level or "cliffsig" in (node.module or "")))
+        or (isinstance(node, ast.Import) and any("cliffsig" in a.name for a in node.names))
+    ]
+    assert not imports, f"kernels.py imports from the package: {imports}"
+    callers = [
+        (path.name, owner)
+        for path in SOURCES
+        for owner, node in _calls(ast.parse(path.read_text(), filename=str(path)))
+        if (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "row_tables"
+    ]
+    assert callers == [("oracle.py", "blade_frame")], callers
+
+
 def test_signs_come_only_from_the_kernel_functions():
     # every product and the oracle read their signs through the kernel
     # functions the tests cross-check (blade_mul, blade_mul_row, ...); a

@@ -793,20 +793,27 @@ KERNEL_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", list(KERNEL_FAULTS))
-def test_each_curated_kernel_fault_fails_named_cells(monkeypatch, fault):
-    # a fault in a kernel, or in what the sweeps read off one, is a
-    # verdict: the run returns, fails in exactly the suites that read the
-    # faulted function, and names its first failing cell
+def _patch_fault(monkeypatch, fault):
+    """Patch the curated kernel fault ``fault`` wherever the sweeps read
+    the name it replaces."""
     import importlib
 
-    patches, make, suites, first = KERNEL_FAULTS[fault]
+    patches, make, _, _ = KERNEL_FAULTS[fault]
     modules = {name: importlib.import_module(f"cliffsig.{name}") for name, _ in patches}
     honest = getattr(modules[patches[0][0]], patches[0][1])
     faulted = make(honest)
     for module, name in patches:
         assert getattr(modules[module], name) is honest
         monkeypatch.setattr(modules[module], name, faulted)
+
+
+@pytest.mark.parametrize("fault", list(KERNEL_FAULTS))
+def test_each_curated_kernel_fault_fails_named_cells(monkeypatch, fault):
+    # a fault in a kernel, or in what the sweeps read off one, is a
+    # verdict: the run returns, fails in exactly the suites that read the
+    # faulted function, and names its first failing cell
+    _, _, suites, first = KERNEL_FAULTS[fault]
+    _patch_fault(monkeypatch, fault)
     rep = run_suite("all", 4)
     failing = [c.key for c in rep.cells if not c.ok]
     assert {key.split("/")[0] for key in failing} == suites
@@ -814,19 +821,18 @@ def test_each_curated_kernel_fault_fails_named_cells(monkeypatch, fault):
 
 
 def test_a_kernel_fault_after_a_run_fails_every_suite_of_the_next(monkeypatch):
-    # a run keeps the frame of each n's blades (oracle.blade_frame) only
-    # while its walk is at n; column views that drop a bit, patched in after
-    # a clean run, must fail every suite of the next.  A frame kept past its
-    # run, made from the honest views, would pass table1's and table4's
-    # cells, which read columns only through it
-    import cliffsig.oracle as oracle
-
-    assert run_suite("all", 3).ok
-    faulted = _columns_without_the_last_bit_of_plane_0(kernels.columns)
-    monkeypatch.setattr(kernels, "columns", faulted)
-    monkeypatch.setattr(oracle, "columns", faulted)
-    failing = {c.key.split("/")[0] for c in run_suite("all", 3).cells if not c.ok}
-    assert failing == ALL_SUITES
+    # a run keeps the frame of each n's blades (oracle.blade_frame), with
+    # its row tables, only while its walk is at n; a kernel fault patched in
+    # after a clean run must fail every suite of the next: column views that
+    # drop a bit, which a frame kept past its run, made from the honest
+    # views, would hide from table1's and table4's cells, and a shifted
+    # reorder mask, which the frame's row tables and every plain row read
+    for fault in ("columns-drop-a-bit", "reorder-mask-shift"):
+        assert run_suite("all", 3).ok, fault
+        with monkeypatch.context() as m:
+            _patch_fault(m, fault)
+            failing = {c.key.split("/")[0] for c in run_suite("all", 3).cells if not c.ok}
+        assert failing == ALL_SUITES, fault
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
